@@ -309,7 +309,9 @@ class AsyncLocalClient(AsyncPequodClient):
     fine — both see the same store) or builds one from the keyword
     arguments, which mirror the server's tunables.  ``watch`` streams
     come straight off the server's change hub, delivered synchronously
-    with each commit.
+    with each commit.  ``aclose`` closes a server the client built
+    (flushing a batched WAL tail); a server passed in stays open for
+    its owner.
     """
 
     backend = "local"
@@ -321,9 +323,14 @@ class AsyncLocalClient(AsyncPequodClient):
             raise BadRequestError(
                 "pass either an existing server or server kwargs, not both"
             )
+        self._owns_server = server is None
         self.server = (
             server if server is not None else PequodServer(**server_kwargs)
         )
+
+    async def aclose(self) -> None:
+        if self._owns_server:
+            self.server.close()
 
     # ------------------------------------------------------------------
     async def get(self, key: str) -> Optional[str]:

@@ -396,6 +396,13 @@ class JoinEngine:
         bound = self.staleness_bound
         # pieces() snapshots the cover; computation below may split it.
         pieces = stable.pieces(lo, hi)
+        if len(pieces) > 1 and self._merge_ranges(tbl_name, stable, lo, hi):
+            # Undo what earlier partial reads cut before walking it:
+            # adjacent compatible ranges under the request fold back
+            # into one, logs united, so a login over k fragments
+            # applies one compacted log once instead of k copies of it
+            # (§3.2 keeps one status range per computed output range).
+            pieces = stable.pieces(lo, hi)
         for piece_lo, piece_hi, sr in pieces:
             if sr is None:
                 tm.computes += 1
@@ -449,6 +456,22 @@ class JoinEngine:
             elif len(memo) >= self.VALIDATION_MEMO_CAP:
                 memo.clear()  # crude bound; hints repopulate on demand
             memo[hi] = sr
+
+    def _merge_ranges(
+        self, tbl_name: str, stable: StatusTable, lo: str, hi: str
+    ) -> int:
+        """Fold mergeable neighbours under ``[lo, hi)`` (see
+        :meth:`StatusTable.merge_over`) and keep the LRU in step: an
+        absorbed range's entry goes, so eviction never pops a dead
+        payload; the survivor is tracked.  Returns ranges absorbed."""
+        merged = stable.merge_over(lo, hi)
+        for survivor, absorbed in merged:
+            if absorbed.lru_entry is not None:
+                self.lru.remove(absorbed.lru_entry)
+                absorbed.lru_entry = None
+            self._ensure_tracked(tbl_name, survivor)
+        self.stats.counters["status_merges"] += len(merged)
+        return len(merged)
 
     def _touch(self, sr: StatusRange) -> None:
         if sr.lru_entry is not None and sr.lru_entry.linked():
@@ -679,13 +702,25 @@ class JoinEngine:
         if self.enable_hints:
             sr.hint = handle
         self.stats.add("outputs_installed")
-        kind = ChangeKind.INSERT if old is None else ChangeKind.UPDATE
-        self.notify_change(
-            key,
-            materialize(old) if old is not None else None,
-            materialize(value),
-            kind,
-        )
+        self._notify_installed(key, old, value)
+
+    def _notify_installed(
+        self, key: str, old: Optional[Value], value: Value
+    ) -> None:
+        """Announce an installed output — unless nothing changed.
+
+        Pending entries re-execute against the current store, so a
+        merged log applied over a piece that had already applied an
+        entry re-puts values that are already there.  That must be
+        silent: no watch event, no downstream maintenance.
+        """
+        new = materialize(value)
+        if old is None:
+            self.notify_change(key, None, new, ChangeKind.INSERT)
+            return
+        previous = materialize(old)
+        if previous != new:
+            self.notify_change(key, previous, new, ChangeKind.UPDATE)
 
     def _remove_output(self, key: str) -> None:
         table = self.store.existing_table_for_key(key)
@@ -1095,15 +1130,7 @@ class JoinEngine:
                 counters["write_batched_installs"] += 1
                 self.stats.add("outputs_installed", len(run))
                 for (out_key, old), (_, value) in zip(results, run):
-                    out_kind = (
-                        ChangeKind.INSERT if old is None else ChangeKind.UPDATE
-                    )
-                    self.notify_change(
-                        out_key,
-                        materialize(old) if old is not None else None,
-                        materialize(value),
-                        out_kind,
-                    )
+                    self._notify_installed(out_key, old, value)
         for out_key in removes:
             sr = stable.find(out_key)
             if (
@@ -1525,13 +1552,7 @@ class JoinEngine:
         if self.enable_hints:
             sr.hint = handle
         self.stats.add("outputs_installed")
-        out_kind = ChangeKind.INSERT if old is None else ChangeKind.UPDATE
-        self.notify_change(
-            out_key,
-            materialize(old) if old is not None else None,
-            materialize(value),
-            out_kind,
-        )
+        self._notify_installed(out_key, old, value)
 
     def _fire_eager_check(
         self,

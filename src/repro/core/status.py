@@ -16,8 +16,11 @@ Each range carries:
   giving O(1) appends and in-place updates (§4.2);
 * an LRU entry so eviction can drop cold computed ranges (§2.5).
 
-Ranges split when a query or invalidation touches part of them; the
-paper's "disjoint cover" is preserved by construction.
+Ranges split when a query or invalidation touches part of them and
+merge again on the next read that spans the pieces
+(:meth:`StatusTable.merge_over`), so the cover's size follows the
+outstanding partial work, not the history of reads; the paper's
+"disjoint cover" is preserved by construction.
 """
 
 from __future__ import annotations
@@ -208,6 +211,49 @@ class StatusRange:
         self.pending[slot] = entry
         return False
 
+    def mergeable_with(self, right: "StatusRange") -> bool:
+        """May ``right`` be folded into this range (its left neighbour)?
+
+        Only across a shared boundary, and only when nothing a reader
+        or an updater can observe distinguishes the two: both VALID,
+        one generation (updaters find their range by output bounds +
+        generation, so every installed updater stays live and every
+        retired one inert), one expiry, one spill state.  Pending logs
+        do not stand in the way — they are united (see :meth:`absorb`).
+        """
+        return (
+            self.hi == right.lo
+            and self.state is RangeState.VALID
+            and right.state is RangeState.VALID
+            and self.generation == right.generation
+            and self.expires_at == right.expires_at
+            and self.spilled == right.spilled
+        )
+
+    def absorb(self, right: "StatusRange") -> None:
+        """Extend this range over ``right`` — the inverse of a split.
+
+        The logs are concatenated (the caller compacts once per run):
+        application re-executes against the current store, so an entry
+        one piece had already applied is harmless over the whole.  The
+        merged range is as old as its oldest part (``None`` = never
+        validated wins), costs what both cost, and keeps the rightmost
+        live output hint (appends land at the tail).
+        """
+        self.hi = right.hi
+        if right.pending:
+            self.pending.extend(right.pending)
+            self._pending_index = {}
+        if self.validated_at is None or right.validated_at is None:
+            self.validated_at = None
+        elif right.validated_at < self.validated_at:
+            self.validated_at = right.validated_at
+        self.compute_cost += right.compute_cost
+        if right.hint is not None and right.hint.is_valid():
+            self.hint = right.hint
+        right.pending = []
+        right.hint = None
+
     def invalidate(self) -> None:
         """Complete invalidation: recompute from scratch on next read."""
         self.state = RangeState.INVALID
@@ -235,21 +281,23 @@ class StatusTable:
     Gaps between ranges mean "never computed".
 
     The table also keeps a *generation stamp*, bumped on every mutation
-    that could change whole-table validity (add/remove/split here,
-    invalidation and pending-log growth via ``StatusRange.owner``, and
-    engine-side recompute/expiry/drain via :meth:`note_mutation`).  The
-    stamp keys a cached whole-table summary behind
+    that could change whole-table validity (add/remove/split/merge
+    here, invalidation and pending-log growth via ``StatusRange.owner``,
+    and engine-side recompute/expiry/drain via :meth:`note_mutation`).
+    The stamp keys a cached whole-table summary behind
     :meth:`all_valid_over`: when the cover is quiescent — every range
     VALID, no pending work, no expiries, no gaps — cross-timeline scans
     and updater validity checks skip per-range validation entirely.
     """
 
-    __slots__ = ("_los", "_ranges", "_stamp", "_summary")
+    __slots__ = ("_los", "_ranges", "_stamp", "_summary", "merges")
 
     def __init__(self) -> None:
         self._los: List[str] = []
         self._ranges: List[StatusRange] = []
         self._stamp = 0
+        #: Ranges ever absorbed into a neighbour by :meth:`merge_over`.
+        self.merges = 0
         #: Cached (stamp, all_quiescent, cover_lo, cover_hi); rebuilt
         #: lazily whenever the stamp has moved past it.
         self._summary: Optional[Tuple[int, bool, str, str]] = None
@@ -429,6 +477,49 @@ class StatusTable:
                 self.split(sr, hi)
             out.append(sr)
         return out
+
+    def merge_over(self, lo: str, hi: str) -> List[Tuple[StatusRange, StatusRange]]:
+        """Undo needless splits: fold every run of adjacent, compatible
+        ranges overlapping ``[lo, hi)`` into the run's leftmost range.
+
+        Compatibility is :meth:`StatusRange.mergeable_with`; a run's
+        pending logs are united and compacted once.  Returns
+        ``(survivor, absorbed)`` pairs so the engine can retire what it
+        keeps per range (the LRU entry).  Absorbed ranges end detached
+        — a validation memo still pointing at one misses structurally,
+        exactly as after eviction — and the stamp is bumped so the
+        whole-table summary is rebuilt.
+        """
+        ranges = self._ranges
+        start = bisect_right(self._los, lo) - 1
+        if start < 0 or ranges[start].hi <= lo:
+            start += 1
+        stop = bisect_left(self._los, hi, start)
+        if stop - start < 2:
+            return []
+        merged: List[Tuple[StatusRange, StatusRange]] = []
+        kept = [ranges[start]]
+        grown: List[StatusRange] = []  # survivors whose log was extended
+        for sr in ranges[start + 1:stop]:
+            survivor = kept[-1]
+            if not survivor.mergeable_with(sr):
+                kept.append(sr)
+                continue
+            if sr.pending and (not grown or grown[-1] is not survivor):
+                grown.append(survivor)
+            survivor.absorb(sr)
+            sr.attached = False
+            sr.owner = None
+            merged.append((survivor, sr))
+        if not merged:
+            return merged
+        for survivor in grown:
+            survivor.pending = compact_pending(survivor.pending)
+        ranges[start:stop] = kept
+        self._los[start:stop] = [sr.lo for sr in kept]
+        self.merges += len(merged)
+        self._stamp += 1
+        return merged
 
     def check_disjoint_cover(self) -> None:
         """Test hook: verify ranges are ordered and non-overlapping."""

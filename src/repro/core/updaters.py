@@ -145,9 +145,13 @@ def install_updater(table, updater: Updater) -> Optional[Updater]:
 
     Returns the updater actually stored (an existing equivalent one if
     present).  Same-range updaters share one interval entry — the
-    paper's combining optimization.  Reinstallation after a
-    recomputation refreshes the surviving updater's generation instead
-    of accumulating a duplicate.
+    paper's combining optimization.  Reinstallation takes over the
+    surviving updater's generation instead of accumulating a
+    duplicate: up after a recomputation, and back down to 0 when a
+    range that had been recomputed is evicted and computed afresh.
+    (Only the installing range overlaps the updater's output bounds —
+    they lie inside it and the cover is disjoint — so no other live
+    range can be relying on the old number.)
 
     Dedup is O(1) via an identity index kept on the interval entry and
     rebuilt lazily after removals (``IntervalEntry.payload_index``).
@@ -163,8 +167,7 @@ def install_updater(table, updater: Updater) -> Optional[Updater]:
             }
         existing = index.get(key)
         if existing is not None:
-            if updater.generation > existing.generation:
-                existing.generation = updater.generation
+            existing.generation = updater.generation
             return existing
         entry.payloads.append(updater)
         index[key] = updater

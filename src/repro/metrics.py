@@ -295,6 +295,7 @@ class ServerMetrics:
                 count += 1
                 depth += len(sr.pending)
             yield sample_key("status_ranges", table=table), float(count)
+            yield sample_key("join_status_merges_total", table=table), float(stable.merges)
             yield sample_key("pending_log_depth", table=table), float(depth)
         for name, tbl in sorted(server.store.tables.items()):
             yield sample_key("table_keys", table=name), float(tbl.key_count)

@@ -385,6 +385,48 @@ class TestBackendReporting:
             assert c.server.key_count() == 1
 
 
+class TestDiskCloseFlushes:
+    """Closing a client closes the server it built: under the default
+    ``wal_fsync="batch"`` the buffered WAL tail reaches disk, so every
+    acknowledged write is readable after a reopen."""
+
+    WRITES = [(f"p|bob|{i:04d}", f"post {i}") for i in range(37)]
+
+    def test_sync_close_then_reopen(self, tmp_path):
+        data_dir = str(tmp_path)
+        c = make_client("local", store_impl="disk", data_dir=data_dir)
+        for key, value in self.WRITES:
+            c.put(key, value)
+        c.close()
+        with make_client("local", store_impl="disk", data_dir=data_dir) as again:
+            assert again.scan_prefix("p|") == self.WRITES
+
+    async def test_async_aclose_then_reopen(self, tmp_path):
+        data_dir = str(tmp_path)
+        async with await make_async_client(
+            "local", store_impl="disk", data_dir=data_dir
+        ) as c:
+            for key, value in self.WRITES:
+                await c.put(key, value)
+        async with await make_async_client(
+            "local", store_impl="disk", data_dir=data_dir
+        ) as again:
+            assert await again.scan_prefix("p|") == self.WRITES
+
+    def test_a_server_passed_in_stays_open(self, tmp_path):
+        from repro import PequodServer
+
+        server = PequodServer(store_impl="disk", data_dir=str(tmp_path))
+        with LocalClient(server) as c:
+            c.put("p|bob|0001", "x")
+        server.put("p|bob|0002", "y")  # still writable: the caller owns it
+        server.close()
+        with make_client(
+            "local", store_impl="disk", data_dir=str(tmp_path)
+        ) as again:
+            assert len(again.scan_prefix("p|")) == 2
+
+
 # ======================================================================
 # Async conformance: the same semantics through the async-native API
 # ======================================================================

@@ -201,6 +201,26 @@ class TestServerMetrics:
         assert snap['table_memory_bytes{table="t"}'] > 0
         assert snap["memory_bytes"] > 0
 
+    def test_status_merges_counted(self):
+        server = PequodServer()
+        server.add_join(TIMELINE)
+        server.put("s|ann|bob", "1")
+        server.put("p|bob|0100", "hello")
+        server.scan("t|ann|", "t|ann}")
+        assert server.metrics_snapshot()['join_status_merges_total{table="t"}'] == 0
+        # A subscription leaves a pending entry; a check that reads
+        # only the tail cuts the range in two...
+        server.put("s|ann|liz", "1")
+        server.scan("t|ann|0150", "t|ann}")
+        assert server.metrics_snapshot()['status_ranges{table="t"}'] == 2
+        # ...and the next read spanning both pieces joins them again.
+        server.scan("t|ann|", "t|ann}")
+        snap = server.metrics_snapshot()
+        assert snap['status_ranges{table="t"}'] == 1
+        assert snap['join_status_merges_total{table="t"}'] == 1
+        assert snap["status_merges"] == 1
+        assert server.stats.get("status_merges") == 1
+
     def test_write_path_series_present(self):
         server = _traffic_server()
         snap = server.metrics_snapshot()

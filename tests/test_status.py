@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.status import RangeState, StatusRange, StatusTable
+from repro.core.status import PendingEntry, RangeState, StatusRange, StatusTable
 
 
 class TestStatusRange:
@@ -153,3 +153,178 @@ class TestSplitAndIsolate:
         sr = st.add(StatusRange("a", "c"))
         st.remove(sr)
         assert st.pieces("a", "c") == [("a", "c", None)]
+
+
+def _pending(key, join=None):
+    from repro.core.operators import ChangeKind
+
+    return PendingEntry(join, 0, key, None, "1", ChangeKind.INSERT)
+
+
+def _cover(st):
+    return [(sr.lo, sr.hi) for sr in st.ranges()]
+
+
+class TestMergeOver:
+    """``merge_over`` is the inverse of ``split``: it folds adjacent,
+    indistinguishable ranges back together and refuses everything
+    else."""
+
+    def two(self):
+        st = StatusTable()
+        left = st.add(StatusRange("a", "m"))
+        right = st.add(StatusRange("m", "z"))
+        return st, left, right
+
+    def test_undoes_a_split(self):
+        st = StatusTable()
+        sr = st.add(StatusRange("a", "z"))
+        sr.compute_cost = 8.0
+        right = st.split(sr, "m")
+        stamp = st.stamp
+        assert st.merge_over("a", "z") == [(sr, right)]
+        assert _cover(st) == [("a", "z")]
+        assert sr.attached and sr.owner is st
+        assert not right.attached and right.owner is None
+        assert sr.compute_cost == 8.0
+        assert st.stamp > stamp
+        assert st.merges == 1
+        assert st.find("q") is sr
+        st.check_disjoint_cover()
+
+    def test_folds_a_whole_run_into_its_leftmost_range(self):
+        st = StatusTable()
+        parts = [st.add(StatusRange(lo, hi)) for lo, hi in ("ac", "cf", "fk", "kz")]
+        merged = st.merge_over("b", "y")
+        assert [absorbed for _, absorbed in merged] == parts[1:]
+        assert all(survivor is parts[0] for survivor, _ in merged)
+        assert _cover(st) == [("a", "z")]
+        st.check_disjoint_cover()
+
+    def test_only_ranges_overlapping_the_request(self):
+        st = StatusTable()
+        for lo, hi in ("ac", "cf", "fk", "kz"):
+            st.add(StatusRange(lo, hi))
+        st.merge_over("d", "g")  # touches [c,f) and [f,k) only
+        assert _cover(st) == [("a", "c"), ("c", "k"), ("k", "z")]
+        assert st.merge_over("c", "f") == []  # one range: nothing to do
+        assert st.merge_over("c", "k") == []  # hi is exclusive
+
+    def test_refuses_a_gap(self):
+        st = StatusTable()
+        st.add(StatusRange("a", "f"))
+        st.add(StatusRange("g", "z"))
+        assert st.merge_over("a", "z") == []
+        assert _cover(st) == [("a", "f"), ("g", "z")]
+
+    def test_refuses_invalid(self):
+        for which in (0, 1):
+            st, left, right = self.two()
+            (left, right)[which].invalidate()
+            assert st.merge_over("a", "z") == []
+            assert len(st) == 2
+
+    def test_refuses_generation_mismatch(self):
+        st, left, right = self.two()
+        right.generation = 1  # recomputed once: its old updaters are retired
+        assert st.merge_over("a", "z") == []
+        assert len(st) == 2
+
+    def test_refuses_expiry_mismatch(self):
+        st, left, right = self.two()
+        left.expires_at = 10.0
+        assert st.merge_over("a", "z") == []  # snapshot vs. none
+        right.expires_at = 11.0
+        assert st.merge_over("a", "z") == []  # two snapshot builds
+        right.expires_at = 10.0
+        assert len(st.merge_over("a", "z")) == 1
+        assert st.ranges()[0].expires_at == 10.0
+
+    def test_refuses_spill_mismatch(self):
+        st, left, right = self.two()
+        left.spilled = True
+        assert st.merge_over("a", "z") == []
+        right.spilled = True
+        assert len(st.merge_over("a", "z")) == 1
+        assert st.ranges()[0].spilled
+
+    def test_a_refusal_splits_the_run_not_the_merge(self):
+        st = StatusTable()
+        parts = [st.add(StatusRange(lo, hi)) for lo, hi in ("ac", "cf", "fk", "kz")]
+        parts[2].generation = 3
+        parts[3].generation = 3
+        st.merge_over("a", "z")
+        assert _cover(st) == [("a", "f"), ("f", "z")]
+        assert [sr.generation for sr in st.ranges()] == [0, 3]
+        st.check_disjoint_cover()
+
+    def test_logs_are_united_and_compacted(self):
+        st = StatusTable()
+        sr = st.add(StatusRange("a", "z"))
+        sr.log_pending(_pending("s|ann|bob"))
+        right = st.split(sr, "m")  # both halves hold bob
+        right.pending.clear()  # the right half applied it...
+        right.log_pending(_pending("s|ann|liz"))  # ...then both saw liz
+        sr.log_pending(_pending("s|ann|liz"))
+        st.merge_over("a", "z")
+        assert [e.key for e in sr.pending] == ["s|ann|bob", "s|ann|liz"]
+        assert right.pending == []
+        # The supersede-in-place index follows the united log.
+        assert not sr.log_pending(_pending("s|ann|liz"))
+        assert sr.log_pending(_pending("s|ann|zed"))
+        assert [e.key for e in sr.pending] == [
+            "s|ann|bob", "s|ann|liz", "s|ann|zed",
+        ]
+        st.check_disjoint_cover()
+
+    def test_pending_only_on_the_absorbed_side(self):
+        st, left, right = self.two()
+        right.log_pending(_pending("s|ann|bob"))
+        st.merge_over("a", "z")
+        assert [e.key for e in left.pending] == ["s|ann|bob"]
+        assert left.needs_work(0.0)
+
+    def test_never_younger_than_its_oldest_part(self):
+        st, left, right = self.two()
+        left.validated_at, right.validated_at = 7.0, 3.0
+        st.merge_over("a", "z")
+        assert left.validated_at == 3.0
+        st, left, right = self.two()
+        left.validated_at, right.validated_at = 7.0, None
+        st.merge_over("a", "z")
+        assert left.validated_at is None
+        st, left, right = self.two()
+        left.validated_at, right.validated_at = None, 7.0
+        st.merge_over("a", "z")
+        assert left.validated_at is None
+
+    def test_costs_add_up(self):
+        st, left, right = self.two()
+        left.compute_cost, right.compute_cost = 5.0, 7.0
+        st.merge_over("a", "z")
+        assert left.compute_cost == 12.0
+
+    def test_keeps_a_live_hint(self):
+        from repro.store.table import Table
+
+        table = Table("t")
+        low, _ = table.put("t|c", "1")
+        high, _ = table.put("t|q", "2")
+        st, left, right = self.two()
+        left.hint, right.hint = low, high
+        st.merge_over("a", "z")
+        assert left.hint is high  # appends land at the tail
+        st, left, right = self.two()
+        left.hint, right.hint = low, high
+        table.remove("t|q")
+        st.merge_over("a", "z")
+        assert left.hint is low  # the dead one is not carried over
+
+    def test_summary_is_rebuilt(self):
+        st, left, right = self.two()
+        left.log_pending(_pending("s|ann|bob"))
+        assert not st.all_valid_over("a", "z")
+        left.pending.clear()  # drained behind the table's back
+        assert not st.all_valid_over("a", "z")  # cached summary
+        st.merge_over("a", "z")
+        assert st.all_valid_over("a", "z")
