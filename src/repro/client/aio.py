@@ -20,9 +20,10 @@ primary client surface:
   every backend.
 
 The synchronous clients of :mod:`repro.client.local` / ``remote`` /
-``cluster`` are thin facades over these classes (each sync client owns
-one event loop), so there is exactly one implementation of every
-backend.  Use :func:`repro.client.factory.make_async_client` to build
+``cluster`` are thin facades over these classes (each runs the
+coroutines below to completion, on an event loop of its own or by
+stepping the ones that never suspend), so there is exactly one
+implementation of every backend.  Use :func:`repro.client.factory.make_async_client` to build
 one::
 
     client = await make_async_client("rpc")
@@ -138,6 +139,11 @@ class Watch:
             self._ended = True
             return None
         return item
+
+    def pending(self) -> bool:
+        """Would :meth:`next_event` return without waiting — an event
+        is queued, or the stream has ended?"""
+        return self._ended or not self._queue.empty()
 
     def drain(self) -> List[ChangeEvent]:
         """Every event already delivered, without waiting."""
@@ -404,10 +410,14 @@ class AsyncRemoteClient(AsyncPequodClient):
 
     backend = "rpc"
 
+    #: The connection class.  The sync facade substitutes the blocking
+    #: transport (see :mod:`repro.client.remote`).
+    _transport = RpcClient
+
     def __init__(self, host: str = "127.0.0.1", port: int = 7709) -> None:
         self.host = host
         self.port = port
-        self._rpc: Optional[RpcClient] = RpcClient(host, port)
+        self._rpc: Optional[RpcClient] = self._transport(host, port)
         self._connected = False
 
     @classmethod
@@ -436,7 +446,9 @@ class AsyncRemoteClient(AsyncPequodClient):
             return await self._rpc.call(method, *args)
         except RpcError as exc:
             raise error_for_code(exc.code, str(exc)) from exc
-        except (OSError, RuntimeError) as exc:
+        except (OSError, RuntimeError, protocol.ProtocolError) as exc:
+            # ProtocolError: the peer answered something undecodable,
+            # and the transport has already dropped the connection.
             raise TransportError(f"rpc {method} failed: {exc}") from exc
 
     # ------------------------------------------------------------------
@@ -451,13 +463,11 @@ class AsyncRemoteClient(AsyncPequodClient):
         return bool(await self._call("remove", key))
 
     async def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
-        return [tuple(pair) for pair in await self._call("scan", first, last)]
+        return await self._call("scan", first, last)
 
     async def scan_prefix(self, prefix: str) -> List[Tuple[str, str]]:
         # One RPC instead of a client-side bound computation + scan.
-        return [
-            tuple(pair) for pair in await self._call("scan_prefix", prefix)
-        ]
+        return await self._call("scan_prefix", prefix)
 
     async def count(self, first: str, last: str) -> int:
         return await self._call("count", first, last)

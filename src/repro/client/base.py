@@ -6,15 +6,17 @@ The paper presents one cache abstraction — ``get``, ``put``,
 cache runs.  The *primary* implementation of that abstraction is the
 event-driven async API of :mod:`repro.client.aio` (the paper's clients
 are event-driven, §5.1); :class:`PequodClient` is its blocking facade
-for synchronous applications: every sync client owns one private event
-loop and an async backend, and each operation drives the loop until
-the corresponding coroutine completes.  There is therefore exactly one
-implementation of each backend:
+for synchronous applications: every sync client owns an async backend
+and runs each operation's coroutine to completion — on a private event
+loop, or, where the backend never suspends (in-process calls, RPC on a
+blocking socket), by stepping it directly.  There is therefore exactly
+one implementation of each backend:
 
 * :class:`~repro.client.local.LocalClient` — over
   :class:`~repro.client.aio.AsyncLocalClient` (in-process server);
 * :class:`~repro.client.remote.RemoteClient` — over
-  :class:`~repro.client.aio.AsyncRemoteClient` (pipelined TCP RPC);
+  :class:`~repro.client.aio.AsyncRemoteClient` (TCP RPC, one blocking
+  socket instead of the pipelined asyncio connection);
 * :class:`~repro.client.cluster.ClusterClient` — over
   :class:`~repro.client.aio.AsyncClusterClient` (distributed
   deployment, §2.4).
@@ -109,12 +111,24 @@ def checked_ops(batch: BatchLike) -> List[BatchOp]:
         raise BadRequestError(f"malformed batch: {exc}") from exc
 
 
+def run_unsuspended(coro: Awaitable[T]) -> T:
+    """Step to completion a coroutine that never suspends — an
+    in-process operation, or an RPC on the blocking transport — with
+    no event loop underneath."""
+    try:
+        coro.send(None)  # type: ignore[attr-defined]
+    except StopIteration as stop:
+        return stop.value
+    coro.close()  # type: ignore[attr-defined]
+    raise AssertionError("coroutine suspended; it needs an event loop")
+
+
 class SyncWatch:
     """A blocking view of an async :class:`~repro.client.aio.Watch`.
 
-    Produced by :meth:`PequodClient.iter_watch`.  Each call drives the
-    owning client's event loop, so pushed frames keep arriving while
-    the caller waits::
+    Produced by :meth:`PequodClient.iter_watch`.  Each call lets the
+    owning client receive (its event loop runs, or its socket is
+    read), so pushed frames keep arriving while the caller waits::
 
         watch = client.iter_watch("t|ann|", "t|ann}")
         client.put("p|bob|0100", "hello!")
@@ -140,7 +154,7 @@ class SyncWatch:
     def next(self, timeout: Optional[float] = None) -> Optional["ChangeEvent"]:
         """The next change, or None when the stream ended or
         ``timeout`` seconds passed without one."""
-        return self._client._run_wait(self.watch.next_event(timeout))
+        return self._client._next_event(self.watch, timeout)
 
     def drain(self, settle: float = 0.05) -> List["ChangeEvent"]:
         """Collect events until none arrives for ``settle`` seconds."""
@@ -171,9 +185,10 @@ class SyncWatch:
 class PequodClient:
     """Abstract sync client for a Pequod cache, whatever its deployment.
 
-    A facade: subclasses bind an :class:`~repro.client.aio` backend and
-    a private event loop (see module docstring), and every operation
-    below drives that loop.  Clients are context managers::
+    A facade: subclasses bind an :class:`~repro.client.aio` backend
+    (see module docstring) and say how its coroutines are run
+    (:meth:`_run`); every operation below goes through that.  Clients
+    are context managers::
 
         with make_client("rpc") as client:
             client.add_join(join("t|<u>|<tm>|<p>")
@@ -217,6 +232,12 @@ class PequodClient:
             coro.close()  # type: ignore[attr-defined]
             raise TransportError("client is closed")
         return self._loop.run_until_complete(coro)
+
+    def _next_event(
+        self, watch: "Watch", timeout: Optional[float]
+    ) -> Optional["ChangeEvent"]:
+        """Block for ``watch``'s next event (:meth:`SyncWatch.next`)."""
+        return self._run_wait(watch.next_event(timeout))
 
     # ------------------------------------------------------------------
     # Backend operations (each drives the async core)

@@ -16,8 +16,8 @@ dispatch.  Where that server lives follows the caller's model: for
 ``make_async_client`` it runs *on the same event loop as the client*
 (the loop is live whenever anything awaits, so other connections are
 served too); for the synchronous ``make_client`` it runs on its own
-event-loop thread, because a sync facade's loop only runs while a call
-is in flight and an in-loop server would be unreachable between calls.
+event-loop thread, because the sync facade blocks on its socket and
+has no loop a server could share.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ from .remote import RemoteClient
 
 BACKENDS = ("local", "rpc", "cluster", "procs")
 
-#: Backend tag -> the sync facade class wrapping its async core.
+#: Backend tag -> the sync facade class wrapping an async core built
+#: by :func:`make_async_client`.  "rpc" is absent: its facade runs its
+#: own blocking transport and is constructed directly.
 _FACADES = {
     "local": LocalClient,
-    "rpc": RemoteClient,
     "cluster": ClusterClient,
     "procs": ProcClusterClient,
 }
@@ -195,14 +196,10 @@ class _EphemeralRemoteClient(RemoteClient):
     this client, and any other connection, between the facade's
     blocking calls."""
 
-    def __init__(
-        self, service: ThreadedRpcService, joins: Optional[JoinLike]
-    ) -> None:
+    def __init__(self, service: ThreadedRpcService) -> None:
         self._service = service
         try:
             super().__init__("127.0.0.1", service.port)
-            if joins is not None:
-                self.add_join(joins)
         except BaseException:
             service.stop()
             raise
@@ -228,21 +225,38 @@ def make_client(
 ) -> PequodClient:
     """Build a synchronous :class:`PequodClient` for the named backend.
 
-    The same selection rules as :func:`make_async_client` (which does
-    the actual building, on a private loop the returned facade owns) —
-    except the self-contained "rpc" server, which runs on its own
-    thread here (see module docstring).
+    The same selection rules as :func:`make_async_client`, which does
+    the actual building on a private loop the returned facade owns —
+    except for "rpc": that facade blocks on a socket of its own (see
+    :mod:`repro.client.remote`), and its self-contained server runs on
+    its own thread (see module docstring).
     """
     if backend not in BACKENDS:
         raise BadRequestError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
-    if backend == "rpc" and host is None and port is None:
-        try:
-            service = ThreadedRpcService(PequodServer(**server_kwargs))
-        except RuntimeError as exc:
-            raise TransportError(str(exc)) from exc
-        return _EphemeralRemoteClient(service, joins)
+    if backend == "rpc":
+        client: PequodClient
+        if host is not None or port is not None:
+            if server_kwargs:
+                raise BadRequestError(
+                    "server kwargs are meaningless when connecting to an "
+                    "existing server"
+                )
+            client = RemoteClient(host or "127.0.0.1", port or 7709)
+        else:
+            try:
+                service = ThreadedRpcService(PequodServer(**server_kwargs))
+            except RuntimeError as exc:
+                raise TransportError(str(exc)) from exc
+            client = _EphemeralRemoteClient(service)
+        if joins is not None:
+            try:
+                client.add_join(joins)
+            except BaseException:
+                client.close()
+                raise
+        return client
     loop = asyncio.new_event_loop()
     try:
         aclient = loop.run_until_complete(

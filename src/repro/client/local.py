@@ -15,7 +15,7 @@ from typing import Awaitable, Optional, TypeVar
 
 from ..core.server import PequodServer
 from .aio import AsyncLocalClient
-from .base import PequodClient
+from .base import PequodClient, run_unsuspended
 
 T = TypeVar("T")
 
@@ -49,10 +49,4 @@ class LocalClient(PequodClient):
         # it directly skips the event-loop round trip per operation;
         # anything that genuinely suspends (watch streams — see
         # ``_run_wait``) still takes the loop.
-        try:
-            coro.send(None)  # type: ignore[attr-defined]
-        except StopIteration as stop:
-            return stop.value
-        raise AssertionError(
-            "local client coroutine suspended; use _run_wait"
-        )  # pragma: no cover - invariant of AsyncLocalClient
+        return run_unsuspended(coro)

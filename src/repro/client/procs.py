@@ -310,8 +310,7 @@ class AsyncProcClusterClient(AsyncPequodClient):
         ]
         if len(slices) == 1:
             lo, hi, name = slices[0]
-            rows = await self._call_node(name, "scan", lo, hi)
-            return [tuple(pair) for pair in rows]
+            return await self._call_node(name, "scan", lo, hi)
         by_node: Dict[str, List[int]] = {}
         for i, (_lo, _hi, name) in enumerate(slices):
             by_node.setdefault(name, []).append(i)
@@ -337,7 +336,7 @@ class AsyncProcClusterClient(AsyncPequodClient):
         )
         out: List[Tuple[str, str]] = []
         for rows in results:
-            out.extend(tuple(pair) for pair in rows)
+            out.extend(rows)
         return out
 
     async def scan_prefix(self, prefix: str) -> List[Tuple[str, str]]:

@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core.operators import ChangeKind
 from ..core.server import PequodServer
 from ..core.status import StatusRange, StatusTable
+from ..net.codec import RowBlock
 from ..net.rpc_client import RpcClient
 from ..net.rpc_server import RpcServer, _Connection
 from ..store.keys import prefix_upper_bound, table_of, table_range
@@ -891,10 +892,10 @@ class ClusterRpcServer(RpcServer):
             return rt.replica_batch(protocol.decode_batch_args(args[:2]))
         if method == "scan":
             first, last = args
-            return [list(pair) for pair in rt.client_scan(first, last)]
+            return RowBlock(rt.client_scan(first, last))
         if method == "scan_prefix":
             (prefix,) = args
-            return [list(pair) for pair in rt.client_scan_prefix(prefix)]
+            return RowBlock(rt.client_scan_prefix(prefix))
         if method == "count":
             first, last = args
             return rt.client_count(first, last)

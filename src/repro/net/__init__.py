@@ -1,7 +1,7 @@
 """Networking substrate: wire codec, framed RPC over asyncio TCP, and a
 deterministic discrete-event network simulator."""
 
-from .codec import CodecError, KeyList, decode, decode_prefix, encode
+from .codec import CodecError, KeyList, RowBlock, decode, decode_prefix, encode
 from .protocol import (
     ERR,
     METHODS,
@@ -18,11 +18,12 @@ from .protocol import (
     parse_response,
 )
 from .protocol import PUSH, encode_push, parse_push
-from .rpc_client import RpcClient, RpcError, SyncRpcClient
+from .rpc_client import BlockingRpcClient, RpcClient, RpcError, SyncRpcClient
 from .rpc_server import RpcServer, ThreadedRpcService
 from .simnet import SimError, SimHost, SimNetwork
 
 __all__ = [
+    "BlockingRpcClient",
     "CodecError",
     "ERR",
     "FrameBuffer",
@@ -31,6 +32,7 @@ __all__ = [
     "OK",
     "PUSH",
     "ProtocolError",
+    "RowBlock",
     "RpcClient",
     "RpcError",
     "RpcServer",

@@ -17,6 +17,7 @@ Wire grammar (one tag byte, then payload)::
     l <varint count> items  -> list
     m <varint count> pairs  -> dict (string keys)
     P <varint count> keys   -> prefix-compressed string list
+    R <varint n> rows       -> list of n (key, value) string pairs
 
 The ``P`` form carries each string as ``<varint shared> <varint len>
 <utf8 suffix>`` where ``shared`` bytes are reused from the previous
@@ -25,14 +26,29 @@ string.  Batched writes ship sorted key runs (``p|bob|0001``,
 wire saving for write-heavy traffic; encoders opt in by wrapping a
 string list in :class:`KeyList`, decoders return a plain list.
 
-The codec is strict: unknown tags, trailing bytes, and truncated input
-raise :class:`CodecError` rather than guessing.
+The ``R`` form is a scan reply — the bulk of read traffic — as two
+columns instead of ``n`` tagged pairs::
+
+    R <varint n> <n x u32 key lengths> <n x u32 value lengths>
+      <varint bytes> <utf8 of "".join(keys)>
+      <varint bytes> <utf8 of "".join(values)>
+
+Lengths are big-endian and count code points, so each column is
+decoded once and sliced: encode and decode are a fixed handful of
+C-level calls whatever ``n`` is, with no per-row tag dispatch.
+Encoders opt in by wrapping the rows in :class:`RowBlock`, decoders
+return a plain list of ``(key, value)`` tuples.
+
+The codec is strict: unknown tags, trailing bytes, truncated input,
+invalid UTF-8, and length tables that disagree with their data raise
+:class:`CodecError` rather than guessing.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Tuple
+from itertools import accumulate
+from typing import Any, List, Sequence, Tuple
 
 
 class CodecError(ValueError):
@@ -46,6 +62,19 @@ class KeyList(list):
     use the ``P`` wire form.  Decoding yields a plain list (the
     compression is a transport detail, not a value shape).
     """
+
+
+class RowBlock(list):
+    """A list of ``(key, value)`` string pairs encoded as one block.
+
+    Like :class:`KeyList`, the type only selects the wire form (``R``);
+    decoding yields a plain list of tuples.
+    """
+
+
+_NONE, _TRUE, _FALSE = ord("N"), ord("T"), ord("F")
+_INT, _FLOAT, _STR, _BYTES = ord("i"), ord("d"), ord("s"), ord("b")
+_LIST, _MAP, _KEYS, _ROWS = ord("l"), ord("m"), ord("P"), ord("R")
 
 
 # ----------------------------------------------------------------------
@@ -101,31 +130,40 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
+def _append_varint(out: bytearray, value: int) -> None:
+    if value < 128:
+        out.append(value)
+    else:
+        out.extend(encode_varint(value))
+
+
 def _encode_into(value: Any, out: bytearray) -> None:
-    if value is None:
-        out.append(ord("N"))
-    elif value is True:
-        out.append(ord("T"))
-    elif value is False:
-        out.append(ord("F"))
-    elif isinstance(value, int):
-        out.append(ord("i"))
-        out.extend(encode_varint(zigzag(value)))
-    elif isinstance(value, float):
-        out.append(ord("d"))
-        out.extend(struct.pack(">d", value))
-    elif isinstance(value, str):
+    if isinstance(value, str):
         raw = value.encode("utf-8")
-        out.append(ord("s"))
-        out.extend(encode_varint(len(raw)))
+        out.append(_STR)
+        _append_varint(out, len(raw))
         out.extend(raw)
+    elif value is None:
+        out.append(_NONE)
+    elif value is True:
+        out.append(_TRUE)
+    elif value is False:
+        out.append(_FALSE)
+    elif isinstance(value, int):
+        out.append(_INT)
+        _append_varint(out, zigzag(value))
+    elif isinstance(value, float):
+        out.append(_FLOAT)
+        out.extend(struct.pack(">d", value))
     elif isinstance(value, (bytes, bytearray)):
-        out.append(ord("b"))
-        out.extend(encode_varint(len(value)))
+        out.append(_BYTES)
+        _append_varint(out, len(value))
         out.extend(value)
+    elif isinstance(value, RowBlock):
+        _encode_rows(value, out)
     elif isinstance(value, KeyList):
-        out.append(ord("P"))
-        out.extend(encode_varint(len(value)))
+        out.append(_KEYS)
+        _append_varint(out, len(value))
         prev = b""
         for item in value:
             if not isinstance(item, str):
@@ -136,18 +174,18 @@ def _encode_into(value: Any, out: bytearray) -> None:
             while shared < limit and prev[shared] == raw[shared]:
                 shared += 1
             suffix = raw[shared:]
-            out.extend(encode_varint(shared))
-            out.extend(encode_varint(len(suffix)))
+            _append_varint(out, shared)
+            _append_varint(out, len(suffix))
             out.extend(suffix)
             prev = raw
     elif isinstance(value, (list, tuple)):
-        out.append(ord("l"))
-        out.extend(encode_varint(len(value)))
+        out.append(_LIST)
+        _append_varint(out, len(value))
         for item in value:
             _encode_into(item, out)
     elif isinstance(value, dict):
-        out.append(ord("m"))
-        out.extend(encode_varint(len(value)))
+        out.append(_MAP)
+        _append_varint(out, len(value))
         for key, item in value.items():
             if not isinstance(key, str):
                 raise CodecError(f"dict keys must be strings, got {key!r}")
@@ -155,6 +193,29 @@ def _encode_into(value: Any, out: bytearray) -> None:
             _encode_into(item, out)
     else:
         raise CodecError(f"cannot encode {type(value).__name__}")
+
+
+def _encode_rows(rows: Sequence[Sequence[str]], out: bytearray) -> None:
+    """The ``R`` form (module docstring): columns, not tagged pairs."""
+    n = len(rows)
+    try:
+        if not set(map(type, rows)) <= {tuple, list}:
+            raise TypeError("rows must be tuples or lists")
+        # strict: rows of unequal width must not be silently truncated.
+        keys, values = zip(*rows, strict=True) if n else ((), ())
+        # join() rejects non-strings, encode() lone surrogates.
+        key_blob = "".join(keys).encode("utf-8")
+        value_blob = "".join(values).encode("utf-8")
+        lengths = struct.pack(f">{2 * n}I", *map(len, keys), *map(len, values))
+    except (TypeError, ValueError, struct.error) as exc:
+        raise CodecError(f"RowBlock rows must be (str, str): {exc}") from exc
+    out.append(_ROWS)
+    _append_varint(out, n)
+    out.extend(lengths)
+    _append_varint(out, len(key_blob))
+    out.extend(key_blob)
+    _append_varint(out, len(value_blob))
+    out.extend(value_blob)
 
 
 def decode(data: bytes) -> Any:
@@ -166,41 +227,73 @@ def decode(data: bytes) -> Any:
 
 
 def decode_prefix(data: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(data):
+    size = len(data)
+    if offset >= size:
         raise CodecError("truncated value")
     tag = data[offset]
     offset += 1
-    if tag == ord("N"):
-        return None, offset
-    if tag == ord("T"):
-        return True, offset
-    if tag == ord("F"):
-        return False, offset
-    if tag == ord("i"):
-        raw, offset = decode_varint(data, offset)
-        return unzigzag(raw), offset
-    if tag == ord("d"):
-        if offset + 8 > len(data):
-            raise CodecError("truncated float")
-        return struct.unpack(">d", data[offset : offset + 8])[0], offset + 8
-    if tag == ord("s"):
-        length, offset = decode_varint(data, offset)
-        if offset + length > len(data):
+    # Hottest tags first.  Their varints are nearly always one byte, a
+    # case read inline: calling decode_varint costs as much as the rest.
+    if tag == _STR:
+        if offset < size and data[offset] < 128:
+            length = data[offset]
+            offset += 1
+        else:
+            length, offset = decode_varint(data, offset)
+        end = offset + length
+        if end > size:
             raise CodecError("truncated string")
-        return data[offset : offset + length].decode("utf-8"), offset + length
-    if tag == ord("b"):
-        length, offset = decode_varint(data, offset)
-        if offset + length > len(data):
-            raise CodecError("truncated bytes")
-        return bytes(data[offset : offset + length]), offset + length
-    if tag == ord("l"):
-        count, offset = decode_varint(data, offset)
+        return _decode_text(data[offset:end]), end
+    if tag == _INT:
+        if offset < size and data[offset] < 128:
+            raw = data[offset]
+            offset += 1
+        else:
+            raw, offset = decode_varint(data, offset)
+        return (raw >> 1) ^ -(raw & 1), offset
+    if tag == _LIST:
+        if offset < size and data[offset] < 128:
+            count = data[offset]
+            offset += 1
+        else:
+            count, offset = decode_varint(data, offset)
         items = []
         for _ in range(count):
             item, offset = decode_prefix(data, offset)
             items.append(item)
         return items, offset
-    if tag == ord("P"):
+    if tag == _NONE:
+        return None, offset
+    if tag == _TRUE:
+        return True, offset
+    if tag == _FALSE:
+        return False, offset
+    if tag == _ROWS:
+        n, offset = decode_varint(data, offset)
+        table_end = offset + 8 * n
+        if table_end > size:
+            # Checked before unpacking, so a huge n allocates nothing.
+            raise CodecError("truncated row-block length table")
+        lengths = struct.unpack_from(f">{2 * n}I", data, offset)
+        keys, key_cuts, offset = _decode_column(data, table_end, lengths[:n])
+        values, value_cuts, offset = _decode_column(data, offset, lengths[n:])
+        rows = [
+            (keys[a:b], values[c:d])
+            for a, b, c, d in zip(
+                key_cuts, key_cuts[1:], value_cuts, value_cuts[1:]
+            )
+        ]
+        return rows, offset
+    if tag == _FLOAT:
+        if offset + 8 > size:
+            raise CodecError("truncated float")
+        return struct.unpack_from(">d", data, offset)[0], offset + 8
+    if tag == _BYTES:
+        length, offset = decode_varint(data, offset)
+        if offset + length > size:
+            raise CodecError("truncated bytes")
+        return bytes(data[offset : offset + length]), offset + length
+    if tag == _KEYS:
         count, offset = decode_varint(data, offset)
         strings = []
         prev = b""
@@ -209,14 +302,14 @@ def decode_prefix(data: bytes, offset: int) -> Tuple[Any, int]:
             if shared > len(prev):
                 raise CodecError(f"bad shared prefix {shared} > {len(prev)}")
             length, offset = decode_varint(data, offset)
-            if offset + length > len(data):
+            if offset + length > size:
                 raise CodecError("truncated key suffix")
             raw = prev[:shared] + data[offset : offset + length]
             offset += length
-            strings.append(raw.decode("utf-8"))
+            strings.append(_decode_text(raw))
             prev = raw
         return strings, offset
-    if tag == ord("m"):
+    if tag == _MAP:
         count, offset = decode_varint(data, offset)
         out = {}
         for _ in range(count):
@@ -227,3 +320,27 @@ def decode_prefix(data: bytes, offset: int) -> Tuple[Any, int]:
             out[key] = value
         return out, offset
     raise CodecError(f"unknown tag {tag:#x}")
+
+
+def _decode_text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8: {exc}") from exc
+
+
+def _decode_column(
+    data: bytes, offset: int, lengths: Sequence[int]
+) -> Tuple[str, List[int], int]:
+    """One ``R`` column: ``<varint bytes> <utf8>``.  Returns its text,
+    the ``len(lengths) + 1`` code-point offsets that cut it into
+    strings, and the next offset in ``data``."""
+    nbytes, offset = decode_varint(data, offset)
+    end = offset + nbytes
+    if end > len(data):
+        raise CodecError("truncated row-block column")
+    text = _decode_text(data[offset:end])
+    cuts = list(accumulate(lengths, initial=0))
+    if cuts[-1] != len(text):
+        raise CodecError("row-block lengths do not add up to the column")
+    return text, cuts, end

@@ -10,7 +10,11 @@ Request  : ``[id, method, args...]``
 Response : ``[id, status, payload]`` with status "ok" or "err".  An
 "err" payload is ``[code, message]`` where ``code`` is one of
 :data:`ERR_CODES`, letting clients surface server-side faults as the
-unified exception types of ``repro.client.errors``.
+unified exception types of ``repro.client.errors``.  The "ok" payload
+of ``scan`` / ``scan_prefix`` is one :class:`~repro.net.codec.RowBlock`
+— all keys, then all values, each column one UTF-8 blob behind a table
+of lengths — which decodes straight to the list of ``(key, value)``
+tuples every client returns; nothing re-copies it on either side.
 Push     : ``[push_id, "push", events]`` — a server-initiated frame
 carrying committed changes for one subscription (§2.4's push model).
 Push ids are *reserved negative ids*: clients allocate request ids

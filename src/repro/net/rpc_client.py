@@ -7,14 +7,22 @@ responses arrive — so a single connection can have hundreds of
 operations in flight.  Requests use ids >= 0; frames with *negative*
 ids are server pushes carrying watch-subscription changes (§2.4) and
 are routed to per-subscription sinks, so one connection interleaves
-pipelined responses and pushed updates.  :class:`SyncRpcClient` wraps
-it all in a private event loop for synchronous callers (examples,
-tests).
+pipelined responses and pushed updates.
+
+Two synchronous shapes sit on top.  :class:`BlockingRpcClient` keeps
+the whole ``RpcClient`` surface but replaces the transport with a
+plain blocking socket and one outstanding request, so its coroutines
+never suspend and a caller can step them without an event loop (the
+unified ``RemoteClient`` facade does).  :class:`SyncRpcClient` drives
+the asyncio transport through a private event loop per call — the
+strictly synchronous baseline the concurrency bench compares
+pipelining against.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.hub import ChangeEvent
@@ -48,6 +56,11 @@ class RpcError(RuntimeError):
     def __init__(self, message: str, code: str = protocol.ERR_CODE_SERVER):
         super().__init__(message)
         self.code = code
+
+
+def _rpc_error(body: Any) -> RpcError:
+    code, detail = protocol.parse_error(body)
+    return RpcError(detail, code)
 
 
 class RpcClient:
@@ -114,30 +127,37 @@ class RpcClient:
                     self._fail_push_sinks()
                     break
                 for payload in self._buffer.feed(data):
-                    message = protocol.decode_message(payload)
-                    request_id, status, body = protocol.parse_response(message)
-                    if request_id < 0:
-                        # Reserved negative id: a server push for one
-                        # of our watch subscriptions.
-                        sub_id, events = protocol.parse_push(message)
-                        self.pushes_received += len(events)
-                        sink = self._push_sinks.get(sub_id)
-                        if sink is not None:
-                            sink(events)
+                    response = self._take_frame(payload)
+                    if response is None:
                         continue
+                    request_id, status, body = response
                     future = self._pending.pop(request_id, None)
                     if future is None or future.done():
                         continue
                     if status == protocol.OK:
                         future.set_result(body)
                     else:
-                        code, detail = protocol.parse_error(body)
-                        future.set_exception(RpcError(detail, code))
+                        future.set_exception(_rpc_error(body))
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - fail all outstanding
             self._fail_pending(exc)
             self._fail_push_sinks()
+
+    def _take_frame(self, payload: bytes) -> Optional[Tuple[int, str, Any]]:
+        """Decode one inbound frame.  A response comes back as
+        ``(request_id, status, body)``; a push (reserved negative id)
+        goes to its subscription's sink and yields None."""
+        message = protocol.decode_message(payload)
+        request_id, status, body = protocol.parse_response(message)
+        if request_id >= 0:
+            return request_id, status, body
+        sub_id, events = protocol.parse_push(message)
+        self.pushes_received += len(events)
+        sink = self._push_sinks.get(sub_id)
+        if sink is not None:
+            sink(events)
+        return None
 
     def _fail_pending(self, exc: Exception) -> None:
         for future in self._pending.values():
@@ -196,7 +216,12 @@ class RpcClient:
 
     async def call(self, method: str, *args: Any) -> Any:
         """One RPC; awaits the response."""
-        future = self._start_call(method, list(args))
+        return await self._round_trip(method, list(args))
+
+    async def _round_trip(self, method: str, args: List[Any]) -> Any:
+        """Send one request and wait for its response — the part of
+        :meth:`call` a transport replaces."""
+        future = self._start_call(method, args)
         self._flush()  # single call: write now, skip the loop hop
         assert self._writer is not None
         await self._writer.drain()
@@ -281,12 +306,10 @@ class RpcClient:
         return await self.call("remove", key)
 
     async def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
-        return [tuple(pair) for pair in await self.call("scan", first, last)]
+        return await self.call("scan", first, last)
 
     async def scan_prefix(self, prefix: str) -> List[Tuple[str, str]]:
-        return [
-            tuple(pair) for pair in await self.call("scan_prefix", prefix)
-        ]
+        return await self.call("scan_prefix", prefix)
 
     async def count(self, first: str, last: str) -> int:
         return await self.call("count", first, last)
@@ -309,6 +332,101 @@ class RpcClient:
         if not pairs:
             return 0
         return await self.call("batch", *protocol.encode_batch_args(pairs))
+
+
+class BlockingRpcClient(RpcClient):
+    """An :class:`RpcClient` on a plain blocking socket.
+
+    One request is outstanding at a time: :meth:`_round_trip` sends it
+    and reads the socket until its response arrives, so no coroutine
+    of this class ever suspends and synchronous callers step them to
+    completion directly.  Push frames met while waiting are routed to
+    their sinks in arrival order — the server writes a change's push
+    before the originating request's response, and one socket read in
+    order keeps it that way.  Between calls nothing reads the socket;
+    a caller waiting for pushes uses :meth:`poll`.
+
+    Once the connection fails — EOF, a socket error, an undecodable
+    frame — it is closed, every watch stream is told it ended, and
+    that call and every later one raise (the error met, then
+    ``ConnectionResetError``).  Pipelining (``call_many``,
+    ``call_windowed``) stays with the asyncio transport.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(host, port)
+        self._sock: Optional[socket.socket] = None
+
+    async def connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+
+    async def close(self) -> None:
+        self._drop()
+
+    def _drop(self) -> None:
+        """End every watch stream and close the socket; idempotent."""
+        self._fail_push_sinks()
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    async def _round_trip(self, method: str, args: List[Any]) -> Any:
+        if self._sock is None:
+            raise ConnectionResetError("connection lost")
+        request_id = self._next_id
+        self._next_id += 1
+        data = protocol.encode_request(request_id, method, args)
+        self.requests_sent += 1
+        try:
+            self._sock.sendall(data)
+            response = None
+            while response is None:
+                response = self._receive(request_id)
+        except (OSError, protocol.ProtocolError):
+            self._drop()
+            raise
+        status, body = response
+        if status == protocol.OK:
+            return body
+        raise _rpc_error(body)
+
+    def _receive(self, request_id: int) -> Optional[Tuple[str, Any]]:
+        """One ``recv``: route its push frames, skip responses to
+        other ids (abandoned calls), and return ``(status, body)`` of
+        the response to ``request_id`` if it was among them."""
+        assert self._sock is not None
+        data = self._sock.recv(65536)
+        if not data:
+            raise ConnectionResetError("connection closed by server")
+        found = None
+        for payload in self._buffer.feed(data):
+            response = self._take_frame(payload)
+            if response is not None and response[0] == request_id:
+                found = response[1:]
+        return found
+
+    def poll(self, timeout: Optional[float]) -> bool:
+        """Wait up to ``timeout`` seconds (None: indefinitely) for
+        inbound bytes and route the push frames among them.  False
+        when the wait timed out or the connection is already closed;
+        a connection that fails here is closed as in a call, which
+        ends its watch streams."""
+        sock = self._sock
+        if sock is None:
+            return False
+        sock.settimeout(timeout)
+        try:
+            self._receive(-1)
+        except socket.timeout:
+            return False
+        except (OSError, protocol.ProtocolError):
+            self._drop()
+        finally:
+            if self._sock is not None:
+                sock.settimeout(None)
+        return True
 
 
 class SyncRpcClient:
@@ -340,10 +458,10 @@ class SyncRpcClient:
         return self.call("remove", key)
 
     def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
-        return [tuple(p) for p in self.call("scan", first, last)]
+        return self.call("scan", first, last)
 
     def scan_prefix(self, prefix: str) -> List[Tuple[str, str]]:
-        return [tuple(p) for p in self.call("scan_prefix", prefix)]
+        return self.call("scan_prefix", prefix)
 
     def count(self, first: str, last: str) -> int:
         return self.call("count", first, last)

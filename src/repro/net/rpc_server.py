@@ -33,7 +33,7 @@ from ..core.server import PequodServer
 from ..distrib.partition_map import WrongOwnerError
 from ..metrics import LATENCY_BUCKETS, WINDOW_BUCKETS, Histogram, sample_key
 from . import protocol
-from .codec import CodecError
+from .codec import CodecError, RowBlock
 
 log = logging.getLogger(__name__)
 
@@ -352,10 +352,10 @@ class RpcServer:
             return srv.apply_batch(pairs)
         if method == "scan":
             first, last = args
-            return [list(pair) for pair in srv.scan(first, last)]
+            return RowBlock(srv.scan(first, last))
         if method == "scan_prefix":
             (prefix,) = args
-            return [list(pair) for pair in srv.scan_prefix(prefix)]
+            return RowBlock(srv.scan_prefix(prefix))
         if method == "count":
             first, last = args
             return srv.count(first, last)

@@ -24,6 +24,7 @@ from repro.client import (
     JoinSpecError,
     LocalClient,
     NotFoundError,
+    RemoteClient,
     ServerError,
     join,
     make_async_client,
@@ -687,6 +688,125 @@ class TestWatchSync:
     def test_empty_range_rejected(self, client):
         with pytest.raises(BadRequestError):
             client.iter_watch("p}", "p|")
+
+
+class TestIdleWatchOverRpc:
+    """The sync RPC facade has no event loop reading its socket
+    between calls, so a watcher that makes no call must still see what
+    *other* connections commit: ``next`` reads the socket while it
+    waits.  (A transport that reads only during calls passes every
+    single-client watch test above and fails these.)"""
+
+    @pytest.fixture
+    def service(self):
+        from repro import PequodServer
+        from repro.net.rpc_server import ThreadedRpcService
+
+        service = ThreadedRpcService(PequodServer())
+        yield service
+        service.stop()
+
+    @pytest.fixture
+    def watcher(self, service):
+        with RemoteClient("127.0.0.1", service.port) as client:
+            yield client
+
+    @pytest.fixture
+    def writer(self, service):
+        with RemoteClient("127.0.0.1", service.port) as client:
+            yield client
+
+    def test_next_sees_another_connections_write(self, watcher, writer):
+        watch = watcher.iter_watch("p|", "p}")
+        writer.put("p|bob|0001", "hi")
+        event = watch.next(timeout=1.0)  # no call on `watcher` in between
+        assert event is not None
+        assert (event.key, event.new, event.kind.value) == (
+            "p|bob|0001", "hi", "insert",
+        )
+        assert watch.next(timeout=0.05) is None  # exactly once
+        watch.close()
+
+    def test_drain_collects_a_burst_in_key_version_order(self, watcher, writer):
+        watch = watcher.iter_watch("p|", "p}")
+        expected = []
+        for i in range(30):
+            key = f"p|u{i % 3}|{i // 6:04d}"
+            writer.put(key, f"v{i}")
+            expected.append((key, f"v{i}"))
+        events = watch.drain(settle=0.5)
+        assert [(e.key, e.new) for e in events] == expected
+        per_key = {}
+        for e in events:
+            assert per_key.get(e.key, -1) < e.seq
+            per_key[e.key] = e.seq
+        watch.close()
+
+    def test_own_and_foreign_writes_interleave_in_commit_order(
+        self, watcher, writer
+    ):
+        watch = watcher.iter_watch("p|", "p}")
+        writer.put("p|a|1", "theirs")
+        watcher.put("p|a|2", "mine")  # its push precedes its own ack
+        writer.put("p|a|3", "theirs")
+        assert [e.key for e in watch.drain(settle=0.5)] == [
+            "p|a|1", "p|a|2", "p|a|3",
+        ]
+        watch.close()
+
+    def test_blocking_iteration_wakes_on_a_push(self, watcher, writer):
+        import threading
+
+        watch = watcher.iter_watch("p|", "p}")
+        timer = threading.Timer(0.1, writer.put, ("p|late|1", "x"))
+        timer.start()
+        try:
+            assert next(iter(watch)).key == "p|late|1"  # next(timeout=None)
+        finally:
+            timer.join()
+        watch.close()
+
+    def test_server_going_away_ends_the_stream(self, service, watcher):
+        from repro.client import TransportError
+
+        watch = watcher.iter_watch("p|", "p}")
+        watcher.put("p|a|1", "x")
+        service.stop()
+        assert [e.key for e in watch] == ["p|a|1"]  # then the stream ends
+        assert watch.next(timeout=1.0) is None
+        with pytest.raises(TransportError):
+            watcher.get("p|a|1")
+        with pytest.raises(TransportError):
+            watcher.iter_watch("p|", "p}")
+        watcher.close()
+        watcher.close()  # idempotent, also on a dead connection
+
+
+class TestScanParity:
+    def test_rpc_scan_equals_local_scan_with_types(self):
+        """What a scan returns does not depend on the wire: the same
+        list of (str, str) tuples, here 300 rows of non-ASCII text —
+        a reply that spans more than one 64 KiB socket read."""
+        rows = [
+            (f"p|üser{i % 7}|{i:06d}", f"{i} · héllo wörld 日本語 🐳 " * 6)
+            for i in range(300)
+        ]
+        results = {}
+        for backend in ("local", "rpc"):
+            with make_client(backend) as client:
+                client.put_many(rows)
+                results[backend] = (
+                    client.scan("p|", "p}"),
+                    client.scan_prefix("p|üser3|"),
+                    client.scan("p|zzz", "p}"),
+                )
+        assert sum(len(k.encode()) + len(v.encode()) for k, v in rows) > 65536
+        assert results["local"][0] == sorted(rows)
+        assert results["rpc"] == results["local"]
+        for got in results["rpc"]:
+            assert type(got) is list
+            assert all(type(row) is tuple and len(row) == 2 for row in got)
+            assert all(type(s) is str for row in got for s in row)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,10 +1,17 @@
 """Integration tests: Pequod served over real asyncio TCP RPC (§5.1)."""
 
 import asyncio
+import socket
+import struct
+import threading
+import time
 
 import pytest
 
 from repro import PequodServer
+from repro.client import RemoteClient, TransportError
+from repro.client.aio import AsyncRemoteClient
+from repro.net import protocol
 from repro.net.rpc_client import RpcClient, RpcError
 from repro.net.rpc_server import RpcServer
 
@@ -186,3 +193,173 @@ class TestDisconnectTeardown:
                 await server.stop()
 
         run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Undecodable frames, in both directions
+# ----------------------------------------------------------------------
+def _framed(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+#: Well-framed payloads no decoder accepts: an unknown tag, a string
+#: cut short, invalid UTF-8, a row block whose row count outruns the
+#: frame, one whose lengths disagree with its text, and a value that
+#: decodes but is no message.
+GARBAGE = {
+    "unknown-tag": b"Z",
+    "truncated-string": b"l\x03i\x00s\x09sc",
+    "invalid-utf8": b"l\x02i\x00s\x02\xff\xfe",
+    "row-count-outruns-frame": b"R\xff\xff\xff\xff\x7f" + b"\x00" * 32,
+    "row-lengths-disagree": (
+        b"l\x03i\x00s\x02okR\x01" + struct.pack(">2I", 5, 5) + b"\x01k\x01v"
+    ),
+    "not-a-message": b"i\x07",
+}
+garbage = pytest.mark.parametrize("payload", GARBAGE.values(), ids=GARBAGE.keys())
+
+
+class TestGarbageRequest:
+    """A frame the server cannot decode costs its sender a typed error
+    (or the connection); everyone else keeps being served."""
+
+    @garbage
+    def test_second_connection_keeps_being_served(self, payload):
+        async def body(server, client):
+            await client.put("p|a|1", "x")
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(_framed(payload))
+            await writer.drain()
+            data = await asyncio.wait_for(reader.read(65536), 5)
+            if data:  # not closed: the answer is a typed failure
+                (frame,) = protocol.FrameBuffer().feed(data)
+                _id, status, error = protocol.parse_response(
+                    protocol.decode_message(frame)
+                )
+                assert status == protocol.ERR
+                assert error[0] == protocol.ERR_CODE_BAD_REQUEST
+            writer.close()
+            assert await client.scan("p|", "p}") == [("p|a|1", "x")]
+            assert await client.ping() == "pong"
+
+        run(with_server(body))
+
+
+class _ScriptedServer:
+    """A fake RPC server on a thread: accepts one connection and
+    answers its i-th request frame with ``replies[i](request_id)`` —
+    raw bytes written as they are, or a tuple of them written 0.2 s
+    apart — then closes."""
+
+    def __init__(self, replies):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._replies = list(replies)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _addr = self._listener.accept()
+        buffer = protocol.FrameBuffer()
+        with conn:
+            while self._replies:
+                data = conn.recv(65536)
+                if not data:
+                    return
+                for frame in buffer.feed(data):
+                    request_id = protocol.decode_message(frame)[0]
+                    reply = self._replies.pop(0)(request_id)
+                    if isinstance(reply, bytes):
+                        reply = (reply,)
+                    for i, chunk in enumerate(reply):
+                        time.sleep(0.2 if i else 0)
+                        conn.sendall(chunk)
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def _ok(payload):
+    return lambda request_id: protocol.encode_response(
+        request_id, protocol.OK, payload
+    )
+
+
+class TestGarbageResponse:
+    """An undecodable answer is a dead connection, reported in the
+    unified client's own terms: that call and every later one raise
+    TransportError (not the codec's bare ValueError), watches end."""
+
+    @garbage
+    def test_async_transport(self, payload):
+        fake = _ScriptedServer([_ok(0), lambda _id: _framed(payload)])
+
+        async def body():
+            client = await AsyncRemoteClient.open("127.0.0.1", fake.port)
+            try:
+                watch = await client.watch("p|", "p}")
+                with pytest.raises(TransportError):
+                    await client.scan("p|", "p}")
+                with pytest.raises(TransportError):
+                    await client.get("p|a|1")
+                assert await watch.next_event(timeout=5) is None
+            finally:
+                await client.aclose()
+
+        try:
+            run(body())
+        finally:
+            fake.close()
+
+    @garbage
+    def test_blocking_transport(self, payload):
+        fake = _ScriptedServer([_ok(0), lambda _id: _framed(payload)])
+        try:
+            client = RemoteClient("127.0.0.1", fake.port)
+            try:
+                watch = client.iter_watch("p|", "p}")
+                with pytest.raises(TransportError):
+                    client.scan("p|", "p}")
+                with pytest.raises(TransportError):
+                    client.get("p|a|1")
+                assert watch.next(timeout=5) is None
+            finally:
+                client.close()
+                client.close()  # idempotent
+        finally:
+            fake.close()
+
+    def test_garbage_push_while_idle_ends_the_watch(self):
+        """The blocking transport also reads outside calls (a waiting
+        watcher); garbage met there kills the connection just the same."""
+        fake = _ScriptedServer([lambda id_: (_ok(0)(id_), _framed(b"Z"))])
+        try:
+            client = RemoteClient("127.0.0.1", fake.port)
+            try:
+                watch = client.iter_watch("p|", "p}")
+                assert watch.next(timeout=5) is None
+                with pytest.raises(TransportError):
+                    client.ping()
+            finally:
+                client.close()
+        finally:
+            fake.close()
+
+    def test_stale_response_ids_are_skipped(self):
+        """A response to a request this client no longer waits for
+        (another id) is dropped, not mistaken for the answer."""
+        fake = _ScriptedServer(
+            [lambda id_: _ok("stale")(id_ + 100) + _ok("pong")(id_)]
+        )
+        try:
+            client = RemoteClient("127.0.0.1", fake.port)
+            try:
+                assert client.ping() == "pong"
+            finally:
+                client.close()
+        finally:
+            fake.close()
