@@ -14,8 +14,16 @@ Execution of a scan over a join's output range proceeds as:
    updater for the range, and enumerate matching keys, augmenting the
    constraint set.
 3. At the innermost level, expand the output key, re-check it against
-   the requested range, and install the value (or fold it into an
+   the requested range, and emit the value (or fold it into an
    aggregate accumulator).
+
+Computing a range (first touch or recompute) runs this loop through a
+compiled :class:`~repro.core.plan.ComputePlan` per join and installs
+everything it emitted as one key-sorted run (``Table.install_many``);
+evicting or clearing a range removes its keys as one run
+(``OrderedStore.remove_range``).  Pull joins, pending-log application
+and eager fires outside ``ExecPlan``'s subset walk the interpreted
+``_exec_source`` recursion.
 
 Writes run the other direction: a store modification stabs the source
 table's updater interval tree; eager updaters re-execute the remaining
@@ -52,6 +60,7 @@ thereby retires every updater installed under the old build.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..store.keys import clamp_range, key_successor, prefix_upper_bound, table_of
@@ -63,7 +72,7 @@ from ..store.values import SharedValue, Value, materialize
 from .clock import Clock, SystemClock
 from .joins import CacheJoin, JoinError
 from .operators import COPY, AggValue, ChangeKind, UpdateOutcome
-from .plan import ExecPlan, FireTemplate, compile_exec_plan
+from .plan import ComputePlan, ExecPlan, FireTemplate, compile_exec_plan
 from . import plan as plan_mod
 from .ranges import SlotConstraints
 from .status import (
@@ -196,6 +205,8 @@ class JoinEngine:
         #: every updater of that pair.  False marks a pair outside the
         #: compiled subset so it is probed exactly once.
         self._plans: Dict[Tuple[int, int], object] = {}
+        #: Compiled compute plans per materialized join (``id(join)``).
+        self._compute_plans: Dict[int, ComputePlan] = {}
         #: Whole-table validity fast path (quiescent covers skip
         #: per-range validation).  Disabled by the eviction manager:
         #: skipping the per-range walk also skips LRU recency touches,
@@ -490,11 +501,27 @@ class JoinEngine:
         lo: str,
         hi: str,
     ) -> None:
-        """Forward-execute all joins for a never-computed gap."""
+        """Forward-execute all joins for a never-computed gap.
+
+        All or nothing: a compute that raises (a source key breaking a
+        declared output width, a failing data resolver) has installed
+        no outputs, and its range goes too — a VALID range over a
+        half-run join would serve incomplete reads forever.  The next
+        read over the gap computes it again.
+        """
         sr = StatusRange(lo, hi, RangeState.VALID)
+        # The range is in the cover while the joins run: updaters they
+        # install may fire (a resolver loading data) and must find it.
         stable.add(sr)
         self._ensure_tracked(tbl_name, sr)
-        self._fill_range(joins, sr)
+        try:
+            self._fill_range(tbl_name, joins, sr)
+        except BaseException:
+            stable.remove(sr)
+            if sr.lru_entry is not None:
+                self.lru.remove(sr.lru_entry)
+                sr.lru_entry = None
+            raise
         sr.validated_at = self.clock.now()
 
     def _recompute_range(
@@ -504,7 +531,9 @@ class JoinEngine:
         joins: List[CacheJoin],
         sr: StatusRange,
     ) -> None:
-        """Recompute an invalid or expired range from scratch."""
+        """Recompute an invalid or expired range from scratch.  A
+        recompute that raises leaves the range INVALID (and empty), so
+        the next read retries it."""
         self.stats.add("recomputations")
         self._clear_range(sr.lo, sr.hi)
         sr.state = RangeState.VALID
@@ -512,79 +541,207 @@ class JoinEngine:
         sr.hint = None
         sr.expires_at = None
         sr.generation += 1  # retires updaters from the previous build
-        self._fill_range(joins, sr)
+        try:
+            self._fill_range(tbl_name, joins, sr)
+        except BaseException:
+            sr.invalidate()
+            raise
         sr.validated_at = self.clock.now()
         # The range just turned quiescent; let the whole-table summary
         # notice (validity-improving changes need the stamp bump too,
         # or the cached "not quiescent" answer would stick forever).
         stable.note_mutation()
 
-    def _fill_range(self, joins: List[CacheJoin], sr: StatusRange) -> None:
+    def _fill_range(
+        self, tbl_name: str, joins: List[CacheJoin], sr: StatusRange
+    ) -> None:
+        """Compute every join over ``sr`` (through its compiled plan),
+        then install all their outputs as ONE key-sorted run.
+
+        Nothing is installed until every join has run, so a join that
+        raises leaves the store as it found it.  The sort is stable and
+        the joins' outputs are concatenated in join order: where two
+        emissions share a key, the later one still wins, as it did when
+        each output was put the moment it was emitted.  Installs (and
+        their notifications) now arrive in key order rather than in
+        source-scan order.
+        """
         expiry: Optional[float] = None
         cost_before = (
             self.stats.get("source_keys_examined")
             + self.stats.get("outputs_installed")
         )
+        run: List[Tuple[str, Value]] = []
         for join in joins:
-            self._execute_join(join, sr.lo, sr.hi, sr=sr, results=None)
+            self._compute_join(join, sr, run)
             if join.is_snapshot:
                 candidate = self.clock.now() + float(join.snapshot_interval or 0)
                 expiry = candidate if expiry is None else min(expiry, candidate)
         sr.expires_at = expiry
+        if run:
+            run.sort(key=itemgetter(0))
+            table = self.store.table(tbl_name)
+            results, handle = table.install_many(run)
+            if self.enable_hints:
+                sr.hint = handle
+            self.stats.add("outputs_installed", len(run))
+            if self._observed([table]):
+                for (key, old), (_, value) in zip(results, run):
+                    self._notify_installed(key, old, value)
         sr.compute_cost = (
             self.stats.get("source_keys_examined")
             + self.stats.get("outputs_installed")
             - cost_before
         )
 
+    def _compute_join(
+        self, join: CacheJoin, sr: StatusRange, run: List[Tuple[str, Value]]
+    ) -> None:
+        """Run ``join`` over ``sr``'s range (Figure 5) through its
+        :class:`ComputePlan`, appending each output to ``run``.
+
+        The nested loop of §3.1: per source level and outer binding, one
+        containing range, data resolution (§3.3) and — for push joins —
+        an updater installed for that range, at the same point and with
+        the same bounds, context and generation as the interpreted walk;
+        then one scan whose rows are matched by ``Pattern.slot_tuple``
+        into the slot vector.  The rows, promoted shared values (§4.3),
+        emitted keys and their order are exactly the interpreted walk's.
+        """
+        cs = SlotConstraints.for_output_range(join.output, sr.lo, sr.hi)
+        if not cs.compatible:
+            return
+        self.stats.add("joins_executed")
+        plan = self._compute_plans.get(id(join))
+        if plan is None:
+            plan = self._compute_plans[id(join)] = ComputePlan(join)
+        levels = plan.bind(cs.exact, cs.bounds)
+        # The frontier slot's bounds, if the range bounds one (§3.1).
+        flo, fhi = next(iter(cs.bounds.values()), (None, None))
+        vec = plan.vector(cs.exact)
+        out_lo, out_hi = sr.lo, sr.hi
+        out_key = plan.out_fmt.format
+        widths = plan.widths
+        agg: Optional[Dict[str, AggValue]] = {} if join.is_aggregate else None
+        emit = run.append
+        counters = self.stats.counters
+        share = self.enable_sharing
+
+        def scan(k: int, value: Optional[Value]) -> None:
+            level = levels[k]
+            lo, hi = level.containing_range(vec, flo, fhi)
+            if not lo < hi:
+                return
+            self._ensure_source_data(level.table, lo, hi)
+            if join.is_push:
+                self._install_updater_for(
+                    join, k, {name: vec[i] for name, i in level.context},
+                    out_lo, out_hi, lo, hi, sr,
+                )
+            table = self.store.table(level.table)
+            nodes = table.scan_nodes(lo, hi)
+            if type(nodes) is not list:
+                nodes = list(nodes)
+            counters["source_keys_examined"] += len(nodes)
+            slot_tuple = level.pattern.slot_tuple
+            checks, assigns, frontier = level.checks, level.assigns, level.frontier
+            is_value = level.is_value
+            promote = is_value and level.is_copy and share
+            inner = k + 1 < len(levels)
+            for node in nodes:
+                t = slot_tuple(node.key)
+                if t is None:
+                    continue
+                if checks and not all(t[ti] == vec[vi] for ti, vi in checks):
+                    continue
+                if frontier >= 0:
+                    v = t[frontier]
+                    if flo is not None and v < flo and not flo.startswith(v):
+                        continue
+                    if fhi is not None and not v < fhi:
+                        continue
+                for ti, vi in assigns:
+                    vec[vi] = t[ti]
+                v = value
+                if is_value:
+                    v = node.value
+                    if not promote:
+                        v = materialize(v)
+                    elif not isinstance(v, SharedValue):
+                        v = self._promote_shared(table, node)
+                if inner:
+                    scan(k + 1, v)
+                    continue
+                for vi, width in widths:
+                    if len(vec[vi]) != width:  # raise expand's own error
+                        join.output.expand(plan.slot_dict(vec))
+                key = out_key(*vec)
+                if not (out_lo <= key < out_hi):
+                    continue
+                if agg is None:
+                    emit((key, v))
+                    continue
+                acc = agg.get(key)
+                if acc is None:
+                    acc = agg[key] = AggValue(join.value_source.operator)
+                acc.include(materialize(v))
+
+        scan(0, None)
+        if agg is not None:
+            for key in sorted(agg):
+                if agg[key].count > 0:
+                    emit((key, agg[key]))
+
     def _clear_range(self, lo: str, hi: str) -> None:
-        """Remove stale outputs, notifying downstream joins of removals."""
-        doomed = [
-            (node.key, materialize(node.value))
-            for node in self.store.scan_nodes(lo, hi)
-        ]
-        for key, old in doomed:
-            tbl = self.store.existing_table_for_key(key)
-            if tbl is not None and tbl.remove(key) is not None:
-                self.notify_change(key, old, None, ChangeKind.REMOVE)
+        """Remove every stored key in ``[lo, hi)`` as one run per table
+        (:meth:`OrderedStore.remove_range`) — eviction, recompute, and
+        the distributed and database deployments' dropped ranges.
+
+        Each removal is announced as a REMOVE, in key order, when
+        anything can observe it (see :meth:`_observed`).
+        """
+        removed = self.store.remove_range(lo, hi)
+        if removed and self._observed(self.store.tables_over(lo, hi)):
+            for key, old in removed:
+                self.notify_change(key, materialize(old), None, ChangeKind.REMOVE)
+
+    def _observed(self, tables: List[Table]) -> bool:
+        """Can a change to a key of ``tables`` be observed?  Only
+        through what :meth:`notify_change` consults — a fault hook, a
+        listener, or updaters on the key's table; with none of those a
+        notification does nothing, so a run of installs or removals
+        checks once and stays silent."""
+        return (
+            self.fault_hook is not None
+            or bool(self.listeners)
+            or any(tbl.updaters for tbl in tables)
+        )
 
     # ==================================================================
     # Forward execution (Figures 3 and 5)
     # ==================================================================
     def _execute_join(
-        self,
-        join: CacheJoin,
-        out_lo: str,
-        out_hi: str,
-        sr: Optional[StatusRange],
-        results: Optional[List[Tuple[str, str]]],
+        self, join: CacheJoin, out_lo: str, out_hi: str,
+        results: List[Tuple[str, str]],
     ) -> None:
-        """Run ``join`` over output range ``[out_lo, out_hi)``.
-
-        With ``sr`` set, outputs are installed into the store and (for
-        push joins) updaters are installed — Figure 5.  With ``results``
-        set instead, outputs are appended to the list without touching
-        the store — the pull path (§3.4) and Figure 3.
-        """
+        """Run a pull join over output range ``[out_lo, out_hi)``,
+        appending its outputs to ``results`` without touching the store
+        (§3.4 and Figure 3).  Materialized joins compute through
+        :meth:`_compute_join` instead."""
         cs = SlotConstraints.for_output_range(join.output, out_lo, out_hi)
         if not cs.compatible:
             return
         self.stats.add("joins_executed")
         agg: Optional[Dict[str, AggValue]] = {} if join.is_aggregate else None
         self._exec_source(
-            join, 0, cs, out_lo, out_hi, None, sr, results, agg,
+            join, 0, cs, out_lo, out_hi, None, None, results, agg,
             mode=ChangeKind.INSERT, skip_source=None,
         )
         if agg is not None:
             for out_key in sorted(agg):
                 acc = agg[out_key]
-                if acc.count <= 0:
-                    continue
-                if results is not None:
+                if acc.count > 0:
                     results.append((out_key, acc.payload))
-                else:
-                    assert sr is not None
-                    self._install_output(out_key, acc, sr)
 
     def _exec_source(
         self,
@@ -626,8 +783,10 @@ class JoinEngine:
         if not windowed:
             self._ensure_source_data(src.pattern.table, lo, hi)
             if sr is not None and join.is_push and mode is ChangeKind.INSERT:
+                own = src.pattern.slot_index
+                context = {n: v for n, v in cs.exact.items() if n not in own}
                 self._install_updater_for(
-                    join, idx, cs, out_lo, out_hi, lo, hi, sr
+                    join, idx, context, out_lo, out_hi, lo, hi, sr
                 )
         table = self.store.table(src.pattern.table)
         share = (
@@ -736,18 +895,22 @@ class JoinEngine:
         self,
         join: CacheJoin,
         idx: int,
-        cs: SlotConstraints,
+        context: Dict[str, str],
         out_lo: str,
         out_hi: str,
         src_lo: str,
         src_hi: str,
         sr: StatusRange,
     ) -> None:
+        """Install the updater for source ``idx`` over ``[src_lo,
+        src_hi)``.  ``context`` is already compressed: only the slots
+        the source key cannot re-derive (the paper's context
+        compression, §3.2)."""
         src = join.sources[idx]
         updater = Updater(
             join,
             idx,
-            context=dict(cs.exact),
+            context=context,
             output_lo=out_lo,
             output_hi=out_hi,
             lazy=src.is_check and not src.is_eager_check,
@@ -755,7 +918,6 @@ class JoinEngine:
             source_hi=src_hi,
             generation=sr.generation,
         )
-        updater.context = updater.compressed_context()
         table = self.store.table(src.pattern.table)
         stored = install_updater(table, updater)
         if stored is updater:
@@ -781,7 +943,7 @@ class JoinEngine:
             if not lo < hi:
                 continue
             self.stats.add("pull_executions")
-            self._execute_join(join, lo, hi, sr=None, results=out)
+            self._execute_join(join, lo, hi, out)
         out.sort()
         return out
 
@@ -1073,7 +1235,7 @@ class JoinEngine:
         All covered changes expand their output keys first (slot tuple
         + bound template, no dict churn); the inserts then install via
         :meth:`Table.install_many` in contiguous per-status-range runs
-        — one tree descent per run, hint-chained — instead of one
+        — the tree resolved once per run — instead of one
         ``_install_output`` per key.  Requires an *injective* template
         (distinct source keys → distinct output keys) so regrouping
         the covered order can never change which write wins a key; the
@@ -1123,8 +1285,7 @@ class JoinEngine:
                 run = inserts[i:j]
                 i = j
                 applied = True
-                hint = sr.hint if self.enable_hints else None
-                results, handle = plan.table.install_many(run, hint=hint)
+                results, handle = plan.table.install_many(run)
                 if self.enable_hints:
                     sr.hint = handle
                 counters["write_batched_installs"] += 1

@@ -1,4 +1,5 @@
-"""Compiled per-join execution plans for the write path.
+"""Compiled per-join execution plans: for the write path, and for
+computing a range.
 
 PR 3 compiled the *read* path: patterns became slicing plans, and the
 interpreted segment walks survive only as the reference specification
@@ -35,13 +36,24 @@ echeck sources, deep value sources, pull joins) falls back to the
 interpreted walk, which also remains the reference implementation
 behind :func:`set_plan_compilation`, toggled exactly like PR 3's
 ``set_pattern_compilation``.
+
+A :class:`ComputePlan` does the same for the *read* side's expensive
+step, first-touch compute and recompute of a materialized join's
+output range (§3.1, Figure 5): every slot of the join gets a fixed
+position in a slot vector, each source level compiles to offsets —
+containing-range prefix, pinned-slot checks, frontier bounds, updater
+context — and the output key is one numbered format template.  It
+covers every materialized join (copy and aggregate, value source
+anywhere); pull joins, pending-log application and fires outside
+``ExecPlan``'s subset stay on the interpreted walk.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..store.keys import SEP
+from ..store.keys import SEP, SEP_SUCCESSOR, key_successor
+from .operators import COPY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.store import OrderedStore
@@ -143,8 +155,6 @@ class ExecPlan:
 
     @property
     def is_copy(self) -> bool:
-        from .operators import COPY
-
         return self.operator == COPY
 
     def extract(self, key: str) -> Optional[Tuple[str, ...]]:
@@ -190,6 +200,198 @@ class ExecPlan:
         return FireTemplate(
             "".join(parts), tuple(indexes), checks, free <= set(indexes)
         )
+
+
+class ComputeLevel:
+    """One source level of a :class:`ComputePlan`, bound to one shape.
+
+    Besides the source's ``pattern``, ``table`` and whether it is the
+    value source, the fields are offsets into the execution's slot
+    vector (``vec``) or the level's slot tuple (``Pattern.slot_tuple``
+    of a source key):
+
+    * ``prefix`` — the containing range's exact part (§3.1), a numbered
+      format over the slot vector; ``closing`` says how the range
+      ends: ``KEY`` (every segment bound: one key), ``BOUNDS`` (the
+      first unbound slot is the output range's frontier slot: its
+      bounds extend the prefix) or ``PREFIX`` (every key under it);
+    * ``checks`` — (tuple index, vec index) equality tests for slots
+      bound earlier.  A slot inside ``prefix`` needs none: every key of
+      the range starts with it;
+    * ``assigns`` — (tuple index, vec index) for slots this level binds;
+    * ``frontier`` — tuple index of the frontier slot when this level
+      binds it and the range does not already enforce its bounds
+      (``child_with``'s test, including ``lo.startswith(value)``), or -1;
+    * ``context`` — (name, vec index) of the updater context: the
+      bound slots the source key cannot re-derive (context compression,
+      §3.2).
+    """
+
+    __slots__ = (
+        "pattern",
+        "table",
+        "is_value",
+        "is_copy",
+        "prefix",
+        "closing",
+        "checks",
+        "assigns",
+        "frontier",
+        "context",
+    )
+
+    KEY, BOUNDS, PREFIX = 0, 1, 2
+
+    def containing_range(
+        self, vec: List[Optional[str]], flo: Optional[str], fhi: Optional[str]
+    ) -> Tuple[str, str]:
+        """This level's source range for the current slot vector — the
+        compiled ``Pattern.containing_range``."""
+        prefix = self.prefix.format(*vec)
+        closing = self.closing
+        if closing == ComputeLevel.KEY:
+            return prefix, key_successor(prefix)
+        hi = prefix[:-1] + SEP_SUCCESSOR  # prefix_upper_bound(prefix)
+        if closing == ComputeLevel.PREFIX:
+            return prefix, hi
+        return (
+            prefix + flo if flo else prefix,
+            prefix + fhi if fhi else hi,
+        )
+
+
+class ComputePlan:
+    """Compiled first-touch compute for one materialized join (§3.1).
+
+    The interpreted walk carries a ``SlotConstraints`` dict per row,
+    matches every source key into a dict, merges dicts in
+    ``child_with`` and expands the output through ``format_map``.  The
+    plan instead numbers every slot of the join once — a fixed slot
+    vector — and renders the output key with one numbered format
+    template over it.  What depends on the requested range (which
+    output slots it pins, which slot it bounds) is resolved by
+    :meth:`bind` into per-level :class:`ComputeLevel` offsets, once
+    per shape and cached, so an execution does no per-row and no per-outer-row
+    planning: each level's containing range, slot checks, frontier test
+    and updater context are precomputed offsets.
+    """
+
+    __slots__ = ("join", "index", "out_fmt", "widths", "_shapes")
+
+    def __init__(self, join: "CacheJoin") -> None:
+        self.join = join
+        names: Dict[str, int] = {}
+        for pattern in [join.output] + [s.pattern for s in join.sources]:
+            for name in pattern.slots:
+                names.setdefault(name, len(names))
+        #: Slot vector layout: name -> position.
+        self.index = names
+        self.out_fmt = _numbered(
+            join.output.segments, names, len(join.output.segments)
+        )
+        # A declared output width needs a check per emitted row unless a
+        # source declares the same width for that slot: then every
+        # matched (and equality-checked) value already has it.
+        guaranteed = {
+            (seg.slot, seg.width)
+            for src in join.sources
+            for seg in src.pattern.segments
+            if seg.is_slot and seg.width is not None
+        }
+        self.widths: Tuple[Tuple[int, int], ...] = tuple(
+            (names[seg.slot], seg.width)
+            for seg in join.output.segments
+            if seg.is_slot
+            and seg.width is not None
+            and (seg.slot, seg.width) not in guaranteed
+        )
+        self._shapes: Dict[tuple, Tuple[ComputeLevel, ...]] = {}
+
+    def vector(self, exact: Dict[str, str]) -> List[Optional[str]]:
+        """A fresh slot vector holding the range's pinned slots."""
+        vec: List[Optional[str]] = [None] * len(self.index)
+        index = self.index
+        for name, value in exact.items():
+            vec[index[name]] = value
+        return vec
+
+    def slot_dict(self, vec: List[Optional[str]]) -> Dict[str, str]:
+        """The output slot assignment in ``vec`` as ``Pattern.expand``
+        takes it (used to raise expansion errors verbatim)."""
+        return {name: vec[self.index[name]] for name in self.join.output.slots}
+
+    def bind(
+        self, exact: Dict[str, str], bounds: Dict[str, tuple]
+    ) -> Tuple[ComputeLevel, ...]:
+        """The source levels for constraints pinning ``exact`` and
+        bounding ``bounds`` (a ``SlotConstraints``'s two maps; at most
+        one slot is bounded), compiled on first use of that shape."""
+        key = (tuple(exact), tuple(bounds))
+        levels = self._shapes.get(key)
+        if levels is None:
+            levels = self._shapes[key] = self._compile(
+                list(exact), next(iter(bounds), None)
+            )
+        return levels
+
+    def _compile(
+        self, pinned: List[str], frontier: Optional[str]
+    ) -> Tuple[ComputeLevel, ...]:
+        join, index = self.join, self.index
+        bound = list(pinned)  # in SlotConstraints.exact order
+        levels = []
+        for idx, src in enumerate(join.sources):
+            pattern = src.pattern
+            own = pattern.slot_index
+            segments = pattern.segments
+            closing_at = next(
+                (i for i, seg in enumerate(segments)
+                 if seg.is_slot and seg.slot not in bound),
+                len(segments),
+            )
+            level = ComputeLevel()
+            level.pattern = pattern
+            level.table = pattern.table
+            level.is_value = idx == join.value_index
+            level.is_copy = src.operator == COPY
+            if closing_at == len(segments):
+                level.closing = ComputeLevel.KEY
+                level.prefix = _numbered(segments, index, closing_at)
+            else:
+                closing = segments[closing_at].slot
+                level.closing = (
+                    ComputeLevel.BOUNDS
+                    if closing == frontier
+                    else ComputeLevel.PREFIX
+                )
+                level.prefix = _numbered(segments, index, closing_at) + SEP
+            in_prefix = {seg.slot for seg in segments[:closing_at] if seg.is_slot}
+            level.checks = tuple(
+                (i, index[name]) for name, i in own.items()
+                if name in bound and name not in in_prefix
+            )
+            fresh = [name for name in own if name not in bound]
+            level.assigns = tuple((own[name], index[name]) for name in fresh)
+            level.frontier = (
+                own[frontier]
+                if frontier in fresh and level.closing != ComputeLevel.BOUNDS
+                else -1
+            )
+            level.context = tuple(
+                (name, index[name]) for name in bound if name not in own
+            )
+            bound.extend(fresh)
+            levels.append(level)
+        return tuple(levels)
+
+
+def _numbered(segments, index: Dict[str, int], stop: int) -> str:
+    """``segments[:stop]`` joined as a format string whose fields are
+    slot-vector positions (``t|{0}|{2}``)."""
+    return SEP.join(
+        "{%d}" % index[seg.slot] if seg.is_slot else _escape_literal(seg.text)
+        for seg in segments[:stop]
+    )
 
 
 def compile_exec_plan(

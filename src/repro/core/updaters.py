@@ -97,16 +97,6 @@ class Updater:
             and self.context == other.context
         )
 
-    def compressed_context(self) -> Dict[str, str]:
-        """Drop context slots the source key re-derives on its own.
-
-        The paper compresses or eliminates context "since in many cases
-        Pequod can derive an output key completely from the source key
-        and the relevant join status range."
-        """
-        own = set(self.join.sources[self.source_index].pattern.slots)
-        return {k: v for k, v in self.context.items() if k not in own}
-
     def memory_size(self) -> int:
         """Approximate bytes for accounting/ablation purposes."""
         return (
@@ -157,23 +147,21 @@ def install_updater(table, updater: Updater) -> Optional[Updater]:
     rebuilt lazily after removals (``IntervalEntry.payload_index``).
     """
     key = _identity_key(updater)
-    entry = table.updaters.find_entry(updater.source_lo, updater.source_hi)
-    if entry is not None:
-        index = entry.payload_index
-        if index is None:
-            index = entry.payload_index = {
-                _identity_key(existing): existing
-                for existing in entry.payloads
-            }
-        existing = index.get(key)
-        if existing is not None:
-            existing.generation = updater.generation
-            return existing
+    entry, created = table.updaters.entry(updater.source_lo, updater.source_hi)
+    if created:
         entry.payloads.append(updater)
-        index[key] = updater
+        entry.payload_index = {key: updater}
         return updater
-    entry = table.updaters.add(
-        updater.source_lo, updater.source_hi, updater
-    )
-    entry.payload_index = {key: updater}
+    index = entry.payload_index
+    if index is None:
+        index = entry.payload_index = {
+            _identity_key(existing): existing
+            for existing in entry.payloads
+        }
+    existing = index.get(key)
+    if existing is not None:
+        existing.generation = updater.generation
+        return existing
+    entry.payloads.append(updater)
+    index[key] = updater
     return updater

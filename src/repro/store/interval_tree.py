@@ -92,17 +92,22 @@ class IntervalTree:
         Raises ValueError on empty intervals.  If the interval is
         already present the payload is combined onto the existing entry.
         """
-        if not lo < hi:
-            raise ValueError(f"empty interval [{lo!r}, {hi!r})")
-        node = self._tree.find_node((lo, hi))
-        if node is None:
-            entry = IntervalEntry(lo, hi)
-            node = self._tree.insert((lo, hi), entry)
-            self._tree.augment_path(node)
-        else:
-            entry = node.value
+        entry, _ = self.entry(lo, hi)
         entry.payloads.append(payload)
         return entry
+
+    def entry(self, lo: str, hi: str) -> Tuple[IntervalEntry, bool]:
+        """The entry for ``[lo, hi)`` and whether this call created it.
+
+        One descent finds the interval or the leaf it goes under, and
+        the insertion's single augmentation walk keeps ``max hi`` exact
+        (rotations on the fix-up path recompute their own nodes).
+        Raises ValueError on empty intervals.
+        """
+        if not lo < hi:
+            raise ValueError(f"empty interval [{lo!r}, {hi!r})")
+        node, created = self._tree.insert_absent((lo, hi), IntervalEntry(lo, hi))
+        return node.value, created
 
     def discard(self, lo: str, hi: str, payload: Any) -> bool:
         """Remove one occurrence of ``payload`` from ``[lo, hi)``.

@@ -12,6 +12,10 @@ The contract, in terms of *nodes* (opaque handles exposing ``key`` and
 ``value``; ``value`` is assignable in place):
 
 * ``insert(key, value) -> node`` — insert or overwrite;
+* ``insert_absent(key, value) -> (node, created)`` — insert unless
+  present, leaving an existing node untouched: one search where
+  "find, then insert" would take two (``Table.put``,
+  ``Table.install_many``);
 * ``insert_node_after(node, key, value) -> node`` — hinted insert
   (§4.2 output hints); implementations may fall back to ``insert``;
 * ``find_node(key)`` / ``get(key, default)`` / ``remove(key)`` /
@@ -26,6 +30,16 @@ The contract, in terms of *nodes* (opaque handles exposing ``key`` and
   particular removal representation;
 * ``len()`` / ``bool()`` / ``in`` / iteration over keys;
 * ``check_invariants()`` — test hook.
+
+One method is optional:
+
+* ``remove_range(lo, hi) -> [node, ...]`` — remove ``[lo, hi)`` as one
+  run and return the removed nodes in key order, each reporting
+  ``node_valid`` False afterwards.  :meth:`~repro.store.table.Table.
+  remove_range` (computed-range eviction and recompute) uses it when
+  present and otherwise removes node by node.  The sorted array
+  implements it as one slice deletion per block; the red-black tree
+  does not.
 
 The interval tree stays on :class:`~repro.store.rbtree.RBTree`
 directly: it needs the augmentation hook, which is tree-specific and

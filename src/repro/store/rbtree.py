@@ -20,7 +20,7 @@ All mutating operations run in O(log n).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 RED = True
 BLACK = False
@@ -215,6 +215,17 @@ class RBTree:
 
         Returns the node holding the pair.
         """
+        node, created = self.insert_absent(key, value)
+        if not created:
+            node.value = value
+        return node
+
+    def insert_absent(self, key: Any, value: Any) -> Tuple[Node, bool]:
+        """Insert ``key`` -> ``value`` unless ``key`` is present.
+
+        Returns ``(node, created)``: the existing node, untouched, or
+        the fresh one — one descent either way.
+        """
         parent, node = self.nil, self.root
         while node is not self.nil:
             parent = node
@@ -223,8 +234,7 @@ class RBTree:
             elif node.key < key:
                 node = node.right
             else:
-                node.value = value
-                return node
+                return node, False
         fresh = Node(key, value)
         fresh.left = fresh.right = self.nil
         fresh.parent = parent
@@ -237,7 +247,7 @@ class RBTree:
         self._size += 1
         self._augment_path(fresh)
         self._insert_fixup(fresh)
-        return fresh
+        return fresh, True
 
     def insert_node_after(self, node: Node, key: Any, value: Any) -> Node:
         """Insert ``key`` knowing it belongs immediately after ``node``.

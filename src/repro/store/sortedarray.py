@@ -31,7 +31,7 @@ concurrent structural mutation.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 #: Blocks split when they exceed twice this many keys, so steady-state
 #: blocks hold LOAD..2*LOAD entries.
@@ -245,6 +245,17 @@ class SortedArrayMap:
 
         Returns the node holding the pair.
         """
+        node, created = self.insert_absent(key, value)
+        if not created:
+            node.value = value
+        return node
+
+    def insert_absent(self, key: Any, value: Any) -> Tuple[SANode, bool]:
+        """Insert ``key`` -> ``value`` unless ``key`` is present.
+
+        Returns ``(node, created)``: the existing node, untouched, or
+        the fresh one — one pair of bisects either way.
+        """
         maxes = self._maxes
         if not maxes:
             node = SANode(key, value)
@@ -252,16 +263,14 @@ class SortedArrayMap:
             self._key_blocks = [[key]]
             self._node_blocks = [[node]]
             self._size = 1
-            return node
+            return node, True
         b = bisect_left(maxes, key)
         if b == len(maxes):
             b -= 1  # key beyond every block: append to the last one
         keys = self._key_blocks[b]
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
-            node = self._node_blocks[b][i]
-            node.value = value
-            return node
+            return self._node_blocks[b][i], False
         node = SANode(key, value)
         keys.insert(i, key)
         self._node_blocks[b].insert(i, node)
@@ -270,7 +279,7 @@ class SortedArrayMap:
         self._size += 1
         if len(keys) > 2 * LOAD:
             self._split(b)
-        return node
+        return node, True
 
     def insert_node_after(self, node: SANode, key: Any, value: Any) -> SANode:
         """Insert ``key`` hinted to land immediately after ``node``.
@@ -304,6 +313,44 @@ class SortedArrayMap:
             del self._node_blocks[b]
         elif i == len(keys):
             self._maxes[b] = keys[-1]
+
+    def remove_range(self, lo: Any, hi: Any) -> List[SANode]:
+        """Remove every key in ``[lo, hi)``; returns the removed nodes
+        in key order.
+
+        One slice deletion per block touched instead of a locate per
+        key.  Removed nodes are marked dead, so a ``PutHandle`` still
+        pointing at one reports invalid and is never used as a hint.
+        """
+        maxes = self._maxes
+        out: List[SANode] = []
+        if not lo < hi:
+            return out
+        b = bisect_left(maxes, lo)
+        while b < len(maxes):
+            keys = self._key_blocks[b]
+            nodes = self._node_blocks[b]
+            i = bisect_left(keys, lo)
+            j = bisect_left(keys, hi)
+            last = j < len(keys)  # the block reaches past hi
+            if i < j:
+                out.extend(nodes[i:j])
+                del keys[i:j]
+                del nodes[i:j]
+                if keys:
+                    maxes[b] = keys[-1]
+                else:
+                    del maxes[b]
+                    del self._key_blocks[b]
+                    del self._node_blocks[b]
+                    continue
+            if last:
+                break
+            b += 1
+        for node in out:
+            node.alive = False
+        self._size -= len(out)
+        return out
 
     def clear(self) -> None:
         self._maxes = []

@@ -202,7 +202,7 @@ class OrderedStore:
             return name
         return None
 
-    def _relevant_tables(self, lo: str, hi: str) -> List[Table]:
+    def tables_over(self, lo: str, hi: str) -> List[Table]:
         """Tables whose spans intersect ``[lo, hi)``, in name order."""
         name = self._single_table_span(lo, hi)
         if name is not None:
@@ -226,7 +226,7 @@ class OrderedStore:
             if hi <= name + SEP_SUCCESSOR:
                 tbl = self.tables.get(name)
                 return tbl.scan_nodes(lo, hi) if tbl is not None else iter(())
-        relevant = self._relevant_tables(lo, hi)
+        relevant = self.tables_over(lo, hi)
         if len(relevant) == 1:
             return relevant[0].scan_nodes(lo, hi)
         if relevant:
@@ -239,7 +239,7 @@ class OrderedStore:
         internal path for counting, recounts, and eviction scoring."""
         if not lo < hi:
             return iter(())
-        relevant = self._relevant_tables(lo, hi)
+        relevant = self.tables_over(lo, hi)
         if len(relevant) == 1:
             return relevant[0].iter_nodes(lo, hi)
         if relevant:
@@ -290,7 +290,7 @@ class OrderedStore:
         if not lo < hi:
             return 0
         return sum(
-            tbl.count_range(lo, hi) for tbl in self._relevant_tables(lo, hi)
+            tbl.count_range(lo, hi) for tbl in self.tables_over(lo, hi)
         )
 
     # ------------------------------------------------------------------
@@ -307,7 +307,7 @@ class OrderedStore:
         if not lo < hi:
             return 0
         freed = 0
-        for tbl in self._relevant_tables(lo, hi):
+        for tbl in self.tables_over(lo, hi):
             freed += tbl.spill_range(lo, hi)
         if freed:
             self.stats.add("spill_freed_bytes", freed)
@@ -323,18 +323,26 @@ class OrderedStore:
             self.stats.add("spill_freed_bytes", freed)
         return freed
 
-    def remove_range(self, lo: str, hi: str) -> int:
-        """Remove every key in ``[lo, hi)``; returns how many were removed.
+    def remove_range(self, lo: str, hi: str) -> List[Tuple[str, Value]]:
+        """Remove every key in ``[lo, hi)``, one run per table (see
+        :meth:`Table.remove_range`); returns the removed ``(key,
+        stored value)`` pairs in key order.
 
-        Used by eviction (§2.5) when a computed or cached range is
-        dropped wholesale.
+        The join engine's ``_clear_range`` calls it for every range
+        dropped wholesale: an evicted computed range (§2.5), a range
+        about to be recomputed, and the mirrored or cached base ranges
+        the distributed and database deployments drop.
         """
-        doomed = [node.key for node in self.iter_nodes(lo, hi)]
-        for key in doomed:
-            tbl = self.existing_table_for_key(key)
-            if tbl is not None:
-                tbl.remove(key)
-        return len(doomed)
+        if not lo < hi:
+            return []
+        runs = [
+            run for tbl in self.tables_over(lo, hi)
+            if (run := tbl.remove_range(lo, hi))
+        ]
+        if len(runs) == 1:
+            return runs[0]
+        # Table name order is not key order ("tx|" sorts before "t|").
+        return list(heapq.merge(*runs, key=lambda pair: pair[0]))
 
     # ------------------------------------------------------------------
     # Introspection

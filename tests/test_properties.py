@@ -83,6 +83,38 @@ class TestIntervalTreeProperties:
         assert got == expected
         tree.check_invariants()
 
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), times, times, st.integers(0, 3)),
+            max_size=80,
+        )
+    )
+    def test_add_and_discard_match_a_dict_model(self, ops):
+        """``entry`` finds or creates in one descent; whatever the
+        interleaving, the augmentation stays exact and every interval
+        holds exactly the payloads added and not discarded, in order."""
+        tree = IntervalTree()
+        model = {}
+        for is_add, lo, hi, payload in ops:
+            if not lo < hi:
+                continue
+            if is_add:
+                entry, created = tree.entry(lo, hi)
+                assert created == ((lo, hi) not in model)
+                entry.payloads.append(payload)
+                model.setdefault((lo, hi), []).append(payload)
+            else:
+                payloads = model.get((lo, hi), [])
+                assert tree.discard(lo, hi, payload) == (payload in payloads)
+                if payload in payloads:
+                    payloads.remove(payload)
+                    if not payloads:
+                        del model[(lo, hi)]
+            tree.check_invariants()
+        assert [
+            ((e.lo, e.hi), e.payloads) for e in tree.entries()
+        ] == sorted(model.items())
+
 
 class TestTableProperties:
     @given(st.lists(st.tuples(st.booleans(), users, times), max_size=80))
@@ -512,3 +544,238 @@ class TestStatusMergeProperties:
             assert srv.scan(f"n|{user}|", f"n|{user}}}") == counts(
                 user, f"n|{user}|", f"n|{user}}}"
             )
+
+
+# ----------------------------------------------------------------------
+# Compiled compute is the interpreted walk, installed as one run
+# ----------------------------------------------------------------------
+#: Join shapes for the compute parity property (``{op}`` is the value
+#: operator): two and three sources, the value source last and first,
+#: fixed widths, a declared output width the source does not declare (a
+#: short time must raise), a slot repeated inside one source, and an
+#: output that drops a source slot — an aggregate's group key, and for
+#: ``copy`` an ambiguous join where the last emission of a key wins.
+COMPUTE_SHAPES = (
+    "t|<user>|<time>|<poster> = check s|<user>|<poster> {op} p|<poster>|<time>",
+    "t|<user:3>|<time:4>|<poster:3> = check s|<user:3>|<poster:3> "
+    "{op} p|<poster:3>|<time:4>",
+    "t|<user>|<time:4>|<poster> = check s|<user>|<poster> {op} p|<poster>|<time>",
+    "t|<user>|<time>|<poster> = check s|<user>|<poster> check a|<poster> "
+    "{op} p|<poster>|<time>",
+    "t|<user>|<poster>|<time> = check s|<user>|<poster> "
+    "check s|<poster>|<poster> {op} p|<poster>|<time>",
+    "t|<user>|<time>|<poster> = {op} p|<poster>|<time> check s|<user>|<poster>",
+    "t|<user>|<poster> = check s|<user>|<poster> {op} p|<poster>|<time>",
+)
+names3 = st.sampled_from(["ann", "bob", "cat"])
+# Mostly four digits; "02" breaks the declared width of shape three.
+compute_ticks = st.one_of(
+    st.integers(min_value=1, max_value=9).map(lambda t: f"{t:04d}"),
+    st.just("02"),
+)
+compute_values = st.sampled_from(["1", "7", "12", "x", "yy"])
+compute_data = st.tuples(
+    st.sets(st.tuples(names3, names3), max_size=8),
+    st.dictionaries(st.tuples(names3, compute_ticks), compute_values, max_size=10),
+    st.sets(names3, max_size=3),
+)
+compute_read = st.tuples(
+    st.just("read"),
+    st.sampled_from(["login", "check", "below", "cross", "get"]),
+    names3,
+    compute_ticks,
+)
+compute_steps = st.lists(
+    st.one_of(
+        compute_read,
+        st.tuples(st.just("sub"), names3, names3, st.just("")),
+        st.tuples(st.just("unsub"), names3, names3, st.just("")),
+        st.tuples(st.just("post"), names3, compute_ticks, st.just("5")),
+        st.tuples(st.just("evict"), st.just(""), st.just(""), st.just("")),
+    ),
+    max_size=12,
+)
+
+
+def _interpreted_compute(engine, join, sr, run):
+    """How a compute ran before compiled plans — the interpreted
+    ``_exec_source`` walk, every output put the moment it is emitted.
+    The parity oracle; patched over ``JoinEngine._compute_join``."""
+    from repro.core.operators import ChangeKind
+    from repro.core.ranges import SlotConstraints
+
+    cs = SlotConstraints.for_output_range(join.output, sr.lo, sr.hi)
+    if not cs.compatible:
+        return
+    engine.stats.add("joins_executed")
+    agg = {} if join.is_aggregate else None
+    engine._exec_source(
+        join, 0, cs, sr.lo, sr.hi, None, sr, None, agg,
+        mode=ChangeKind.INSERT, skip_source=None,
+    )
+    for key in sorted(agg or ()):
+        if agg[key].count > 0:
+            engine._install_output(key, agg[key], sr)
+
+
+def _compute_server(text, data, interpreted=False):
+    from functools import partial
+
+    srv = PequodServer()
+    if interpreted:
+        srv.engine._compute_join = partial(_interpreted_compute, srv.engine)
+    srv.add_join(text)
+    subs, posts, active = data
+    for user, poster in sorted(subs):
+        srv.put(f"s|{user}|{poster}", "1")
+    for (poster, tick), value in sorted(posts.items()):
+        srv.put(f"p|{poster}|{tick}", value)
+    for poster in sorted(active):
+        srv.put(f"a|{poster}", "1")
+    return srv
+
+
+def _compute_range(kind, user, tick):
+    if kind == "login":
+        return f"t|{user}|", f"t|{user}}}"
+    if kind == "check":
+        return f"t|{user}|{tick}", f"t|{user}}}"
+    if kind == "below":  # under whatever a login computed
+        return f"t|{user}|", f"t|{user}|{tick}"
+    if kind == "cross":  # from this timeline to the end of the table
+        return f"t|{user}|{tick}", "t}"
+    key = f"t|{user}|{tick}|{user}"  # get(): [key, key + "\0")
+    return key, key + "\x00"
+
+
+def _outcome(srv, lo, hi):
+    from repro.core.pattern import PatternError
+
+    try:
+        return srv.scan(lo, hi)
+    except PatternError as exc:
+        return ("raised", str(exc))
+
+
+def _engine_state(srv):
+    """Everything a compute leaves behind: rows, accounting, updater
+    trees (bounds, context, generation, order), status ranges, and
+    the work counters compute cost is made of."""
+    from repro.store.values import materialize
+
+    tables = {}
+    for name, table in sorted(srv.store.tables.items()):
+        rows = [
+            (node.key, materialize(node.value))
+            for node in table.iter_nodes(name, name + "\U0010ffff")
+        ]
+        updaters = [
+            (entry.lo, entry.hi, [
+                (u.join.text, u.source_index, u.lazy, sorted(u.context.items()),
+                 u.output_lo, u.output_hi, u.source_lo, u.source_hi,
+                 u.generation)
+                for u in entry.payloads
+            ])
+            for entry in table.updaters.entries()
+        ]
+        tables[name] = (rows, updaters, table.key_count, table.memory_bytes)
+    status = {
+        name: [
+            (sr.lo, sr.hi, sr.state, sr.generation, len(sr.pending),
+             sr.compute_cost)
+            for sr in stable.ranges()
+        ]
+        for name, stable in srv.engine.status.items()
+    }
+    counters = {
+        name: srv.stats.get(name)
+        for name in ("source_keys_examined", "outputs_installed", "puts",
+                     "removes", "updaters_installed", "joins_executed")
+    }
+    return tables, status, counters, srv.engine.updater_bytes
+
+
+class TestComputeParity:
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(COMPUTE_SHAPES),
+        st.sampled_from(["copy", "count", "max"]),
+        compute_data,
+        st.lists(compute_read, min_size=1, max_size=5),
+        compute_steps,
+    )
+    def test_compiled_compute_equals_the_interpreted_walk(
+        self, shape, op, data, reads, steps
+    ):
+        """Over the same data and reads, a compute through the compiled
+        plan leaves exactly what the interpreted walk leaves — rows,
+        accounting, updater trees, status ranges, counters — and, while
+        the data is static, every read equals the pull path's answer
+        for the same join text and range."""
+        text = shape.format(op=op)
+        compiled = _compute_server(text, data)
+        walked = _compute_server(text, data, interpreted=True)
+        ambiguous = op == "copy" and text.startswith("t|<user>|<poster> =")
+        pulled = None if ambiguous else _compute_server(
+            text.replace(" = ", " = pull ", 1), data
+        )
+        for step in reads + steps:
+            kind, a, b, c = step
+            if kind == "read":
+                lo, hi = _compute_range(a, b, c)
+                got = _outcome(compiled, lo, hi)
+                assert got == _outcome(walked, lo, hi), step
+                if pulled is not None:
+                    assert got == _outcome(pulled, lo, hi), step
+                if got and got[0] == "raised":
+                    return  # the walk had put rows before raising
+            else:
+                pulled = None  # the pull server sees no writes
+                for srv in (compiled, walked):
+                    if kind == "sub":
+                        srv.put(f"s|{a}|{b}", "1")
+                    elif kind == "unsub":
+                        srv.remove(f"s|{a}|{b}")
+                    elif kind == "post":
+                        srv.put(f"p|{a}|{b}", c)
+                    else:
+                        srv.eviction.evict_one()
+            assert _engine_state(compiled) == _engine_state(walked), step
+
+
+class TestEvictionDownstream:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(growing_ops.map(lambda ops: ops + [("evict", "", "")] * 3))
+    def test_a_join_over_t_equals_a_naive_recompute_after_evictions(self, ops):
+        """Evicting timeline ranges retracts their rows from a join over
+        ``t`` (one REMOVE per key), and recomputing them puts them back
+        (one INSERT per key): after every evict → recompute cycle the
+        downstream counts equal a naive recount."""
+        srv = PequodServer()
+        srv.add_join(
+            "t|<user>|<time>|<poster> = check s|<user>|<poster> "
+            "copy p|<poster>|<time>"
+        )
+        srv.add_join("n|<user> = count t|<user>|<time>|<poster>")
+        model = _TwipModel()
+        for op in ops:
+            kind, user, tick = op
+            if model.write(srv, op) or kind == "tick":
+                continue
+            if kind != "evict":
+                lo, hi = _span(kind, user, tick)
+                assert srv.scan(lo, hi) == model.timeline(user, lo, hi), op
+                continue
+            srv.eviction.evict_one()
+            for reader in ["ann", "bob"]:
+                lo, hi = _span("login", reader, "")
+                assert srv.scan(lo, hi) == model.timeline(reader, lo, hi), op
+            for reader in ["ann", "bob"]:
+                rows = len(model.timeline(reader, *_span("login", reader, "")))
+                assert srv.get(f"n|{reader}") == (str(rows) if rows else None), op

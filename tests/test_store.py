@@ -70,7 +70,7 @@ class TestScan:
         for i in range(10):
             store.put(f"p|{i:02d}", str(i))
         removed = store.remove_range("p|03", "p|07")
-        assert removed == 4
+        assert removed == [(f"p|{i:02d}", str(i)) for i in range(3, 7)]
         assert store.count("p|", "p}") == 6
 
 

@@ -176,15 +176,19 @@ class TestInstallMany:
         assert results == [("k|a", None), ("k|b", "old")]
         assert store.get("k|b") == "new"
 
-    def test_hint_chaining_earns_hint_hits(self):
-        store = OrderedStore()
-        table = store.table("k")
-        table.put("k|", "floor")
-        base = store.stats.get("hint_hits")
-        pairs = [(f"k|{i:03d}", "v") for i in range(50)]
+    def test_run_resolves_each_tree_once(self):
+        store = OrderedStore(subtable_config={"t": 2})
+        table = store.table("t")
+        table.put("t|b|000", "floor")
+        base = store.stats.get("tree_descents")
+        pairs = [(f"t|{u}|{i:03d}", "v") for u in "abc" for i in range(50)]
         table.install_many(pairs)
-        # Sorted contiguous installs ride the insert-after fast path.
-        assert store.stats.get("hint_hits") > base + 40
+        # A sorted run enters each of the three subtables once, not
+        # once per key.
+        assert store.stats.get("tree_descents") == base + 3
+        assert store.stats.get("puts") == 1 + len(pairs)
+        assert table.subtable_count() == 3
+        assert store.scan("t|", "t}") == sorted(pairs)
 
 
 class TestUpdaterDedupIndex:
