@@ -25,37 +25,34 @@ evicting or clearing a range removes its keys as one run
 and eager fires outside ``ExecPlan``'s subset walk the interpreted
 ``_exec_source`` recursion.
 
-Writes run the other direction: a store modification stabs the source
-table's updater interval tree; eager updaters re-execute the remaining
-nested loops (for the common value-source-last join this is a single
-O(1) insert), lazy updaters log partial invalidations or mark ranges
-for recomputation.
+Writes run the other direction, along one path.  Every write — a
+single ``put`` or ``remove`` (``notify_change``, a batch of one), a
+client batch, the CDC pump — reaches :meth:`JoinEngine.notify_batch`
+after the store has changed.  The batch's changes are taken in key
+order, so each source table's share is one contiguous run and one
+maintenance pass: its updater interval tree is stabbed once per
+changed key, and each (interval entry, updater) pair fires once over
+the changes it covers.  Lazy updaters log partial invalidations or
+invalidate; echeck, aggregate and interpreted copy updaters apply each
+covered change in turn; compiled copy updaters (the common
+value-source-last join) only compute their output keys, and after the
+pass each output table's collected fan-out lands as ONE key-sorted run
+— a post to fifty timelines is one ``install_many`` of fifty keys.
 
 Staleness safety: recomputing a status range bumps its *generation*.
 Eager updaters apply only to ranges whose generation matches the one
 they were installed under, so updaters derived from since-retracted
 check tuples become inert exactly when the paper would have removed
-them ("complete invalidation removes installed updaters").
-
-Batched writes (``apply_batch`` / ``notify_batch``) amortize the write
-path: a group of writes mutates the store first (in key order, chaining
-§4.2 insertion hints), then maintenance runs as ONE pass per affected
-table — a single interval-tree query over the batch's key span replaces
-one stab per write, and each (interval entry, updater) pair fires once
-over the group of covered keys instead of once per key.  Coalescing
-preserves the paper's staleness guarantees because every deduplicated
-unit is keyed by the same generation machinery that makes sequential
-maintenance safe: a grouped eager firing resolves its status targets
-once but re-checks ``sr.state`` and ``sr.generation`` against the
-updater's installation generation for every applied change, so a range
-recomputed (or invalidated) earlier in the same batch retires the rest
-of the group exactly as it would retire later sequential firings; a
-grouped lazy firing collapses N same-key partial invalidations into one
-compacted pending entry, which is safe because pending application
-re-executes against current store state (the logged values are never
-replayed), and any matching removal still escalates the whole group to
-a complete invalidation whose recomputation bumps the generation and
-thereby retires every updater installed under the old build.
+them ("complete invalidation removes installed updaters").  Every
+eager output is checked this way at the moment it applies — a
+collected fan-out key against the range containing it, under the
+generation of the updater that emitted it — so a range recomputed or
+invalidated earlier in the pass retires what is still to come, as it
+would for changes applied one at a time.  A grouped lazy firing
+collapses N same-key partial invalidations into one compacted pending
+entry, which is safe because pending application re-executes against
+current store state (the logged values are never replayed), and any
+matching removal escalates to a complete invalidation.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from ..store.keys import clamp_range, key_successor, prefix_upper_bound, table_o
 from ..store.lru import LRUList
 from ..store.stats import StoreStats
 from ..store.store import OrderedStore
-from ..store.table import Table
+from ..store.table import PutHandle, Table
 from ..store.values import SharedValue, Value, materialize
 from .clock import Clock, SystemClock
 from .joins import CacheJoin, JoinError
@@ -157,10 +154,6 @@ class JoinEngine:
         self.enable_sharing = enable_sharing
         self.enable_hints = enable_hints
         self.enable_validation_memo = enable_validation_memo
-        #: Collapse contiguous same-(join, source) pending-log runs to
-        #: one re-execution per run (off = the per-key reference path;
-        #: the regression suite asserts both produce identical state).
-        self.enable_pending_batching = True
         self.joins: List[CacheJoin] = []
         self._output_joins: Dict[str, List[CacheJoin]] = {}
         #: Precomputed views of ``joins``: materialized joins per output
@@ -580,14 +573,9 @@ class JoinEngine:
         sr.expires_at = expiry
         if run:
             run.sort(key=itemgetter(0))
-            table = self.store.table(tbl_name)
-            results, handle = table.install_many(run)
+            handle = self._install_run(self.store.table(tbl_name), run)
             if self.enable_hints:
                 sr.hint = handle
-            self.stats.add("outputs_installed", len(run))
-            if self._observed([table]):
-                for (key, old), (_, value) in zip(results, run):
-                    self._notify_installed(key, old, value)
         sr.compute_cost = (
             self.stats.get("source_keys_examined")
             + self.stats.get("outputs_installed")
@@ -692,6 +680,20 @@ class JoinEngine:
                 if agg[key].count > 0:
                     emit((key, agg[key]))
 
+    def _install_run(
+        self, table: Table, run: List[Tuple[str, Value]]
+    ) -> Optional[PutHandle]:
+        """Install a key-sorted run of outputs with one
+        :meth:`Table.install_many` and announce each change, in key
+        order, when anything can observe it (see :meth:`_observed`).
+        Returns the handle on the run's last key."""
+        results, handle = table.install_many(run)
+        self.stats.counters["outputs_installed"] += len(run)
+        if self.fault_hook is not None or self.listeners or table.updaters:
+            for (key, old), (_, value) in zip(results, run):
+                self._notify_installed(key, old, value)
+        return handle
+
     def _clear_range(self, lo: str, hi: str) -> None:
         """Remove every stored key in ``[lo, hi)`` as one run per table
         (:meth:`OrderedStore.remove_range`) — eviction, recompute, and
@@ -707,7 +709,7 @@ class JoinEngine:
 
     def _observed(self, tables: List[Table]) -> bool:
         """Can a change to a key of ``tables`` be observed?  Only
-        through what :meth:`notify_change` consults — a fault hook, a
+        through what :meth:`notify_batch` consults — a fault hook, a
         listener, or updaters on the key's table; with none of those a
         notification does nothing, so a run of installs or removals
         checks once and stays silent."""
@@ -1015,64 +1017,84 @@ class JoinEngine:
         self.notify_batch(changes)
         return len(changes)
 
+    def notify_change(
+        self,
+        key: str,
+        old_value: Optional[str],
+        new_value: Optional[str],
+        kind: ChangeKind,
+    ) -> None:
+        """Run every updater covering ``key`` (§3.2), then listeners:
+        a batch of one."""
+        self.notify_batch([(key, old_value, new_value, kind)])
+
     def notify_batch(self, changes: List[Change]) -> None:
         """Run maintenance for a batch of net changes, then listeners.
 
-        Changes are grouped by table; each table's updater interval
-        tree is queried once over the batch's key span instead of
-        stabbed once per key, and each (entry, updater) pair fires once
-        over the keys it covers.
+        The changes are taken in key order, so each table's changes
+        form one contiguous run, and each run is one maintenance pass
+        over that table (:meth:`_notify_table_batch`).  Listeners hear
+        the changes in the order given.
         """
         if self.fault_hook is not None:
             self.fault_hook("maintenance")
-        by_table: Dict[str, List[Change]] = {}
-        for change in changes:
-            by_table.setdefault(table_of(change[0]), []).append(change)
-        for group in by_table.values():
-            table = self.store.existing_table_for_key(group[0][0])
+        tables = self.store.tables
+        n = len(changes)
+        # Most calls are one write: no sort, and no copy of its run.
+        ordered = changes if n == 1 else sorted(changes, key=itemgetter(0))
+        start = 0
+        while start < n:
+            name = table_of(ordered[start][0])
+            stop = start + 1
+            while stop < n and table_of(ordered[stop][0]) == name:
+                stop += 1
+            table = tables.get(name)
             if table is not None and table.updaters:
-                group.sort(key=lambda change: change[0])
-                self._notify_table_batch(table, group)
-        for key, old, new, kind in changes:
-            for listener in self.listeners:
-                listener(key, old, new, kind)
+                run = ordered if stop - start == n else ordered[start:stop]
+                self._notify_table_batch(table, run)
+            start = stop
+        if self.listeners:
+            for key, old, new, kind in changes:
+                for listener in self.listeners:
+                    listener(key, old, new, kind)
 
     def _notify_table_batch(self, table: Table, group: List[Change]) -> None:
-        """One maintenance pass over ``table`` for a sorted change group.
+        """One maintenance pass over ``table`` for a key-sorted run of
+        its changes.
 
-        The updater tree is stabbed once per distinct written key (the
-        batch already coalesced duplicates) and the hits are regrouped
-        per interval entry, so each affected (entry, updater) pair
-        fires exactly once over the keys it covers — with its status
-        targets resolved once for the whole group instead of twice per
-        key (once for the eviction check, once for application) as on
-        the per-write path.
+        The updater tree is stabbed once per changed key and the hits
+        are regrouped per interval entry, so each affected (entry,
+        updater) pair fires once over the changes it covers
+        (:meth:`_fire_updater_group`).  Compiled copy updaters only
+        collect their outputs; after the last pair, each output table's
+        collection lands as one sorted run (:meth:`_install_collected`).
         """
-        self.stats.add("batch_tree_passes")
-        shared: Dict[str, Value] = {}
-        groups: Dict[int, List[Change]] = {}
-        entries: Dict[int, object] = {}
-        order: List[int] = []
         counters = self.stats.counters
+        stab = table.updaters.stab
+        # Each stabbed entry with the changes it covers, in stab order.
+        hits: Dict[int, Tuple[object, List[Change]]] = {}
         for change in group:
             fanout = 0
-            for entry in table.updaters.stab(change[0]):
+            for entry in stab(change[0]):
                 fanout += len(entry.payloads)
-                ident = id(entry)
-                covered = groups.get(ident)
-                if covered is None:
-                    groups[ident] = [change]
-                    entries[ident] = entry
-                    order.append(ident)
+                hit = hits.get(id(entry))
+                if hit is None:
+                    hits[id(entry)] = (entry, [change])
                 else:
-                    covered.append(change)
+                    hit[1].append(change)
             if fanout > counters["write_fanout_max"]:
                 counters["write_fanout_max"] = float(fanout)
-        for ident in order:
-            entry = entries[ident]
-            covered = groups[ident]
+        if not hits:
+            return
+        shared: Dict[str, Value] = {}
+        collected: Dict[str, Tuple[StatusTable, Table, list]] = {}
+        for entry, covered in hits.values():
             for updater in list(entry.payloads):
-                self._fire_updater_group(table, entry, updater, covered, shared)
+                self._fire_updater_group(
+                    table, entry, updater, covered, shared, collected
+                )
+        for stable, out_table, fires in collected.values():
+            self._install_collected(stable, out_table, fires)
 
     def _fire_updater_group(
         self,
@@ -1081,9 +1103,12 @@ class JoinEngine:
         updater: Updater,
         covered: List[Change],
         shared: Dict[str, Value],
+        collected: Dict[str, Tuple[StatusTable, Table, list]],
     ) -> None:
-        """Fire one updater once for the group of changes it covers."""
-        stable = self.status.get(updater.join.output.table)
+        """Fire one updater once for the changes it covers: the one
+        dispatch point of maintenance, one branch per updater kind."""
+        join = updater.join
+        stable = self.status.get(join.output.table)
         if stable is None:
             return
         if not stable.overlaps_any(updater.output_lo, updater.output_hi):
@@ -1092,80 +1117,145 @@ class JoinEngine:
             self.updater_bytes -= updater.memory_size()
             self.stats.add("updaters_collected")
             return
-        self.stats.add("updater_groups_fired")
-        # One firing charge per covered change, before matching — the
-        # same accounting point as the per-key path, so counters (and
-        # modeled runtimes) stay comparable across batch sizes.
-        self.stats.add("updaters_fired", len(covered))
-        src = updater.join.sources[updater.source_index]
+        counters = self.stats.counters
+        counters["updater_groups_fired"] += 1
+        # One firing charge per covered change, before matching, so
+        # counters (and modeled runtimes) do not depend on batch size.
+        counters["updaters_fired"] += len(covered)
         if updater.lazy:
-            overlapping = stable.overlapping(
-                updater.output_lo, updater.output_hi
-            )
-            self._fire_lazy_group(stable, updater, covered, overlapping)
-        elif src.is_check or updater.join.is_aggregate:
-            # echeck and aggregate updaters can invalidate or split
-            # status ranges mid-group; keep exact per-change semantics.
+            self._fire_lazy_group(stable, updater, covered)
+            return
+        src = join.sources[updater.source_index]
+        if src.is_check:
+            # The echeck extension: eager maintenance of a check source.
+            for key, _old, _new, kind in covered:
+                child = self._eager_child(updater, key)
+                if child is not None:
+                    self._fire_eager_check(stable, updater, child, kind)
+            return
+        plan = self._plan_for(updater) if plan_mod._PLAN_COMPILED else None
+        template = None if plan is None else self._plan_template(updater, plan)
+        if src.operator != COPY:  # the value source of an aggregate
             for key, old, new, kind in covered:
-                copy_value: Optional[Value] = None
-                if kind is not ChangeKind.REMOVE and not src.is_check:
-                    copy_value = self._group_source_value(shared, key, new)
-                self._fire_eager(stable, updater, key, old, new, kind, copy_value)
-        else:
-            if plan_mod._PLAN_COMPILED:
-                plan = self._plan_for(updater)
-                if plan is not None:
-                    template = self._plan_template(updater, plan)
-                    if template is not None and template.injective:
-                        self._fire_eager_group_plan(
-                            stable, plan, template, updater, covered, shared
-                        )
-                        return
-            overlapping = stable.overlapping(
-                updater.output_lo, updater.output_hi
+                if template is None:
+                    child = self._eager_child(updater, key)
+                    if child is not None:
+                        self._eager_aggregate(stable, updater, child, old, new, kind)
+                    continue
+                out_key = self._plan_out_key(plan, template, updater, key)
+                if out_key is not None:
+                    self._eager_aggregate_at(stable, updater, out_key, old, new, kind)
+            return
+        if template is None or not template.injective:
+            self._fire_eager_group(stable, updater, covered, shared)
+            return
+        # A compiled, injective copy: collect.  Distinct source keys
+        # give distinct output keys, so landing the pass's outputs in
+        # key order cannot change which write wins a key.
+        out = collected.get(join.output.table)
+        if out is None:
+            out = collected[join.output.table] = (stable, plan.table, [])
+        emit = out[2].append
+        generation = updater.generation
+        for key, _old, new, kind in covered:
+            out_key = self._plan_out_key(plan, template, updater, key)
+            if out_key is None:
+                continue
+            value = (
+                None if kind is ChangeKind.REMOVE
+                else self._group_source_value(shared, key, new)
             )
-            self._fire_eager_group(stable, updater, covered, shared, overlapping)
+            emit((out_key, key, value, generation, kind))
+
+    def _plan_out_key(
+        self, plan: ExecPlan, template: FireTemplate, updater: Updater, key: str
+    ) -> Optional[str]:
+        """The output key a compiled fire of ``updater`` writes for
+        source ``key``, or None when the key is not its concern: the
+        slot tuple replaces the regex match and ``child_with``, the
+        bound template replaces ``expand``."""
+        values = plan.extract(key)
+        if values is None:
+            return None
+        out_key = template.out_key(values)
+        if out_key is None or not (
+            updater.output_lo <= out_key < updater.output_hi
+        ):
+            return None  # context/source slot conflict, or out of range
+        self.stats.counters["write_plan_fires"] += 1
+        return out_key
+
+    def _install_collected(
+        self, stable: StatusTable, table: Table, fires: list
+    ) -> None:
+        """Land one output table's collected copy fires as one sorted
+        run.
+
+        ``fires`` holds ``(out_key, source_key, value, generation,
+        kind)`` per compiled copy fire of the table pass.  Sorted by
+        output key, then source key — so equal output keys apply in the
+        order changes applied one at a time would — each fire applies
+        only if the status range containing its key is VALID at the
+        emitting updater's generation: a range recomputed since retires
+        it.  The surviving inserts are one :meth:`_install_run`, which
+        may span many status ranges (one follower's timeline is one
+        range); a removal lands the inserts before it first, so
+        everything applies in key order.
+        """
+        fires.sort(key=itemgetter(0, 1))
+        counters = self.stats.counters
+        find = stable.find
+        run: List[Tuple[str, Value]] = []
+        for out_key, _, value, generation, kind in fires:
+            sr = find(out_key)
+            if (
+                sr is None
+                or sr.state is not RangeState.VALID
+                or sr.generation != generation
+            ):
+                continue  # evicted, invalidated, or superseded
+            counters["eager_updates"] += 1
+            if kind is not ChangeKind.REMOVE:
+                run.append((out_key, value))
+                continue
+            if run:
+                counters["write_batched_installs"] += 1
+                self._install_run(table, run)
+                run = []
+            self._remove_output(out_key)
+        if run:
+            counters["write_batched_installs"] += 1
+            self._install_run(table, run)
 
     def _fire_lazy_group(
-        self,
-        stable: StatusTable,
-        updater: Updater,
-        covered: List[Change],
-        overlapping: List[StatusRange],
+        self, stable: StatusTable, updater: Updater, covered: List[Change]
     ) -> None:
-        """Grouped lazy maintenance: one invalidation, or one compacted
-        pending append per range, for the whole covered group.
-
-        Any matching removal escalates to a complete invalidation that
-        covers the group (invalidation clears the pending log, so the
-        group's inserts contribute nothing either way — identical to
-        the per-key outcome in both orders).
+        """Lazy maintenance, change by change: a matching insert is a
+        partial invalidation, logged (compacted on arrival) on every
+        VALID range the updater covers; a matching removal invalidates
+        them completely, because eager updaters derived from the removed
+        check tuple must be retired — recomputation from scratch
+        rebuilds exactly the surviving updaters (§3.2).  Invalidation
+        clears the logs and later inserts find no VALID range, so the
+        rest of the group has nothing left to do.
         """
-        inserts: List[Change] = []
-        for change in covered:
-            key, old, new, kind = change
+        for key, old, new, kind in covered:
             if kind is ChangeKind.UPDATE:
                 continue  # check sources: values are uninteresting
             if not self._lazy_match(updater, key):
                 continue
+            ranges = stable.overlapping(updater.output_lo, updater.output_hi)
             if kind is ChangeKind.REMOVE:
                 self.stats.add("complete_invalidations")
-                for sr in overlapping:
+                for sr in ranges:
                     sr.invalidate()
                 return
-            inserts.append(change)
-        if not inserts:
-            return
-        ranges = [sr for sr in overlapping if sr.state is RangeState.VALID]
-        if not ranges:
-            return
-        for key, old, new, kind in inserts:
             self.stats.add("partial_invalidations")
             pending = PendingEntry(
                 updater.join, updater.source_index, key, old, new, kind
             )
             for sr in ranges:
-                if not sr.log_pending(pending):
+                if sr.state is RangeState.VALID and not sr.log_pending(pending):
                     self.stats.add("pending_compacted")
 
     def _fire_eager_group(
@@ -1174,10 +1264,11 @@ class JoinEngine:
         updater: Updater,
         covered: List[Change],
         shared: Dict[str, Value],
-        overlapping: List[StatusRange],
     ) -> None:
-        """Grouped eager copy maintenance: resolve the updater's output
-        targets once, then apply every covered change to them.
+        """Interpreted eager copy maintenance, for copies outside the
+        compiled subset or with a non-injective template: resolve the
+        updater's output targets once, then re-execute the remaining
+        sources with each covered key pinned.
 
         The copy path never splits this output table's status cover, so
         the target list stays exact across the group; per-change
@@ -1194,7 +1285,7 @@ class JoinEngine:
                 continue
             if targets is None:
                 targets = []
-                for sr in overlapping:
+                for sr in stable.overlapping(updater.output_lo, updater.output_hi):
                     lo, hi = clamp_range(
                         updater.output_lo, updater.output_hi, sr.lo, sr.hi
                     )
@@ -1221,97 +1312,9 @@ class JoinEngine:
             if applied:
                 self.stats.add("eager_updates")
 
-    def _fire_eager_group_plan(
-        self,
-        stable: StatusTable,
-        plan: ExecPlan,
-        template: FireTemplate,
-        updater: Updater,
-        covered: List[Change],
-        shared: Dict[str, Value],
-    ) -> None:
-        """Grouped eager copy maintenance through the compiled plan.
-
-        All covered changes expand their output keys first (slot tuple
-        + bound template, no dict churn); the inserts then install via
-        :meth:`Table.install_many` in contiguous per-status-range runs
-        — the tree resolved once per run — instead of one
-        ``_install_output`` per key.  Requires an *injective* template
-        (distinct source keys → distinct output keys) so regrouping
-        the covered order can never change which write wins a key; the
-        per-key order of equal keys is moot because there are none.
-        Per-run ``state``/``generation`` re-checks keep the paper's
-        staleness safety exactly as the interpreted group path does.
-        """
-        inserts: List[Tuple[str, Value]] = []
-        removes: List[str] = []
-        for key, old, new, kind in covered:
-            values = plan.extract(key)
-            if values is None:
-                continue
-            out_key = template.out_key(values)
-            if out_key is None:
-                continue
-            if not (updater.output_lo <= out_key < updater.output_hi):
-                continue
-            if kind is ChangeKind.REMOVE:
-                removes.append(out_key)
-            else:
-                inserts.append(
-                    (out_key, self._group_source_value(shared, key, new))
-                )
-        if not inserts and not removes:
-            return
-        counters = self.stats.counters
-        counters["write_plan_fires"] += len(inserts) + len(removes)
-        applied = False
-        if inserts:
-            inserts.sort(key=lambda pair: pair[0])
-            i, n = 0, len(inserts)
-            while i < n:
-                sr = stable.find(inserts[i][0])
-                if (
-                    sr is None
-                    or sr.state is not RangeState.VALID
-                    or sr.generation != updater.generation
-                ):
-                    i += 1
-                    continue
-                # Extend the run to every insert landing in this range:
-                # contiguous in the sorted order by the disjoint cover.
-                j = i + 1
-                while j < n and inserts[j][0] < sr.hi:
-                    j += 1
-                run = inserts[i:j]
-                i = j
-                applied = True
-                results, handle = plan.table.install_many(run)
-                if self.enable_hints:
-                    sr.hint = handle
-                counters["write_batched_installs"] += 1
-                self.stats.add("outputs_installed", len(run))
-                for (out_key, old), (_, value) in zip(results, run):
-                    self._notify_installed(out_key, old, value)
-        for out_key in removes:
-            sr = stable.find(out_key)
-            if (
-                sr is None
-                or sr.state is not RangeState.VALID
-                or sr.generation != updater.generation
-            ):
-                continue
-            applied = True
-            self._remove_output(out_key)
-        if applied:
-            self.stats.add("eager_updates")
-
     @staticmethod
     def _lazy_match(updater: Updater, key: str) -> bool:
-        """Does ``key`` concern this lazy updater's context?
-
-        Shared by the per-key and batched lazy paths so their matching
-        can never drift apart.
-        """
+        """Does ``key`` concern this lazy updater's context?"""
         src = updater.join.sources[updater.source_index]
         match = src.pattern.match(key)
         if match is None:
@@ -1322,11 +1325,7 @@ class JoinEngine:
     @staticmethod
     def _eager_child(updater: Updater, key: str) -> Optional[SlotConstraints]:
         """The constraint set for ``key`` pinned into this updater's
-        context, or None when the key doesn't concern it.
-
-        Shared by the per-key and batched eager paths so their matching
-        can never drift apart.
-        """
+        context, or None when the key doesn't concern it."""
         src = updater.join.sources[updater.source_index]
         match = src.pattern.match(key)
         if match is None:
@@ -1336,11 +1335,12 @@ class JoinEngine:
     def _group_source_value(
         self, shared: Dict[str, Value], key: str, new_value: Optional[str]
     ) -> Value:
-        """The batch-wide shared source value for ``key`` (§4.3).
+        """The pass-wide shared source value for ``key`` (§4.3).
 
-        Promoted at most once per batch per key, however many updaters
-        copy it — the batched analogue of ``notify_change``'s
-        once-per-notification promotion.
+        Promoted at most once per table pass per key, however many
+        updaters copy it — a post fanning out to hundreds of timelines
+        shares one buffer.  Only copies call this, so a value no copy
+        consumes stays a plain string.
         """
         value = shared.get(key)
         if value is None:
@@ -1382,105 +1382,6 @@ class JoinEngine:
             updater.template = template if template is not None else False
         return template if isinstance(template, FireTemplate) else None
 
-    def notify_change(
-        self,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-    ) -> None:
-        """Run every updater covering ``key`` (§3.2), then listeners."""
-        if self.fault_hook is not None:
-            self.fault_hook("maintenance")
-        table = self.store.existing_table_for_key(key)
-        if table is not None and table.updaters:
-            entries = table.updaters.stab(key)
-            copy_value: Optional[Value] = None
-            if entries and kind is not ChangeKind.REMOVE:
-                # Promote the source value once per notification, not
-                # once per updater — a post fanning out to hundreds of
-                # timelines shares one buffer (§4.3).
-                if self.enable_sharing:
-                    copy_value = self._shared_source_value(key, new_value or "")
-                else:
-                    copy_value = new_value or ""
-            fanout = 0
-            for entry in entries:
-                fanout += len(entry.payloads)
-                for updater in list(entry.payloads):
-                    self._fire_updater(
-                        table, entry, updater, key, old_value, new_value,
-                        kind, copy_value,
-                    )
-            counters = self.stats.counters
-            if fanout > counters["write_fanout_max"]:
-                counters["write_fanout_max"] = float(fanout)
-        for listener in self.listeners:
-            listener(key, old_value, new_value, kind)
-
-    def _fire_updater(
-        self,
-        table: Table,
-        entry,
-        updater: Updater,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-        copy_value: Optional[Value],
-    ) -> None:
-        stable = self.status.get(updater.join.output.table)
-        if stable is None:
-            return
-        if not stable.overlaps_any(updater.output_lo, updater.output_hi):
-            # Entire output range evicted: lazily garbage-collect (§2.5).
-            table.updaters.discard(entry.lo, entry.hi, updater)
-            self.updater_bytes -= updater.memory_size()
-            self.stats.add("updaters_collected")
-            return
-        self.stats.add("updaters_fired")
-        if updater.lazy:
-            self._fire_lazy(stable, updater, key, old_value, new_value, kind)
-        else:
-            self._fire_eager(
-                stable, updater, key, old_value, new_value, kind, copy_value
-            )
-
-    # ------------------------------------------------------------------
-    def _fire_lazy(
-        self,
-        stable: StatusTable,
-        updater: Updater,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-    ) -> None:
-        """Invalidate: partial (logged) for inserts, complete for removes.
-
-        A removed check tuple invalidates completely because eager
-        updaters derived from it must be retired; recomputation from
-        scratch rebuilds exactly the surviving updaters (§3.2).
-        """
-        if kind is ChangeKind.UPDATE:
-            return  # check sources: values are uninteresting
-        if not self._lazy_match(updater, key):
-            return
-        if kind is ChangeKind.INSERT:
-            self.stats.add("partial_invalidations")
-            pending = PendingEntry(
-                updater.join, updater.source_index, key, old_value, new_value,
-                kind,
-            )
-            for sr in stable.overlapping(updater.output_lo, updater.output_hi):
-                if sr.state is RangeState.VALID:
-                    if not sr.log_pending(pending):
-                        self.stats.add("pending_compacted")
-        else:
-            self.stats.add("complete_invalidations")
-            for sr in stable.overlapping(updater.output_lo, updater.output_hi):
-                sr.invalidate()
-
     def _apply_pending(
         self, tbl_name: str, stable: StatusTable, sr: StatusRange
     ) -> None:
@@ -1514,11 +1415,7 @@ class JoinEngine:
                 and pending[j].kind is entry.kind
             ):
                 j += 1
-            if (
-                j - i > 1
-                and self.enable_pending_batching
-                and self._apply_pending_run(sr, pending[i:j])
-            ):
+            if j - i > 1 and self._apply_pending_run(sr, pending[i:j]):
                 i = j
                 continue
             if self._apply_pending_entry(tbl_name, stable, sr, entry):
@@ -1529,7 +1426,7 @@ class JoinEngine:
         self, tbl_name: str, stable: StatusTable, sr: StatusRange,
         entry: PendingEntry,
     ) -> bool:
-        """Apply ONE pending entry (the per-key reference path).
+        """Apply ONE pending entry (the per-key fallback).
 
         Returns True when the entry forced a wholesale recomputation
         of the range, which supersedes any remaining log entries.
@@ -1596,124 +1493,6 @@ class JoinEngine:
             source_window=(source_index, lo, hi),
         )
         return True
-
-    # ------------------------------------------------------------------
-    def _fire_eager(
-        self,
-        stable: StatusTable,
-        updater: Updater,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-        copy_value: Optional[Value],
-    ) -> None:
-        """Apply a value-source change to the output immediately."""
-        join = updater.join
-        src = join.sources[updater.source_index]
-        if not src.is_check and plan_mod._PLAN_COMPILED:
-            plan = self._plan_for(updater)
-            if plan is not None:
-                template = self._plan_template(updater, plan)
-                if template is not None:
-                    self._fire_plan(
-                        stable, plan, template, updater, key,
-                        old_value, new_value, kind, copy_value,
-                    )
-                    return
-        child = self._eager_child(updater, key)
-        if child is None:
-            return
-        if src.is_check:
-            # The echeck extension: eager maintenance of a check source.
-            self._fire_eager_check(stable, updater, child, kind)
-            return
-        if join.is_aggregate:
-            self._eager_aggregate(
-                stable, updater, child, old_value, new_value, kind
-            )
-            return
-        # Copy join: re-execute the remaining sources with this key
-        # pinned.  For the common value-source-last join this recursion
-        # bottoms out immediately in a single insert or remove.
-        value: Value
-        if kind is ChangeKind.REMOVE:
-            value = old_value or ""
-            mode = ChangeKind.REMOVE
-        else:
-            value = copy_value if copy_value is not None else (new_value or "")
-            mode = ChangeKind.INSERT
-        applied = False
-        for sr in stable.overlapping(updater.output_lo, updater.output_hi):
-            if sr.state is not RangeState.VALID:
-                continue
-            if sr.generation != updater.generation:
-                continue  # superseded by a recomputation
-            lo, hi = clamp_range(updater.output_lo, updater.output_hi, sr.lo, sr.hi)
-            if not lo < hi:
-                continue
-            applied = True
-            self._exec_source(
-                join, updater.source_index + 1, child, lo, hi, value, sr,
-                None, None, mode=mode, skip_source=updater.source_index,
-            )
-        if applied:
-            self.stats.add("eager_updates")
-
-    def _fire_plan(
-        self,
-        stable: StatusTable,
-        plan: ExecPlan,
-        template: FireTemplate,
-        updater: Updater,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-        copy_value: Optional[Value],
-    ) -> None:
-        """One eager fire through the compiled plan.
-
-        State-equivalent to :meth:`_fire_eager`'s interpreted walk for
-        the compiled subset (value-source-last push joins): the slot
-        tuple replaces the regex match + ``child_with`` dict merge, the
-        bound template replaces ``expand``, and the containing status
-        range is found directly instead of re-checking the output key
-        against every overlapping range (only the containing range's
-        emission re-check can pass).
-        """
-        values = plan.extract(key)
-        if values is None:
-            return
-        out_key = template.out_key(values)
-        if out_key is None:
-            return  # context/source slot conflict: key not ours
-        if not (updater.output_lo <= out_key < updater.output_hi):
-            return
-        self.stats.counters["write_plan_fires"] += 1
-        if not plan.is_copy:
-            self._eager_aggregate_at(
-                stable, updater, out_key, old_value, new_value, kind
-            )
-            return
-        sr = stable.find(out_key)
-        if sr is None or sr.state is not RangeState.VALID:
-            return
-        if sr.generation != updater.generation:
-            return  # superseded by a recomputation
-        self.stats.add("eager_updates")
-        if kind is ChangeKind.REMOVE:
-            self._remove_output(out_key)
-            return
-        value: Value = (
-            copy_value if copy_value is not None else (new_value or "")
-        )
-        hint = sr.hint if self.enable_hints else None
-        handle, old = plan.table.put(out_key, value, hint=hint)
-        if self.enable_hints:
-            sr.hint = handle
-        self.stats.add("outputs_installed")
-        self._notify_installed(out_key, old, value)
 
     def _fire_eager_check(
         self,
@@ -1810,8 +1589,8 @@ class JoinEngine:
     ) -> None:
         """Adjust the aggregate accumulator at ``out_key``.
 
-        The tail of :meth:`_eager_aggregate`, split out so the compiled
-        plan path can enter with its precomputed output key.
+        The tail of :meth:`_eager_aggregate`, split out so a compiled
+        fire can enter with its precomputed output key.
         """
         join = updater.join
         sr = stable.find(out_key)

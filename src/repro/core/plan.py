@@ -1,23 +1,18 @@
 """Compiled per-join execution plans: for the write path, and for
 computing a range.
 
-PR 3 compiled the *read* path: patterns became slicing plans, and the
-interpreted segment walks survive only as the reference specification
-behind ``set_pattern_compilation``.  This module does the same for the
-*write* path's hot loop — eager updater fires.  The interpreted fire
-walks ``CacheJoin``/``_exec_source`` per follower per write: build a
-``SlotConstraints``, match the source key into a dict, merge dicts,
-``expand`` through ``format_map``, resolve the output table by string
-split.  At production fan-out (the celebrity problem) that per-fire
-interpretation dominates the write side.
+The *read* path's patterns compile into slicing plans.  This
+module does the same for the *write* path's hot loop, eager updater
+fires, which interpreted (``JoinEngine._fire_eager_group``) match the
+source key into a dict, merge dicts and ``expand`` per follower.
 
 An :class:`ExecPlan` compiles one (join, fired source) pair into flat
 precomputed state:
 
 * the **write-side slot plan** — ``Pattern.slot_tuple``'s absolute
-  extraction offsets, shared across every updater of the pattern, so a
-  fanned-out post extracts its slots once per change, not once per
-  follower;
+  extraction offsets, shared across every updater of the pattern, with
+  the last key's tuple kept, so a fanned-out post extracts its slots
+  once per change, not once per follower;
 * the **preresolved output table handle** — the join's output table is
   fixed, so the per-install ``table_for_key`` split+lookup goes away;
 * the **fused operator step** — ``copy`` installs directly; the
@@ -32,10 +27,8 @@ precomputed state:
 Plans only compile for the shape eager maintenance makes hot — a push
 join whose fired source is its value source *and* its last source (the
 paper's common value-source-last join).  Everything else (check and
-echeck sources, deep value sources, pull joins) falls back to the
-interpreted walk, which also remains the reference implementation
-behind :func:`set_plan_compilation`, toggled exactly like PR 3's
-``set_pattern_compilation``.
+echeck sources, deep value sources, pull joins) stays interpreted, as
+does everything while :func:`set_plan_compilation` is off.
 
 A :class:`ComputePlan` does the same for the *read* side's expensive
 step, first-touch compute and recompute of a materialized join's
@@ -91,8 +84,8 @@ class FireTemplate:
     source key — the compiled form of ``child_with``'s conflict test.
     ``injective`` records whether distinct source keys always produce
     distinct output keys (every free source slot appears in the
-    output); the batched install path requires it so reordering a
-    group can never change which write wins an output key.
+    output); a fan-out installed as one sorted run requires it, so
+    reordering can never change which write wins an output key.
     """
 
     __slots__ = ("fmt", "indexes", "checks", "injective")
@@ -133,7 +126,7 @@ class ExecPlan:
     cached on the updater itself.
     """
 
-    __slots__ = ("join", "source_index", "pattern", "operator", "table")
+    __slots__ = ("join", "source_index", "pattern", "operator", "table", "_last")
 
     def __init__(
         self,
@@ -152,6 +145,7 @@ class ExecPlan:
         #: for the store's lifetime, so the per-install name split and
         #: dict lookup compile away.
         self.table = table
+        self._last: tuple = (None, None)  # (key, its slot tuple)
 
     @property
     def is_copy(self) -> bool:
@@ -159,8 +153,14 @@ class ExecPlan:
 
     def extract(self, key: str) -> Optional[Tuple[str, ...]]:
         """The fired source's slot tuple for ``key`` (write-side slot
-        plan), or None when the key doesn't fit the source pattern."""
-        return self.pattern.slot_tuple(key)
+        plan), or None when the key doesn't fit the source pattern.
+        The last key's tuple is kept: a fanned-out write extracts once
+        for all its followers."""
+        last_key, values = self._last
+        if key is not last_key:
+            values = self.pattern.slot_tuple(key)
+            self._last = (key, values)
+        return values
 
     def bind(self, context: Dict[str, str]) -> Optional[FireTemplate]:
         """Compile one updater's context into a :class:`FireTemplate`.

@@ -23,7 +23,7 @@ from math import log2
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .interval_tree import IntervalTree
-from .keys import SEP, key_successor, prefix_upper_bound, subtable_prefix
+from .keys import SEP, SEP_SUCCESSOR, key_successor, prefix_upper_bound, subtable_prefix
 from .omap import resolve_map_impl
 from .rbtree import Node
 from .stats import StoreStats
@@ -231,16 +231,17 @@ class Table:
         self, pairs: List[Tuple[str, Value]]
     ) -> Tuple[List[Tuple[str, Optional[Value]]], Optional[PutHandle]]:
         """Install a key-sorted run of pairs: a computed range, or the
-        outputs one batched fire lands in one status range.
+        outputs of one write's fan-out.
 
         The run resolves its tree once per subtable it crosses, not
-        once per key, and each key is one ``insert_absent`` in that
-        tree — on the sorted array two bisects.  (The hint-chained puts
-        this replaced saved a descent per key only on the red-black
-        tree; on the sorted array a hint cost a locate on top of the
-        insert.)  Equal keys install in order, so the last one wins,
-        exactly as a sequence of :meth:`put` calls would; accounting
-        is per key, as there.
+        once per key (one hash jump each), and each key is one
+        ``insert_absent`` search in that tree — on the sorted array two
+        bisects — charged as one descent.  (The hint-chained puts this
+        replaced saved a descent per key only on the red-black tree; on
+        the sorted array a hint cost a locate on top of the insert.)
+        Equal keys install in order, so the last one wins, exactly as a
+        sequence of :meth:`put` calls would; accounting is per key, as
+        there.
 
         Returns the per-key ``(key, old_value)`` results in input
         order, plus a handle on the last key for the caller to keep as
@@ -249,13 +250,18 @@ class Table:
         counters = self.stats.counters
         counters["batched_installs"] += 1
         counters["puts"] += len(pairs)
+        counters["tree_descents"] += len(pairs)
         results: List[Tuple[str, Optional[Value]]] = []
         tree = node = None
         tree_hi = ""  # keys below this stay in ``tree``
+        cost = 0.0
         for key, value in pairs:
             if tree is None or not key < tree_hi:
-                tree = self._tree_for(key, create=True)
+                tree = self._locate_tree(key, create=True)
+                if self._tree is None:
+                    counters["hash_jumps"] += 1
                 tree_hi = self._tree_upper_bound(key)
+            cost += log2(len(tree) + 2)
             node, created = tree.insert_absent(key, value)
             if created:
                 self.key_count += 1
@@ -269,17 +275,18 @@ class Table:
                 self.memory_bytes -= release_value(old)
                 self.memory_bytes += acquire_value(value)
                 results.append((key, old))
+        counters["tree_descent_cost"] += cost
         return results, (PutHandle(tree, node) if node is not None else None)
 
     def _tree_upper_bound(self, key: str) -> str:
         """An exclusive bound below which keys sorting after ``key``
         still belong to ``key``'s tree."""
         if self._tree is not None:
-            return prefix_upper_bound(self.name + SEP)
+            return self.name + SEP_SUCCESSOR
         sub_id = self._subtable_id(key)
         if sub_id is None:  # residual: the next key may open a subtable
             return key_successor(key)
-        return prefix_upper_bound(sub_id)
+        return sub_id[:-1] + SEP_SUCCESSOR  # sub_id ends with SEP
 
     def replace_node_value(self, node, value: Value) -> Value:
         """Swap a stored node's value in place, keeping accounting exact.

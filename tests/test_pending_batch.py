@@ -17,9 +17,12 @@ TIMELINE = (
 
 
 def _twin_servers():
+    """A server, and a reference whose engine refuses every windowed
+    run, so each logged key falls back to its own pinned re-execution
+    (the per-key path)."""
     batched = PequodServer()
     reference = PequodServer()
-    reference.engine.enable_pending_batching = False
+    reference.engine._apply_pending_run = lambda sr, entries: False
     for srv in (batched, reference):
         srv.add_join(TIMELINE)
     return batched, reference

@@ -54,6 +54,17 @@ def read_everything(server: PequodServer) -> list:
     return rows
 
 
+def from_scratch(server: PequodServer, join: str, out: str) -> list:
+    """Table ``out`` as a fresh server computes it: ``join`` over a copy
+    of ``server``'s base tables, every range computed on first read."""
+    fresh = PequodServer()
+    fresh.add_join(join)
+    for name in ("p", "s"):
+        for key, value in server.scan(name, prefix_upper_bound(name)):
+            fresh.put(key, value)
+    return fresh.scan(out, prefix_upper_bound(out))
+
+
 # ======================================================================
 # The buffer
 # ======================================================================
@@ -530,7 +541,11 @@ class TestBatchEquivalenceProperty:
         """Any write sequence, applied per-key vs in WriteBatch chunks
         with reads at chunk boundaries, yields byte-identical store
         state — across eager (copy/echeck), lazy (check), and
-        aggregate maintenance."""
+        aggregate maintenance — and, at every chunk boundary, the
+        output a fresh server computes from scratch over the same base
+        data.  (Both servers maintain through one path, so the second
+        comparison is the one that can tell it wrong.)"""
+        out = join.split("|", 1)[0]
         per_key = PequodServer()
         batched = PequodServer()
         for srv in (per_key, batched):
@@ -553,5 +568,8 @@ class TestBatchEquivalenceProperty:
                 else:
                     per_key.put(key, value)
             batched.apply_batch(piece)
+            expected = from_scratch(batched, join, out)
+            for srv in (per_key, batched):
+                assert srv.scan(out, prefix_upper_bound(out)) == expected
             assert read_everything(per_key) == read_everything(batched)
         assert snapshot(per_key) == snapshot(batched)
