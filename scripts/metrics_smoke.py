@@ -2,7 +2,7 @@
 """End-to-end smoke of the observability surface, for the CI chaos lane.
 
 Boots a real ``ThreadedRpcService`` (its own thread, genuine TCP),
-drives traffic through ``SyncRpcClient``, hosts the Prometheus endpoint
+drives traffic through the unified RPC client, hosts the Prometheus endpoint
 on the service's loop, then scrapes ``GET /metrics`` over HTTP like a
 Prometheus server would and asserts the exposition text is well-formed
 and carries the series the README documents.  Exits non-zero with a
@@ -22,10 +22,10 @@ import urllib.error
 import urllib.request
 
 from repro.apps.twip import TIMELINE_JOIN
+from repro.client import make_client
 from repro.core.load import OverloadPolicy
 from repro.core.server import PequodServer
 from repro.metrics import MetricsHttpServer
-from repro.net.rpc_client import SyncRpcClient
 from repro.net.rpc_server import ThreadedRpcService
 from repro.store.keys import prefix_upper_bound
 
@@ -93,8 +93,7 @@ def fail(message: str) -> "NoReturn":  # noqa: F821 - py3.12 has NoReturn
 
 
 def drive_traffic(port: int) -> None:
-    client = SyncRpcClient("127.0.0.1", port)
-    try:
+    with make_client("rpc", host="127.0.0.1", port=port) as client:
         client.put("s|ann|bob", "1")
         client.put("p|bob|0001", "hello")
         client.scan("t|ann|", prefix_upper_bound("t|ann|"))
@@ -105,8 +104,6 @@ def drive_traffic(port: int) -> None:
         stats = client.stats()
         if "op_get" not in stats and "op_scan" not in stats:
             fail(f"stats() over RPC lacks op counters: {sorted(stats)[:8]}")
-    finally:
-        client.close()
 
 
 def drive_persistence(server: PequodServer) -> None:

@@ -24,8 +24,9 @@ paper's system and every substrate it depends on, in pure Python:
   PostgreSQL-like);
 * ``repro.apps`` — the example applications Twip and Newp with
   workload generators;
-* ``repro.bench`` — the experiment harness and cost model used to
-  regenerate the paper's figures.
+* ``repro.bench`` — the harness and cost model that regenerate the
+  paper's Figures 7–10.  This system's own end-to-end performance is
+  measured by the ledger (``ledger/run.py``), outside the package.
 
 Quickstart::
 

@@ -72,24 +72,6 @@ def format_series(
     return format_table(headers, rows, title=title)
 
 
-def write_batching_table(points: Sequence[Mapping[str, float]]) -> str:
-    """The write-batching sweep as a table (shared by CLI and bench)."""
-    rows = [
-        (
-            int(point["batch_size"]),
-            f"{point['ops_per_sec']:,.0f}",
-            f"{point['speedup']:.2f}x",
-            int(point["coalesced_ops"]),
-        )
-        for point in points
-    ]
-    return format_table(
-        ["batch size", "ops/sec", "speedup", "coalesced"],
-        rows,
-        title="Write batching — high-write Twip (batch=1 is per-key)",
-    )
-
-
 def crossover_point(
     xs: Sequence[float], a: Sequence[float], b: Sequence[float]
 ) -> Optional[float]:

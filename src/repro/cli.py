@@ -10,12 +10,10 @@ Commands:
   stream shows live updates;
 * ``demo``   — the quickstart walkthrough, on any backend
   (``--backend local|rpc|cluster``);
-* ``bench``  — regenerate a paper experiment (fig7 / fig8 / fig9 /
-  fig10 / write_batching / read_path / concurrency) or run the
-  ``twip`` workload through the unified client on one or all
-  deployment shapes (``--backend``), and print its table or series;
-* ``profile`` — cProfile a named bench workload and print the top-20
-  functions by cumulative time (where the next read-path hunt starts);
+* ``bench``  — regenerate one of the paper's Figures 7–10 (``fig7`` /
+  ``fig8`` / ``fig9`` / ``fig10``) at ``--scale`` and print its table
+  or series; this system's own performance is measured by the ledger
+  (``ledger/run.py``);
 * ``joins``  — parse and validate a join file, printing the normalized
   forms (a linter for cache-join specs).
 """
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import sys
 from typing import List, Optional
 
@@ -209,43 +208,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deployment shape to run the walkthrough on",
     )
 
-    bench = sub.add_parser("bench", help="regenerate a paper experiment")
+    bench = sub.add_parser("bench", help="regenerate a paper figure")
+    bench.add_argument("experiment", choices=["fig7", "fig8", "fig9", "fig10"])
     bench.add_argument(
-        "experiment",
-        choices=["fig7", "fig8", "fig9", "fig10", "write_batching",
-                 "read_path", "write_path", "twip", "concurrency",
-                 "overload", "persistence", "cluster_scaleout", "cdc"],
-    )
-    bench.add_argument(
-        "--scale", type=float, default=1.0,
-        help="scale factor on the canonical experiment size",
-    )
-    bench.add_argument(
-        "--backend", choices=["local", "rpc", "cluster", "all"],
-        default="all",
-        help="deployment shape(s) for the unified-client experiments "
-        "(twip): in-process, real TCP RPC, simulated cluster, or all "
-        "three with an identical-output-state check",
+        "--scale", type=_positive_scale, default=1.0,
+        help="scale factor (> 0) on the canonical figure size",
     )
     bench.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
-        help="also write the result as JSON (CI artifact / trend seed)",
-    )
-
-    profile = sub.add_parser(
-        "profile", help="cProfile a bench workload (top-20 cumulative)"
-    )
-    profile.add_argument(
-        "workload", choices=["read_path", "write_path", "write_batching",
-                             "twip"],
-    )
-    profile.add_argument(
-        "--scale", type=float, default=0.25,
-        help="scale factor on the canonical workload size",
-    )
-    profile.add_argument(
-        "--limit", type=int, default=20,
-        help="how many functions to print",
+        help="also write the result as JSON",
     )
 
     joins = sub.add_parser("joins", help="validate a cache-join file")
@@ -280,90 +251,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_demo(args.backend)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "joins":
         return _cmd_joins(args)
     return 2  # pragma: no cover - argparse enforces the choices
 
 
 # ----------------------------------------------------------------------
-# Canonical workload sizes at scale ``s`` — shared by ``bench`` and
-# ``profile`` so profiling always examines exactly the measured workload.
-def _read_path_sizes(s: float) -> dict:
-    return {
-        "n_users": max(50, int(400 * s)),
-        "mean_follows": max(4.0, 12 * min(s, 1.0)),
-        "total_ops": max(800, int(20000 * s)),
-    }
+def _positive_scale(text: str) -> float:
+    """``bench --scale``: a finite number above zero (argparse exits 2
+    on anything else)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
 
 
-def _write_path_sizes(s: float) -> dict:
-    return {
-        "fan_out": max(64, int(10000 * s)),
-        "rounds": max(2, int(8 * min(s, 1.0))),
-    }
+def _scaled(size: int, scale: float, floor: int) -> int:
+    """A figure's canonical ``size`` at ``scale``, never below the
+    smallest size the figure can run (e.g. two users for a graph)."""
+    return max(floor, int(size * scale))
 
 
-def _write_batching_sizes(s: float) -> dict:
-    return {
-        "n_users": max(20, int(400 * s)),
-        "mean_follows": max(3.0, 12 * min(s, 1.0)),
-        "posts": max(64, int(4096 * s)),
-    }
-
-
-def _twip_sizes(s: float) -> dict:
-    return {
-        "n_users": max(20, int(60 * s)),
-        "mean_follows": max(3.0, 6 * min(s, 2.0)),
-        "total_ops": max(100, int(800 * s)),
-    }
-
-
-def _concurrency_sizes(s: float) -> dict:
-    return {
-        "total_ops": max(400, int(2000 * s)),
-        "repeats": 3 if s >= 1.0 else 2,
-    }
-
-
-def _overload_sizes(s: float) -> dict:
-    return {
-        "n_users": max(40, int(300 * s)),
-        "mean_follows": max(3.0, 10 * min(s, 1.0)),
-        "ops": max(600, int(6000 * s)),
-    }
-
-
-def _cluster_scaleout_sizes(s: float) -> dict:
-    # Every scale runs the full (1, 2, 4, 8) ladder so smoke results
-    # stay point-for-point comparable with the committed baseline
-    # (scripts/bench_compare.py fails on vanished points); reduced
-    # scale shrinks the op count instead.
-    return {
-        "proc_counts": (1, 2, 4, 8),
-        "total_ops": max(400, int(4000 * s)),
-        "drivers": 2,
-    }
-
-
-def _cdc_sizes(s: float) -> dict:
-    return {
-        "n_users": max(20, int(60 * s)),
-        "mean_follows": max(3.0, 6 * min(s, 2.0)),
-        "total_ops": max(200, int(2000 * s)),
-    }
-
-
-def _persistence_sizes(s: float) -> dict:
-    return {
-        "n_keys": max(2000, int(100_000 * s)),
-        "read_ops": max(500, int(4000 * s)),
-    }
-
-
-# ----------------------------------------------------------------------
 def _overload_policy_from(args):
     """Build an OverloadPolicy from serve flags, or None."""
     if args.overload_mode is None:
@@ -511,8 +424,9 @@ def _cmd_cluster(args) -> int:
 
 def _metrics_cluster(args) -> int:
     """Scrape every node of a process cluster; node-label the series."""
+    from .client.base import run_unsuspended
     from .metrics import label_by_node, render_prometheus
-    from .net.rpc_client import SyncRpcClient
+    from .net.rpc_client import BlockingRpcClient
 
     per_node: dict = {}
     for spec in args.cluster.split(","):
@@ -521,17 +435,18 @@ def _metrics_cluster(args) -> int:
             print(f"bad --cluster endpoint {spec!r}; expected HOST:PORT",
                   file=sys.stderr)
             return 2
+        client = BlockingRpcClient(host, int(port))
         try:
-            client = SyncRpcClient(host, int(port))
+            run_unsuspended(client.connect())
         except OSError as exc:
             print(f"cannot connect to {spec}: {exc}", file=sys.stderr)
             return 1
         try:
-            info = client.call("cluster_info")
+            info = run_unsuspended(client.call("cluster_info"))
             name = info["name"] if isinstance(info, dict) else spec
-            per_node[name] = client.stats()
+            per_node[name] = run_unsuspended(client.stats())
         finally:
-            client.close()
+            run_unsuspended(client.close())
     merged = label_by_node(per_node)
     if args.match:
         merged = {k: v for k, v in merged.items() if args.match in k}
@@ -547,28 +462,30 @@ def _metrics_cluster(args) -> int:
 
 def _cmd_metrics(args) -> int:
     """Scrape a live ``repro serve`` instance over its RPC port."""
-    from .net.rpc_client import SyncRpcClient
+    from .client.base import run_unsuspended
+    from .net.rpc_client import BlockingRpcClient
 
     if args.cluster is not None:
         return _metrics_cluster(args)
+    client = BlockingRpcClient(args.host, args.port)
     try:
-        client = SyncRpcClient(args.host, args.port)
+        run_unsuspended(client.connect())
     except OSError as exc:
         print(f"cannot connect to {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 1
     try:
         if args.format == "prom":
-            text = client.call("metrics")
+            text = run_unsuspended(client.call("metrics"))
             if args.match:
                 text = "\n".join(
                     line for line in text.splitlines() if args.match in line
                 ) + "\n"
             sys.stdout.write(text)
             return 0
-        snapshot = client.stats()
+        snapshot = run_unsuspended(client.stats())
     finally:
-        client.close()
+        run_unsuspended(client.close())
     rows = sorted(snapshot.items())
     if args.match:
         rows = [(k, v) for k, v in rows if args.match in k]
@@ -683,213 +600,15 @@ def _cmd_bench(args) -> int:
         run_figure8,
         run_figure9,
         run_figure10,
-        run_write_batching,
     )
-    from .bench.report import (
-        format_series,
-        format_table,
-        normalized,
-        write_batching_table,
-    )
+    from .bench.report import format_series, format_table, normalized
 
     s = args.scale
     payload: dict = {"experiment": args.experiment, "scale": s}
-    if args.experiment != "twip" and args.backend != "all":
-        print(f"--backend applies to the 'twip' experiment; "
-              f"'{args.experiment}' regenerates a fixed paper figure",
-              file=sys.stderr)
-        return 2
-    if args.experiment == "twip":
-        from .bench.harness import run_twip_matrix
-
-        backends = (
-            ("local", "rpc", "cluster")
-            if args.backend == "all" else (args.backend,)
-        )
-        result = run_twip_matrix(backends=backends, **_twip_sizes(s))
-        payload.update(result)
-        rows = [
-            (name, f"{r['wall_s']:.3f} s", f"{r['ops_per_sec']:.0f}",
-             str(r["keys"]), r["state_sha256"][:12])
-            for name, r in result["backends"].items()
-        ]
-        print(format_table(
-            ["Backend", "Wall", "ops/s", "keys", "state digest"], rows,
-            title="Twip via the unified PequodClient",
-        ))
-        status = _finish_bench(args, payload)
-        if len(backends) > 1:
-            print("output state identical across backends:",
-                  result["state_identical"])
-            if not result["state_identical"]:
-                # JSON (with per-backend digests) is already written —
-                # the diagnostic survives the failure.
-                return 1
-        return status
-    if args.experiment == "concurrency":
-        from .bench.harness import run_concurrency
-
-        result = run_concurrency(**_concurrency_sizes(s))
-        payload.update(result)
-        rows = [
-            (str(p["depth"]), f"{p['ops_per_sec']:.0f}",
-             f"{p['speedup']:.2f}x")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["outstanding", "ops/s", "vs sync baseline"], rows,
-            title="Pipelined RPCs outstanding on one connection (§5.1)",
-        ))
-        print(f"sync baseline (one outstanding request): "
-              f"{result['baseline']['ops_per_sec']:.0f} ops/s")
-        return _finish_bench(args, payload)
-    if args.experiment == "cluster_scaleout":
-        from .bench.harness import run_cluster_scaleout
-
-        result = run_cluster_scaleout(**_cluster_scaleout_sizes(s))
-        payload.update(result)
-        rows = [
-            (str(p["processes"]), f"{p['ops_per_sec']:.0f}",
-             f"{p['speedup']:.2f}x", f"{p['p50_us']:.0f}",
-             f"{p['p95_us']:.0f}", f"{p['p99_us']:.0f}")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["procs", "ops/s", "vs 1 proc", "p50 us", "p95 us", "p99 us"],
-            rows,
-            title="Multi-process cluster scale-out (real TCP)",
-        ))
-        print(f"machine cores: {result['cpu_cores']}")
-        return _finish_bench(args, payload)
-    if args.experiment == "overload":
-        from .bench.harness import run_overload
-
-        result = run_overload(**_overload_sizes(s))
-        payload.update(result)
-        rows = [
-            (p["mode"], f"{p['ops_per_sec']:.0f}", f"{p['speedup']:.2f}x",
-             f"{p['served']:.0f}", f"{p['shed']:.0f}",
-             f"{p['stale_reads_served']:.0f}")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["Mode", "ops/s", "vs baseline", "served", "shed", "stale"],
-            rows,
-            title="Overload policy under a forced burst (middle half)",
-        ))
-        print("degrade staleness within bound:",
-              result["staleness_bounded"])
-        status = _finish_bench(args, payload)
-        if not result["staleness_bounded"]:
-            return 1
-        return status
-    if args.experiment == "cdc":
-        from .bench.harness import run_cdc
-
-        result = run_cdc(**_cdc_sizes(s))
-        payload.update(result)
-        rows = [
-            (p["mode"], f"{p['ops_per_sec']:.0f}", f"{p['speedup']:.2f}x",
-             f"{p['lag_p50_ms']:.2f}" if p.get("lag_p50_ms") is not None else "-",
-             f"{p['lag_p95_ms']:.2f}" if p.get("lag_p95_ms") is not None else "-",
-             f"{p['lag_p99_ms']:.2f}" if p.get("lag_p99_ms") is not None else "-")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["Mode", "ingest/s", "vs write-through",
-             "lag p50 ms", "p95 ms", "p99 ms"],
-            rows,
-            title="Write-around CDC: ingest rate and propagation lag",
-        ))
-        print("post-settle state identical to write-through:",
-              result["state_identical"])
-        status = _finish_bench(args, payload)
-        if not result["state_identical"]:
-            return 1
-        return status
-    if args.experiment == "persistence":
-        from .bench.harness import run_persistence
-
-        result = run_persistence(**_persistence_sizes(s))
-        payload.update(result)
-        rows = [
-            (p["config"],
-             f"{p['wall_s']:.3f} s" if "wall_s" in p else "-",
-             f"{p['ops_per_sec']:.0f}" if "ops_per_sec" in p else "-",
-             f"{p['speedup']:.2f}x")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["Configuration", "Wall", "ops/s", "ratio"], rows,
-            title="Durable persistence: recovery, spilled reads, bloom skips",
-        ))
-        print(f"recovery: {result['recovery']['recovery_ms']:.1f} ms for "
-              f"{result['workload']['n_keys']} keys")
-        print(f"bloom skipped {result['bloom']['skip_ratio'] * 100:.1f}% of "
-              f"negative segment probes")
-        print("state identical across shutdown/recovery:",
-              result["state_identical"])
-        status = _finish_bench(args, payload)
-        if not result["state_identical"]:
-            return 1
-        return status
-    if args.experiment == "read_path":
-        from .bench.harness import run_read_path
-
-        result = run_read_path(**_read_path_sizes(s))
-        payload.update(result)
-        rows = [
-            (p["config"], f"{p['cpu_s']:.3f} s", f"{p['ops_per_sec']:.0f}",
-             f"{p['speedup']:.2f}x")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["Configuration", "CPU", "ops/s", "speedup"], rows,
-            title="Read-path overhaul on the read-heavy Twip scan workload",
-        ))
-        micro = result["pattern_micro"]
-        print("pattern match (compiled vs reference): "
-              + ", ".join(
-                  f"{name} {m['speedup']:.2f}x" for name, m in micro.items()
-              ))
-        print("output state identical across configurations:",
-              result["state_identical"])
-        status = _finish_bench(args, payload)
-        if not result["state_identical"]:
-            return 1
-        return status
-    if args.experiment == "write_path":
-        from .bench.harness import run_write_path
-
-        result = run_write_path(**_write_path_sizes(s))
-        payload.update(result)
-        rows = [
-            (p["config"], f"{p['cpu_s']:.3f} s", f"{p['ops_per_sec']:.1f}",
-             f"{p['speedup']:.2f}x")
-            for p in result["points"]
-        ]
-        print(format_table(
-            ["Configuration", "CPU", "posts/s", "speedup"], rows,
-            title="Write-path overhaul on the celebrity fan-out workload",
-        ))
-        print("whole-table fast-path hits:",
-              int(result["whole_table_fastpath_hits"]))
-        print("output state identical across configurations:",
-              result["state_identical"])
-        status = _finish_bench(args, payload)
-        if not result["state_identical"]:
-            return 1
-        return status
-    if args.experiment == "write_batching":
-        result = run_write_batching(**_write_batching_sizes(s))
-        payload.update(result)
-        print(write_batching_table(result["points"]))
-        print("output state identical across batch sizes:",
-              result["state_identical"])
-        return _finish_bench(args, payload)
     if args.experiment == "fig7":
         runs = run_figure7(
-            n_users=int(500 * s), mean_follows=15, total_ops=int(12000 * s)
+            n_users=_scaled(500, s, 2), mean_follows=15,
+            total_ops=_scaled(12000, s, 1),
         )
         base = next(r.modeled_us for r in runs if r.name == "pequod")
         rows = [
@@ -903,8 +622,8 @@ def _cmd_bench(args) -> int:
     elif args.experiment == "fig8":
         pcts = (1, 10, 30, 50, 70, 90, 100)
         data = run_figure8(
-            n_users=int(200 * s), mean_follows=8, posts=int(250 * s),
-            active_pcts=pcts,
+            n_users=_scaled(200, s, 2), mean_follows=8,
+            posts=_scaled(250, s, 1), active_pcts=pcts,
         )
         series = {
             name: [r.modeled_us / 1e3 for r in runs]
@@ -927,8 +646,8 @@ def _cmd_bench(args) -> int:
                             title="Figure 9 — Newp joins (modeled ms)"))
     else:
         points = run_figure10(
-            server_counts=(3, 6, 9, 12), n_users=int(300 * s),
-            mean_follows=10, total_ops=int(6000 * s),
+            server_counts=(3, 6, 9, 12), n_users=_scaled(300, s, 2),
+            mean_follows=10, total_ops=_scaled(6000, s, 1),
         )
         rows = [
             (p.compute_servers, f"{p.throughput_qps / 1e6:.2f}M",
@@ -945,10 +664,6 @@ def _cmd_bench(args) -> int:
         ]
         print(format_table(["servers", "modeled qps", "sub traffic"], rows,
                            title="Figure 10 — scalability"))
-    return _finish_bench(args, payload)
-
-
-def _finish_bench(args, payload: dict) -> int:
     if args.json_path:
         import json
 
@@ -959,42 +674,6 @@ def _finish_bench(args, payload: dict) -> int:
             print(f"cannot write {args.json_path}: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {args.json_path}")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    """cProfile a named bench workload; print top functions by
-    cumulative time.  This is the profiling loop the read-path overhaul
-    came out of, packaged so the next hot-path hunt is one command."""
-    import cProfile
-    import pstats
-
-    s = args.scale
-
-    def run() -> None:
-        if args.workload == "read_path":
-            from .bench.harness import run_read_path
-
-            run_read_path(repeats=1, **_read_path_sizes(s))
-        elif args.workload == "write_path":
-            from .bench.harness import run_write_path
-
-            run_write_path(repeats=1, **_write_path_sizes(s))
-        elif args.workload == "write_batching":
-            from .bench.harness import run_write_batching
-
-            run_write_batching(**_write_batching_sizes(s))
-        else:
-            from .bench.harness import run_twip_matrix
-
-            run_twip_matrix(backends=("local",), **_twip_sizes(s))
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run()
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative").print_stats(args.limit)
     return 0
 
 

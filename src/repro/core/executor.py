@@ -70,7 +70,6 @@ from .clock import Clock, SystemClock
 from .joins import CacheJoin, JoinError
 from .operators import COPY, AggValue, ChangeKind, UpdateOutcome
 from .plan import ComputePlan, ExecPlan, FireTemplate, compile_exec_plan
-from . import plan as plan_mod
 from .ranges import SlotConstraints
 from .status import (
     PendingEntry,
@@ -146,14 +145,12 @@ class JoinEngine:
         stats: Optional[StoreStats] = None,
         enable_sharing: bool = True,
         enable_hints: bool = True,
-        enable_validation_memo: bool = True,
     ) -> None:
         self.store = store
         self.clock = clock if clock is not None else SystemClock()
         self.stats = stats if stats is not None else store.stats
         self.enable_sharing = enable_sharing
         self.enable_hints = enable_hints
-        self.enable_validation_memo = enable_validation_memo
         self.joins: List[CacheJoin] = []
         self._output_joins: Dict[str, List[CacheJoin]] = {}
         #: Precomputed views of ``joins``: materialized joins per output
@@ -358,7 +355,7 @@ class JoinEngine:
     ) -> None:
         tm.validations += 1
         memo = self._validation_memo.get(tbl_name)
-        if memo is not None and self.enable_validation_memo:
+        if memo is not None:
             # The paper's §4.2 hint idea applied to validation: the
             # range that answered the last scan ending at ``hi`` very
             # likely covers this one too — verify it structurally (see
@@ -444,7 +441,7 @@ class JoinEngine:
                 tm.fresh_hits += 1
                 sr.validated_at = now
                 self._touch(sr)
-        if not self.enable_validation_memo or len(pieces) != 1:
+        if len(pieces) != 1:
             return
         # Remember the single range now covering [lo, hi) for the next
         # scan ending at ``hi`` (incremental checks share their upper
@@ -1133,7 +1130,7 @@ class JoinEngine:
                 if child is not None:
                     self._fire_eager_check(stable, updater, child, kind)
             return
-        plan = self._plan_for(updater) if plan_mod._PLAN_COMPILED else None
+        plan = self._plan_for(updater)
         template = None if plan is None else self._plan_template(updater, plan)
         if src.operator != COPY:  # the value source of an aggregate
             for key, old, new, kind in covered:

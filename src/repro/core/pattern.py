@@ -39,10 +39,8 @@ and every installed output runs ``expand``.  Patterns therefore
 
 The original segment-walking implementations are kept as the
 ``*_reference`` methods: they are the executable specification the
-compiled paths are property-tested against, and the fallback when
-compilation is globally disabled (``set_pattern_compilation(False)``,
-used by ``repro bench read_path`` to measure the pre-compilation
-baseline).
+compiled paths are property-tested against (the tests swap them in for
+the compiled methods), and the memos fill from them on a miss.
 """
 
 from __future__ import annotations
@@ -54,26 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..store.keys import SEP, key_successor, prefix_upper_bound
 
 _SLOT_RE = re.compile(r"^<([A-Za-z_][A-Za-z0-9_]*)(?::(\d+))?>$")
-
-#: Global compilation switch.  On by default; the read-path benchmark
-#: flips it off to measure the uncompiled baseline.
-_COMPILED = True
-
-
-def set_pattern_compilation(enabled: bool) -> bool:
-    """Enable or disable compiled pattern paths globally.
-
-    Returns the previous setting so callers can restore it.  Intended
-    for benchmarks and equivalence tests; production leaves it on.
-    """
-    global _COMPILED
-    previous = _COMPILED
-    _COMPILED = bool(enabled)
-    return previous
-
-
-def pattern_compilation_enabled() -> bool:
-    return _COMPILED
 
 
 class LRUMemo:
@@ -306,8 +284,6 @@ class Pattern:
         schema-free, so ranges may contain keys that don't match their
         source patterns; those are skipped during join execution (§3.1).
         """
-        if not _COMPILED:
-            return self.match_reference(key)
         fixed = self._fixed
         if fixed is not None:
             total, runs, slot_spans, has_dup = fixed
@@ -370,8 +346,6 @@ class Pattern:
         plans index the result by precomputed slot offsets, so an eager
         updater fire allocates no dictionaries at all.
         """
-        if not _COMPILED:
-            return self.slot_tuple_reference(key)
         fixed = self._fixed
         if fixed is not None:
             total, runs, _, _ = fixed
@@ -404,8 +378,6 @@ class Pattern:
     # ------------------------------------------------------------------
     def expand(self, slots: Dict[str, str]) -> str:
         """The concrete key for a full slot assignment."""
-        if not _COMPILED:
-            return self.expand_reference(slots)
         try:
             key = self._fmt.format_map(slots)
         except KeyError as exc:
@@ -451,8 +423,6 @@ class Pattern:
         repeated scans of the same join ranges re-derive the same
         prefixes constantly.
         """
-        if not _COMPILED:
-            return self.expand_prefix_reference(slots)
         memo_key = tuple(sorted(slots.items()))
         hit = self._prefix_memo.get(memo_key)
         if hit is None:
@@ -485,8 +455,6 @@ class Pattern:
         hosted here so results memoize per source pattern — the same
         (pattern, constraints) pairs recur on every scan of a join.
         """
-        if not _COMPILED:
-            return self.containing_range_reference(exact, bounds)
         memo_key = (
             tuple(sorted(exact.items())),
             tuple(sorted(bounds.items())) if bounds else (),

@@ -27,8 +27,7 @@ precomputed state:
 Plans only compile for the shape eager maintenance makes hot — a push
 join whose fired source is its value source *and* its last source (the
 paper's common value-source-last join).  Everything else (check and
-echeck sources, deep value sources, pull joins) stays interpreted, as
-does everything while :func:`set_plan_compilation` is off.
+echeck sources, deep value sources, pull joins) stays interpreted.
 
 A :class:`ComputePlan` does the same for the *read* side's expensive
 step, first-touch compute and recompute of a materialized join's
@@ -52,26 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.store import OrderedStore
     from ..store.table import Table
     from .joins import CacheJoin
-
-#: Global plan-compilation switch.  On by default; ``repro bench
-#: write_path`` flips it off to measure the interpreted baseline.
-_PLAN_COMPILED = True
-
-
-def set_plan_compilation(enabled: bool) -> bool:
-    """Enable or disable compiled write-path plans globally.
-
-    Returns the previous setting so callers can restore it.  Intended
-    for benchmarks and equivalence tests; production leaves it on.
-    """
-    global _PLAN_COMPILED
-    previous = _PLAN_COMPILED
-    _PLAN_COMPILED = bool(enabled)
-    return previous
-
-
-def plan_compilation_enabled() -> bool:
-    return _PLAN_COMPILED
 
 
 class FireTemplate:

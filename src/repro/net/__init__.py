@@ -18,7 +18,7 @@ from .protocol import (
     parse_response,
 )
 from .protocol import PUSH, encode_push, parse_push
-from .rpc_client import BlockingRpcClient, RpcClient, RpcError, SyncRpcClient
+from .rpc_client import BlockingRpcClient, RpcClient, RpcError
 from .rpc_server import RpcServer, ThreadedRpcService
 from .simnet import SimError, SimHost, SimNetwork
 
@@ -40,7 +40,6 @@ __all__ = [
     "SimError",
     "SimHost",
     "SimNetwork",
-    "SyncRpcClient",
     "decode",
     "decode_batch_args",
     "decode_message",

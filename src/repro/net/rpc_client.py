@@ -9,14 +9,11 @@ ids are server pushes carrying watch-subscription changes (§2.4) and
 are routed to per-subscription sinks, so one connection interleaves
 pipelined responses and pushed updates.
 
-Two synchronous shapes sit on top.  :class:`BlockingRpcClient` keeps
-the whole ``RpcClient`` surface but replaces the transport with a
-plain blocking socket and one outstanding request, so its coroutines
-never suspend and a caller can step them without an event loop (the
-unified ``RemoteClient`` facade does).  :class:`SyncRpcClient` drives
-the asyncio transport through a private event loop per call — the
-strictly synchronous baseline the concurrency bench compares
-pipelining against.
+Synchronous callers use :class:`BlockingRpcClient`: it keeps the whole
+``RpcClient`` surface but replaces the transport with a plain blocking
+socket and one outstanding request, so its coroutines never suspend
+and a caller steps them without an event loop (the unified
+``RemoteClient`` facade does, through ``run_unsuspended``).
 """
 
 from __future__ import annotations
@@ -427,64 +424,3 @@ class BlockingRpcClient(RpcClient):
             if self._sock is not None:
                 sock.settimeout(None)
         return True
-
-
-class SyncRpcClient:
-    """Blocking facade over :class:`RpcClient` for synchronous code."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._client = RpcClient(host, port)
-        try:
-            self._loop.run_until_complete(self._client.connect())
-        except BaseException:
-            self._loop.close()
-            raise
-
-    def close(self) -> None:
-        self._loop.run_until_complete(self._client.close())
-        self._loop.close()
-
-    def call(self, method: str, *args: Any) -> Any:
-        return self._loop.run_until_complete(self._client.call(method, *args))
-
-    def get(self, key: str) -> Optional[str]:
-        return self.call("get", key)
-
-    def put(self, key: str, value: str) -> None:
-        self.call("put", key, value)
-
-    def remove(self, key: str) -> bool:
-        return self.call("remove", key)
-
-    def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
-        return self.call("scan", first, last)
-
-    def scan_prefix(self, prefix: str) -> List[Tuple[str, str]]:
-        return self.call("scan_prefix", prefix)
-
-    def count(self, first: str, last: str) -> int:
-        return self.call("count", first, last)
-
-    def add_join(self, text: str) -> List[str]:
-        return self.call("add_join", text)
-
-    def stats(self) -> Dict[str, float]:
-        return self.call("stats")
-
-    def ping(self) -> str:
-        return self.call("ping")
-
-    def write_batch(self) -> WriteBatch:
-        """A write batch that flushes through this client on apply."""
-        return WriteBatch(sink=self)
-
-    def apply_batch(self, batch: BatchLike) -> int:
-        pairs = _batch_pairs(batch)
-        if not pairs:
-            return 0
-        return self.call("batch", *protocol.encode_batch_args(pairs))
-
-    def put_many(self, pairs: Iterable[Tuple[str, str]]) -> int:
-        """Batch-write ``(key, value)`` pairs as one coalesced RPC."""
-        return self.apply_batch(pairs)

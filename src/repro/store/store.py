@@ -42,17 +42,12 @@ class OrderedStore:
     ``map_impl`` picks the ordered map backing every data tree: an
     :data:`~repro.store.omap.MAP_IMPLS` name, a factory callable, or
     None for the default (see ``omap.DEFAULT_MAP_IMPL``).
-
-    ``legacy_read_path`` routes :meth:`scan` through the pre-overhaul
-    per-item loop; it exists so ``repro bench read_path`` can measure
-    the overhaul against a faithful baseline, not for production use.
     """
 
     __slots__ = (
         "stats",
         "tables",
         "map_impl",
-        "legacy_read_path",
         "_map_factory",
         "_subtable_config",
     )
@@ -66,7 +61,6 @@ class OrderedStore:
         self.stats = stats if stats is not None else StoreStats()
         self.tables: Dict[str, Table] = {}
         self.map_impl = map_impl
-        self.legacy_read_path = False
         self._map_factory = resolve_map_impl(map_impl)
         self._subtable_config: Dict[str, int] = dict(subtable_config or {})
 
@@ -249,8 +243,6 @@ class OrderedStore:
 
     def scan(self, lo: str, hi: str) -> List[Tuple[str, str]]:
         """Client-visible ordered list of pairs with ``lo <= key < hi``."""
-        if self.legacy_read_path:
-            return self._scan_legacy(lo, hi)
         nodes = self.scan_nodes(lo, hi)
         if type(nodes) is not list:  # the sorted array returns snapshots
             nodes = list(nodes)
@@ -264,16 +256,6 @@ class OrderedStore:
             else (node.key, materialize(value))
             for node in nodes
         ]
-
-    def _scan_legacy(self, lo: str, hi: str) -> List[Tuple[str, str]]:
-        """The pre-overhaul per-item read loop, preserved so ``repro
-        bench read_path`` measures against a faithful baseline.  Charges
-        the same counter totals as :meth:`scan`."""
-        out = []
-        for node in self.scan_nodes(lo, hi):
-            self.stats.add("scanned_items")
-            out.append((node.key, materialize(node.value)))
-        return out
 
     def scan_iter(self, lo: str, hi: str) -> Iterator[Tuple[str, str]]:
         for node in self.scan_nodes(lo, hi):

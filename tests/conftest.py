@@ -1,16 +1,40 @@
-"""Shared test configuration: async test support.
+"""Shared test configuration: async test support and pattern oracles.
 
 The asyncio lane prefers ``pytest-asyncio`` (pinned in the ``[test]``
 extras, ``asyncio_mode = "auto"`` in pyproject.toml).  Offline
 environments without the plugin still run every async test: the hook
 below detects plain ``async def`` tests and drives each through
 ``asyncio.run`` with its (synchronous) fixtures resolved as usual.
+
+``pattern_mode`` runs a test twice: on the compiled ``Pattern`` paths
+and on the reference walkers that specify them.
 """
 
 import asyncio
 import inspect
 
 import pytest
+
+@pytest.fixture
+def reference_patterns(monkeypatch):
+    """Patch every compiled ``Pattern`` method to its ``*_reference``
+    twin (same signature) for the rest of the test, so the oracle
+    serves every match, expansion and containing range the code under
+    test asks for."""
+    from repro.core.pattern import Pattern
+
+    for name in ("match", "slot_tuple", "expand", "expand_prefix",
+                 "containing_range"):
+        monkeypatch.setattr(Pattern, name, getattr(Pattern, f"{name}_reference"))
+
+
+@pytest.fixture(params=["compiled", "reference"])
+def pattern_mode(request):
+    """Parametrize over the compiled paths and the reference walkers;
+    a module opts in whole with ``pytest.mark.usefixtures``."""
+    if request.param == "reference":
+        request.getfixturevalue("reference_patterns")
+    return request.param
 
 
 @pytest.hookimpl(tryfirst=True)

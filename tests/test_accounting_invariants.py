@@ -204,14 +204,6 @@ class TestCounterInvariants:
         assert store.stats.get("scanned_items") == before + len(out)
         assert store.stats.get("scans") == scans_before + 1
 
-    @pytest.mark.parametrize("store_impl", IMPLS)
-    def test_legacy_and_batched_scan_bill_identically(self, store_impl):
-        fast = self.build_store(store_impl)
-        legacy = self.build_store(store_impl)
-        legacy.legacy_read_path = True
-        assert fast.scan("p|", "p}") == legacy.scan("p|", "p}")
-        assert fast.stats.snapshot() == legacy.stats.snapshot()
-
     def test_eviction_scoring_charges_no_scans(self):
         srv = PequodServer(
             subtable_config={"t": 2}, memory_limit=10**9,

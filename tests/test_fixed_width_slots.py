@@ -9,16 +9,11 @@ exactly minimal.
 import pytest
 
 from repro import PequodServer
-from repro.core.pattern import Pattern, PatternError, set_pattern_compilation
+from repro.core.pattern import Pattern, PatternError
 
-
-@pytest.fixture(params=["compiled", "reference"], autouse=True)
-def pattern_mode(request):
-    """Fixed-width patterns are exactly the compiled slicing fast path;
-    run the whole module against it and against the reference walkers."""
-    previous = set_pattern_compilation(request.param == "compiled")
-    yield request.param
-    set_pattern_compilation(previous)
+#: Fixed-width patterns are exactly the compiled slicing fast path; run
+#: the whole module against it and against the reference walkers.
+pytestmark = pytest.mark.usefixtures("pattern_mode")
 
 
 @pytest.fixture(params=["rbtree", "sortedarray"])

@@ -11,19 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pattern import (
-    Pattern,
-    PatternError,
-    common_prefix_segments,
-    set_pattern_compilation,
-)
+from repro.core.pattern import Pattern, PatternError, common_prefix_segments
 
-
-@pytest.fixture(params=["compiled", "reference"], autouse=True)
-def pattern_mode(request):
-    previous = set_pattern_compilation(request.param == "compiled")
-    yield request.param
-    set_pattern_compilation(previous)
+pytestmark = pytest.mark.usefixtures("pattern_mode")
 
 
 class TestParsing:

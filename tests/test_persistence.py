@@ -257,14 +257,11 @@ class TestGracefulShutdown:
             assert "listening on" in banner
             port = int(banner.rsplit(":", 1)[1])
 
-            from repro.net.rpc_client import SyncRpcClient
+            from repro.client import make_client
 
-            client = SyncRpcClient("127.0.0.1", port)
-            try:
+            with make_client("rpc", host="127.0.0.1", port=port) as client:
                 for i in range(5):
                     client.put(f"p|bob|{i:04d}", f"durable {i}")
-            finally:
-                client.close()
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=15)
         except BaseException:

@@ -8,16 +8,11 @@ paths cannot diverge.
 
 import pytest
 
-from repro.core.pattern import Pattern, set_pattern_compilation
+from repro.core.pattern import Pattern
 from repro.core.ranges import SlotConstraints
 from repro.store.keys import key_successor, prefix_upper_bound
 
-
-@pytest.fixture(params=["compiled", "reference"], autouse=True)
-def pattern_mode(request):
-    previous = set_pattern_compilation(request.param == "compiled")
-    yield request.param
-    set_pattern_compilation(previous)
+pytestmark = pytest.mark.usefixtures("pattern_mode")
 
 TIMELINE = Pattern("t|<user>|<time>|<poster>")
 SUBS = Pattern("s|<user>|<poster>")

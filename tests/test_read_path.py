@@ -6,7 +6,7 @@ cover out from under a remembered range — invalidation, splits,
 eviction, snapshot expiry — and asserts reads stay correct.  The
 end-to-end parity tests run the same workload across both ``OrderedMap``
 implementations and both pattern paths and require byte-identical
-output, the same guarantee `repro bench read_path` asserts at scale.
+output.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
 from repro.client import make_client
 from repro.core.clock import SimClock
-from repro.core.pattern import set_pattern_compilation
 from repro.store.omap import MAP_IMPLS, resolve_map_impl
 from repro.store.rbtree import RBTree
 from repro.store.sortedarray import SortedArrayMap
@@ -38,15 +37,6 @@ class TestValidationMemo:
         srv.scan("t|ann|0005", "t|ann}")  # same upper bound, later lo
         srv.scan("t|ann|0008", "t|ann}")
         assert srv.stats.get("validation_memo_hits") == 2
-
-    def test_memo_disabled_never_hits(self):
-        srv = timeline_server()
-        srv.engine.enable_validation_memo = False
-        srv.put("s|ann|bob", "1")
-        srv.put("p|bob|0001", "x")
-        srv.scan("t|ann|", "t|ann}")
-        srv.scan("t|ann|", "t|ann}")
-        assert srv.stats.get("validation_memo_hits") == 0
 
     def test_writes_through_memo_stay_visible(self):
         srv = timeline_server()
@@ -159,36 +149,34 @@ class TestPluggableStore:
 
 class TestEndToEndParity:
     """One deterministic Twip mini-workload; identical output state
-    across both stores and both pattern paths (the bench's guarantee,
-    at unit-test scale)."""
+    across every store and both pattern paths (compiled, and the
+    reference walkers patched in)."""
 
-    def drive(self, store_impl, compiled) -> list:
-        previous = set_pattern_compilation(compiled)
-        try:
-            srv = timeline_server(store_impl=store_impl)
-            users = [f"u{i}" for i in range(8)]
-            for i, u in enumerate(users):
-                srv.put(f"s|{u}|u{(i + 1) % 8}", "1")
-                srv.put(f"s|{u}|u{(i + 3) % 8}", "1")
-            for t in range(40):
-                srv.put(f"p|u{t % 8}|{t:04d}", f"tweet {t}")
-            out = []
-            for u in users:
-                out.extend(srv.scan(f"t|{u}|", f"t|{u}}}"))
-            for t in range(40, 50):
-                srv.put(f"p|u{t % 8}|{t:04d}", f"tweet {t}")
-            srv.remove("s|u0|u1")
-            srv.put("s|u0|u5", "1")
-            for u in users:
-                out.extend(srv.scan(f"t|{u}|0020", f"t|{u}}}"))
-            out.extend(srv.scan("t|", "t}"))  # cross-timeline sweep
-        finally:
-            set_pattern_compilation(previous)
+    def drive(self, store_impl) -> list:
+        srv = timeline_server(store_impl=store_impl)
+        users = [f"u{i}" for i in range(8)]
+        for i, u in enumerate(users):
+            srv.put(f"s|{u}|u{(i + 1) % 8}", "1")
+            srv.put(f"s|{u}|u{(i + 3) % 8}", "1")
+        for t in range(40):
+            srv.put(f"p|u{t % 8}|{t:04d}", f"tweet {t}")
+        out = []
+        for u in users:
+            out.extend(srv.scan(f"t|{u}|", f"t|{u}}}"))
+        for t in range(40, 50):
+            srv.put(f"p|u{t % 8}|{t:04d}", f"tweet {t}")
+        srv.remove("s|u0|u1")
+        srv.put("s|u0|u5", "1")
+        for u in users:
+            out.extend(srv.scan(f"t|{u}|0020", f"t|{u}}}"))
+        out.extend(srv.scan("t|", "t}"))  # cross-timeline sweep
         return out
 
-    def test_all_configurations_agree(self):
-        reference = self.drive("rbtree", compiled=False)
+    def test_all_configurations_agree(self, request):
+        compiled = {impl: self.drive(impl) for impl in MAP_IMPLS}
+        request.getfixturevalue("reference_patterns")
+        reference = self.drive("rbtree")
         assert reference  # non-trivial workload
         for impl in MAP_IMPLS:
-            for compiled in (False, True):
-                assert self.drive(impl, compiled) == reference, (impl, compiled)
+            assert self.drive(impl) == reference, (impl, "reference")
+            assert compiled[impl] == reference, (impl, "compiled")

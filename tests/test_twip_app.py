@@ -78,7 +78,8 @@ class TestCelebrityMode:
         assert [text for _, _, text in got] == ["normal", "famous"]
 
     def test_celebrity_memory_savings(self):
-        """§2.3: celebrity joins save memory, not necessarily time."""
+        """§2.3: celebrity joins save memory, not necessarily time, and
+        change no timeline."""
         g = generate_graph(80, 8, seed=4)
         threshold = 3
 
@@ -90,10 +91,13 @@ class TestCelebrityMode:
                 app.timeline(user)
             return app.server.memory_bytes()
 
-        plain = run(TwipApp())
+        plain_app = TwipApp()
+        plain = run(plain_app)
         celeb_app = TwipApp(celebrity_threshold=threshold, graph=g)
         celeb = run(celeb_app)
         assert celeb < plain
+        for user in g.users:
+            assert celeb_app.timeline(user) == plain_app.timeline(user), user
 
 
 class TestBackendAdapter:

@@ -300,6 +300,20 @@ class TestSegmentStack:
         assert reopened.read("a|3") == (True, "z")
         reopened.close()
 
+    def test_blooms_skip_segments_whose_range_overlaps(self, tmp_path):
+        """Interleaved waves: every segment's key range covers every
+        probe, so only the blooms can rule segments out."""
+        stats = StoreStats()
+        stack = SegmentStack(str(tmp_path / "segs"), stats=stats)
+        keys = [f"p|{i:05d}" for i in range(3000)]
+        for wave in range(3):
+            stack.push([(k, "v") for i, k in enumerate(keys) if i % 3 == wave])
+        assert all(stack.read(k) == (True, "v") for k in keys)
+        negatives = stats.get("persist_bloom_negatives")
+        false_pos = stats.get("persist_bloom_false_positives")
+        assert negatives / (negatives + false_pos) >= 0.9
+        stack.close()
+
     def test_compaction_merges_and_drops_tombstones(self, tmp_path):
         stats = StoreStats()
         stack = SegmentStack(str(tmp_path / "segs"), stats=stats)

@@ -3,8 +3,8 @@
 Mirrors ``test_read_path.py`` for PR 8: the compiled fire path
 (``core.plan``) is property-tested against its interpreted reference,
 and an end-to-end celebrity workload must leave byte-identical store
-state with plans on and off — the same guarantee ``repro bench
-write_path`` asserts at fan-out 10k.  The whole-table validity fast
+state with plans on and off (``JoinEngine._plan_for`` patched to
+return None for the interpreted side).  The whole-table validity fast
 path is exercised through the situations that must defeat it:
 invalidation, pending logs, gaps in the cover, and memory limits.
 """
@@ -19,11 +19,7 @@ from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
 from repro.core.grammar import parse_join
 from repro.core.pattern import Pattern
-from repro.core.plan import (
-    compile_exec_plan,
-    plan_compilation_enabled,
-    set_plan_compilation,
-)
+from repro.core.plan import compile_exec_plan
 from repro.core.updaters import Updater, install_updater
 from repro.store.keys import prefix_upper_bound
 from repro.store.store import OrderedStore
@@ -270,36 +266,37 @@ class TestWritePathParity:
     FAN_OUT = 1000
 
     def drive(self, plans: bool, fastpath: bool = False) -> str:
-        previous = set_plan_compilation(plans)
-        try:
-            srv = timeline_server()
-            srv.engine.enable_whole_table_fastpath = fastpath
-            followers = [f"u{i:05d}" for i in range(self.FAN_OUT)]
-            for u in followers:
-                srv.put(f"s|{u}|celeb", "1")
-            srv.put("p|celeb|0000000000", "warmup")
-            for u in followers:
-                srv.scan(f"t|{u}|", prefix_upper_bound(f"t|{u}|"))
-            srv.scan("t|", "t}")  # tile the gaps: contiguous cover
-            # Single-key fan-out writes, including an overwrite and a
-            # retraction.
-            srv.put("p|celeb|0000000001", "post one")
-            srv.put("p|celeb|0000000001", "post one, edited")
-            srv.remove("p|celeb|0000000000")
-            # Batched fan-out writes: coalesced, one maintenance pass.
-            with srv.write_batch() as batch:
-                for t in range(2, 10):
-                    batch.put(f"p|celeb|{t:010d}", f"batch {t}")
-                batch.remove("p|celeb|0000000002")
-            # Interleave reads so validation runs between write rounds.
-            srv.scan("t|u00000|", prefix_upper_bound("t|u00000|"))
-            srv.scan("t|", "t}")
-            with srv.write_batch() as batch:
-                for t in range(10, 14):
-                    batch.put(f"p|celeb|{t:010d}", f"batch {t}")
-            return state_digest(srv)
-        finally:
-            set_plan_compilation(previous)
+        srv = timeline_server()
+        if not plans:
+            # The interpreted reference: no updater gets a compiled plan.
+            srv.engine._plan_for = lambda updater: None
+        srv.engine.enable_whole_table_fastpath = fastpath
+        followers = [f"u{i:05d}" for i in range(self.FAN_OUT)]
+        for u in followers:
+            srv.put(f"s|{u}|celeb", "1")
+        srv.put("p|celeb|0000000000", "warmup")
+        for u in followers:
+            srv.scan(f"t|{u}|", prefix_upper_bound(f"t|{u}|"))
+        srv.scan("t|", "t}")  # tile the gaps: contiguous cover
+        # Single-key fan-out writes, including an overwrite and a
+        # retraction.
+        srv.put("p|celeb|0000000001", "post one")
+        srv.put("p|celeb|0000000001", "post one, edited")
+        srv.remove("p|celeb|0000000000")
+        # Batched fan-out writes: coalesced, one maintenance pass.
+        with srv.write_batch() as batch:
+            for t in range(2, 10):
+                batch.put(f"p|celeb|{t:010d}", f"batch {t}")
+            batch.remove("p|celeb|0000000002")
+        # Interleave reads so validation runs between write rounds.
+        srv.scan("t|u00000|", prefix_upper_bound("t|u00000|"))
+        srv.scan("t|", "t}")
+        with srv.write_batch() as batch:
+            for t in range(10, 14):
+                batch.put(f"p|celeb|{t:010d}", f"batch {t}")
+        if not plans:
+            assert srv.stats.get("write_plan_fires") == 0
+        return state_digest(srv)
 
     def test_compiled_matches_reference(self):
         reference = self.drive(plans=False)
@@ -307,33 +304,21 @@ class TestWritePathParity:
         assert self.drive(plans=True, fastpath=True) == reference
 
     def test_compiled_path_actually_fires(self):
-        previous = set_plan_compilation(True)
-        try:
-            srv = timeline_server()
-            srv.put("s|ann|bob", "1")
-            srv.scan("t|ann|", "t|ann}")
-            srv.put("p|bob|0000000001", "x")
-            with srv.write_batch() as batch:
-                batch.put("p|bob|0000000002", "y")
-                batch.put("p|bob|0000000003", "z")
-            assert srv.stats.get("write_plan_compiles") >= 1
-            assert srv.stats.get("write_plan_fires") >= 3
-            assert srv.stats.get("write_batched_installs") >= 1
-            assert srv.scan("t|ann|", "t|ann}") == [
-                ("t|ann|0000000001|bob", "x"),
-                ("t|ann|0000000002|bob", "y"),
-                ("t|ann|0000000003|bob", "z"),
-            ]
-        finally:
-            set_plan_compilation(previous)
-
-    def test_toggle_restores_previous_setting(self):
-        initial = plan_compilation_enabled()
-        previous = set_plan_compilation(False)
-        assert previous == initial
-        assert not plan_compilation_enabled()
-        set_plan_compilation(previous)
-        assert plan_compilation_enabled() == initial
+        srv = timeline_server()
+        srv.put("s|ann|bob", "1")
+        srv.scan("t|ann|", "t|ann}")
+        srv.put("p|bob|0000000001", "x")
+        with srv.write_batch() as batch:
+            batch.put("p|bob|0000000002", "y")
+            batch.put("p|bob|0000000003", "z")
+        assert srv.stats.get("write_plan_compiles") >= 1
+        assert srv.stats.get("write_plan_fires") >= 3
+        assert srv.stats.get("write_batched_installs") >= 1
+        assert srv.scan("t|ann|", "t|ann}") == [
+            ("t|ann|0000000001|bob", "x"),
+            ("t|ann|0000000002|bob", "y"),
+            ("t|ann|0000000003|bob", "z"),
+        ]
 
 
 # ----------------------------------------------------------------------
