@@ -197,7 +197,7 @@ def main() -> int:
         drive_traffic(service.port)
         drive_persistence(server)
         asyncio.run_coroutine_threadsafe(
-            metrics.start(), service._loop  # noqa: SLF001 - loopback smoke
+            metrics.start(), service.loop
         ).result(timeout=5)
         url = f"http://127.0.0.1:{metrics.port}/metrics"
         with urllib.request.urlopen(url, timeout=5) as resp:
@@ -221,13 +221,13 @@ def main() -> int:
         except urllib.error.HTTPError as exc:
             if exc.code != 404:
                 fail(f"GET /other -> {exc.code}, expected 404")
-        cdc_samples = scrape_cdc(service._loop)  # noqa: SLF001
+        cdc_samples = scrape_cdc(service.loop)
         print(f"metrics smoke OK: {samples} samples at {url}, "
               f"{cdc_samples} write-around samples")
         return 0
     finally:
         asyncio.run_coroutine_threadsafe(
-            metrics.close(), service._loop
+            metrics.close(), service.loop
         ).result(timeout=5)
         service.stop()
         server.close()

@@ -31,91 +31,47 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.eviction import Evictable
-from ..core.executor import DataResolver, JoinEngine
+from ..core.executor import JoinEngine
+from ..core.mirror import MirrorResolver
 from ..core.operators import ChangeKind
 from ..core.server import PequodServer
-from ..core.status import StatusRange, StatusTable
 from .database import BackingDatabase
+from .notify import Subscription
 
 
-class CachedBaseRange(Evictable):
-    """An LRU entry for a database-backed base range (§2.5's third kind
-    of evictable data: "cached base data, loaded on demand")."""
+class CachedBaseResolver(MirrorResolver):
+    """Mirrors base tables from the database (§3.3): the database
+    adapter of :class:`~repro.core.mirror.MirrorResolver`.
 
-    __slots__ = ("resolver", "table", "lo", "hi")
-
-    def __init__(self, resolver: "CachedBaseResolver", table: str, lo: str, hi: str):
-        self.resolver = resolver
-        self.table = table
-        self.lo = lo
-        self.hi = hi
-
-    def evict(self, engine: JoinEngine) -> None:
-        self.resolver.drop_range(engine, self.table, self.lo, self.hi)
-
-
-class CachedBaseResolver(DataResolver):
-    """Loads missing base-data ranges from the database (§3.3).
-
-    Tracks which ranges are cache-resident per table (the same disjoint
-    cover structure as join status ranges), fetches gaps in bulk, and
-    subscribes to the database so later changes flow into the cache —
-    where they trigger ordinary join maintenance.  Loaded ranges join
-    the server's LRU so memory pressure can push them out (§2.5).
+    The database is home to every slice of a base table; a fetch is one
+    range query plus a notification subscription, whose changes flow
+    into the cache and trigger ordinary join maintenance.  Mirrored
+    ranges join the server's LRU so memory pressure can push them out
+    (§2.5's "cached base data, loaded on demand").
     """
 
-    def __init__(self, db: BackingDatabase, base_tables: Set[str]) -> None:
+    def __init__(
+        self, db: BackingDatabase, base_tables: Set[str], engine: JoinEngine
+    ) -> None:
+        super().__init__(self._homes, self._fetch, self._unsubscribe)
         self.db = db
         self.base_tables = set(base_tables)
-        self.presence: Dict[str, StatusTable] = {}
-        self._engine: Optional[JoinEngine] = None
-        self._subscriptions: Dict[tuple, object] = {}
-        self.ranges_loaded = 0
-        self.ranges_evicted = 0
+        self.engine = engine
+        self._subscriptions: Dict[Tuple[str, str], Subscription] = {}
 
-    def attach(self, engine: JoinEngine) -> None:
-        self._engine = engine
+    def _homes(self, table: str, lo: str, hi: str):
+        return [(lo, hi, "db", False)] if table in self.base_tables else None
 
-    # -- DataResolver ----------------------------------------------------------
-    def ensure_range(self, engine: JoinEngine, table: str, lo: str, hi: str) -> None:
-        if table not in self.base_tables:
-            return
-        self._engine = engine
-        stable = self.presence.setdefault(table, StatusTable())
-        for gap_lo, gap_hi, sr in stable.pieces(lo, hi):
-            if sr is not None:
-                continue
-            rows = self.db.query(gap_lo, gap_hi)
-            tbl = engine.store.table(table)
-            for key, value in rows:
-                tbl.put(key, value)
-            fresh = StatusRange(gap_lo, gap_hi)
-            stable.add(fresh)
-            self.ranges_loaded += 1
-            self._subscriptions[(table, gap_lo, gap_hi)] = self.db.subscribe(
-                gap_lo, gap_hi, self._on_db_change
-            )
-            fresh.lru_entry = engine.lru.add(
-                CachedBaseRange(self, table, gap_lo, gap_hi)
-            )
+    def _fetch(self, home: str, table: str, lo: str, hi: str):
+        rows = self.db.query(lo, hi)
+        self._subscriptions[(lo, hi)] = self.db.subscribe(lo, hi, self._on_db_change)
+        return rows
 
-    def drop_range(self, engine: JoinEngine, table: str, lo: str, hi: str) -> None:
-        """Evict a cached base range: forget coverage, cancel the DB
-        subscription, and remove the rows (dependents invalidate via
-        ordinary REMOVE notifications)."""
-        stable = self.presence.get(table)
-        if stable is None:
-            return
-        for sr in stable.isolate(lo, hi):
-            stable.remove(sr)
-        sub = self._subscriptions.pop((table, lo, hi), None)
+    def _unsubscribe(self, home: str, table: str, lo: str, hi: str) -> None:
+        sub = self._subscriptions.pop((lo, hi), None)
         if sub is not None:
             self.db.unsubscribe(sub)
-        engine._clear_range(lo, hi)
-        self.ranges_evicted += 1
 
-    # -- notification sink -------------------------------------------------------
     def _on_db_change(
         self,
         key: str,
@@ -123,18 +79,9 @@ class CachedBaseResolver(DataResolver):
         new_value: Optional[str],
         kind: ChangeKind,
     ) -> None:
-        engine = self._engine
-        if engine is None:
-            return
-        # Only resident ranges are kept fresh; others reload on demand.
-        table = key.split("|", 1)[0]
-        stable = self.presence.get(table)
-        if stable is None or stable.find(key) is None:
-            return
-        if kind is ChangeKind.REMOVE:
-            engine.apply_remove(key)
-        else:
-            engine.apply_put(key, new_value or "")
+        pairs = self.covered([(key, old_value, new_value, kind)])
+        if pairs:
+            self.engine.apply_batch(pairs)
 
 
 class _BaseDeployment:
@@ -148,8 +95,7 @@ class _BaseDeployment:
     ) -> None:
         self.server = server
         self.db = db
-        self.resolver = CachedBaseResolver(db, set(base_tables))
-        self.resolver.attach(server.engine)
+        self.resolver = CachedBaseResolver(db, set(base_tables), server.engine)
         server.set_resolver(self.resolver)
 
     # Reads always come from the cache.

@@ -6,7 +6,7 @@ key-value cache — lives here.
 """
 
 from .clock import Clock, SimClock, SystemClock
-from .eviction import Evictable, EvictionManager
+from .eviction import EvictionManager
 from .executor import ChangeListener, DataResolver, JoinEngine
 from .grammar import GrammarError, parse_join, parse_joins
 from .joins import CacheJoin, JoinError, MaintenanceType, Source
@@ -24,6 +24,7 @@ from .operators import (
     UpdateOutcome,
 )
 from .hub import ChangeEvent, ChangeHub, WatchHandle
+from .mirror import MirroredRange, MirrorResolver
 from .pattern import Pattern, PatternError, Segment
 from .ranges import SlotConstraints
 from .server import PequodServer
@@ -49,7 +50,6 @@ __all__ = [
     "ChangeListener",
     "Clock",
     "DataResolver",
-    "Evictable",
     "EvictionManager",
     "GrammarError",
     "JoinEngine",
@@ -57,6 +57,8 @@ __all__ = [
     "MAX",
     "MIN",
     "MaintenanceType",
+    "MirrorResolver",
+    "MirroredRange",
     "OPERATORS",
     "Pattern",
     "PatternError",

@@ -1,16 +1,20 @@
 """Eviction under memory pressure (paper §2.5).
 
 Pequod evicts least-recently-used *ranges*: computed join outputs,
-remote subscribed copies, and cached base data.  Evicting a range
-removes its keys and invalidates dependent computed data — dependents
-see ordinary REMOVE notifications, so downstream copies retract and
-downstream check-ranges invalidate, giving the paper's transitive
-effect for free.
+remote subscribed copies, and cached base data.  Evicting a range first
+invalidates the computed ranges built on it — the updaters installed
+over it name them (:meth:`JoinEngine.invalidate_dependents`) — then
+removes its keys.  A dependent recomputes on its next read, which
+recomputes or refetches what it reads in turn: the paper's transitive
+effect.  The REMOVEs alone would not give it: a copy source's REMOVE
+only deletes the derived row, leaving the downstream range VALID and
+short.
 
-The engine tracks join status ranges in its LRU automatically.  Other
-layers (the database deployment's cached base ranges, the distributed
-layer's remote subscriptions) register :class:`Evictable` payloads on
-the same list, so one policy covers all three kinds of data.
+The engine tracks join status ranges in its LRU automatically.  The
+mirrored ranges of a :class:`~repro.core.mirror.MirrorResolver` (remote
+copies and cached base data) join the same list as
+:class:`~repro.core.mirror.MirroredRange` payloads, so one policy covers
+all three kinds of data.
 """
 
 from __future__ import annotations
@@ -18,14 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .executor import JoinEngine
-
-
-class Evictable:
-    """Interface for non-status-range LRU payloads."""
-
-    def evict(self, engine: JoinEngine) -> None:
-        raise NotImplementedError
-
+from .mirror import MirroredRange
 
 #: Eviction policies: plain LRU (the paper's prototype) and the
 #: paper's suggested improvement — weigh reload cost against bytes.
@@ -99,7 +96,7 @@ class EvictionManager:
             return self.spill and self.engine.store.spill_all() > 0
         self.engine.lru.remove(entry)
         payload = entry.payload
-        if isinstance(payload, Evictable):
+        if isinstance(payload, MirroredRange):
             payload.evict(self.engine)
         else:
             tbl_name, sr = payload
@@ -115,7 +112,7 @@ class EvictionManager:
             if entry.pinned:
                 continue
             payload = entry.payload
-            if isinstance(payload, Evictable):
+            if isinstance(payload, MirroredRange):
                 continue
             _, sr = payload
             if sr.spilled:
@@ -147,7 +144,7 @@ class EvictionManager:
 
     def _score(self, payload) -> float:
         """Bytes freed per unit of recompute cost (higher = evict first)."""
-        if isinstance(payload, Evictable):
+        if isinstance(payload, MirroredRange):
             return 1.0  # remote/base ranges: reload cost is one fetch
         _, sr = payload
         freed = 0

@@ -693,7 +693,9 @@ class JoinEngine:
 
     def retire_range(self, tbl_name: str, sr: StatusRange) -> None:
         """Take ``sr`` out of the cover (eviction, a failed compute, a
-        dropped cluster slice): rows, builds, status, LRU and memo."""
+        dropped cluster slice): dependents, rows, builds, status, LRU
+        and memo."""
+        self.invalidate_dependents(tbl_name, sr.lo, sr.hi)
         self._clear_range(sr.lo, sr.hi)
         self._release_builds(sr)
         self.status[tbl_name].remove(sr)
@@ -704,6 +706,31 @@ class JoinEngine:
         memo = self._validation_memo.get(tbl_name)
         if memo is not None and memo.get(sr.hi) is sr:
             del memo[sr.hi]
+
+    def invalidate_dependents(self, tbl_name: str, lo: str, hi: str) -> None:
+        """Invalidate every range built on ``[lo, hi)`` of ``tbl_name``.
+
+        What is about to be forgotten (an evicted join output, a
+        dropped mirror) would otherwise leave the ranges computed from
+        it VALID: its REMOVEs retract their rows, and nothing brings
+        them back — that key space is no longer maintained here.  The
+        updaters over ``[lo, hi)`` name exactly those ranges; each one
+        recomputes on its next read, which resolves the source again
+        (§2.5: invalidate dependent computed data).  Call it before
+        clearing, so the REMOVEs find the dependents already INVALID.
+        """
+        table = self.store.tables.get(tbl_name)
+        if table is None or not table.updaters:
+            return
+        for entry in table.updaters.overlapping(lo, hi):
+            for updater in entry.payloads:
+                stable = self.status.get(updater.join.output.table)
+                if stable is None:
+                    continue
+                for sr in self._owning_ranges(stable, updater):
+                    if sr.state is not RangeState.INVALID:
+                        self.stats.add("complete_invalidations")
+                        sr.invalidate()
 
     def _release_builds(self, sr: StatusRange) -> None:
         """Let go of ``sr``'s builds and uninstall the updaters of each

@@ -41,7 +41,8 @@ class PequodServer:
     * ``subtable_config`` — developer-marked subtable boundaries per
       table (§4.1), e.g. ``{"t": 2}`` for one subtable per timeline.
     * ``enable_sharing`` / ``enable_hints`` — the §4.2/§4.3
-      optimizations, exposed so the ablation benchmarks can toggle them.
+      optimizations; the client-Pequod baseline (§5.2,
+      ``baselines.client_pequod``) turns both off.
     * ``memory_limit`` — optional byte budget; exceeding it evicts
       least-recently-used ranges (§2.5).
     * ``clock`` — injectable time source for snapshot joins.

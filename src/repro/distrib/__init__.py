@@ -4,13 +4,10 @@ from .cluster import Cluster, Session
 from .node import (
     MSG_FETCH,
     MSG_FETCH_REPLY,
-    MSG_SUBSCRIBE,
-    MSG_UPDATE,
     MSG_UPDATE_BATCH,
     ROLE_BASE,
     ROLE_COMPUTE,
     DistributedNode,
-    RemoteResolver,
 )
 from .partition import Partitioner, stable_hash
 from .partition_map import HashPartitionMap, MapRange, PartitionMap
@@ -34,15 +31,12 @@ __all__ = [
     "MapRange",
     "MSG_FETCH",
     "MSG_FETCH_REPLY",
-    "MSG_SUBSCRIBE",
-    "MSG_UPDATE",
     "MSG_UPDATE_BATCH",
     "PartitionMap",
     "Partitioner",
     "ProcCluster",
     "ROLE_BASE",
     "ROLE_COMPUTE",
-    "RemoteResolver",
     "Session",
     "SubscriptionRegistry",
     "UpdateBuffer",

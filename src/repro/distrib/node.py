@@ -5,26 +5,25 @@ scalability experiment (§5.5): *base* nodes are home servers absorbing
 writes; *compute* nodes execute cache joins near clients and mirror the
 base ranges those joins read.
 
-A compute node's :class:`RemoteResolver` implements §3.3's missing-data
-resolution: before a join scans a source range, gaps in the locally
-mirrored coverage are fetched in bulk from the range's home server and
-a subscription is installed there.  Fetches apply synchronously (the
-paper uses asynchronous fetch + restart contexts; the outcome — all
-data resident before the query completes — is identical) but are
-charged to the simulated network.  Subscription *updates* travel as
-real asynchronous messages, so replicas are eventually consistent
-exactly as described.
+A compute node's :class:`~repro.core.mirror.MirrorResolver` implements
+§3.3's missing-data resolution: before a join scans a source range,
+gaps in the locally mirrored coverage are fetched in bulk from the
+range's home server and a subscription is installed there.  Fetches
+apply synchronously (the paper uses asynchronous fetch + restart
+contexts; the outcome — all data resident before the query completes
+— is identical) but are charged to the simulated network.
+Subscription *updates* travel as real asynchronous messages, one
+``sub_update_batch`` per push (a single write is a batch of one), so
+replicas are eventually consistent exactly as described.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..core.eviction import Evictable
-from ..core.executor import DataResolver, JoinEngine
+from ..core.mirror import MirrorResolver
 from ..core.operators import ChangeKind
 from ..core.server import PequodServer
-from ..core.status import StatusRange, StatusTable
 from ..net.codec import encode
 from ..net.simnet import SimHost, SimNetwork
 from .partition import Partitioner
@@ -32,9 +31,7 @@ from .subscription import (
     SubscriptionRegistry,
     Update,
     UpdateBuffer,
-    decode_update,
     decode_update_batch,
-    encode_update,
     encode_update_batch,
 )
 
@@ -45,77 +42,8 @@ ROLE_COMPUTE = "compute"
 #: Message kinds on the wire (also the traffic-breakdown buckets).
 MSG_FETCH = "sub_fetch"
 MSG_FETCH_REPLY = "sub_fetch_reply"
-MSG_SUBSCRIBE = "sub_install"
-MSG_UPDATE = "sub_update"
 MSG_UPDATE_BATCH = "sub_update_batch"
 MSG_WRITE_FWD = "client_write_fwd"
-
-
-class RemoteRange(Evictable):
-    """An LRU entry for a mirrored remote base range (§2.5's second
-    kind of evictable data: "remote data copied from another Pequod
-    server via subscription")."""
-
-    __slots__ = ("resolver", "table", "lo", "hi")
-
-    def __init__(self, resolver: "RemoteResolver", table: str, lo: str, hi: str):
-        self.resolver = resolver
-        self.table = table
-        self.lo = lo
-        self.hi = hi
-
-    def evict(self, engine: JoinEngine) -> None:
-        self.resolver.drop_range(engine, self.table, self.lo, self.hi)
-
-
-class RemoteResolver(DataResolver):
-    """Fetch missing base ranges from their home servers (§3.3)."""
-
-    def __init__(self, node: "DistributedNode") -> None:
-        self.node = node
-        self.presence: Dict[str, StatusTable] = {}
-        self.fetches = 0
-        self.evicted_ranges = 0
-
-    def covers(self, key: str) -> bool:
-        table = key.split("|", 1)[0]
-        stable = self.presence.get(table)
-        return stable is not None and stable.find(key) is not None
-
-    def ensure_range(self, engine: JoinEngine, table: str, lo: str, hi: str) -> None:
-        part = self.node.partitioner
-        if not part.is_base_table(table):
-            return
-        stable = self.presence.setdefault(table, StatusTable())
-        for gap_lo, gap_hi, sr in stable.pieces(lo, hi):
-            if sr is not None:
-                continue
-            for home in part.homes_for_range(table, gap_lo, gap_hi):
-                if home == self.node.name:
-                    continue
-                self.node.fetch_and_subscribe(home, table, gap_lo, gap_hi)
-                self.fetches += 1
-            fresh = StatusRange(gap_lo, gap_hi)
-            stable.add(fresh)
-            fresh.lru_entry = engine.lru.add(
-                RemoteRange(self, table, gap_lo, gap_hi)
-            )
-
-    def drop_range(self, engine: JoinEngine, table: str, lo: str, hi: str) -> None:
-        """Evict a mirrored range: forget coverage, remove the copies,
-        invalidate dependent computed data (transitively, via ordinary
-        REMOVE notifications), and unsubscribe at the home."""
-        stable = self.presence.get(table)
-        if stable is None:
-            return
-        for sr in stable.isolate(lo, hi):
-            stable.remove(sr)
-        engine._clear_range(lo, hi)
-        self.evicted_ranges += 1
-        for home in self.node.partitioner.homes_for_range(table, lo, hi):
-            if home != self.node.name:
-                node = self.node._node_of(home)
-                node.subscriptions.unsubscribe(self.node.name, lo, hi)
 
 
 class DistributedNode:
@@ -139,7 +67,9 @@ class DistributedNode:
         self.host = SimHost(net, name)
         self.host.node = self  # back-reference for synchronous fetches
         self.subscriptions = SubscriptionRegistry()
-        self.resolver = RemoteResolver(self)
+        self.resolver = MirrorResolver(
+            self._homes, self.fetch_and_subscribe, self._unsubscribe
+        )
         self.server.set_resolver(self.resolver)
         self.server.add_listener(self._on_local_change)
         self.updates_sent = 0
@@ -147,7 +77,6 @@ class DistributedNode:
         self.update_batches_sent = 0
         self._applying_remote = False
         self._outbox: Optional[UpdateBuffer] = None
-        self.host.on(MSG_UPDATE, self._on_update_message)
         self.host.on(MSG_UPDATE_BATCH, self._on_update_batch_message)
         self.host.on(MSG_WRITE_FWD, self._on_forwarded_write)
 
@@ -177,9 +106,7 @@ class DistributedNode:
         finally:
             outbox, self._outbox = self._outbox, None
         for dst, updates in outbox.flush():
-            self.updates_sent += len(updates)
-            self.update_batches_sent += 1
-            self.host.send(dst, MSG_UPDATE_BATCH, encode_update_batch(updates))
+            self._push(dst, updates)
         return applied
 
     def get(self, key: str) -> Optional[str]:
@@ -204,42 +131,49 @@ class DistributedNode:
         new_value: Optional[str],
         kind: ChangeKind,
     ) -> None:
-        """Push updates to every subscriber mirroring this key."""
+        """Push the change to every subscriber mirroring this key: a
+        batch of one, or buffered while a batch is applying."""
         if self._applying_remote:
             return  # don't echo remotely-originated updates back out
-        subscribers = self.subscriptions.subscribers_of(key)
-        if self._outbox is not None:
-            # Mid-batch: buffer for one coalesced message per subscriber.
-            for dst in subscribers:
-                self._outbox.add(dst, (key, old_value, new_value, kind))
-            return
-        for dst in subscribers:
-            self.updates_sent += 1
-            self.host.send(
-                dst, MSG_UPDATE, encode_update((key, old_value, new_value, kind))
-            )
+        update = (key, old_value, new_value, kind)
+        for dst in self.subscriptions.subscribers_of(key):
+            if self._outbox is not None:
+                self._outbox.add(dst, update)
+            else:
+                self._push(dst, [update])
+
+    def _push(self, dst: str, updates: List[Update]) -> None:
+        self.updates_sent += len(updates)
+        self.update_batches_sent += 1
+        self.host.send(dst, MSG_UPDATE_BATCH, encode_update_batch(updates))
 
     # ------------------------------------------------------------------
     # Mirror side
     # ------------------------------------------------------------------
-    def fetch_and_subscribe(self, home: str, table: str, lo: str, hi: str) -> None:
+    def _homes(self, table: str, lo: str, hi: str):
+        if not self.partitioner.is_base_table(table):
+            return None
+        return [
+            (lo, hi, None, True) if home == self.name else (lo, hi, home, False)
+            for home in self.partitioner.homes_for_range(table, lo, hi)
+        ]
+
+    def fetch_and_subscribe(self, home: str, table: str, lo: str, hi: str):
         """Synchronously fetch ``[lo, hi)`` from ``home`` and subscribe.
 
         The request/response pair is charged to the network (the paper
         resolves fetches asynchronously with restart contexts; the data
         outcome is the same, see module docstring).
         """
-        home_node = self.net.hosts[home]
-        assert isinstance(home_node, SimHost)
-        node = self._node_of(home)
         request = [table, lo, hi]
         self.net.account(self.name, home, MSG_FETCH, len(encode(request)))
-        rows = node.handle_fetch(self.name, table, lo, hi)
+        rows = self._node_of(home).handle_fetch(self.name, table, lo, hi)
         reply_size = len(encode([list(r) for r in rows]))
         self.net.account(home, self.name, MSG_FETCH_REPLY, max(reply_size, 16))
-        tbl = self.server.store.table(table)
-        for key, value in rows:
-            tbl.put(key, value)
+        return rows
+
+    def _unsubscribe(self, home: str, table: str, lo: str, hi: str) -> None:
+        self._node_of(home).subscriptions.unsubscribe(self.name, lo, hi)
 
     def _node_of(self, name: str) -> "DistributedNode":
         host = self.net.hosts[name]
@@ -248,44 +182,20 @@ class DistributedNode:
             raise RuntimeError(f"host {name!r} is not a DistributedNode")
         return node
 
-    def _on_update_message(self, src: str, body) -> None:
-        """An asynchronous subscription update arrived from a home."""
-        key, old, new, kind = decode_update(body)
-        if not self.resolver.covers(key):
-            return  # range since evicted; ignore
-        self.updates_applied += 1
-        self._applying_remote = True
-        try:
-            if kind is ChangeKind.REMOVE:
-                self.server.engine.apply_remove(key)
-            else:
-                self.server.engine.apply_put(key, new or "")
-        finally:
-            self._applying_remote = False
-
     def _on_update_batch_message(self, src: str, body) -> None:
-        """A coalesced group of subscription updates arrived.
+        """Subscription updates arrived from a home.
 
         Covered updates apply as ONE engine batch, so the mirror's own
         join maintenance (e.g. a compute node's timelines) also runs as
         a single coalesced pass.
         """
-        live: List[Update] = [
-            update
-            for update in decode_update_batch(body)
-            if self.resolver.covers(update[0])  # evicted ranges: ignore
-        ]
-        if not live:
+        pairs = self.resolver.covered(decode_update_batch(body))
+        if not pairs:
             return
-        self.updates_applied += len(live)
+        self.updates_applied += len(pairs)
         self._applying_remote = True
         try:
-            self.server.engine.apply_batch(
-                [
-                    (key, None if kind is ChangeKind.REMOVE else (new or ""))
-                    for key, _old, new, kind in live
-                ]
-            )
+            self.server.engine.apply_batch(pairs)
         finally:
             self._applying_remote = False
 

@@ -39,14 +39,13 @@ import logging
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core.mirror import MirrorResolver
 from ..core.operators import ChangeKind
 from ..core.server import PequodServer
-from ..core.status import StatusRange, StatusTable
 from ..net.codec import RowBlock
 from ..net.rpc_client import RpcClient
-from ..net.rpc_server import RpcServer, _Connection
-from ..store.keys import prefix_upper_bound, table_of, table_range
-from .node import RemoteRange
+from ..net.rpc_server import RpcServer, ThreadedRpcService, _Connection
+from ..store.keys import prefix_upper_bound, table_range
 from .partition_map import PartitionMap, WrongOwnerError
 from .subscription import (
     SubscriptionRegistry,
@@ -60,114 +59,6 @@ log = logging.getLogger(__name__)
 
 #: Rows per migration-snapshot chunk (keeps frames well under the cap).
 MIGRATE_CHUNK = 4000
-
-
-class TcpResolver:
-    """Missing-data resolution over the peer endpoints (§3.3).
-
-    The process-cluster analogue of the simulator's
-    :class:`~.node.RemoteResolver`: before a join scans a source
-    range, coverage gaps are fetched in bulk from each slice's primary
-    and a subscription is installed there.  Slices this node is
-    primary *or replica* for are never fetched — replicated copies are
-    kept fresh by the client's write fan-out, so they count as local
-    coverage.  Tables produced by installed joins are never fetched
-    either: every node runs the full join set, so computed ranges are
-    computed where they are owned, from mirrored base data.
-    """
-
-    def __init__(self, runtime: "ClusterNodeRuntime") -> None:
-        self.runtime = runtime
-        self.presence: Dict[str, StatusTable] = {}
-        self.fetches = 0
-        self.evicted_ranges = 0
-
-    def covers(self, key: str) -> bool:
-        stable = self.presence.get(table_of(key))
-        return stable is not None and stable.find(key) is not None
-
-    def ensure_range(self, engine, table: str, lo: str, hi: str) -> None:
-        rt = self.runtime
-        pmap = rt.map
-        if pmap is None or table in rt.computed_tables():
-            return
-        stable = self.presence.setdefault(table, StatusTable())
-        for gap_lo, gap_hi, sr in list(stable.pieces(lo, hi)):
-            if sr is not None:
-                continue
-            for slo, shi, r in pmap.slices(gap_lo, gap_hi):
-                if rt.name == r.primary:
-                    continue  # our own data
-                # Replica slices fetch + subscribe too: the replicated
-                # copy has the rows, but only an explicit subscription
-                # survives reconfiguration (replica sets change on
-                # migration; subscriptions hand off).  The fetch also
-                # heals any gap from before this node joined the
-                # replica set.
-                rows = rt.peer_fetch(r.primary, slo, shi)
-                tbl = rt.server.store.table(table)
-                for key, value in rows:
-                    tbl.put(key, value)
-                self.fetches += 1
-            fresh = StatusRange(gap_lo, gap_hi)
-            stable.add(fresh)
-            fresh.lru_entry = engine.lru.add(
-                RemoteRange(self, table, gap_lo, gap_hi)
-            )
-
-    # -- eviction / failover -------------------------------------------
-    def drop_range(self, engine, table: str, lo: str, hi: str) -> None:
-        """Evict a mirrored range (LRU pressure): forget coverage,
-        clear the copies, unsubscribe at the current owners.  Slices
-        this node holds per the *current* map are never cleared —
-        ownership may have arrived (promotion) after the fetch."""
-        self._drop_coverage(engine, table, lo, hi, unsubscribe=True)
-        self.evicted_ranges += 1
-
-    def drop_dead_owner_coverage(self, lo: str, hi: str) -> None:
-        """Failover: mirrors fed by a dead node's subscriptions are
-        orphaned — no more updates will arrive.  Drop them so the next
-        demand refetches from (and resubscribes at) the promoted
-        owner.
-
-        Computed ranges that *source* a dropped mirror must go first:
-        a copy-source REMOVE only maintains (deletes the derived row,
-        range stays valid), so clearing the mirror under a still-valid
-        output would leave it validly empty — and with no subscription
-        left, stale forever.  Invalidation forces the next read to
-        refetch and recompute."""
-        engine = self.runtime.server.engine
-        dropped = [
-            table
-            for table in list(self.presence)
-            if max(lo, table_range(table)[0]) < min(hi, table_range(table)[1])
-        ]
-        if not dropped:
-            return
-        for output in self.runtime.outputs_sourcing(dropped):
-            self.runtime._drop_computed_slices(*table_range(output))
-        for table in dropped:
-            tlo, thi = table_range(table)
-            self._drop_coverage(
-                engine, table, max(lo, tlo), min(hi, thi), unsubscribe=False
-            )
-
-    def _drop_coverage(
-        self, engine, table: str, lo: str, hi: str, unsubscribe: bool
-    ) -> None:
-        stable = self.presence.get(table)
-        if stable is None:
-            return
-        for sr in list(stable.isolate(lo, hi)):
-            stable.remove(sr)
-        rt = self.runtime
-        pmap = rt.map
-        for slo, shi, r in (pmap.slices(lo, hi) if pmap else [(lo, hi, None)]):
-            if r is not None and rt.name in r.owners:
-                continue
-            engine._clear_range(slo, shi)
-            if unsubscribe and r is not None:
-                rt.peer_send(r.primary, "peer_unsubscribe", rt.name, slo, shi)
 
 
 class ClusterNodeRuntime:
@@ -192,7 +83,9 @@ class ClusterNodeRuntime:
         #: remote fetches (see module docstring).
         self.store_lock = threading.Lock()
         self.subscriptions = SubscriptionRegistry()
-        self.resolver = TcpResolver(self)
+        self.resolver = MirrorResolver(
+            self._mirror_homes, self._mirror_fetch, self._mirror_unsubscribe
+        )
         self.server.set_resolver(self.resolver)
         self.server.attach_hub(gate=self._event_visible)
         self.server.add_listener(self._on_local_change)
@@ -215,10 +108,9 @@ class ClusterNodeRuntime:
         # Endpoints.
         self.rpc = ClusterRpcServer(self, host, port)
         self.peer_rpc = PeerRpcServer(self, host, peer_port)
-        self.main_loop: Optional[asyncio.AbstractEventLoop] = None
-        self.peer_loop: Optional[asyncio.AbstractEventLoop] = None
+        self._main: Optional[ThreadedRpcService] = None
+        self._peer: Optional[ThreadedRpcService] = None
         self._peer_conns: Dict[str, asyncio.Task] = {}
-        self._threads: List[threading.Thread] = []
         self._stopped = threading.Event()
 
     # ------------------------------------------------------------------
@@ -227,65 +119,39 @@ class ClusterNodeRuntime:
     def start_threaded(self) -> None:
         """Run both endpoints on private threads (the in-process
         deployment used by tests; subprocesses use :func:`run_node`)."""
-        self._start_endpoint_thread("peer")
-        self._start_endpoint_thread("main")
-
-    def _start_endpoint_thread(self, which: str) -> None:
-        started = threading.Event()
-        failure: list = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            rpc = self.peer_rpc if which == "peer" else self.rpc
-            if which == "peer":
-                self.peer_loop = loop
-            else:
-                self.main_loop = loop
-            try:
-                loop.run_until_complete(rpc.start())
-            except Exception as exc:  # noqa: BLE001 - surfaced to caller
-                failure.append(exc)
-                loop.close()
-                started.set()
-                return
-            started.set()
-            loop.run_forever()
-            loop.run_until_complete(self._shutdown_on(loop, rpc))
-            loop.run_until_complete(asyncio.sleep(0.02))
-            loop.close()
-
-        thread = threading.Thread(
-            target=run, name=f"pequod-{self.name}-{which}", daemon=True
+        self._peer = ThreadedRpcService(
+            self.peer_rpc,
+            before_stop=self._close_peer_conns,
+            name=f"pequod-{self.name}-peer",
         )
-        thread.start()
-        self._threads.append(thread)
-        started.wait()
-        if failure:
-            raise RuntimeError(
-                f"cannot start {which} endpoint of {self.name}: {failure[0]}"
-            )
+        self._main = ThreadedRpcService(self.rpc, name=f"pequod-{self.name}-main")
 
-    async def _shutdown_on(self, loop, rpc) -> None:
-        if loop is self.peer_loop:
-            for task in self._peer_conns.values():
-                if task.done() and task.exception() is None:
-                    await task.result().close()
-                else:
-                    task.cancel()
-            self._peer_conns.clear()
-        await rpc.stop()
+    @property
+    def main_loop(self) -> Optional[asyncio.AbstractEventLoop]:
+        return None if self._main is None else self._main.loop
+
+    @property
+    def peer_loop(self) -> Optional[asyncio.AbstractEventLoop]:
+        return None if self._peer is None else self._peer.loop
+
+    async def _close_peer_conns(self) -> None:
+        for task in self._peer_conns.values():
+            if task.done() and task.exception() is None:
+                await task.result().close()
+            else:
+                task.cancel()
+        self._peer_conns.clear()
 
     def stop(self) -> None:
         """Stop both endpoints and close the engine (flushes the WAL)."""
         if self._stopped.is_set():
             return
         self._stopped.set()
-        for loop in (self.main_loop, self.peer_loop):
-            if loop is not None and loop.is_running():
-                loop.call_soon_threadsafe(loop.stop)
-        for thread in self._threads:
-            thread.join(timeout=5)
+        services = [s for s in (self._main, self._peer) if s is not None]
+        for service in services:
+            service.stop(wait=False)
+        for service in services:
+            service.stop()
         self.server.close()
 
     @property
@@ -308,22 +174,6 @@ class ClusterNodeRuntime:
                 j.output.table for j in self.server.engine.joins
             }
         return self._computed
-
-    def outputs_sourcing(self, tables) -> Set[str]:
-        """Transitive closure of computed tables sourcing ``tables``
-        (chained joins re-source other outputs)."""
-        tainted = set(tables)
-        out: Set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for join in self.server.engine.joins:
-                output = join.output.table
-                if output not in out and tainted & set(join.source_tables()):
-                    out.add(output)
-                    tainted.add(output)
-                    changed = True
-        return out
 
     def add_join(self, text: str) -> List[str]:
         with self.store_lock:
@@ -481,17 +331,9 @@ class ClusterNodeRuntime:
             self.applied_from[src] = (
                 self.applied_from.get(src, 0) + len(updates)
             )
-        live = [u for u in updates if self.resolver.covers(u[0])]
-        if not live:
-            return
-        self._locked_write(
-            lambda: self.server.engine.apply_batch(
-                [
-                    (key, None if kind is ChangeKind.REMOVE else (new or ""))
-                    for key, _old, new, kind in live
-                ]
-            )
-        )
+        pairs = self.resolver.covered(updates)
+        if pairs:
+            self._locked_write(lambda: self.server.engine.apply_batch(pairs))
 
     def enqueue_mirror(self, src: str, body) -> int:
         """Peer thread: hand a mirror push to the main loop."""
@@ -569,10 +411,43 @@ class ClusterNodeRuntime:
         )
         fut.add_done_callback(lambda f: f.exception())
 
-    def peer_fetch(self, owner: str, lo: str, hi: str) -> List[Tuple[str, str]]:
-        """Fetch ``[lo, hi)`` from its owner and subscribe (§3.3)."""
-        rows = self.peer_call(owner, "fetch_range", self.name, lo, hi)
-        return [(k, v) for k, v in rows]
+    # ------------------------------------------------------------------
+    # Mirrors (§3.3), over the peer endpoints
+    # ------------------------------------------------------------------
+    def _mirror_homes(self, table: str, lo: str, hi: str):
+        """Where the slices of ``[lo, hi)`` live, for the resolver.
+
+        Tables produced by installed joins are never mirrored: every
+        node runs the full join set, so computed ranges are computed
+        where they are owned, from mirrored base data.  A slice this
+        node is primary for is never fetched.  A replica slice fetches
+        and subscribes too: the replicated copy has the rows, but only
+        an explicit subscription survives reconfiguration (replica sets
+        change on migration; subscriptions hand off), and the fetch
+        heals any gap from before this node joined the replica set.
+        Slices this node owns per the *current* map keep their rows
+        when the mirror goes — ownership may have arrived (promotion)
+        after the fetch.
+        """
+        pmap = self.map
+        if pmap is None or table in self.computed_tables():
+            return None
+        return [
+            (
+                slo,
+                shi,
+                None if r.primary == self.name else r.primary,
+                self.name in r.owners,
+            )
+            for slo, shi, r in pmap.slices(lo, hi)
+        ]
+
+    def _mirror_fetch(self, owner: str, table: str, lo: str, hi: str):
+        """Fetch ``[lo, hi)`` from its owner and subscribe there."""
+        return self.peer_call(owner, "fetch_range", self.name, lo, hi)
+
+    def _mirror_unsubscribe(self, owner: str, table: str, lo: str, hi: str) -> None:
+        self.peer_send(owner, "peer_unsubscribe", self.name, lo, hi)
 
     def run_on_main(self, fn):
         """Peer thread: run ``fn`` on the main loop, await its result.
@@ -647,9 +522,16 @@ class ClusterNodeRuntime:
                 # of genuine row diffs, never as drop-and-recompute.
                 self._rebuild_watched_slices(lo, hi)
             elif dead is not None and was == dead:
-                # Mirrors fed by the dead node are orphaned: drop
-                # coverage, refetch from the promoted owner on demand.
-                self.resolver.drop_dead_owner_coverage(lo, hi)
+                # Mirrors fed by the dead node are orphaned: no more
+                # updates will arrive.  Forget them, and with them the
+                # ranges built on them; the next demand refetches from
+                # (and resubscribes at) the promoted owner.
+                for table in list(self.resolver.presence):
+                    tlo, thi = table_range(table)
+                    if max(lo, tlo) < min(hi, thi):
+                        self.resolver.drop_range(
+                            self.server.engine, table, max(lo, tlo), min(hi, thi)
+                        )
 
     def _rebuild_watched_slices(self, lo: str, hi: str) -> None:
         """Drop a gained range's computed slices, then rebuild the ones

@@ -84,14 +84,6 @@ class SubscriptionRegistry:
     def subscription_count(self) -> int:
         return sum(t.payload_count() for t in self._by_table.values())
 
-    def ranges_for(self, subscriber: str) -> List[Tuple[str, str]]:
-        out = []
-        for tree in self._by_table.values():
-            for entry in tree.entries():
-                if subscriber in entry.payloads:
-                    out.append((entry.lo, entry.hi))
-        return out
-
     def memory_bytes(self) -> int:
         """Approximate bookkeeping cost (the §5.5 base-server growth)."""
         total = 0

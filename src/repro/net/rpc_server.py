@@ -23,7 +23,7 @@ import logging
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from ..core.hub import WatchHandle
 from ..core.joins import JoinError
@@ -380,49 +380,65 @@ class RpcServer:
 
 
 class ThreadedRpcService:
-    """A Pequod RPC server on a private event-loop thread.
+    """An RPC server on a private event-loop thread.
 
     The loopback deployment used by benchmarks and tests that need the
     server genuinely concurrent with a client (separate thread, real
-    TCP) rather than sharing the caller's loop.
+    TCP) rather than sharing the caller's loop — and each endpoint of a
+    cluster node.  ``server`` is a :class:`PequodServer`, served on an
+    ephemeral port, or a ready :class:`RpcServer`; ``before_stop`` is
+    awaited on :attr:`loop` just before the server stops.
     """
 
-    def __init__(self, server: PequodServer, host: str = "127.0.0.1") -> None:
-        self.rpc = RpcServer(server, host, 0)
-        self._loop = asyncio.new_event_loop()
+    def __init__(
+        self,
+        server,
+        host: str = "127.0.0.1",
+        before_stop: Optional[Callable[[], Awaitable[None]]] = None,
+        name: str = "pequod-rpc",
+    ) -> None:
+        if not isinstance(server, RpcServer):
+            server = RpcServer(server, host, 0)
+        self.rpc = server
+        self.loop = asyncio.new_event_loop()
+        self._stopping = False
         started = threading.Event()
         failure: list = []
 
         def run() -> None:
-            asyncio.set_event_loop(self._loop)
+            asyncio.set_event_loop(self.loop)
             try:
-                self._loop.run_until_complete(self.rpc.start())
+                self.loop.run_until_complete(self.rpc.start())
             except Exception as exc:  # noqa: BLE001 - surfaced to caller
                 failure.append(exc)
-                self._loop.close()
+                self.loop.close()
                 started.set()
                 return
             started.set()
-            self._loop.run_forever()
-            self._loop.run_until_complete(self.rpc.stop())
+            self.loop.run_forever()
+            if before_stop is not None:
+                self.loop.run_until_complete(before_stop())
+            self.loop.run_until_complete(self.rpc.stop())
             # One more tick so closed transports detach their sockets
             # before the loop goes away (avoids ResourceWarnings).
-            self._loop.run_until_complete(asyncio.sleep(0.02))
-            self._loop.close()
+            self.loop.run_until_complete(asyncio.sleep(0.02))
+            self.loop.close()
 
-        self._thread = threading.Thread(
-            target=run, name="pequod-rpc", daemon=True
-        )
+        self._thread = threading.Thread(target=run, name=name, daemon=True)
         self._thread.start()
         started.wait()
         if failure:
-            raise RuntimeError(f"cannot start RPC server: {failure[0]}")
+            raise RuntimeError(f"cannot start RPC server {name}: {failure[0]}")
 
     @property
     def port(self) -> int:
         return self.rpc.port
 
-    def stop(self) -> None:
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
+    def stop(self, wait: bool = True) -> None:
+        """Stop the loop; ``wait=False`` returns without joining the
+        thread, so several services can wind down at once."""
+        if not self._stopping and self._thread.is_alive():
+            self._stopping = True
+            self.loop.call_soon_threadsafe(self.loop.stop)
+        if wait:
             self._thread.join(timeout=5)

@@ -7,7 +7,9 @@ given a seed, so the distributed benchmarks are exactly reproducible.
 
 ``SimNetwork`` owns a simulated clock and an event queue.  ``SimHost``s
 register message handlers; ``send`` schedules delivery after
-``latency + size / bandwidth``.  Messages between hosts are counted and
+``latency + size / bandwidth``, but never before an earlier message on
+the same link: each (src, dst) link is first-in-first-out, as the TCP
+stream it models is.  Messages between hosts are counted and
 sized (via the wire codec) so benchmarks can report network overheads
 like the paper's subscription-traffic percentages (§5.5).
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.clock import SimClock
@@ -58,6 +61,9 @@ class SimNetwork:
         #: per message-kind byte counters (client vs subscription traffic,
         #: the §5.5 breakdown)
         self.kind_bytes: Dict[str, int] = {}
+        #: per (src, dst) delivery time of the last message scheduled
+        #: on the link, which the next one may not precede (FIFO)
+        self._link_due: Dict[Tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
     def add_host(self, host: "SimHost") -> None:
@@ -92,9 +98,12 @@ class SimNetwork:
         if self.loss_filter is not None and self.loss_filter(src, dst, kind, body):
             self.messages_dropped += 1
             return
+        link = (src, dst)
         delay = self.latency + self.extra_latency + size / self.bandwidth
-        host = self.hosts[dst]
-        self.schedule(delay, lambda: self._deliver(host, src, kind, body))
+        due = self.clock.now() + delay
+        due = self._link_due[link] = max(due, self._link_due.get(link, due))
+        deliver = partial(self._deliver, self.hosts[dst], src, kind, body)
+        heapq.heappush(self._queue, (due, next(self._seq), deliver))
 
     def _deliver(self, host: "SimHost", src: str, kind: str, body: Any) -> None:
         # Down-ness is re-checked at delivery time so messages already

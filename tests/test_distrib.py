@@ -3,7 +3,7 @@
 import pytest
 
 from repro.distrib import Cluster, Partitioner
-from repro.distrib.node import MSG_UPDATE
+from repro.distrib.node import MSG_UPDATE_BATCH
 
 TIMELINE = (
     "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
@@ -186,4 +186,4 @@ class TestTrafficAccounting:
         cluster.settle()
         frac = cluster.subscription_traffic_fraction()
         assert 0.0 < frac < 1.0
-        assert MSG_UPDATE in cluster.net.kind_bytes
+        assert MSG_UPDATE_BATCH in cluster.net.kind_bytes

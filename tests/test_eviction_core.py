@@ -89,6 +89,20 @@ class TestEviction:
         assert srv.store.count("top|", "top}") == 0
         assert srv.scan("top|", "top}") == [("top|x", "v")]
 
+    def test_retiring_an_intermediate_output_invalidates_the_join_above(self):
+        """Retiring ``a`` retracts ``b``'s copies; without invalidating
+        ``b`` it would stay VALID and empty until something read ``a``."""
+        srv = PequodServer()
+        srv.add_join("a|<x> = copy i|<x>")
+        srv.add_join("b|<x> = copy a|<x>")
+        srv.put("i|1", "v")
+        assert srv.scan("b|", "b}") == [("b|1", "v")]
+        for sr in srv.engine.status["a"].ranges():
+            srv.engine.retire_range("a", sr)
+        assert srv.scan("b|", "b}") == [("b|1", "v")]
+        srv.put("i|2", "w")
+        assert srv.scan("b|", "b}") == [("b|1", "v"), ("b|2", "w")]
+
     def test_memory_limit_enforced_during_writes(self):
         srv = PequodServer(memory_limit=20_000)
         srv.add_join(TIMELINE)

@@ -21,6 +21,7 @@ from repro.apps.twip import TIMELINE_JOIN, format_time
 from repro.chaos import kill_node_process
 from repro.client import LocalClient
 from repro.client.procs import ProcClusterClient
+from repro.core.status import RangeState
 from repro.distrib.procs import ProcCluster
 
 TABLES = ("p", "s", "t", "vote")
@@ -189,6 +190,43 @@ def test_replica_killed_mid_workload_keeps_serving():
         client.put(f"p|bob|{format_time(200)}", "post")
         client.settle()
         assert [v for _, v in client.scan_prefix("t|ann|")] == ["pre", "post"]
+        client.close()
+
+
+def test_failover_invalidates_only_ranges_built_on_the_dead_mirrors():
+    """node0 computes ann's and bob's timelines; ann follows liz, whose
+    posts node1 leads, and bob follows mike, whose posts node2 leads.
+    Killing node1 orphans the liz mirror: ann's timeline is invalidated
+    and refetches from the promoted owner, bob's stays VALID."""
+    with ProcCluster(
+        3, tables=("p", "s", "t"), splits=("f", "m", "s"), replication=2,
+        in_process=True, joins=(TIMELINE_JOIN,),
+    ) as pc:
+        client = ProcClusterClient.for_cluster(pc)
+        assert [pc.map.owner_of(k) for k in ("t|ann|", "t|bob|", "p|liz|",
+                                             "p|mike|")] == [
+            "node0", "node0", "node1", "node2",
+        ]
+        client.put("s|ann|liz", "1")
+        client.put("s|bob|mike", "1")
+        client.put(f"p|liz|{format_time(100)}", "from liz")
+        client.put(f"p|mike|{format_time(100)}", "from mike")
+        client.settle()
+        assert len(client.scan_prefix("t|ann|")) == 1
+        assert len(client.scan_prefix("t|bob|")) == 1
+        pc.kill("node1", hard=True)
+        pc.fail_over("node1")
+        runtime = pc.nodes["node0"].runtime
+        with runtime.store_lock:
+            timelines = runtime.server.engine.status["t"]
+            assert timelines.find("t|ann|").state is RangeState.INVALID
+            assert timelines.find("t|bob|").state is RangeState.VALID
+        client.put(f"p|liz|{format_time(200)}", "after failover")
+        client.settle()
+        assert [v for _, v in client.scan_prefix("t|ann|")] == [
+            "from liz", "after failover",
+        ]
+        assert [v for _, v in client.scan_prefix("t|bob|")] == ["from mike"]
         client.close()
 
 

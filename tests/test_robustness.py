@@ -14,7 +14,7 @@ import pytest
 from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
 from repro.distrib import Cluster
-from repro.distrib.node import MSG_UPDATE
+from repro.distrib.node import MSG_UPDATE_BATCH
 from repro.net.rpc_client import RpcClient
 from repro.net.rpc_server import RpcServer
 
@@ -92,7 +92,7 @@ class TestMessageLoss:
         cluster = self.make_cluster()
         cluster.put("s|ann|bob", "1")
         cluster.scan("ann", "t|ann|", "t|ann}")  # subscribe compute->base
-        cluster.net.loss_filter = lambda src, dst, kind, body: kind == MSG_UPDATE
+        cluster.net.loss_filter = lambda src, dst, kind, body: kind == MSG_UPDATE_BATCH
         cluster.put("p|bob|0100", "lost in transit")
         cluster.settle()
         assert cluster.net.messages_dropped >= 1
@@ -105,7 +105,7 @@ class TestMessageLoss:
         dropped = []
 
         def drop_once(src, dst, kind, body):
-            if kind == MSG_UPDATE and not dropped:
+            if kind == MSG_UPDATE_BATCH and not dropped:
                 dropped.append(body)
                 return True
             return False
@@ -123,7 +123,7 @@ class TestMessageLoss:
         cluster = self.make_cluster()
         cluster.put("s|ann|bob", "1")
         cluster.scan("ann", "t|ann|", "t|ann}")
-        cluster.net.loss_filter = lambda src, dst, kind, body: kind == MSG_UPDATE
+        cluster.net.loss_filter = lambda src, dst, kind, body: kind == MSG_UPDATE_BATCH
         cluster.put("p|bob|0100", "initially lost")
         cluster.settle()
         cluster.net.loss_filter = None

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.apps.twip import TIMELINE_JOIN
+from repro.distrib import Cluster
 from repro.net.simnet import SimError, SimHost, SimNetwork
 
 
@@ -75,6 +77,33 @@ class TestMessaging:
         net.run_until_idle()
         # 10ms latency + 500B at 1kB/s = 0.51s
         assert net.now() == pytest.approx(0.510)
+
+    def test_one_link_is_first_in_first_out(self):
+        """A small message never overtakes a larger one sent before it
+        on the same link, as on the TCP stream the link models."""
+        net = SimNetwork(latency=0.010, bandwidth_bytes_per_sec=1000)
+        a, b, c = SimHost(net, "a"), SimHost(net, "b"), SimHost(net, "c")
+        got = []
+        b.on("m", lambda src, body: got.append(body))
+        c.on("m", lambda src, body: got.append(body))
+        a.send("b", "m", "big", size_bytes=500)
+        a.send("b", "m", "small", size_bytes=1)
+        a.send("c", "m", "other link", size_bytes=1)
+        net.run_until_idle()
+        assert got == ["other link", "big", "small"]
+
+    def test_a_reordered_unsubscribe_cannot_resurrect_a_follow(self):
+        """A same-value re-put then a remove of ``s|u0|u3``: were the
+        REMOVE delivered first, the mirror would keep the follow and
+        u3's post would stay in u0's timeline for good."""
+        cluster = Cluster(2, 2, ("p", "s"), joins=TIMELINE_JOIN)
+        cluster.put("p|u3|0032", "post")
+        cluster.put("s|u0|u3", "1")
+        assert cluster.scan("u0", "t|u0|", "t|u0}") == [("t|u0|0032|u3", "post")]
+        cluster.put("s|u0|u3", "1")
+        cluster.remove("s|u0|u3")
+        cluster.settle()
+        assert cluster.scan("u0", "t|u0|", "t|u0}") == []
 
     def test_unknown_destination(self):
         net = SimNetwork()

@@ -43,16 +43,6 @@ class TestRegistry:
         assert not reg.unsubscribe("c0", "p|bob|", "p|bob}")
         assert reg.subscribers_of("p|bob|1") == set()
 
-    def test_ranges_for_subscriber(self):
-        reg = SubscriptionRegistry()
-        reg.subscribe("c0", "p|bob|", "p|bob}")
-        reg.subscribe("c0", "s|ann|", "s|ann}")
-        reg.subscribe("c1", "p|liz|", "p|liz}")
-        assert sorted(reg.ranges_for("c0")) == [
-            ("p|bob|", "p|bob}"),
-            ("s|ann|", "s|ann}"),
-        ]
-
     def test_memory_accounting_grows(self):
         reg = SubscriptionRegistry()
         before = reg.memory_bytes()
