@@ -11,6 +11,7 @@ cache design depends on:
 * durable-looking writes with insert/update/delete semantics,
 * ordered range queries (the cache loads containing ranges in bulk),
 * change notifications on subscribed ranges (Postgres ``notify``),
+  as watches on a :class:`~repro.core.hub.ChangeHub`,
 * a change-data-capture hook: attach a
   :class:`~repro.cdc.feed.ChangeFeed` and every committed write becomes
   a sequenced, optionally journaled record that the write-around
@@ -29,22 +30,17 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..core.hub import ChangeHub, EventSink, WatchHandle
 from ..core.operators import ChangeKind
 from ..store.omap import resolve_map_impl
-from .notify import ChangeCallback, NotificationHub, Subscription
 
 
 class BackingDatabase:
     """An ordered key-value database with range notifications and CDC."""
 
-    def __init__(
-        self,
-        synchronous_notify: bool = True,
-        store_impl=None,
-        feed=None,
-    ) -> None:
+    def __init__(self, store_impl=None, feed=None) -> None:
         self._tree = resolve_map_impl(store_impl)()
-        self.hub = NotificationHub(synchronous=synchronous_notify)
+        self.hub = ChangeHub()
         self.feed = feed
         self.query_count = 0
         self.rows_returned = 0
@@ -110,11 +106,6 @@ class BackingDatabase:
         self.hub.publish(key, old, None, ChangeKind.REMOVE)
         return True
 
-    def load_bulk(self, pairs) -> None:
-        """Populate without notification (initial dataset load)."""
-        for key, value in pairs:
-            self._tree.insert(key, value)
-
     # ------------------------------------------------------------------
     # Reads (the cache's miss path)
     # ------------------------------------------------------------------
@@ -150,12 +141,7 @@ class BackingDatabase:
     # ------------------------------------------------------------------
     # Notifications
     # ------------------------------------------------------------------
-    def subscribe(self, lo: str, hi: str, callback: ChangeCallback) -> Subscription:
-        """Forward future changes in ``[lo, hi)`` to the cache."""
-        return self.hub.subscribe(lo, hi, callback)
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        self.hub.unsubscribe(sub)
-
-    def drain_notifications(self, limit: Optional[int] = None) -> int:
-        return self.hub.drain(limit)
+    def subscribe(self, lo: str, hi: str, sink: EventSink) -> WatchHandle:
+        """Forward future changes in ``[lo, hi)`` to the cache, before
+        each write returns."""
+        return self.hub.watch(lo, hi, sink)

@@ -8,8 +8,7 @@ the evaluation in lookaside mode because database notification was a
 bottleneck.  All three are implemented here:
 
 * :class:`WriteAroundDeployment` — writes to the DB; the DB's
-  notifications keep cached base data fresh (eventually consistent
-  when notifications are queued).
+  notifications keep cached base data fresh.
 * :class:`WriteThroughDeployment` — writes go to the DB and the cache
   synchronously (read-your-own-writes for a single client).
 * :class:`LookasideDeployment` — writes go directly to the cache; the
@@ -20,9 +19,9 @@ execution transparently loads missing base ranges from the database
 (§3.3) and subscribes to keep them fresh.
 
 The classes here model the arrangements in-process, with synchronous
-notification callbacks.  The *deployable* write-around path is
+hub watches.  The *deployable* write-around path is
 ``PequodServer(mode="write-around")``, built on :mod:`repro.cdc`: the
-database's durable change feed replaces the synchronous callback, a
+database's durable change feed replaces the synchronous watch, a
 ``CdcPump`` applies it in batches (with fenced backfill for cold
 caches), and ``settle_cdc()`` bounds the asynchrony window.
 """
@@ -32,11 +31,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.executor import JoinEngine
+from ..core.hub import ChangeEvent, WatchHandle
 from ..core.mirror import MirrorResolver
-from ..core.operators import ChangeKind
 from ..core.server import PequodServer
 from .database import BackingDatabase
-from .notify import Subscription
 
 
 class CachedBaseResolver(MirrorResolver):
@@ -44,7 +42,7 @@ class CachedBaseResolver(MirrorResolver):
     adapter of :class:`~repro.core.mirror.MirrorResolver`.
 
     The database is home to every slice of a base table; a fetch is one
-    range query plus a notification subscription, whose changes flow
+    range query plus a watch on the database's hub, whose changes flow
     into the cache and trigger ordinary join maintenance.  Mirrored
     ranges join the server's LRU so memory pressure can push them out
     (§2.5's "cached base data, loaded on demand").
@@ -57,7 +55,7 @@ class CachedBaseResolver(MirrorResolver):
         self.db = db
         self.base_tables = set(base_tables)
         self.engine = engine
-        self._subscriptions: Dict[Tuple[str, str], Subscription] = {}
+        self._subscriptions: Dict[Tuple[str, str], WatchHandle] = {}
 
     def _homes(self, table: str, lo: str, hi: str):
         return [(lo, hi, "db", False)] if table in self.base_tables else None
@@ -68,18 +66,12 @@ class CachedBaseResolver(MirrorResolver):
         return rows
 
     def _unsubscribe(self, home: str, table: str, lo: str, hi: str) -> None:
-        sub = self._subscriptions.pop((lo, hi), None)
-        if sub is not None:
-            self.db.unsubscribe(sub)
+        handle = self._subscriptions.pop((lo, hi), None)
+        if handle is not None:
+            handle.close()
 
-    def _on_db_change(
-        self,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-    ) -> None:
-        pairs = self.covered([(key, old_value, new_value, kind)])
+    def _on_db_change(self, event: ChangeEvent) -> None:
+        pairs = self.covered([(event.key, event.old, event.new, event.kind)])
         if pairs:
             self.engine.apply_batch(pairs)
 
@@ -105,10 +97,6 @@ class _BaseDeployment:
     def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
         return self.server.scan(first, last)
 
-    def drain(self, limit: Optional[int] = None) -> int:
-        """Deliver queued DB notifications (asynchronous deployments)."""
-        return self.db.drain_notifications(limit)
-
 
 class WriteAroundDeployment(_BaseDeployment):
     """Application writes go to the database only (§2)."""
@@ -125,8 +113,9 @@ class WriteThroughDeployment(_BaseDeployment):
 
     def put(self, key: str, value: str) -> None:
         self.db.put(key, value)
-        # The DB notification may also deliver this write; applying it
-        # directly makes it visible immediately (read-your-own-writes).
+        # The DB notification delivers this write only to a mirrored
+        # range; applying it directly makes it visible in the cache
+        # before any read (read-your-own-writes).
         self.server.put(key, value)
 
     def remove(self, key: str) -> None:

@@ -2,9 +2,10 @@
 
 The paper's write-around deployment (§2) sends application writes to
 the backing database and relies on asynchronous change notifications to
-keep the cache fresh.  The in-process :class:`~repro.backing.notify.
-NotificationHub` models the *synchronous* version of that; this module
-is the production shape: every committed database write becomes a
+keep the cache fresh.  The database's in-process
+:class:`~repro.core.hub.ChangeHub` watches model the *synchronous*
+version of that; this module is the production shape: every committed
+database write becomes a
 monotonically sequenced :class:`ChangeRecord` in a feed that consumers
 tail at their own pace.
 

@@ -1,14 +1,19 @@
-"""Server-push change streams (paper §2.4, applied to clients).
+"""Server-push change streams (paper §2.4): the system's range fan-out.
 
 The paper's servers push updates to subscribers instead of being
 polled: home servers keep per-range subscriptions in an interval tree
-and forward every covered change (§2.4).  ``ChangeHub`` is that
-machinery turned toward *application clients*: a range watcher over one
+and forward every covered change (§2.4), and the backing database does
+the same for the cache (§2, "e.g., using Postgres's notify").
+``ChangeHub`` is that machinery, once: a range watcher over one
 server's committed changes, feeding
 
 * in-process watchers (the async local client's ``watch`` streams),
 * RPC connections (the ``subscribe`` protocol method's push frames),
-* cluster-routed watches (one hub per node, filtered by key ownership).
+* cluster-routed watches (one hub per node, filtered by key ownership),
+* cross-server mirror subscriptions
+  (:class:`~repro.distrib.subscription.SubscriptionRegistry`),
+* the backing database's change notifications
+  (``BackingDatabase.subscribe``).
 
 Every committed change — client writes and the outputs the join engine
 installs or retracts during maintenance — is stamped with a
@@ -125,7 +130,9 @@ class ChangeHub:
     def overlapping(self, lo: str, hi: str) -> bool:
         """True when any active watcher's range intersects ``[lo, hi)``
         — what a cluster node checks before deciding whether a
-        reconfigured computed range must be rebuilt for its watchers."""
+        reconfigured computed range must be rebuilt for its watchers
+        (mirror subscriptions cover base tables only, so they never
+        match)."""
         for entry in self._tree.entries():
             if entry.lo < hi and lo < entry.hi:
                 if any(handle.active for handle in entry.payloads):

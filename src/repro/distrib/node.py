@@ -30,7 +30,6 @@ from .partition import Partitioner
 from .subscription import (
     SubscriptionRegistry,
     Update,
-    UpdateBuffer,
     decode_update_batch,
     encode_update_batch,
 )
@@ -66,17 +65,14 @@ class DistributedNode:
         self.server = server if server is not None else PequodServer(name=name)
         self.host = SimHost(net, name)
         self.host.node = self  # back-reference for synchronous fetches
-        self.subscriptions = SubscriptionRegistry()
+        self.subscriptions = SubscriptionRegistry(self.server.hub, self._push)
         self.resolver = MirrorResolver(
             self._homes, self.fetch_and_subscribe, self._unsubscribe
         )
         self.server.set_resolver(self.resolver)
-        self.server.add_listener(self._on_local_change)
         self.updates_sent = 0
         self.updates_applied = 0
         self.update_batches_sent = 0
-        self._applying_remote = False
-        self._outbox: Optional[UpdateBuffer] = None
         self.host.on(MSG_UPDATE_BATCH, self._on_update_batch_message)
         self.host.on(MSG_WRITE_FWD, self._on_forwarded_write)
 
@@ -100,14 +96,8 @@ class DistributedNode:
         message each — the cross-node analogue of the engine's single
         maintenance pass.  Returns the number of net changes applied.
         """
-        self._outbox = UpdateBuffer()
-        try:
-            applied = self.server.apply_batch(batch)
-        finally:
-            outbox, self._outbox = self._outbox, None
-        for dst, updates in outbox.flush():
-            self._push(dst, updates)
-        return applied
+        with self.subscriptions.batch():
+            return self.server.apply_batch(batch)
 
     def get(self, key: str) -> Optional[str]:
         return self.server.get(key)
@@ -123,24 +113,6 @@ class DistributedNode:
         rows = self.server.store.scan(lo, hi)
         self.subscriptions.subscribe(subscriber, lo, hi)
         return rows
-
-    def _on_local_change(
-        self,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-    ) -> None:
-        """Push the change to every subscriber mirroring this key: a
-        batch of one, or buffered while a batch is applying."""
-        if self._applying_remote:
-            return  # don't echo remotely-originated updates back out
-        update = (key, old_value, new_value, kind)
-        for dst in self.subscriptions.subscribers_of(key):
-            if self._outbox is not None:
-                self._outbox.add(dst, update)
-            else:
-                self._push(dst, [update])
 
     def _push(self, dst: str, updates: List[Update]) -> None:
         self.updates_sent += len(updates)
@@ -193,11 +165,7 @@ class DistributedNode:
         if not pairs:
             return
         self.updates_applied += len(pairs)
-        self._applying_remote = True
-        try:
-            self.server.engine.apply_batch(pairs)
-        finally:
-            self._applying_remote = False
+        self.server.engine.apply_batch(pairs)
 
     def _on_forwarded_write(self, src: str, body) -> None:
         """A write forwarded from a read-your-own-writes session."""

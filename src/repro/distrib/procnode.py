@@ -50,7 +50,6 @@ from .partition_map import PartitionMap, WrongOwnerError
 from .subscription import (
     SubscriptionRegistry,
     Update,
-    UpdateBuffer,
     decode_update_batch,
     encode_update_batch,
 )
@@ -82,16 +81,16 @@ class ClusterNodeRuntime:
         #: Held for every engine operation; RELEASED around blocking
         #: remote fetches (see module docstring).
         self.store_lock = threading.Lock()
-        self.subscriptions = SubscriptionRegistry()
+        self.subscriptions = SubscriptionRegistry(
+            self.server.attach_hub(gate=self._event_visible), self._send_mirror
+        )
         self.resolver = MirrorResolver(
             self._mirror_homes, self._mirror_fetch, self._mirror_unsubscribe
         )
         self.server.set_resolver(self.resolver)
-        self.server.attach_hub(gate=self._event_visible)
-        self.server.add_listener(self._on_local_change)
+        self.server.add_listener(self._journal_change)
         self.server.metrics.add_source(self._metric_samples)
         self._computed: Optional[Set[str]] = None
-        self._outbox: Optional[UpdateBuffer] = None
         #: >0 while replaying state transitions watchers must not see
         #: (the rebuild of a migrated-in computed range); the hub gate
         #: swallows events and the rebuild publishes real diffs itself.
@@ -255,24 +254,20 @@ class ClusterNodeRuntime:
             return self.server.count(first, last)
 
     def _locked_write(self, fn):
-        with self.store_lock:
-            self._outbox = UpdateBuffer()
-            try:
-                result = fn()
-            finally:
-                outbox, self._outbox = self._outbox, None
-        for dst, updates in outbox.flush():
-            self._send_mirror(dst, updates)
-        return result
+        # The outbox flushes after the lock is released.
+        with self.subscriptions.batch():
+            with self.store_lock:
+                return fn()
 
     # ------------------------------------------------------------------
     # Change fan-out (runs under store_lock, main thread)
     # ------------------------------------------------------------------
     def _event_visible(self, key, old, new, kind) -> bool:
-        """Hub gate: a change is a client watch event only at the
-        key's current primary, and only when it changes the value —
-        replica/mirror/migration replays fall out here, keeping a
-        cluster-wide watch exactly-once."""
+        """Hub gate: a change is a client watch event or a mirror push
+        only at the key's current primary, and only when it changes the
+        value — replica/mirror/migration replays fall out here, keeping
+        a cluster-wide watch exactly-once and leaving subscribers alone
+        with values they already have."""
         if self._mute_events:
             return False
         if kind is ChangeKind.UPDATE and old == new:
@@ -280,25 +275,12 @@ class ClusterNodeRuntime:
         pmap = self.map
         return pmap is None or pmap.is_owner(self.name, key)
 
-    def _on_local_change(self, key, old, new, kind) -> None:
-        if self._journals:
-            # Computed changes journal too: the migration target's
-            # before-image must track maintenance right up to the fence.
-            for (lo, hi), tail in self._journals.items():
-                if lo <= key < hi:
-                    tail.append((key, old, new, kind))
-        if kind is ChangeKind.UPDATE and old == new:
-            return  # no-op replay: subscribers already have this value
-        pmap = self.map
-        if pmap is not None and not pmap.is_owner(self.name, key):
-            return  # not ours to push (replica / mirror apply)
-        for dst in self.subscriptions.subscribers_of(key):
-            if dst == self.name:
-                continue
-            if self._outbox is not None:
-                self._outbox.add(dst, (key, old, new, kind))
-            else:
-                self._send_mirror(dst, [(key, old, new, kind)])
+    def _journal_change(self, key, old, new, kind) -> None:
+        # Computed changes journal too: the migration target's
+        # before-image must track maintenance right up to the fence.
+        for (lo, hi), tail in self._journals.items():
+            if lo <= key < hi:
+                tail.append((key, old, new, kind))
 
     def _send_mirror(self, dst: str, updates: List[Update]) -> None:
         pmap = self.map
@@ -545,17 +527,23 @@ class ClusterNodeRuntime:
         published.  The demand scan re-resolves the slice, which also
         re-establishes the fetch-and-subscribe feeds from the source
         tables' owners, so later maintenance pushes flow normally.
+
+        Mirror subscriptions are watches on the same hub, yet never
+        force a rebuild (only computed tables are asked about, and they
+        are never mirrored), and the mute hides no base change from
+        them: the window publishes only the computed rows it clears and
+        recomputes (mirror fetches install silently), on the main
+        thread, the only one that writes.
         """
-        hub = self.server._hub
+        hub = self.server.hub
         watched: List[Tuple[str, str, Dict[str, str]]] = []
-        if hub is not None:
-            for table in self.computed_tables():
-                tlo, thi = table_range(table)
-                s_lo, s_hi = max(lo, tlo), min(hi, thi)
-                if s_lo < s_hi and hub.overlapping(s_lo, s_hi):
-                    watched.append(
-                        (s_lo, s_hi, dict(self.server.store.scan(s_lo, s_hi)))
-                    )
+        for table in self.computed_tables():
+            tlo, thi = table_range(table)
+            s_lo, s_hi = max(lo, tlo), min(hi, thi)
+            if s_lo < s_hi and hub.overlapping(s_lo, s_hi):
+                watched.append(
+                    (s_lo, s_hi, dict(self.server.store.scan(s_lo, s_hi)))
+                )
         self._mute_events += 1
         try:
             self._drop_computed_slices(lo, hi)

@@ -5,97 +5,112 @@ H, S requests k's value from H.  In addition to returning the value, H
 installs a subscription for S to k.  When H receives an update to k's
 value, it will send the new value to S."
 
-The home side keeps subscriptions in an interval tree (ranges, not
-single keys — fetches are containing ranges).  Updates propagate as
-asynchronous messages, so replicas are eventually consistent.
+A subscription is a watch on the home server's
+:class:`~repro.core.hub.ChangeHub` — the same range fan-out that
+serves client watches — keyed by ``(subscriber, lo, hi)`` (ranges, not
+single keys: fetches are containing ranges).  Each covered change goes
+to a ``send(dst, updates)`` the deployment supplies, or, inside
+:meth:`SubscriptionRegistry.batch`, into an outbox flushed as one
+message per subscriber.  Updates travel as asynchronous messages, so
+replicas are eventually consistent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import Counter
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.hub import ChangeEvent, ChangeHub, WatchHandle
 from ..core.operators import ChangeKind
-from ..store.interval_tree import IntervalTree
-from ..store.keys import table_of
+
+#: An asynchronous subscription update: (key, old, new, kind).
+Update = Tuple[str, Optional[str], Optional[str], ChangeKind]
 
 
 class SubscriptionRegistry:
     """Home-server side: who mirrors which of my ranges."""
 
-    def __init__(self) -> None:
-        self._by_table: Dict[str, IntervalTree] = {}
+    def __init__(
+        self, hub: ChangeHub, send: Callable[[str, List[Update]], None]
+    ) -> None:
+        self.hub = hub
+        self.send = send
+        self._watches: Dict[Tuple[str, str, str], WatchHandle] = {}
+        #: Per subscriber, the seq of the last change pushed to it: a
+        #: subscriber holding overlapping ranges still gets one push.
+        self._last_seq: Dict[str, int] = {}
+        self._outbox: Optional[UpdateBuffer] = None
         self.installed = 0
 
     def subscribe(self, subscriber: str, lo: str, hi: str) -> None:
         """Record that ``subscriber`` mirrors ``[lo, hi)``."""
-        table = table_of(lo)
-        tree = self._by_table.setdefault(table, IntervalTree())
-        entry = tree.find_entry(lo, hi)
-        if entry is not None and subscriber in entry.payloads:
+        key = (subscriber, lo, hi)
+        if key in self._watches:
             return  # idempotent re-subscription
-        tree.add(lo, hi, subscriber)
+        self._watches[key] = self.hub.watch(
+            lo, hi, lambda event: self._deliver(subscriber, event)
+        )
         self.installed += 1
 
-    def unsubscribe(self, subscriber: str, lo: str, hi: str) -> bool:
-        table = table_of(lo)
-        tree = self._by_table.get(table)
-        if tree is None:
-            return False
-        return tree.discard(lo, hi, subscriber)
+    def _deliver(self, subscriber: str, event: ChangeEvent) -> None:
+        if self._last_seq.get(subscriber) == event.seq:
+            return
+        self._last_seq[subscriber] = event.seq
+        update = (event.key, event.old, event.new, event.kind)
+        if self._outbox is not None:
+            self._outbox.add(subscriber, update)
+        else:
+            self.send(subscriber, [update])
 
-    def subscribers_of(self, key: str) -> Set[str]:
-        """Every server mirroring ``key``'s range."""
-        tree = self._by_table.get(table_of(key))
-        if tree is None:
-            return set()
-        out: Set[str] = set()
-        for entry in tree.stab(key):
-            out.update(entry.payloads)
-        return out
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Collect the pushes of one write batch; on exit, send ONE
+        coalesced message per subscriber."""
+        self._outbox = UpdateBuffer()
+        try:
+            yield
+        finally:
+            outbox, self._outbox = self._outbox, None
+            for dst, updates in outbox.flush():
+                self.send(dst, updates)
+
+    def unsubscribe(self, subscriber: str, lo: str, hi: str) -> bool:
+        handle = self._watches.pop((subscriber, lo, hi), None)
+        if handle is None:
+            return False
+        handle.close()
+        return True
 
     def drop_subscriber(self, subscriber: str) -> int:
         """Remove every subscription ``subscriber`` holds — what a home
         server does when a subscriber crashes (cluster fault injection).
         Returns how many range subscriptions were dropped."""
-        dropped = 0
-        for tree in self._by_table.values():
-            doomed = [
-                (entry.lo, entry.hi)
-                for entry in tree.entries()
-                if subscriber in entry.payloads
-            ]
-            for lo, hi in doomed:
-                if tree.discard(lo, hi, subscriber):
-                    dropped += 1
-        return dropped
+        doomed = [key for key in self._watches if key[0] == subscriber]
+        for key in doomed:
+            self._watches.pop(key).close()
+        return len(doomed)
 
     def overlapping(self, lo: str, hi: str) -> List[Tuple[str, str, str]]:
         """Every ``(subscriber, lo, hi)`` whose range intersects
         ``[lo, hi)`` — what a migration source enumerates to hand its
         subscriptions off to the target."""
-        out: List[Tuple[str, str, str]] = []
-        for tree in self._by_table.values():
-            for entry in tree.entries():
-                if entry.lo < hi and lo < entry.hi:
-                    for subscriber in entry.payloads:
-                        out.append((subscriber, entry.lo, entry.hi))
-        return out
+        return [
+            (subscriber, s_lo, s_hi)
+            for subscriber, s_lo, s_hi in self._watches
+            if s_lo < hi and lo < s_hi
+        ]
 
     def subscription_count(self) -> int:
-        return sum(t.payload_count() for t in self._by_table.values())
+        return len(self._watches)
 
     def memory_bytes(self) -> int:
         """Approximate bookkeeping cost (the §5.5 base-server growth)."""
-        total = 0
-        for tree in self._by_table.values():
-            for entry in tree.entries():
-                total += 64 + len(entry.lo) + len(entry.hi)
-                total += 16 * len(entry.payloads)
-        return total
-
-
-#: An asynchronous subscription update: (key, old, new, kind).
-Update = Tuple[str, Optional[str], Optional[str], ChangeKind]
+        ranges = Counter((lo, hi) for _subscriber, lo, hi in self._watches)
+        return sum(
+            64 + len(lo) + len(hi) + 16 * count
+            for (lo, hi), count in ranges.items()
+        )
 
 
 def encode_update(update: Update) -> list:

@@ -90,6 +90,9 @@ class RpcClient:
         self._reader_task = asyncio.create_task(self._read_loop())
 
     async def close(self) -> None:
+        """Close the connection.  Calls still awaiting a reply fail
+        with ``ConnectionResetError``, as later calls do."""
+        self._fail_pending(ConnectionResetError("client closed"))
         self._fail_push_sinks()
         if self._reader_task is not None:
             self._reader_task.cancel()
@@ -186,7 +189,8 @@ class RpcClient:
         return await self.call("unsubscribe", sub_id)
 
     def _start_call(self, method: str, args: List[Any]) -> asyncio.Future:
-        assert self._writer is not None, "client is not connected"
+        if self._writer is None:
+            raise ConnectionResetError("client is not connected")
         if self._reader_task is not None and self._reader_task.done():
             raise ConnectionResetError("connection lost")
         request_id = self._next_id

@@ -187,3 +187,45 @@ def test_watch_across_migration_no_dup_no_drop():
         ]
         watch.close()
         client.close()
+
+
+def test_mute_window_hides_no_owned_base_change():
+    """A gained computed range rebuilds with the hub muted, and mirror
+    subscriptions are watches on that hub.  The window must therefore
+    publish no base-key change this node is primary for — otherwise a
+    mirror would miss it.  It publishes only the computed rows it
+    tears down and recomputes; the fetches it makes install without
+    publishing."""
+    with ProcCluster(
+        3, tables=("p", "s", "t"), splits=("q", "u"), replication=1,
+        in_process=True,
+    ) as cluster:
+        muted = []
+        for node in cluster.nodes.values():
+            rt = node.runtime
+            rt.server.add_listener(
+                lambda key, old, new, kind, rt=rt: rt._mute_events
+                and muted.append(key)
+            )
+        client = ProcClusterClient.for_cluster(cluster)
+        client.add_join(TIMELINE)
+        client.put("s|ann|bob", "1")
+        client.put("p|bob|0100", "warm")
+        client.settle()
+        assert client.scan_prefix("t|ann|") == [("t|ann|0100|bob", "warm")]
+        watch = client.iter_watch("t|ann|", "t|ann}")
+
+        r = cluster.map.range_for("t|ann|")
+        target = next(n for n in cluster.live_names() if n != r.primary)
+        cluster.migrate(r.lo, r.hi, target)
+        client.put("p|bob|0300", "after move")
+        client.settle()
+
+        assert [(e.key, e.new) for e in watch.drain()] == [
+            ("t|ann|0300|bob", "after move"),
+        ]
+        assert muted  # the rebuild ran under the mute
+        # Computed rows only: no base key, owned here or not.
+        assert all(key.startswith("t|") for key in muted)
+        watch.close()
+        client.close()

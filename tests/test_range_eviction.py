@@ -32,11 +32,11 @@ class TestCachedBaseEviction:
 
     def test_evicting_base_range_cancels_subscription(self):
         dep, db, srv = self.make()
-        subs_before = db.hub.subscription_count()
+        subs_before = db.hub.watcher_count()
         while srv.eviction.evict_one():
             pass
         assert dep.resolver.evicted_ranges >= 1
-        assert db.hub.subscription_count() < subs_before
+        assert db.hub.watcher_count() < subs_before
 
     def test_evicted_base_range_reloads_on_demand(self):
         dep, db, srv = self.make()

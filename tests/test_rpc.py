@@ -137,6 +137,36 @@ class TestPipelining:
         run(with_server(body))
 
 
+class TestClientClose:
+    def test_close_fails_calls_in_flight_and_after(self):
+        """A call awaiting its reply when the client closes fails with
+        ConnectionResetError instead of waiting forever, and so does a
+        call started after close."""
+
+        async def body():
+            async def silent(reader, writer):
+                await reader.read()  # never answers
+                writer.close()
+
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            client = RpcClient("127.0.0.1", server.sockets[0].getsockname()[1])
+            await client.connect()
+            try:
+                call = asyncio.ensure_future(client.ping())
+                await asyncio.sleep(0.05)
+                await client.close()
+                with pytest.raises(ConnectionResetError):
+                    await asyncio.wait_for(call, 2)
+                with pytest.raises(ConnectionResetError):
+                    await client.ping()
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        run(body())
+
+
 class TestDisconnectTeardown:
     """Watch-subscription cleanup when a client vanishes.
 
