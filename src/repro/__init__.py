@@ -11,7 +11,7 @@ paper's system and every substrate it depends on, in pure Python:
   builder;
 * ``repro.core`` — cache joins, query execution, incremental
   maintenance, the single-node :class:`PequodServer`;
-* ``repro.store`` — the ordered store (red-black trees, interval
+* ``repro.store`` — the ordered store (a blocked sorted array, interval
   trees, tables/subtables, value sharing);
 * ``repro.backing`` — a backing database with change notifications and
   cache deployments (write-around / write-through / lookaside);

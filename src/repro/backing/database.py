@@ -20,10 +20,8 @@ cache design depends on:
 * query/row accounting so benchmarks can charge database work.
 
 It deliberately reuses the ordered-store substrate: a database shard in
-the evaluation *is* a Pequod process absorbing writes (§5.5) — the
-ordered map behind it resolves through the same ``resolve_map_impl``
-registry as the cache's tables (``"rbtree"``, the blocked
-``"sortedarray"`` default, or the value-spilling ``"disk"`` tier).
+the evaluation *is* a Pequod process absorbing writes (§5.5) — its
+rows live in the same blocked sorted array as the cache's tables.
 """
 
 from __future__ import annotations
@@ -32,14 +30,14 @@ from typing import List, Optional, Tuple
 
 from ..core.hub import ChangeHub, EventSink, WatchHandle
 from ..core.operators import ChangeKind
-from ..store.omap import resolve_map_impl
+from ..store.sortedarray import SortedArrayMap
 
 
 class BackingDatabase:
     """An ordered key-value database with range notifications and CDC."""
 
-    def __init__(self, store_impl=None, feed=None) -> None:
-        self._tree = resolve_map_impl(store_impl)()
+    def __init__(self, feed=None) -> None:
+        self._tree = SortedArrayMap()
         self.hub = ChangeHub()
         self.feed = feed
         self.query_count = 0

@@ -9,9 +9,12 @@ store through the unified :class:`~repro.client.base.PequodClient`
 (no cache joins installed, so any backend works; the default is an
 in-process server).  The client keeps a reverse-subscription index
 (``rs|poster|user``) so it can find followers, and pays one RPC per
-follower timeline it updates — the RPC overhead half of the paper's
-1.64x penalty.  The other half, insertion overhead, appears because
-plain puts get no output hints and no value sharing.
+follower timeline it updates.  The paper splits client Pequod's 1.64x
+penalty into RPC overhead and insertion overhead (no output hints, no
+value sharing).  Here it differs from server-side Pequod in exactly two
+ways: those client RPCs, and no value sharing (§4.3) — each timeline
+entry is a private copy of the tweet.  Output hints (§4.2) are not
+implemented on either side, so none of the modeled gap comes from them.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ class ClientPequodBackend(TwipBackend):
     ) -> None:
         super().__init__()
         if client is None:
-            # Client-managed stores see no benefit from join-side
-            # optimizations; hints/sharing only help server-side
-            # computation.
-            server_kwargs.setdefault("enable_hints", False)
+            # Client-managed timelines hold private copies: value
+            # sharing only helps outputs a cache join computes.
             server_kwargs.setdefault("enable_sharing", False)
             client = LocalClient(
                 PequodServer(stats=self.meter, **server_kwargs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..store.rbtree import RBTree
+from ..store.sortedarray import SortedArrayMap
 from .base import Tweet, TwipBackend
 
 
@@ -34,16 +34,16 @@ class MiniRelDB:
 
     def __init__(self, meter) -> None:
         self.meter = meter
-        self.posts = RBTree()  # (poster, time) -> tweet
-        self.subs = RBTree()  # (user, poster) -> True
+        self.posts = SortedArrayMap()  # (poster, time) -> tweet
+        self.subs = SortedArrayMap()  # (user, poster) -> True
         self.followers: Dict[str, Set[str]] = {}
-        self.timeline = RBTree()  # (user, time, poster) -> tweet
+        self.timeline = SortedArrayMap()  # (user, time, poster) -> tweet
 
     # ------------------------------------------------------------------
     def _statement(self) -> None:
         self.meter.add("sql_statements")
 
-    def _index_write(self, tree: RBTree) -> None:
+    def _index_write(self, tree: SortedArrayMap) -> None:
         self.meter.tree_descent(len(tree))
         self.meter.add("sql_rows")
 
@@ -130,8 +130,8 @@ class MatViewBackend(TwipBackend):
 
     def __init__(self, backfill_limit: int = 16) -> None:
         super().__init__()
-        self.posts = RBTree()  # (poster, time) -> tweet
-        self.subs = RBTree()  # (user, poster) -> True
+        self.posts = SortedArrayMap()  # (poster, time) -> tweet
+        self.subs = SortedArrayMap()  # (user, poster) -> True
         self.view: Dict[str, List[Tweet]] = {}  # user -> sorted timeline
         #: Staleness tracking: a view is fresh when its refresh version
         #: matches the global write version.

@@ -56,10 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--memory-limit", type=int, default=None)
     serve.add_argument(
-        "--store-impl", choices=["rbtree", "sortedarray", "disk"],
+        "--store-impl", choices=["sortedarray", "disk"],
         default=None,
-        help="ordered map backing the data plane (default: sortedarray; "
-        "'disk' spills cold values to segment files)",
+        help="ordered map backing the data plane: the blocked sorted "
+        "array (default), or 'disk', the same map spilling cold values "
+        "to segment files",
     )
     serve.add_argument(
         "--data-dir", default=None, metavar="DIR",

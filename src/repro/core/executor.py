@@ -65,7 +65,7 @@ from ..store.keys import clamp_range, key_successor, prefix_upper_bound, table_o
 from ..store.lru import LRUList
 from ..store.stats import StoreStats
 from ..store.store import OrderedStore
-from ..store.table import PutHandle, Table
+from ..store.table import Table
 from ..store.values import SharedValue, Value, materialize
 from .clock import Clock, SystemClock
 from .joins import CacheJoin, JoinError
@@ -146,13 +146,11 @@ class JoinEngine:
         clock: Optional[Clock] = None,
         stats: Optional[StoreStats] = None,
         enable_sharing: bool = True,
-        enable_hints: bool = True,
     ) -> None:
         self.store = store
         self.clock = clock if clock is not None else SystemClock()
         self.stats = stats if stats is not None else store.stats
         self.enable_sharing = enable_sharing
-        self.enable_hints = enable_hints
         self.joins: List[CacheJoin] = []
         self._output_joins: Dict[str, List[CacheJoin]] = {}
         #: Precomputed views of ``joins``: materialized joins per output
@@ -381,8 +379,8 @@ class JoinEngine:
                     if entry is not None and entry.linked():
                         self.lru.touch(entry)
                     return
-                # A stale hint would otherwise pin the dead range (and
-                # its hinted node) until the cap clears; drop it now.
+                # A stale hint would otherwise pin the dead range until
+                # the cap clears; drop it now.
                 del memo[hi]
         stable = self.status[tbl_name]
         if self.enable_whole_table_fastpath and stable.all_valid_over(lo, hi):
@@ -527,7 +525,6 @@ class JoinEngine:
         self._clear_range(sr.lo, sr.hi)
         sr.state = RangeState.VALID
         sr.pending.clear()
-        sr.hint = None
         sr.expires_at = None
         self._release_builds(sr)  # the rebuild installs its own
         try:
@@ -570,9 +567,7 @@ class JoinEngine:
         sr.expires_at = expiry
         if run:
             run.sort(key=itemgetter(0))
-            handle = self._install_run(self.store.table(tbl_name), run)
-            if self.enable_hints:
-                sr.hint = handle
+            self._install_run(self.store.table(tbl_name), run)
         sr.compute_cost = (
             self.stats.get("source_keys_examined")
             + self.stats.get("outputs_installed")
@@ -677,19 +672,15 @@ class JoinEngine:
                 if agg[key].count > 0:
                     emit((key, agg[key]))
 
-    def _install_run(
-        self, table: Table, run: List[Tuple[str, Value]]
-    ) -> Optional[PutHandle]:
+    def _install_run(self, table: Table, run: List[Tuple[str, Value]]) -> None:
         """Install a key-sorted run of outputs with one
         :meth:`Table.install_many` and announce each change, in key
-        order, when anything can observe it (see :meth:`_observed`).
-        Returns the handle on the run's last key."""
-        results, handle = table.install_many(run)
+        order, when anything can observe it (see :meth:`_observed`)."""
+        results = table.install_many(run)
         self.stats.counters["outputs_installed"] += len(run)
         if self.fault_hook is not None or self.listeners or table.updaters:
             for (key, old), (_, value) in zip(results, run):
                 self._notify_installed(key, old, value)
-        return handle
 
     def retire_range(self, tbl_name: str, sr: StatusRange) -> None:
         """Take ``sr`` out of the cover (eviction, a failed compute, a
@@ -815,7 +806,7 @@ class JoinEngine:
         source_window: Optional[Tuple[int, str, str]] = None,
     ) -> None:
         if idx == len(join.sources):
-            self._emit(join, cs, out_lo, out_hi, value, sr, results, agg, mode)
+            self._emit(join, cs, out_lo, out_hi, value, results, agg, mode)
             return
         if idx == skip_source:
             # This source's key is pinned (updater fire or pending
@@ -886,7 +877,6 @@ class JoinEngine:
         out_lo: str,
         out_hi: str,
         value: Optional[Value],
-        sr: Optional[StatusRange],
         results: Optional[List[Tuple[str, str]]],
         agg: Optional[Dict[str, AggValue]],
         mode: ChangeKind,
@@ -907,15 +897,10 @@ class JoinEngine:
         if results is not None:
             results.append((out_key, materialize(value)))
             return
-        assert sr is not None
-        self._install_output(out_key, value, sr)
+        self._install_output(out_key, value)
 
-    def _install_output(self, key: str, value: Value, sr: StatusRange) -> None:
-        table = self.store.table_for_key(key)
-        hint = sr.hint if self.enable_hints else None
-        handle, old = table.put(key, value, hint=hint)
-        if self.enable_hints:
-            sr.hint = handle
+    def _install_output(self, key: str, value: Value) -> None:
+        old = self.store.table_for_key(key).put(key, value)
         self.stats.add("outputs_installed")
         self._notify_installed(key, old, value)
 
@@ -1028,8 +1013,7 @@ class JoinEngine:
     # ==================================================================
     def apply_put(self, key: str, value: str) -> None:
         """A client or upstream write: store it and run maintenance."""
-        table = self.store.table_for_key(key)
-        _, old = table.put(key, value)
+        old = self.store.table_for_key(key).put(key, value)
         kind = ChangeKind.INSERT if old is None else ChangeKind.UPDATE
         self.notify_change(
             key, materialize(old) if old is not None else None, value, kind
@@ -1050,7 +1034,7 @@ class JoinEngine:
 
         ``batch`` is a :class:`~repro.store.batch.WriteBatch` or any
         operation iterable the store accepts.  The store mutates first
-        (sorted, hint-chained); maintenance then runs once per affected
+        (in key order); maintenance then runs once per affected
         table via :meth:`notify_batch`.  Returns the number of net
         changes applied.
         """
@@ -1661,7 +1645,7 @@ class JoinEngine:
                 return  # group already absent
             acc = AggValue(join.value_source.operator)
             acc.include(new_value or "")
-            self._install_output(out_key, acc, sr)
+            self._install_output(out_key, acc)
             return
         old_payload = acc.payload
         if kind is ChangeKind.INSERT:

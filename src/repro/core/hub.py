@@ -133,11 +133,11 @@ class ChangeHub:
         reconfigured computed range must be rebuilt for its watchers
         (mirror subscriptions cover base tables only, so they never
         match)."""
-        for entry in self._tree.entries():
-            if entry.lo < hi and lo < entry.hi:
-                if any(handle.active for handle in entry.payloads):
-                    return True
-        return False
+        return any(
+            handle.active
+            for entry in self._tree.overlapping(lo, hi)
+            for handle in entry.payloads
+        )
 
     # ------------------------------------------------------------------
     def publish(

@@ -40,15 +40,16 @@ class PequodServer:
 
     * ``subtable_config`` — developer-marked subtable boundaries per
       table (§4.1), e.g. ``{"t": 2}`` for one subtable per timeline.
-    * ``enable_sharing`` / ``enable_hints`` — the §4.2/§4.3
-      optimizations; the client-Pequod baseline (§5.2,
-      ``baselines.client_pequod``) turns both off.
+    * ``enable_sharing`` — §4.3's value sharing; the client-Pequod
+      baseline (§5.2, ``baselines.client_pequod``) turns it off.
+      §4.2's output hints are not implemented: on the sorted-array
+      store a hint costs a locate on top of the insert it would skip.
     * ``memory_limit`` — optional byte budget; exceeding it evicts
       least-recently-used ranges (§2.5).
     * ``clock`` — injectable time source for snapshot joins.
     * ``store_impl`` — the ordered map backing the data plane
-      (``"rbtree"``, ``"sortedarray"``, or ``"disk"`` for the
-      value-spilling tier; None picks the default).
+      (``"sortedarray"``, the default, or ``"disk"`` for the
+      value-spilling tier).
     * ``overload_policy`` — optional :class:`OverloadPolicy`; when set,
       every operation passes admission control (shed with
       ``OverloadError``, or degrade to bounded-staleness reads).
@@ -75,7 +76,6 @@ class PequodServer:
         subtable_config: Optional[Dict[str, int]] = None,
         clock: Optional[Clock] = None,
         enable_sharing: bool = True,
-        enable_hints: bool = True,
         memory_limit: Optional[int] = None,
         eviction_policy: str = "lru",
         stats: Optional[StoreStats] = None,
@@ -118,7 +118,6 @@ class PequodServer:
             clock=self.clock,
             stats=self.stats,
             enable_sharing=enable_sharing,
-            enable_hints=enable_hints,
         )
         self.eviction = EvictionManager(
             self.engine,
@@ -158,7 +157,7 @@ class PequodServer:
                 fsync=wal_fsync,
                 stats=self.stats,
             )
-            self.backing = BackingDatabase(store_impl=None, feed=None)
+            self.backing = BackingDatabase()
             # Replay the journal (if any) to rebuild the DB a previous
             # process accumulated, then start recording live writes.
             self.backing.attach_feed(feed, replay=True)

@@ -12,8 +12,6 @@ Each range carries:
 * a *pending log* of partially-invalidating source modifications that
   will be applied lazily when the range is next read (§3.2's partial
   invalidation, after [29]);
-* the *output hint* — a handle to the last key this range updated,
-  giving O(1) appends and in-place updates (§4.2);
 * an LRU entry so eviction can drop cold computed ranges (§2.5);
 * the builds it holds, which own the updaters installed on its
   behalf (:class:`Build`).
@@ -30,8 +28,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, List, Optional, Tuple
-
-from ..store.table import PutHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..store.lru import LRUEntry
@@ -143,7 +139,6 @@ class StatusRange:
         "state",
         "expires_at",
         "pending",
-        "hint",
         "lru_entry",
         "builds",
         "compute_cost",
@@ -168,7 +163,6 @@ class StatusRange:
         #: mutation path — invalidate, split, apply — empties or
         #: replaces the list, so the sizes diverge).
         self._pending_index: dict = {}
-        self.hint: Optional[PutHandle] = None
         self.lru_entry: Optional["LRUEntry"] = None
         #: The builds this range holds; it owns their updaters.
         self.builds: Tuple[Build, ...] = ()
@@ -261,9 +255,8 @@ class StatusRange:
         application re-executes against the current store, so an entry
         one piece had already applied is harmless over the whole.  The
         merged range holds both halves' builds, is as old as its
-        oldest part (``None`` = never validated wins), costs what both
-        cost, and keeps the rightmost live output hint (appends land at
-        the tail).
+        oldest part (``None`` = never validated wins), and costs what
+        both cost.
         """
         self.hi = right.hi
         for b in right.builds:
@@ -280,16 +273,12 @@ class StatusRange:
         elif right.validated_at < self.validated_at:
             self.validated_at = right.validated_at
         self.compute_cost += right.compute_cost
-        if right.hint is not None and right.hint.is_valid():
-            self.hint = right.hint
         right.pending = []
-        right.hint = None
 
     def invalidate(self) -> None:
         """Complete invalidation: recompute from scratch on next read."""
         self.state = RangeState.INVALID
         self.pending.clear()
-        self.hint = None
         self.expires_at = None
         self.spilled = False
         if self.owner is not None:
@@ -456,8 +445,7 @@ class StatusTable:
 
         Both halves keep the state, expiry, and a copy of the pending
         log (each half will apply or drop entries independently), and
-        both hold its builds.  The output hint stays with the half that
-        contains the hinted key.
+        both hold its builds.
         """
         if not (sr.lo < at < sr.hi):
             raise ValueError(f"split point {at!r} outside ({sr.lo!r},{sr.hi!r})")
@@ -471,11 +459,6 @@ class StatusTable:
         right.compute_cost = sr.compute_cost / 2
         sr.compute_cost /= 2
         sr.hi = at
-        if sr.hint is not None and sr.hint.is_valid():
-            if not (sr.hint.key() < at):
-                right.hint, sr.hint = sr.hint, None
-        else:
-            sr.hint = None
         i = bisect_right(self._los, right.lo)
         self._los.insert(i, right.lo)
         self._ranges.insert(i, right)

@@ -1,8 +1,8 @@
 """Ordered key-value store substrate (paper §4).
 
-Red-black trees, interval trees, table/subtable layering with a hash
-index, value sharing, and LRU tracking — the data structures the Pequod
-join engine is built on.
+A blocked sorted array as the one ordered map, an interval tree for
+updaters, table/subtable layering with a hash index, value sharing, and
+LRU tracking — the data structures the Pequod join engine is built on.
 """
 
 from .batch import BatchOp, WriteBatch, as_ops
@@ -23,11 +23,10 @@ from .keys import (
 )
 from .lru import LRUEntry, LRUList
 from .omap import DEFAULT_MAP_IMPL, MAP_IMPLS, resolve_map_impl
-from .rbtree import Node, RBTree
 from .sortedarray import SortedArrayMap
 from .stats import StoreStats
 from .store import OrderedStore
-from .table import SUBTABLE_OVERHEAD, PutHandle, Table
+from .table import SUBTABLE_OVERHEAD, Table
 from .values import (
     NODE_OVERHEAD,
     POINTER_SIZE,
@@ -51,10 +50,7 @@ __all__ = [
     "IntervalTree",
     "LRUEntry",
     "LRUList",
-    "Node",
     "OrderedStore",
-    "PutHandle",
-    "RBTree",
     "SharedValue",
     "SortedArrayMap",
     "StoreStats",

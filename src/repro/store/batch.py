@@ -68,8 +68,7 @@ class WriteBatch:
     write to the same key replaces the earlier one in place, and
     ``coalesced_ops`` counts how many buffered writes were absorbed
     this way.  ``ops()`` returns the surviving operations in key order
-    (sorted application lets tables chain insertion hints and lets the
-    wire encoding share key prefixes).
+    (sorted application lets the wire encoding share key prefixes).
     """
 
     __slots__ = ("_ops", "_sink", "coalesced_ops")

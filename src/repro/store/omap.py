@@ -3,10 +3,10 @@
 Paper §4 describes the store as "a collection of binary trees", but
 nothing above the table layer depends on *tree-ness* — only on an
 ordered map of string keys to values with stable node handles.  This
-module names that contract so the red-black tree (``rbtree.py``) and
-the blocked sorted array (``sortedarray.py``) are interchangeable, and
-``OrderedStore(map_impl=...)`` / ``PequodServer(store_impl=...)`` can
-pick per deployment.
+module names that contract.  Its one implementation is the blocked
+sorted array (``sortedarray.py``); the ``"disk"`` tier is the same map
+with a value-spill handle (``diskmap.py``).  ``OrderedStore(map_impl=...)``
+and ``PequodServer(store_impl=...)`` pick between the two.
 
 The contract, in terms of *nodes* (opaque handles exposing ``key`` and
 ``value``; ``value`` is assignable in place):
@@ -16,34 +16,24 @@ The contract, in terms of *nodes* (opaque handles exposing ``key`` and
   present, leaving an existing node untouched: one search where
   "find, then insert" would take two (``Table.put``,
   ``Table.install_many``);
-* ``insert_node_after(node, key, value) -> node`` — hinted insert
-  (§4.2 output hints); implementations may fall back to ``insert``;
 * ``find_node(key)`` / ``get(key, default)`` / ``remove(key)`` /
   ``remove_node(node)`` / ``clear()``;
-* ``min_node`` / ``max_node`` / ``ceiling_node`` / ``floor_node`` /
-  ``higher_node`` / ``lower_node`` / ``next_node`` / ``prev_node``;
+* ``remove_range(lo, hi) -> [node, ...]`` — remove ``[lo, hi)`` as one
+  run and return the removed nodes in key order (computed-range
+  eviction and recompute, :meth:`~repro.store.table.Table.remove_range`);
+* ``min_node`` / ``floor_node`` / ``next_node`` — the walk over a
+  table's subtable index;
 * ``nodes(lo, hi)`` / ``items`` / ``keys`` — ordered ``[lo, hi)``
   iteration (``None`` bounds are open);
 * ``count_range(lo, hi)`` — size of ``[lo, hi)`` without yielding;
-* ``node_valid(node)`` — is this handle still attached?  Backs
-  :meth:`~repro.store.table.PutHandle.is_valid` without assuming a
-  particular removal representation;
 * ``len()`` / ``bool()`` / ``in`` / iteration over keys;
 * ``check_invariants()`` — test hook.
 
-One method is optional:
-
-* ``remove_range(lo, hi) -> [node, ...]`` — remove ``[lo, hi)`` as one
-  run and return the removed nodes in key order, each reporting
-  ``node_valid`` False afterwards.  :meth:`~repro.store.table.Table.
-  remove_range` (computed-range eviction and recompute) uses it when
-  present and otherwise removes node by node.  The sorted array
-  implements it as one slice deletion per block; the red-black tree
-  does not.
-
-The interval tree stays on :class:`~repro.store.rbtree.RBTree`
-directly: it needs the augmentation hook, which is tree-specific and
-deliberately outside this protocol.
+The paper's §4.2 output hints (remember where a join last wrote, and
+skip the next descent) are not implemented: on the sorted array a hint
+costs a locate on top of the insert it was meant to save.  The updater
+interval tree keeps its own balanced tree (``rbtree.py``), which it
+needs for the augmentation hook.
 """
 
 from __future__ import annotations
@@ -52,14 +42,10 @@ from typing import Callable
 
 #: Names accepted by ``OrderedStore(map_impl=...)`` and the CLI's
 #: ``--store-impl`` flag.
-MAP_IMPLS = ("rbtree", "sortedarray", "disk")
+MAP_IMPLS = ("sortedarray", "disk")
 
-#: The default data-plane map.  The blocked sorted array won on the
-#: read-heavy Twip workload when it landed (1.80x the pre-overhaul read
-#: path, against 1.22x on the rbtree; recorded in CHANGES.md): scans
-#: iterate a contiguous array instead of chasing parent pointers, and
-#: bisect runs in C.  The red-black tree remains selectable for
-#: write-skewed tables.
+#: The default data-plane map: the blocked sorted array.  Scans iterate
+#: a contiguous array instead of chasing pointers, and bisect runs in C.
 DEFAULT_MAP_IMPL = "sortedarray"
 
 
@@ -73,10 +59,6 @@ def resolve_map_impl(impl) -> Callable[[], object]:
         impl = DEFAULT_MAP_IMPL
     if callable(impl):
         return impl
-    if impl == "rbtree":
-        from .rbtree import RBTree
-
-        return RBTree
     if impl == "sortedarray":
         from .sortedarray import SortedArrayMap
 

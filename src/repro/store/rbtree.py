@@ -1,21 +1,16 @@
-"""Red-black binary search tree.
+"""The interval tree's balanced binary tree.
 
-Pequod stores key-value pairs and bookkeeping structures (updaters, join
-status ranges) in red-black trees (paper §4).  This module implements a
-classical red-black tree with parent pointers and a NIL sentinel, plus an
-optional *augmentation* hook so the interval tree (``interval_tree.py``)
-can maintain subtree metadata through rotations.
+Pequod keeps updaters in an interval tree (paper §3.2), and an
+interval tree needs a balanced search tree whose nodes carry subtree
+metadata.  This module is that tree: a classical red-black tree with
+parent pointers, a NIL sentinel, and an *augmentation* hook the
+interval tree (``interval_tree.py``) uses to keep each node's subtree
+maximum exact through rotations.
 
-The tree maps ordered keys to values.  Keys may be any totally ordered
-Python values; Pequod uses strings.  Supported operations:
-
-* ``insert(key, value)`` / ``remove(key)`` / ``get(key)``
-* ordered iteration over ``[lo, hi)`` ranges
-* ``ceiling`` / ``floor`` / ``higher`` / ``lower`` navigation
-* O(1) access to a node's successor via ``next_node`` (used by Pequod's
-  output hints, §4.2)
-
-All mutating operations run in O(log n).
+It offers only what the interval tree calls — ``find_node``,
+``insert_absent``, ``remove_node``, the in-order ``nodes()`` walk and
+``clear`` — each mutation in O(log n).  The data plane's ordered map is
+the blocked sorted array (``sortedarray.py``).
 """
 
 from __future__ import annotations
@@ -66,23 +61,11 @@ class RBTree:
         self._size = 0
         self._augment = augment
 
-    # ------------------------------------------------------------------
-    # Basic queries
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
 
     def __bool__(self) -> bool:
         return self._size > 0
-
-    def __contains__(self, key: Any) -> bool:
-        return self.find_node(key) is not None
-
-    def node_valid(self, node: Node) -> bool:
-        """Is this handle still attached?  Removed nodes are detached by
-        self-linking (see :meth:`remove_node`), so validity is a pure
-        structural check — no reference counting."""
-        return node.parent is not node and node.left is not node
 
     def find_node(self, key: Any) -> Optional[Node]:
         """Return the node with exactly ``key``, or None."""
@@ -96,130 +79,26 @@ class RBTree:
                 return node
         return None
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        node = self.find_node(key)
-        return node.value if node is not None else default
-
-    def min_node(self) -> Optional[Node]:
-        if self.root is self.nil:
-            return None
-        return self._subtree_min(self.root)
-
-    def max_node(self) -> Optional[Node]:
-        if self.root is self.nil:
-            return None
-        node = self.root
-        while node.right is not self.nil:
-            node = node.right
-        return node
-
-    def ceiling_node(self, key: Any) -> Optional[Node]:
-        """Smallest node with ``node.key >= key``."""
-        node, best = self.root, None
-        while node is not self.nil:
-            if node.key < key:
-                node = node.right
-            else:
-                best = node
-                node = node.left
-        return best
-
-    def higher_node(self, key: Any) -> Optional[Node]:
-        """Smallest node with ``node.key > key``."""
-        node, best = self.root, None
-        while node is not self.nil:
-            if key < node.key:
-                best = node
-                node = node.left
-            else:
-                node = node.right
-        return best
-
-    def floor_node(self, key: Any) -> Optional[Node]:
-        """Largest node with ``node.key <= key``."""
-        node, best = self.root, None
-        while node is not self.nil:
-            if key < node.key:
-                node = node.left
-            else:
-                best = node
-                node = node.right
-        return best
-
-    def lower_node(self, key: Any) -> Optional[Node]:
-        """Largest node with ``node.key < key``."""
-        node, best = self.root, None
-        while node is not self.nil:
-            if node.key < key:
-                best = node
-                node = node.right
-            else:
-                node = node.left
-        return best
-
-    def next_node(self, node: Node) -> Optional[Node]:
-        """In-order successor of ``node`` (O(1) amortized)."""
-        if node.right is not self.nil:
-            return self._subtree_min(node.right)
-        parent = node.parent
-        while parent is not self.nil and node is parent.right:
-            node, parent = parent, parent.parent
-        return parent if parent is not self.nil else None
-
-    def prev_node(self, node: Node) -> Optional[Node]:
-        """In-order predecessor of ``node``."""
-        if node.left is not self.nil:
-            child = node.left
-            while child.right is not self.nil:
-                child = child.right
-            return child
-        parent = node.parent
-        while parent is not self.nil and node is parent.left:
-            node, parent = parent, parent.parent
-        return parent if parent is not self.nil else None
-
-    # ------------------------------------------------------------------
-    # Iteration
-    # ------------------------------------------------------------------
-    def nodes(self, lo: Any = None, hi: Any = None) -> Iterator[Node]:
-        """Yield nodes with ``lo <= key < hi`` in key order.
-
-        ``lo`` of None means the minimum; ``hi`` of None means unbounded.
-        The tree must not be structurally modified while iterating.
-        """
-        node = self.min_node() if lo is None else self.ceiling_node(lo)
-        while node is not None and (hi is None or node.key < hi):
+    def nodes(self) -> Iterator[Node]:
+        """Yield every node in key order.  The tree must not be
+        structurally modified while iterating."""
+        nil = self.nil
+        if self.root is nil:
+            return
+        node = self._subtree_min(self.root)
+        while node is not nil:
             yield node
-            node = self.next_node(node)
-
-    def items(self, lo: Any = None, hi: Any = None) -> Iterator[tuple]:
-        for node in self.nodes(lo, hi):
-            yield node.key, node.value
-
-    def keys(self, lo: Any = None, hi: Any = None) -> Iterator[Any]:
-        for node in self.nodes(lo, hi):
-            yield node.key
-
-    def __iter__(self) -> Iterator[Any]:
-        return self.keys()
-
-    def count_range(self, lo: Any, hi: Any) -> int:
-        """Number of keys in ``[lo, hi)`` (O(k + log n))."""
-        return sum(1 for _ in self.nodes(lo, hi))
+            if node.right is not nil:
+                node = self._subtree_min(node.right)
+                continue
+            parent = node.parent
+            while parent is not nil and node is parent.right:
+                node, parent = parent, parent.parent
+            node = parent
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, key: Any, value: Any) -> Node:
-        """Insert ``key`` -> ``value``; overwrite the value if present.
-
-        Returns the node holding the pair.
-        """
-        node, created = self.insert_absent(key, value)
-        if not created:
-            node.value = value
-        return node
-
     def insert_absent(self, key: Any, value: Any) -> Tuple[Node, bool]:
         """Insert ``key`` -> ``value`` unless ``key`` is present.
 
@@ -248,44 +127,6 @@ class RBTree:
         self._augment_path(fresh)
         self._insert_fixup(fresh)
         return fresh, True
-
-    def insert_node_after(self, node: Node, key: Any, value: Any) -> Node:
-        """Insert ``key`` knowing it belongs immediately after ``node``.
-
-        This is the O(1)-search path backing Pequod's *output hints*
-        (§4.2): when a join repeatedly appends just past its previous
-        output we can skip the root-to-leaf descent.  The caller must
-        guarantee ``node.key < key`` and that no existing key lies
-        between them; this is verified cheaply against the successor.
-        """
-        succ = self.next_node(node)
-        if not (node.key < key) or (succ is not None and not (key < succ.key)):
-            if succ is not None and not (key < succ.key) and not (succ.key < key):
-                succ.value = value
-                return succ
-            return self.insert(key, value)  # hint was stale; fall back
-        fresh = Node(key, value)
-        fresh.left = fresh.right = self.nil
-        if node.right is self.nil:
-            node.right = fresh
-            fresh.parent = node
-        else:
-            # successor is the leftmost node of node.right and has no left child
-            assert succ is not None and succ.left is self.nil
-            succ.left = fresh
-            fresh.parent = succ
-        self._size += 1
-        self._augment_path(fresh)
-        self._insert_fixup(fresh)
-        return fresh
-
-    def remove(self, key: Any) -> bool:
-        """Remove ``key``.  Returns True if it was present."""
-        node = self.find_node(key)
-        if node is None:
-            return False
-        self.remove_node(node)
-        return True
 
     def remove_node(self, z: Node) -> None:
         """Remove a node previously obtained from this tree."""
@@ -395,14 +236,6 @@ class RBTree:
             elif settled and node.aug == before:
                 return
             node = node.parent
-
-    def augment_path(self, node: Node) -> None:
-        """Public hook: recompute augmentation from ``node`` to the root.
-
-        Used when a node's own augmentation inputs change in place (for
-        example, an interval tree widening an interval's endpoint).
-        """
-        self._augment_path(node)
 
     def _insert_fixup(self, z: Node) -> None:
         while z.parent.color == RED:

@@ -1,10 +1,10 @@
-"""A blocked sorted array: the scan-optimized ``OrderedMap``.
+"""A blocked sorted array: the data plane's ordered map.
 
 Pequod's hot read path is the warm timeline check — an ordered scan of
-a mostly-static subtable (paper §4.1/§5.1).  A red-black tree serves
-those scans by chasing parent pointers node-to-node; in Python every
-hop is several attribute lookups.  This implementation stores keys in
-sorted array *blocks* instead: lookups binary-search a block index then
+a mostly-static subtable (paper §4.1/§5.1).  The paper keeps data in
+binary trees; a tree serves those scans by chasing pointers
+node-to-node, and in Python every hop is several attribute lookups.
+This map stores keys in sorted array *blocks* instead: lookups binary-search a block index then
 a block (both via the C-implemented ``bisect``), and scans walk
 contiguous lists.  Mutations pay an O(block) memmove, which CPython
 lists make cheap, and blocks split at a fixed load so no single insert
@@ -20,12 +20,11 @@ The structure mirrors the classic blocked sorted list (cf. the
 
 Keys and nodes are kept in separate parallel lists so bisect compares
 raw keys (no key= callable per probe).  Node handles stay stable across
-block splits — only list membership moves — so ``PutHandle`` hints and
-value-sharing (`§4.2/§4.3`) work unchanged.
+block splits — only list membership moves — so value sharing (§4.3)
+can swap a stored node's value in place.
 
-Unlike :class:`~repro.store.rbtree.RBTree`, ``nodes()`` returns a
-snapshot list (concatenated block slices), so iteration tolerates
-concurrent structural mutation.
+``nodes()`` returns a snapshot list (concatenated block slices), so
+iteration tolerates concurrent structural mutation.
 """
 
 from __future__ import annotations
@@ -42,16 +41,14 @@ class SANode:
     """A stored pair.  Application code treats nodes as opaque handles
     except for reading ``key`` and reading/assigning ``value``."""
 
-    __slots__ = ("key", "value", "alive")
+    __slots__ = ("key", "value")
 
     def __init__(self, key: Any, value: Any) -> None:
         self.key = key
         self.value = value
-        self.alive = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = "" if self.alive else " dead"
-        return f"<SANode {self.key!r}={self.value!r}{tag}>"
+        return f"<SANode {self.key!r}={self.value!r}>"
 
 
 class SortedArrayMap:
@@ -93,55 +90,21 @@ class SortedArrayMap:
         node = self.find_node(key)
         return node.value if node is not None else default
 
-    def node_valid(self, node: SANode) -> bool:
-        """Is this handle still attached to the map?"""
-        return node.alive
-
     def min_node(self) -> Optional[SANode]:
         if not self._size:
             return None
         return self._node_blocks[0][0]
 
-    def max_node(self) -> Optional[SANode]:
-        if not self._size:
-            return None
-        return self._node_blocks[-1][-1]
-
     # ------------------------------------------------------------------
     # Navigation
     # ------------------------------------------------------------------
-    def ceiling_node(self, key: Any) -> Optional[SANode]:
-        """Smallest node with ``node.key >= key``."""
-        maxes = self._maxes
-        b = bisect_left(maxes, key)
-        if b == len(maxes):
-            return None
-        i = bisect_left(self._key_blocks[b], key)
-        return self._node_blocks[b][i]
-
-    def higher_node(self, key: Any) -> Optional[SANode]:
-        """Smallest node with ``node.key > key``."""
-        maxes = self._maxes
-        b = bisect_right(maxes, key)
-        if b == len(maxes):
-            return None
-        i = bisect_right(self._key_blocks[b], key)
-        return self._node_blocks[b][i]
-
     def floor_node(self, key: Any) -> Optional[SANode]:
         """Largest node with ``node.key <= key``."""
-        return self._below(bisect_right, key)
-
-    def lower_node(self, key: Any) -> Optional[SANode]:
-        """Largest node with ``node.key < key``."""
-        return self._below(bisect_left, key)
-
-    def _below(self, probe, key: Any) -> Optional[SANode]:
         maxes = self._maxes
         if not maxes:
             return None
         b = min(bisect_left(maxes, key), len(maxes) - 1)
-        i = probe(self._key_blocks[b], key) - 1
+        i = bisect_right(self._key_blocks[b], key) - 1
         if i >= 0:
             return self._node_blocks[b][i]
         if b == 0:
@@ -156,15 +119,6 @@ class SortedArrayMap:
             return nodes[i + 1]
         if b + 1 < len(self._node_blocks):
             return self._node_blocks[b + 1][0]
-        return None
-
-    def prev_node(self, node: SANode) -> Optional[SANode]:
-        """In-order predecessor of ``node``."""
-        b, i = self._locate(node)
-        if i > 0:
-            return self._node_blocks[b][i - 1]
-        if b > 0:
-            return self._node_blocks[b - 1][-1]
         return None
 
     def _locate(self, node: SANode) -> tuple:
@@ -281,16 +235,6 @@ class SortedArrayMap:
             self._split(b)
         return node, True
 
-    def insert_node_after(self, node: SANode, key: Any, value: Any) -> SANode:
-        """Insert ``key`` hinted to land immediately after ``node``.
-
-        Arrays locate positions by C-level bisect, so the hint buys
-        nothing here; this delegates to :meth:`insert`, which handles
-        stale hints and successor overwrites with identical semantics
-        to the red-black tree's hinted path.
-        """
-        return self.insert(key, value)
-
     def remove(self, key: Any) -> bool:
         """Remove ``key``.  Returns True if it was present."""
         node = self.find_node(key)
@@ -305,7 +249,6 @@ class SortedArrayMap:
         keys = self._key_blocks[b]
         del keys[i]
         del self._node_blocks[b][i]
-        node.alive = False
         self._size -= 1
         if not keys:
             del self._maxes[b]
@@ -319,8 +262,7 @@ class SortedArrayMap:
         in key order.
 
         One slice deletion per block touched instead of a locate per
-        key.  Removed nodes are marked dead, so a ``PutHandle`` still
-        pointing at one reports invalid and is never used as a hint.
+        key.
         """
         maxes = self._maxes
         out: List[SANode] = []
@@ -347,8 +289,6 @@ class SortedArrayMap:
             if last:
                 break
             b += 1
-        for node in out:
-            node.alive = False
         self._size -= len(out)
         return out
 
@@ -387,7 +327,6 @@ class SortedArrayMap:
                 prev = key
                 node = nodes[i]
                 assert node.key == key, "node key out of sync"
-                assert node.alive, "dead node still stored"
             total += len(keys)
         assert total == self._size, "size mismatch"
 

@@ -18,11 +18,11 @@ import heapq
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .batch import PUT, WriteBatch, as_ops
-from .keys import SEP, SEP_SUCCESSOR, prefix_upper_bound, subtable_prefix, table_of
+from .keys import SEP, SEP_SUCCESSOR, prefix_upper_bound, table_of
 from .omap import resolve_map_impl
-from .rbtree import Node
+from .sortedarray import SANode
 from .stats import StoreStats
-from .table import PutHandle, Table
+from .table import Table
 from .values import Value, materialize
 
 #: A net store change: ``(key, old_value, new_value)``; a None old
@@ -107,13 +107,11 @@ class OrderedStore:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def put(
-        self, key: str, value: Value, hint: Optional[PutHandle] = None
-    ) -> Tuple[PutHandle, Optional[Value]]:
-        """Insert or overwrite; returns ``(handle, old_value_or_None)``."""
+    def put(self, key: str, value: Value) -> Optional[Value]:
+        """Insert or overwrite; returns the old value, or None."""
         if not key:
             raise ValueError("keys must be non-empty")
-        return self.table_for_key(key).put(key, value, hint=hint)
+        return self.table_for_key(key).put(key, value)
 
     def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """The client-visible value for ``key`` (a string), or ``default``."""
@@ -147,9 +145,7 @@ class OrderedStore:
         """Apply a coalesced batch of writes; returns the net changes.
 
         ``batch`` is a :class:`WriteBatch` or anything ``as_ops``
-        accepts.  Operations apply in key order so consecutive keys in
-        the same table chain insertion hints (§4.2's O(1) appends work
-        batch-wide, not just per join range).  Removes of absent keys
+        accepts.  Operations apply in key order.  Removes of absent keys
         produce no change entry, matching :meth:`remove`'s behavior.
         """
         ops = as_ops(batch)
@@ -158,21 +154,10 @@ class OrderedStore:
         self.stats.add("batch_applies")
         self.stats.add("batched_ops", len(ops))
         changes: List[Change] = []
-        hints: Dict[str, PutHandle] = {}
         for op in ops:
             if op.kind == PUT:
-                table = self.table_for_key(op.key)
                 value = op.value if op.value is not None else ""
-                # Chain hints per subtable: sorted keys land adjacent
-                # runs in one subtable tree, so each run after the
-                # first insert is O(1) (§4.2).  Keys in other subtables
-                # get no hint — a cross-subtable hint can never hit.
-                if table.subtable_depth:
-                    hint_id = subtable_prefix(op.key, table.subtable_depth)
-                else:
-                    hint_id = table.name
-                handle, old = table.put(op.key, value, hint=hints.get(hint_id))
-                hints[hint_id] = handle
+                old = self.table_for_key(op.key).put(op.key, value)
                 changes.append(
                     (op.key, materialize(old) if old is not None else None, value)
                 )
@@ -208,7 +193,7 @@ class OrderedStore:
             if name < hi and prefix_upper_bound(name) > lo
         ]
 
-    def scan_nodes(self, lo: str, hi: str) -> Iterator[Node]:
+    def scan_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
         """Stored nodes with ``lo <= key < hi``, across table boundaries."""
         if not lo < hi:
             return iter(())
@@ -228,7 +213,7 @@ class OrderedStore:
             return heapq.merge(*streams, key=lambda n: n.key)
         return iter(())
 
-    def iter_nodes(self, lo: str, hi: str) -> Iterator[Node]:
+    def iter_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
         """As :meth:`scan_nodes` without charging work counters — the
         internal path for counting, recounts, and eviction scoring."""
         if not lo < hi:

@@ -25,36 +25,13 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from .interval_tree import IntervalTree
 from .keys import SEP, SEP_SUCCESSOR, key_successor, prefix_upper_bound, subtable_prefix
 from .omap import resolve_map_impl
-from .rbtree import Node
+from .sortedarray import SANode
 from .stats import StoreStats
 from .values import NODE_OVERHEAD, Value, acquire_value, release_value
 
 #: Bytes charged for each subtable's bookkeeping (tree object, hash
 #: entry, order-tree node).  This is what buys the O(1) jumps.
 SUBTABLE_OVERHEAD = 200
-
-
-class PutHandle:
-    """Handle returned by :meth:`Table.put`, usable as an insertion hint.
-
-    Pequod's output hints (§4.2) remember where a join last wrote so the
-    next write can skip the tree descent.  A handle is only valid for
-    the ordered map it came from; staleness detection is delegated to
-    the map (``node_valid``) so any :mod:`~repro.store.omap`
-    implementation can back a table.
-    """
-
-    __slots__ = ("tree", "node")
-
-    def __init__(self, tree, node) -> None:
-        self.tree = tree
-        self.node = node
-
-    def is_valid(self) -> bool:
-        return self.tree.node_valid(self.node)
-
-    def key(self) -> Any:
-        return self.node.key
 
 
 class Table:
@@ -156,103 +133,45 @@ class Table:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def put(
-        self,
-        key: str,
-        value: Value,
-        hint: Optional[PutHandle] = None,
-    ) -> Tuple[PutHandle, Optional[Value]]:
-        """Insert or overwrite ``key``.
-
-        Returns ``(handle, old_value)`` where ``old_value`` is None for
-        fresh inserts.  ``hint`` (from a previous put into this table)
-        lets overwrites of the hinted key and appends immediately after
-        it run without a tree descent (§4.2).
-        """
+    def put(self, key: str, value: Value) -> Optional[Value]:
+        """Insert or overwrite ``key``; returns the old value, or None
+        for a fresh insert."""
         self.stats.add("puts")
-        if hint is not None and hint.is_valid():
-            result = self._put_with_hint(key, value, hint)
-            if result is not None:
-                return result
         tree = self._tree_for(key, create=True)
         assert tree is not None
         node, created = tree.insert_absent(key, value)
         if created:
-            return self._account_insert(tree, node, key, value)
+            self.key_count += 1
+            self.memory_bytes += len(key) + NODE_OVERHEAD + acquire_value(value)
+            return None
         old = node.value
         node.value = value
-        return self._account_overwrite(tree, node, old, value)
-
-    def _put_with_hint(
-        self, key: str, value: Value, hint: PutHandle
-    ) -> Optional[Tuple[PutHandle, Optional[Value]]]:
-        """Attempt the O(1) hinted put; None means fall back to full put."""
-        tree = hint.tree
-        if tree is not self._locate_tree(key, create=False):
-            return None
-        hinted = hint.node
-        if not (hinted.key < key) and not (key < hinted.key):
-            # Overwrite of the hinted key itself (common for aggregates).
-            self.stats.add("hint_hits")
-            old = hinted.value
-            hinted.value = value
-            return self._account_overwrite(tree, hinted, old, value)
-        if not (hinted.key < key):
-            return None
-        succ = tree.next_node(hinted)
-        if succ is None or key < succ.key:
-            # Fresh key immediately after the hint (timeline append).
-            self.stats.add("hint_hits")
-            node = tree.insert_node_after(hinted, key, value)
-            return self._account_insert(tree, node, key, value)
-        if not (succ.key < key):
-            # succ.key == key: overwrite the successor in place.
-            self.stats.add("hint_hits")
-            old = succ.value
-            succ.value = value
-            return self._account_overwrite(tree, succ, old, value)
-        return None
-
-    def _account_insert(
-        self, tree, node, key: str, value: Value
-    ) -> Tuple[PutHandle, Optional[Value]]:
-        self.key_count += 1
-        self.memory_bytes += len(key) + NODE_OVERHEAD + acquire_value(value)
-        return PutHandle(tree, node), None
-
-    def _account_overwrite(
-        self, tree, node, old: Value, value: Value
-    ) -> Tuple[PutHandle, Optional[Value]]:
         self.memory_bytes -= release_value(old)
         self.memory_bytes += acquire_value(value)
-        return PutHandle(tree, node), old
+        return old
 
     def install_many(
         self, pairs: List[Tuple[str, Value]]
-    ) -> Tuple[List[Tuple[str, Optional[Value]]], Optional[PutHandle]]:
+    ) -> List[Tuple[str, Optional[Value]]]:
         """Install a key-sorted run of pairs: a computed range, or the
         outputs of one write's fan-out.
 
         The run resolves its tree once per subtable it crosses, not
         once per key (one hash jump each), and each key is one
         ``insert_absent`` search in that tree — on the sorted array two
-        bisects — charged as one descent.  (The hint-chained puts this
-        replaced saved a descent per key only on the red-black tree; on
-        the sorted array a hint cost a locate on top of the insert.)
-        Equal keys install in order, so the last one wins, exactly as a
-        sequence of :meth:`put` calls would; accounting is per key, as
-        there.
+        bisects — charged as one descent.  Equal keys install in order,
+        so the last one wins, exactly as a sequence of :meth:`put` calls
+        would; accounting is per key, as there.
 
         Returns the per-key ``(key, old_value)`` results in input
-        order, plus a handle on the last key for the caller to keep as
-        its output hint.
+        order.
         """
         counters = self.stats.counters
         counters["batched_installs"] += 1
         counters["puts"] += len(pairs)
         counters["tree_descents"] += len(pairs)
         results: List[Tuple[str, Optional[Value]]] = []
-        tree = node = None
+        tree = None
         tree_hi = ""  # keys below this stay in ``tree``
         cost = 0.0
         for key, value in pairs:
@@ -276,7 +195,7 @@ class Table:
                 self.memory_bytes += acquire_value(value)
                 results.append((key, old))
         counters["tree_descent_cost"] += cost
-        return results, (PutHandle(tree, node) if node is not None else None)
+        return results
 
     def _tree_upper_bound(self, key: str) -> str:
         """An exclusive bound below which keys sorting after ``key``
@@ -370,8 +289,8 @@ class Table:
         ``(key, value)`` pairs in key order.
 
         Each tree the range touches removes its run in one call (the
-        ordered map's optional ``remove_range``; maps without one
-        remove node by node), and the run is accounted in bulk —
+        ordered map's ``remove_range``), and the run is accounted in
+        bulk —
         ``key_count``, ``memory_bytes`` (shared and spilled values
         released per key) and the ``removes`` counter end exactly where
         per-key :meth:`remove` calls would leave them.  Emptied
@@ -379,16 +298,10 @@ class Table:
         """
         if not lo < hi:
             return []
-        removed: List[Node] = []
+        removed: List[SANode] = []
         residual = False
         for tree in self._overlapping_trees(lo, hi):
-            take = getattr(tree, "remove_range", None)
-            if take is not None:
-                nodes = take(lo, hi)
-            else:
-                nodes = list(tree.nodes(lo, hi))
-                for node in nodes:
-                    tree.remove_node(node)
+            nodes = tree.remove_range(lo, hi)
             if not nodes:
                 continue
             residual = residual or tree is self._residual
@@ -418,7 +331,7 @@ class Table:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def get_node(self, key: str) -> Optional[Node]:
+    def get_node(self, key: str) -> Optional[SANode]:
         self.stats.add("gets")
         tree = self._tree_for(key, create=False)
         if tree is None:
@@ -462,7 +375,7 @@ class Table:
                 node = self._suborder.next_node(node)
         return trees
 
-    def _merged_nodes(self, lo: str, hi: str, stats=None) -> Iterator[Node]:
+    def _merged_nodes(self, lo: str, hi: str, stats=None) -> Iterator[SANode]:
         trees = self._overlapping_trees(lo, hi, stats)
         if len(trees) == 1:
             return trees[0].nodes(lo, hi)
@@ -472,7 +385,7 @@ class Table:
             )
         return iter(())
 
-    def scan_nodes(self, lo: str, hi: str) -> Iterator[Node]:
+    def scan_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
         """Yield stored nodes with ``lo <= key < hi`` in key order,
         charging scan work counters.
 
@@ -503,7 +416,7 @@ class Table:
                 return tree.nodes(lo, hi)
         return self._merged_nodes(lo, hi, self.stats)
 
-    def iter_nodes(self, lo: str, hi: str) -> Iterator[Node]:
+    def iter_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
         """As :meth:`scan_nodes`, but charging nothing — the internal
         path for counting, memory recounts, and eviction scoring, which
         must not inflate the scan counters the cost model bills."""
@@ -527,7 +440,7 @@ class Table:
             for tree in self._overlapping_trees(lo, hi)
         )
 
-    def first_node(self, lo: str, hi: str) -> Optional[Node]:
+    def first_node(self, lo: str, hi: str) -> Optional[SANode]:
         for node in self.scan_nodes(lo, hi):
             return node
         return None

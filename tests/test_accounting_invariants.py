@@ -73,7 +73,7 @@ class TestMemoryAccountingExact:
                 srv.get(f"karma|{p}")
         return srv
 
-    @pytest.mark.parametrize("store_impl", ["rbtree", "sortedarray"])
+    @pytest.mark.parametrize("store_impl", ["sortedarray", "disk"])
     def test_accounting_matches_recount_default(self, store_impl):
         srv = self.run_random_workload(
             1, sharing=True, subtables=True, store_impl=store_impl
@@ -287,7 +287,7 @@ class TestCounterInvariants:
     use the non-counting iteration, and these tests pin the invariants.
     """
 
-    IMPLS = ["rbtree", "sortedarray"]
+    IMPLS = ["sortedarray", "disk"]
 
     def build_store(self, store_impl) -> OrderedStore:
         store = OrderedStore({"p": 2}, map_impl=store_impl)

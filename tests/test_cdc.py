@@ -156,16 +156,6 @@ def test_backing_database_records_old_and_new():
     ]
 
 
-def test_backing_database_store_impl_resolved():
-    from repro.store.rbtree import RBTree
-
-    db = BackingDatabase(store_impl="rbtree")
-    db.put("k", "v")
-    assert isinstance(db._tree, RBTree)
-    assert db.get("k") == "v"
-    assert BackingDatabase().get("absent") is None
-
-
 # ======================================================================
 # The pump: tailing, backfill cut-over, crash/resume
 # ======================================================================

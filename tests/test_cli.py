@@ -101,6 +101,12 @@ class TestServeCommand:
     def test_bad_subtable_spec(self, capsys):
         assert main(["serve", "--subtable", "nonsense"]) == 2
 
+    def test_retired_store_impl_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store-impl", "rbtree"])
+        assert exc.value.code == 2
+        assert "--store-impl" in capsys.readouterr().err
+
     def test_serve_over_subprocess(self, tmp_path):
         """Start a real server process, drive it over TCP, kill it."""
         joins = tmp_path / "twip.pql"

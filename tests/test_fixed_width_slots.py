@@ -16,7 +16,7 @@ from repro.core.pattern import Pattern, PatternError
 pytestmark = pytest.mark.usefixtures("pattern_mode")
 
 
-@pytest.fixture(params=["rbtree", "sortedarray"])
+@pytest.fixture(params=["sortedarray", "disk"])
 def store_impl(request):
     return request.param
 

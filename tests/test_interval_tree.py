@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.store.interval_tree import IntervalTree
+from repro.store.rbtree import RBTree
 
 
 class TestAddAndQuery:
@@ -143,3 +144,41 @@ class TestStressAgainstNaive:
             )
             got = sorted(p for e in tree.overlapping(lo, hi) for p in e.payloads)
             assert got == expected, f"overlapping({lo},{hi})"
+
+
+class TestAugmentation:
+    def test_augment_maintained_through_rotations(self):
+        """The balanced tree under the interval tree keeps an
+        augmentation (here: subtree size) exact through the rotations
+        of heavy insert/remove churn."""
+        def aug(node):
+            node.aug = 1
+            if node.left.aug is not None:
+                node.aug += node.left.aug
+            if node.right.aug is not None:
+                node.aug += node.right.aug
+
+        def check(node):
+            if node is tree.nil:
+                return 0
+            size = 1 + check(node.left) + check(node.right)
+            assert node.aug == size
+            return size
+
+        tree = RBTree(augment=aug)
+        rng = random.Random(7)
+        present = set()
+        for step in range(1500):
+            key = rng.randrange(300)
+            if rng.random() < 0.55:
+                _, created = tree.insert_absent(key, None)
+                assert created == (key not in present)
+                present.add(key)
+            elif present:
+                victim = rng.choice(sorted(present))
+                tree.remove_node(tree.find_node(victim))
+                present.discard(victim)
+        tree.check_invariants()
+        assert len(tree) == len(present)
+        assert [node.key for node in tree.nodes()] == sorted(present)
+        assert check(tree.root) == len(present)

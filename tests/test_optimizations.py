@@ -1,4 +1,4 @@
-"""Tests for the §4 optimizations: subtables, output hints, value sharing."""
+"""Tests for the §4 optimizations: subtables and value sharing."""
 
 from repro import PequodServer, SharedValue
 
@@ -20,59 +20,6 @@ def run_twip_workload(srv, followers=8, posts=12):
     for u in users:
         srv.scan(f"t|{u}|", f"t|{u}}}")
     return srv
-
-
-def run_follow_burst(srv, followers=8, posts=12):
-    """Timeline appends on the path that keeps an output hint: pending
-    application.  Each follower's timeline is computed (its hint is the
-    last row), then the follower subscribes to a user whose posts all
-    come later, and the next read appends those posts one by one.
-    (A post's fan-out to computed timelines lands as one sorted run per
-    write, which needs no hint.)"""
-    srv.add_join(TIMELINE)
-    users = [f"u{i:02d}" for i in range(followers)]
-    srv.put("p|early|0000", "first")
-    for u in users:
-        srv.put(f"s|{u}|early", "1")
-        srv.scan(f"t|{u}|", f"t|{u}}}")
-    for t in range(posts):
-        srv.put(f"p|star|{t + 100:04d}", f"tweet number {t}")
-    for u in users:
-        srv.put(f"s|{u}|star", "1")  # logged, applied by the next read
-        srv.scan(f"t|{u}|", f"t|{u}}}")
-    return srv
-
-
-class TestOutputHints:
-    def test_hints_hit_on_timeline_appends(self):
-        """§4.2: sequential timeline appends reuse the output hint."""
-        srv = run_follow_burst(PequodServer(enable_hints=True))
-        assert srv.stats.get("hint_hits") >= 8 * 12
-
-    def test_hints_disabled_no_hits(self):
-        srv = run_follow_burst(PequodServer(enable_hints=False))
-        assert srv.stats.get("hint_hits") == 0
-
-    def test_same_results_with_and_without_hints(self):
-        a = run_follow_burst(PequodServer(enable_hints=True))
-        b = run_follow_burst(PequodServer(enable_hints=False))
-        assert a.scan("t|", "t}") == b.scan("t|", "t}")
-        assert len(a.scan("t|", "t}")) == 8 * 13
-
-    def test_hints_reduce_tree_descent_cost(self):
-        a = run_follow_burst(PequodServer(enable_hints=True))
-        b = run_follow_burst(PequodServer(enable_hints=False))
-        assert a.stats.get("tree_descent_cost") < b.stats.get("tree_descent_cost")
-
-    def test_hint_survives_aggregate_overwrites(self):
-        """Counts repeatedly update the same key — the other O(1) case."""
-        srv = PequodServer(enable_hints=True)
-        srv.add_join("karma|<a> = count vote|<a>|<id>|<v>")
-        srv.put("vote|bob|1|x", "1")
-        srv.get("karma|bob")
-        for i in range(10):
-            srv.put(f"vote|bob|{i + 2}|x", "1")
-        assert srv.get("karma|bob") == "11"
 
 
 class TestValueSharing:

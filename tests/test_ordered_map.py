@@ -1,0 +1,266 @@
+"""Unit tests for the data plane's ordered map, the blocked sorted array.
+
+The unit tests pin the map's contract on small inputs; the hypothesis
+test at the bottom drives random op sequences — exactly the calls the
+store makes — against a ``dict`` + ``sorted()`` model, with blocks
+shrunk to two keys so every sequence crosses block splits and emptied
+blocks.
+"""
+
+import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.store import sortedarray
+from repro.store.sortedarray import SortedArrayMap
+
+
+def build(pairs):
+    tree = SortedArrayMap()
+    for k, v in pairs:
+        tree.insert(k, v)
+    return tree
+
+
+class TestBasicOperations:
+    def test_empty_tree(self):
+        tree = SortedArrayMap()
+        assert len(tree) == 0
+        assert not tree
+        assert tree.get("a") is None
+        assert "a" not in tree
+        assert tree.min_node() is None
+        assert tree.floor_node("a") is None
+        assert list(tree.nodes()) == []
+
+    def test_single_insert_and_get(self):
+        tree = SortedArrayMap()
+        tree.insert("k", "v")
+        assert len(tree) == 1
+        assert tree.get("k") == "v"
+        assert "k" in tree
+        tree.check_invariants()
+
+    def test_overwrite_keeps_size(self):
+        tree = SortedArrayMap()
+        tree.insert("k", "v1")
+        tree.insert("k", "v2")
+        assert len(tree) == 1
+        assert tree.get("k") == "v2"
+
+    def test_get_default(self):
+        tree = SortedArrayMap()
+        assert tree.get("missing", "fallback") == "fallback"
+
+    def test_remove_present(self):
+        tree = build([("a", 1), ("b", 2)])
+        assert tree.remove("a") is True
+        assert len(tree) == 1
+        assert tree.get("a") is None
+        tree.check_invariants()
+
+    def test_remove_absent(self):
+        tree = build([("a", 1)])
+        assert tree.remove("zz") is False
+        assert len(tree) == 1
+
+    def test_clear(self):
+        tree = build([("a", 1), ("b", 2)])
+        tree.clear()
+        assert len(tree) == 0
+        assert list(tree.nodes()) == []
+
+    def test_insert_returns_node(self):
+        tree = SortedArrayMap()
+        node = tree.insert("a", 1)
+        assert node.key == "a"
+        assert node.value == 1
+
+
+class TestOrderedIteration:
+    def test_items_sorted(self):
+        keys = ["m", "c", "x", "a", "q", "b"]
+        tree = build([(k, k.upper()) for k in keys])
+        assert [k for k, _ in tree.items()] == sorted(keys)
+
+    def test_range_iteration_half_open(self):
+        tree = build([(f"k{i}", i) for i in range(10)])
+        got = list(tree.keys("k2", "k5"))
+        assert got == ["k2", "k3", "k4"]
+
+    def test_range_iteration_unbounded_hi(self):
+        tree = build([(f"k{i}", i) for i in range(5)])
+        assert list(tree.keys("k3", None)) == ["k3", "k4"]
+
+    def test_range_iteration_empty_range(self):
+        tree = build([(f"k{i}", i) for i in range(5)])
+        assert list(tree.keys("k9", "k99")) == []
+
+    def test_count_range(self):
+        tree = build([(f"{i:03d}", i) for i in range(100)])
+        assert tree.count_range("010", "020") == 10
+
+    def test_iter_protocol(self):
+        tree = build([("b", 2), ("a", 1)])
+        assert list(tree) == ["a", "b"]
+
+
+class TestNavigation:
+    """The subtable-index walk: ``floor_node``, else ``min_node``, then
+    ``next_node`` (``Table._overlapping_trees``)."""
+
+    @staticmethod
+    def tree():
+        return build([(f"{i:02d}", i) for i in range(0, 20, 2)])  # 00,02,..18
+
+    def test_floor_exact(self):
+        assert self.tree().floor_node("04").key == "04"
+
+    def test_floor_between(self):
+        assert self.tree().floor_node("05").key == "04"
+
+    def test_floor_before_start(self):
+        assert self.tree().floor_node("//") is None
+
+    def test_min_max(self):
+        # The maximum is the floor of a key past the end.
+        tree = self.tree()
+        assert tree.min_node().key == "00"
+        assert tree.floor_node("99").key == "18"
+
+    def test_min_next_walk(self):
+        tree = self.tree()
+        node = tree.min_node()
+        seen = []
+        while node is not None:
+            seen.append(node.key)
+            node = tree.next_node(node)
+        assert seen == [f"{i:02d}" for i in range(0, 20, 2)]
+
+
+class TestStressInvariants:
+    def test_random_insert_remove_keeps_invariants(self):
+        rng = random.Random(42)
+        tree = SortedArrayMap()
+        model = {}
+        for step in range(2000):
+            key = f"{rng.randrange(400):04d}"
+            if rng.random() < 0.6:
+                tree.insert(key, step)
+                model[key] = step
+            else:
+                assert tree.remove(key) == (key in model)
+                model.pop(key, None)
+            if step % 250 == 0:
+                tree.check_invariants()
+        tree.check_invariants()
+        assert sorted(model.items()) == list(tree.items())
+
+    def test_ascending_descending_inserts(self):
+        up = build([(f"{i:04d}", i) for i in range(500)])
+        up.check_invariants()
+        down = build([(f"{i:04d}", i) for i in range(499, -1, -1)])
+        down.check_invariants()
+        assert list(up.keys()) == list(down.keys())
+
+    def test_remove_all_in_order(self):
+        tree = build([(f"{i:03d}", i) for i in range(200)])
+        for i in range(200):
+            assert tree.remove(f"{i:03d}")
+        assert len(tree) == 0
+        tree.check_invariants()
+
+    def test_remove_all_reverse_order(self):
+        tree = build([(f"{i:03d}", i) for i in range(200)])
+        for i in range(199, -1, -1):
+            assert tree.remove(f"{i:03d}")
+        assert len(tree) == 0
+
+    def test_tuple_keys(self):
+        tree = SortedArrayMap()
+        tree.insert(("a", "b"), 1)
+        tree.insert(("a", "a"), 2)
+        tree.insert(("b", "a"), 3)
+        assert list(tree.keys()) == [("a", "a"), ("a", "b"), ("b", "a")]
+        tree.check_invariants()
+
+
+class TestMapModel:
+    """Random op sequences over the calls the store makes match a
+    ``dict`` + ``sorted()`` model, op by op."""
+
+    keys = st.text(alphabet="abc01|", min_size=0, max_size=4)
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from([
+                "insert", "insert_absent", "remove", "remove_node",
+                "remove_range", "nodes", "count_range", "walk",
+            ]),
+            keys,
+            keys,
+        ),
+        min_size=1,
+        max_size=120,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops)
+    def test_random_ops_match_a_sorted_dict(self, sequence):
+        with mock.patch.object(sortedarray, "LOAD", 2):
+            self.check(sequence)
+
+    @staticmethod
+    def check(sequence):
+        tree, model = SortedArrayMap(), {}
+        for step, (op, a, b) in enumerate(sequence):
+            lo, hi = min(a, b), max(a, b)
+            if op == "insert":
+                node = tree.insert(a, step)
+                model[a] = step
+                assert (node.key, node.value) == (a, step)
+            elif op == "insert_absent":
+                node, created = tree.insert_absent(a, step)
+                assert created == (a not in model)
+                model.setdefault(a, step)
+                assert (node.key, node.value) == (a, model[a])
+            elif op == "remove":
+                assert tree.remove(a) == (a in model)
+                model.pop(a, None)
+            elif op == "remove_node":
+                if model:
+                    victim = sorted(model)[len(a) % len(model)]
+                    tree.remove_node(tree.find_node(victim))
+                    del model[victim]
+            elif op == "remove_range":
+                gone = [k for k in sorted(model) if lo <= k < hi]
+                assert [
+                    (n.key, n.value) for n in tree.remove_range(lo, hi)
+                ] == [(k, model.pop(k)) for k in gone]
+            elif op == "nodes":
+                assert [(n.key, n.value) for n in tree.nodes(lo, hi)] == [
+                    (k, model[k]) for k in sorted(model) if lo <= k < hi
+                ]
+            elif op == "count_range":
+                assert tree.count_range(lo, hi) == sum(
+                    1 for k in model if lo <= k < hi
+                )
+            else:
+                # Table._overlapping_trees: floor, else min, then next.
+                node = tree.floor_node(lo)
+                if node is None:
+                    node = tree.min_node()
+                seen = []
+                while node is not None and node.key < hi:
+                    seen.append(node.key)
+                    node = tree.next_node(node)
+                below = [k for k in model if k <= lo]
+                start = max(below) if below else None
+                assert seen == [
+                    k for k in sorted(model)
+                    if (start is None or k >= start) and k < hi
+                ]
+            tree.check_invariants()
+            assert len(tree) == len(model)
+        assert list(tree.items()) == sorted(model.items())

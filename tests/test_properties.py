@@ -29,14 +29,23 @@ times = st.integers(min_value=0, max_value=30).map(lambda t: f"{t:04d}")
 
 
 class TestRBTreeProperties:
+    """The interval tree's balanced tree, through the calls the
+    interval tree makes: ``insert_absent``, ``find_node``,
+    ``remove_node`` and the in-order ``nodes()`` walk."""
+
     @given(st.lists(st.tuples(keys, st.integers()), max_size=80))
     def test_matches_dict_model(self, pairs):
         tree = RBTree()
         model = {}
         for key, value in pairs:
-            tree.insert(key, value)
+            node, created = tree.insert_absent(key, value)
+            assert created == (key not in model)
+            node.value = value
             model[key] = value
-        assert sorted(model.items()) == list(tree.items())
+        assert [(n.key, n.value) for n in tree.nodes()] == sorted(
+            model.items()
+        )
+        assert len(tree) == len(model)
         tree.check_invariants()
 
     @given(
@@ -47,21 +56,16 @@ class TestRBTreeProperties:
         model = {}
         for is_insert, key in ops:
             if is_insert:
-                tree.insert(key, key)
+                tree.insert_absent(key, key)
                 model[key] = key
             else:
-                assert tree.remove(key) == (key in model)
+                node = tree.find_node(key)
+                assert (node is not None) == (key in model)
+                if node is not None:
+                    tree.remove_node(node)
                 model.pop(key, None)
-        assert list(tree.keys()) == sorted(model)
+        assert [n.key for n in tree.nodes()] == sorted(model)
         tree.check_invariants()
-
-    @given(st.lists(keys, min_size=1, max_size=50), keys, keys)
-    def test_range_queries_match_model(self, inserted, lo, hi):
-        tree = RBTree()
-        for key in inserted:
-            tree.insert(key, None)
-        expected = sorted({k for k in inserted if lo <= k < hi})
-        assert list(tree.keys(lo, hi)) == expected
 
 
 class TestIntervalTreeProperties:
@@ -618,7 +622,7 @@ def _interpreted_compute(engine, join, sr, run):
     )
     for key in sorted(agg or ()):
         if agg[key].count > 0:
-            engine._install_output(key, agg[key], sr)
+            engine._install_output(key, agg[key])
 
 
 def _compute_server(text, data, interpreted=False):

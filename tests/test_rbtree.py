@@ -1,304 +1,27 @@
-"""Unit tests for the ordered-map implementations.
+"""Parity between the two ordered maps that share a node-handle API.
 
-Everything except the red-black-specific augmentation hook runs
-against BOTH ``OrderedMap`` implementations — the red-black tree and
-the blocked sorted array — via the ``ordered_map`` fixture, so the two
-cannot drift behaviorally.  A hypothesis property test at the bottom
-drives randomized op sequences through both at once and asserts
-byte-identical observable state.
+The interval tree's red-black tree and the data plane's blocked sorted
+array both offer ``find_node``, ``insert_absent``, ``remove_node`` and
+an in-order ``nodes()`` walk.  Random op sequences over that shared
+surface leave both with identical observable state.
 """
 
-import random
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.store import sortedarray
 from repro.store.rbtree import RBTree
 from repro.store.sortedarray import SortedArrayMap
 
-IMPLS = {"rbtree": RBTree, "sortedarray": SortedArrayMap}
-
-
-@pytest.fixture(params=sorted(IMPLS))
-def make_map(request):
-    return IMPLS[request.param]
-
-
-def build(pairs, make_map=RBTree):
-    tree = make_map()
-    for k, v in pairs:
-        tree.insert(k, v)
-    return tree
-
-
-class TestBasicOperations:
-    def test_empty_tree(self, make_map):
-        tree = make_map()
-        assert len(tree) == 0
-        assert not tree
-        assert tree.get("a") is None
-        assert "a" not in tree
-        assert tree.min_node() is None
-        assert tree.max_node() is None
-        assert list(tree.nodes()) == []
-
-    def test_single_insert_and_get(self, make_map):
-        tree = make_map()
-        tree.insert("k", "v")
-        assert len(tree) == 1
-        assert tree.get("k") == "v"
-        assert "k" in tree
-        tree.check_invariants()
-
-    def test_overwrite_keeps_size(self, make_map):
-        tree = make_map()
-        tree.insert("k", "v1")
-        tree.insert("k", "v2")
-        assert len(tree) == 1
-        assert tree.get("k") == "v2"
-
-    def test_get_default(self, make_map):
-        tree = make_map()
-        assert tree.get("missing", "fallback") == "fallback"
-
-    def test_remove_present(self, make_map):
-        tree = build([("a", 1), ("b", 2)], make_map)
-        assert tree.remove("a") is True
-        assert len(tree) == 1
-        assert tree.get("a") is None
-        tree.check_invariants()
-
-    def test_remove_absent(self, make_map):
-        tree = build([("a", 1)], make_map)
-        assert tree.remove("zz") is False
-        assert len(tree) == 1
-
-    def test_clear(self, make_map):
-        tree = build([("a", 1), ("b", 2)], make_map)
-        tree.clear()
-        assert len(tree) == 0
-        assert list(tree.nodes()) == []
-
-    def test_insert_returns_node(self, make_map):
-        tree = make_map()
-        node = tree.insert("a", 1)
-        assert node.key == "a"
-        assert node.value == 1
-
-    def test_node_validity_tracks_membership(self, make_map):
-        tree = make_map()
-        node = tree.insert("a", 1)
-        assert tree.node_valid(node)
-        tree.remove_node(node)
-        assert not tree.node_valid(node)
-
-
-class TestOrderedIteration:
-    def test_items_sorted(self, make_map):
-        keys = ["m", "c", "x", "a", "q", "b"]
-        tree = build([(k, k.upper()) for k in keys], make_map)
-        assert [k for k, _ in tree.items()] == sorted(keys)
-
-    def test_range_iteration_half_open(self, make_map):
-        tree = build([(f"k{i}", i) for i in range(10)], make_map)
-        got = list(tree.keys("k2", "k5"))
-        assert got == ["k2", "k3", "k4"]
-
-    def test_range_iteration_unbounded_hi(self, make_map):
-        tree = build([(f"k{i}", i) for i in range(5)], make_map)
-        assert list(tree.keys("k3", None)) == ["k3", "k4"]
-
-    def test_range_iteration_empty_range(self, make_map):
-        tree = build([(f"k{i}", i) for i in range(5)], make_map)
-        assert list(tree.keys("k9", "k99")) == []
-
-    def test_count_range(self, make_map):
-        tree = build([(f"{i:03d}", i) for i in range(100)], make_map)
-        assert tree.count_range("010", "020") == 10
-
-    def test_iter_protocol(self, make_map):
-        tree = build([("b", 2), ("a", 1)], make_map)
-        assert list(tree) == ["a", "b"]
-
-
-class TestNavigation:
-    @pytest.fixture
-    def tree(self, make_map):
-        return build(
-            [(f"{i:02d}", i) for i in range(0, 20, 2)], make_map
-        )  # 00,02,..18
-
-    def test_ceiling_exact(self, tree):
-        assert tree.ceiling_node("04").key == "04"
-
-    def test_ceiling_between(self, tree):
-        assert tree.ceiling_node("05").key == "06"
-
-    def test_ceiling_past_end(self, tree):
-        assert tree.ceiling_node("19") is None
-
-    def test_higher_skips_exact(self, tree):
-        assert tree.higher_node("04").key == "06"
-
-    def test_floor_exact(self, tree):
-        assert tree.floor_node("04").key == "04"
-
-    def test_floor_between(self, tree):
-        assert tree.floor_node("05").key == "04"
-
-    def test_floor_before_start(self, tree):
-        assert tree.floor_node("//") is None
-
-    def test_lower_skips_exact(self, tree):
-        assert tree.lower_node("04").key == "02"
-
-    def test_min_max(self, tree):
-        assert tree.min_node().key == "00"
-        assert tree.max_node().key == "18"
-
-    def test_next_prev_walk(self, tree):
-        node = tree.min_node()
-        seen = []
-        while node is not None:
-            seen.append(node.key)
-            node = tree.next_node(node)
-        assert seen == [f"{i:02d}" for i in range(0, 20, 2)]
-        node = tree.max_node()
-        seen = []
-        while node is not None:
-            seen.append(node.key)
-            node = tree.prev_node(node)
-        assert seen == [f"{i:02d}" for i in range(18, -1, -2)]
-
-
-class TestInsertNodeAfter:
-    def test_append_after_max(self, make_map):
-        tree = build([("a", 1), ("b", 2)], make_map)
-        node = tree.max_node()
-        fresh = tree.insert_node_after(node, "c", 3)
-        assert fresh.key == "c"
-        assert list(tree.keys()) == ["a", "b", "c"]
-        tree.check_invariants()
-
-    def test_insert_in_gap(self, make_map):
-        tree = build([("a", 1), ("c", 3)], make_map)
-        node = tree.find_node("a")
-        tree.insert_node_after(node, "b", 2)
-        assert list(tree.keys()) == ["a", "b", "c"]
-        tree.check_invariants()
-
-    def test_stale_hint_falls_back(self, make_map):
-        tree = build([("a", 1), ("c", 3)], make_map)
-        node = tree.find_node("c")
-        # "b" sorts before the hint; must still insert correctly.
-        tree.insert_node_after(node, "b", 2)
-        assert list(tree.keys()) == ["a", "b", "c"]
-        tree.check_invariants()
-
-    def test_existing_successor_key_overwrites(self, make_map):
-        tree = build([("a", 1), ("b", 2)], make_map)
-        node = tree.find_node("a")
-        tree.insert_node_after(node, "b", 99)
-        assert len(tree) == 2
-        assert tree.get("b") == 99
-
-    def test_many_sequential_appends(self, make_map):
-        tree = make_map()
-        node = tree.insert("000", 0)
-        for i in range(1, 300):
-            node = tree.insert_node_after(node, f"{i:03d}", i)
-        assert len(tree) == 300
-        assert list(tree.keys()) == [f"{i:03d}" for i in range(300)]
-        tree.check_invariants()
-
-
-class TestStressInvariants:
-    def test_random_insert_remove_keeps_invariants(self, make_map):
-        rng = random.Random(42)
-        tree = make_map()
-        model = {}
-        for step in range(2000):
-            key = f"{rng.randrange(400):04d}"
-            if rng.random() < 0.6:
-                tree.insert(key, step)
-                model[key] = step
-            else:
-                assert tree.remove(key) == (key in model)
-                model.pop(key, None)
-            if step % 250 == 0:
-                tree.check_invariants()
-        tree.check_invariants()
-        assert sorted(model.items()) == list(tree.items())
-
-    def test_ascending_descending_inserts(self, make_map):
-        up = build([(f"{i:04d}", i) for i in range(500)], make_map)
-        up.check_invariants()
-        down = build([(f"{i:04d}", i) for i in range(499, -1, -1)], make_map)
-        down.check_invariants()
-        assert list(up.keys()) == list(down.keys())
-
-    def test_remove_all_in_order(self, make_map):
-        tree = build([(f"{i:03d}", i) for i in range(200)], make_map)
-        for i in range(200):
-            assert tree.remove(f"{i:03d}")
-        assert len(tree) == 0
-        tree.check_invariants()
-
-    def test_remove_all_reverse_order(self, make_map):
-        tree = build([(f"{i:03d}", i) for i in range(200)], make_map)
-        for i in range(199, -1, -1):
-            assert tree.remove(f"{i:03d}")
-        assert len(tree) == 0
-
-    def test_tuple_keys(self, make_map):
-        tree = make_map()
-        tree.insert(("a", "b"), 1)
-        tree.insert(("a", "a"), 2)
-        tree.insert(("b", "a"), 3)
-        assert list(tree.keys()) == [("a", "a"), ("a", "b"), ("b", "a")]
-        tree.check_invariants()
-
-
-class TestAugmentation:
-    def test_augment_maintained_through_rotations(self):
-        # Maintain subtree size as augmentation; verify after heavy churn.
-        # RBTree-specific: the augmentation hook is what keeps the
-        # interval tree on the red-black implementation.
-        def aug(node):
-            node.aug = 1
-            if node.left.aug is not None:
-                node.aug += node.left.aug
-            if node.right.aug is not None:
-                node.aug += node.right.aug
-
-        tree = RBTree(augment=aug)
-        rng = random.Random(7)
-        present = set()
-        for step in range(1500):
-            key = rng.randrange(300)
-            if rng.random() < 0.55:
-                tree.insert(key, None)
-                present.add(key)
-            elif present:
-                victim = rng.choice(sorted(present))
-                tree.remove(victim)
-                present.discard(victim)
-        assert len(tree) == len(present)
-        if tree.root is not tree.nil:
-            assert tree.root.aug == len(present)
-
 
 class TestImplementationParity:
-    """Random op sequences leave both maps byte-identical, by property."""
+    """Random op sequences leave both maps identical, by property."""
 
     keys = st.text(alphabet="abc01|", min_size=0, max_size=5)
     ops = st.lists(
-        st.tuples(
-            st.sampled_from(["insert", "remove", "scan", "navigate"]),
-            keys,
-            keys,
-        ),
+        st.tuples(st.sampled_from(["insert", "remove", "find"]), keys),
         min_size=1,
         max_size=120,
     )
@@ -306,30 +29,26 @@ class TestImplementationParity:
     @settings(max_examples=150, deadline=None)
     @given(ops)
     def test_random_op_sequences_identical(self, sequence):
-        rb, sa = RBTree(), SortedArrayMap()
-        for step, (op, a, b) in enumerate(sequence):
-            if op == "insert":
-                n1 = rb.insert(a, step)
-                n2 = sa.insert(a, step)
-                assert n1.key == n2.key and n1.value == n2.value
-            elif op == "remove":
-                assert rb.remove(a) == sa.remove(a)
-            elif op == "scan":
-                lo, hi = min(a, b), max(a, b)
-                assert (
-                    [(n.key, n.value) for n in rb.nodes(lo, hi)]
-                    == [(n.key, n.value) for n in sa.nodes(lo, hi)]
-                )
-                assert rb.count_range(lo, hi) == sa.count_range(lo, hi)
-            else:
-                for probe in ("ceiling_node", "higher_node",
-                              "floor_node", "lower_node"):
-                    x = getattr(rb, probe)(a)
-                    y = getattr(sa, probe)(a)
-                    assert (x is None) == (y is None)
-                    if x is not None:
-                        assert x.key == y.key and x.value == y.value
-        sa.check_invariants()
-        rb.check_invariants()
-        assert list(rb.items()) == list(sa.items())
-        assert len(rb) == len(sa)
+        # Two-key blocks make the sorted array split and empty blocks.
+        with mock.patch.object(sortedarray, "LOAD", 2):
+            rb, sa = RBTree(), SortedArrayMap()
+            for step, (op, key) in enumerate(sequence):
+                if op == "insert":
+                    n1, c1 = rb.insert_absent(key, step)
+                    n2, c2 = sa.insert_absent(key, step)
+                    assert c1 == c2
+                    assert (n1.key, n1.value) == (n2.key, n2.value)
+                else:
+                    n1, n2 = rb.find_node(key), sa.find_node(key)
+                    assert (n1 is None) == (n2 is None)
+                    if n1 is not None:
+                        assert (n1.key, n1.value) == (n2.key, n2.value)
+                        if op == "remove":
+                            rb.remove_node(n1)
+                            sa.remove_node(n2)
+                assert len(rb) == len(sa)
+            sa.check_invariants()
+            rb.check_invariants()
+            assert [(n.key, n.value) for n in rb.nodes()] == [
+                (n.key, n.value) for n in sa.nodes()
+            ]

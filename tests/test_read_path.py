@@ -4,9 +4,9 @@ The validation memo (paper §4.2's hint idea applied to status-range
 validation) must never serve stale data: every test here mutates the
 cover out from under a remembered range — invalidation, splits,
 eviction, snapshot expiry — and asserts reads stay correct.  The
-end-to-end parity tests run the same workload across both ``OrderedMap``
-implementations and both pattern paths and require byte-identical
-output.
+end-to-end parity tests run the same workload across every store (the
+sorted array and its value-spilling ``disk`` tier) and both pattern
+paths and require byte-identical output.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.apps.twip import TIMELINE_JOIN
 from repro.client import make_client
 from repro.core.clock import SimClock
 from repro.store.omap import MAP_IMPLS, resolve_map_impl
-from repro.store.rbtree import RBTree
 from repro.store.sortedarray import SortedArrayMap
 
 
@@ -114,9 +113,10 @@ class TestPluggableStore:
     def test_unknown_impl_rejected(self):
         with pytest.raises(ValueError):
             resolve_map_impl("btree")
+        with pytest.raises(ValueError):
+            resolve_map_impl("rbtree")  # retired from the data plane
 
     def test_names_resolve(self):
-        assert resolve_map_impl("rbtree") is RBTree
         assert resolve_map_impl("sortedarray") is SortedArrayMap
         assert callable(resolve_map_impl(None))
 
@@ -139,7 +139,6 @@ class TestPluggableStore:
             client.put("k|a", "1")
             assert client.get("k|a") == "1"
             expected = {
-                "rbtree": RBTree,
                 "sortedarray": SortedArrayMap,
                 "disk": DiskMap,
             }[impl]
@@ -175,7 +174,7 @@ class TestEndToEndParity:
     def test_all_configurations_agree(self, request):
         compiled = {impl: self.drive(impl) for impl in MAP_IMPLS}
         request.getfixturevalue("reference_patterns")
-        reference = self.drive("rbtree")
+        reference = self.drive("sortedarray")
         assert reference  # non-trivial workload
         for impl in MAP_IMPLS:
             assert self.drive(impl) == reference, (impl, "reference")

@@ -337,22 +337,6 @@ class TestMergeOver:
         st.merge_over("a", "z")
         assert left.compute_cost == 12.0
 
-    def test_keeps_a_live_hint(self):
-        from repro.store.table import Table
-
-        table = Table("t")
-        low, _ = table.put("t|c", "1")
-        high, _ = table.put("t|q", "2")
-        st, left, right = self.two()
-        left.hint, right.hint = low, high
-        st.merge_over("a", "z")
-        assert left.hint is high  # appends land at the tail
-        st, left, right = self.two()
-        left.hint, right.hint = low, high
-        table.remove("t|q")
-        st.merge_over("a", "z")
-        assert left.hint is low  # the dead one is not carried over
-
     def test_summary_is_rebuilt(self):
         st, left, right = self.two()
         left.log_pending(_pending("s|ann|bob"))

@@ -154,7 +154,7 @@ class TestBookkeepingFollowsTheSurvivor:
         for dead in pieces[1:]:
             assert not dead.attached and dead.owner is None
             assert dead.lru_entry is None
-            assert dead.pending == [] and dead.hint is None
+            assert dead.pending == []
         tracked = [entry.payload[1] for entry in srv.engine.lru]
         assert tracked == [survivor]
         assert survivor.lru_entry.linked()

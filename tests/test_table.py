@@ -18,10 +18,8 @@ class TestFlatTable:
 
     def test_put_returns_old_value(self):
         tbl = Table("p")
-        _, old = tbl.put("k", "v1")
-        assert old is None
-        _, old = tbl.put("k", "v2")
-        assert old == "v1"
+        assert tbl.put("k", "v1") is None
+        assert tbl.put("k", "v2") == "v1"
         assert len(tbl) == 1
 
     def test_scan_ordering(self):
@@ -154,62 +152,6 @@ class TestSubtables:
             lo = f"t|{u1}|{rng.randrange(50):03d}"
             hi = f"t|{u2}|{rng.randrange(50):03d}"
             assert list(flat.scan(lo, hi)) == list(sub.scan(lo, hi))
-
-
-class TestHints:
-    def test_hinted_append_hits(self):
-        stats = StoreStats()
-        tbl = Table("t", stats=stats)
-        handle, _ = tbl.put("t|u|001", "a")
-        handle, _ = tbl.put("t|u|002", "b", hint=handle)
-        handle, _ = tbl.put("t|u|003", "c", hint=handle)
-        assert stats.get("hint_hits") == 2
-        assert [k for k, _ in tbl.scan("t|", "t}")] == [
-            "t|u|001",
-            "t|u|002",
-            "t|u|003",
-        ]
-
-    def test_hinted_overwrite_same_key(self):
-        stats = StoreStats()
-        tbl = Table("t", stats=stats)
-        handle, _ = tbl.put("t|u|001", "a")
-        handle, old = tbl.put("t|u|001", "b", hint=handle)
-        assert old == "a"
-        assert stats.get("hint_hits") == 1
-        assert len(tbl) == 1
-
-    def test_hint_wrong_position_falls_back(self):
-        tbl = Table("t")
-        handle, _ = tbl.put("t|u|005", "a")
-        tbl.put("t|u|001", "early", hint=handle)  # key before hint
-        assert [k for k, _ in tbl.scan("t|", "t}")] == ["t|u|001", "t|u|005"]
-
-    def test_hint_with_existing_successor_overwrites(self):
-        tbl = Table("t")
-        handle, _ = tbl.put("t|u|001", "a")
-        tbl.put("t|u|002", "b")
-        _, old = tbl.put("t|u|002", "b2", hint=handle)
-        assert old == "b"
-        assert len(tbl) == 2
-
-    def test_stale_hint_after_removal(self):
-        tbl = Table("t")
-        handle, _ = tbl.put("t|u|001", "a")
-        tbl.remove("t|u|001")
-        assert not handle.is_valid()
-        tbl.put("t|u|002", "b", hint=handle)  # must not crash
-        assert tbl.get("t|u|002") == "b"
-
-    def test_hint_across_subtables_rejected(self):
-        tbl = Table("t", subtable_depth=2)
-        handle, _ = tbl.put("t|ann|001", "a")
-        tbl.put("t|bob|002", "b", hint=handle)  # different subtable
-        assert [k for k, _ in tbl.scan("t|", "t}")] == [
-            "t|ann|001",
-            "t|bob|002",
-        ]
-        assert tbl.subtable_count() == 2
 
 
 class TestStats:

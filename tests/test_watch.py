@@ -58,6 +58,17 @@ class TestChangeHub:
         with pytest.raises(ValueError):
             ChangeHub().watch("z", "a", lambda e: None)
 
+    def test_overlapping_sees_only_active_intersecting_watches(self):
+        hub = ChangeHub()
+        hub.watch("t|b|", "t|c|", lambda e: None)
+        hub.watch("t|d|", "t|e|", lambda e: None).close()
+        hub.watch("t|f|", "t|g|", lambda e: None)  # starts at hi below
+        assert hub.overlapping("t|a|", "t|b|5")
+        assert hub.overlapping("t|b|5", "t|b|6")
+        assert not hub.overlapping("t|c|", "t|f|")
+        assert hub.overlapping("t|c|", "t|f|0")
+        assert not hub.overlapping("t|g|", "t|z|")
+
     def test_server_hub_is_lazy(self):
         server = PequodServer()
         assert server._hub is None

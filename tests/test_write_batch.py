@@ -164,14 +164,6 @@ class TestStoreApplyBatch:
         assert store.apply_batch(WriteBatch()) == []
         assert store.stats.get("batch_applies") == 0
 
-    def test_sorted_runs_chain_hints(self):
-        store = OrderedStore(subtable_config={"p": 2})
-        store.apply_batch(
-            [(f"p|bob|{i:04d}", "x") for i in range(1, 50)]
-        )
-        # First insert descends; the other 48 are hinted appends.
-        assert store.stats.get("hint_hits") >= 47
-
 
 # ======================================================================
 # Engine semantics: batched == per-key

@@ -157,8 +157,7 @@ class TestInstallMany:
         store = OrderedStore()
         table = store.table("k")
         pairs = [(f"k|{i:03d}", str(i)) for i in range(20)]
-        results, handle = table.install_many(pairs)
-        assert handle is not None
+        results = table.install_many(pairs)
         assert [old for _, old in results] == [None] * 20
         assert [k for k, _ in results] == [k for k, _ in pairs]
         for key, value in pairs:
@@ -169,7 +168,7 @@ class TestInstallMany:
         store = OrderedStore()
         table = store.table("k")
         table.put("k|b", "old")
-        results, _ = table.install_many([("k|a", "1"), ("k|b", "new")])
+        results = table.install_many([("k|a", "1"), ("k|b", "new")])
         assert results == [("k|a", None), ("k|b", "old")]
         assert store.get("k|b") == "new"
 
