@@ -30,7 +30,7 @@ single ``put`` or ``remove`` (``notify_change``, a batch of one), a
 client batch, the CDC pump — reaches :meth:`JoinEngine.notify_batch`
 after the store has changed.  The batch's changes are taken in key
 order, so each source table's share is one contiguous run and one
-maintenance pass: its updater interval tree is stabbed once per
+maintenance pass: its updater index is stabbed once per
 changed key, and each (interval entry, updater) pair fires once over
 the changes it covers.  Lazy updaters log partial invalidations or
 invalidate; echeck, aggregate and interpreted copy updaters apply each
@@ -1098,7 +1098,7 @@ class JoinEngine:
         """One maintenance pass over ``table`` for a key-sorted run of
         its changes.
 
-        The updater tree is stabbed once per changed key and the hits
+        The updater index is stabbed once per changed key and the hits
         are regrouped per interval entry, so each affected (entry,
         updater) pair fires once over the changes it covers
         (:meth:`_fire_updater_group`).  Compiled copy updaters only

@@ -2,8 +2,10 @@
 
 The paper's servers push updates to subscribers instead of being
 polled: home servers keep per-range subscriptions in an interval tree
-and forward every covered change (§2.4), and the backing database does
-the same for the cache (§2, "e.g., using Postgres's notify").
+(here the :class:`~repro.store.range_index.RangeIndex` that also holds
+updaters) and forward every covered change (§2.4), and the backing
+database does the same for the cache (§2, "e.g., using Postgres's
+notify").
 ``ChangeHub`` is that machinery, once: a range watcher over one
 server's committed changes, feeding
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..store.interval_tree import IntervalTree
+from ..store.range_index import RangeIndex
 from .operators import ChangeKind
 
 
@@ -107,7 +109,7 @@ class ChangeHub:
     """Range watchers over one server's committed changes."""
 
     def __init__(self) -> None:
-        self._tree = IntervalTree()
+        self._index = RangeIndex()
         self.next_seq = 1
         self.published = 0
         self.delivered = 0
@@ -118,14 +120,14 @@ class ChangeHub:
         if not lo < hi:
             raise ValueError(f"empty watch range [{lo!r}, {hi!r})")
         handle = WatchHandle(self, lo, hi, sink)
-        self._tree.add(lo, hi, handle)
+        self._index.add(lo, hi, handle)
         return handle
 
     def _drop(self, handle: WatchHandle) -> None:
-        self._tree.discard(handle.lo, handle.hi, handle)
+        self._index.discard(handle.lo, handle.hi, handle)
 
     def watcher_count(self) -> int:
-        return self._tree.payload_count()
+        return self._index.payload_count()
 
     def overlapping(self, lo: str, hi: str) -> bool:
         """True when any active watcher's range intersects ``[lo, hi)``
@@ -135,7 +137,7 @@ class ChangeHub:
         match)."""
         return any(
             handle.active
-            for entry in self._tree.overlapping(lo, hi)
+            for entry in self._index.overlapping(lo, hi)
             for handle in entry.payloads
         )
 
@@ -156,7 +158,7 @@ class ChangeHub:
         self.published += 1
         matched = 0
         event: Optional[ChangeEvent] = None
-        for entry in self._tree.stab(key):
+        for entry in self._index.stab(key):
             for handle in list(entry.payloads):
                 if not handle.active:
                     continue

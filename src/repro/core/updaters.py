@@ -2,8 +2,9 @@
 
 An updater links a range of *source* keys with a context — a cache
 join, a slot set, and the output range it maintains.  Updaters live in
-each table's interval tree; every store modification stabs the tree and
-runs the updaters covering the modified key.
+each table's updater index (``store.range_index``, the paper's
+interval tree filed by key prefix); every store modification stabs the
+index and runs the updaters covering the modified key.
 
 Two flavours, as in the paper:
 
@@ -19,7 +20,7 @@ Two flavours, as in the paper:
   for check sources and eager maintenance for all other sources."
 
 The paper's two big optimizations are implemented here and in the
-interval tree: *updater combining* (same-range updaters share one
+updater index: *updater combining* (same-range updaters share one
 interval entry; identical updaters are deduplicated) and *context
 compression* (an updater stores only slot assignments that the source
 key itself cannot supply).
@@ -89,7 +90,7 @@ class Updater:
         self.build = None
         #: Set by :func:`install_updater`: the interval entry holding
         #: this updater, its key in ``entry.payload_index``, and its
-        #: byte charge — what an uninstall needs, without a tree search.
+        #: byte charge — what an uninstall needs, without an index search.
         self.entry = None
         self.key = None
         self.size = 0
@@ -130,7 +131,7 @@ def _identity_key(updater: Updater):
 
 
 def install_updater(table, updater: Updater, sr: "StatusRange") -> Updater:
-    """Add ``updater`` to ``table``'s interval tree for ``sr``'s build.
+    """Add ``updater`` to ``table``'s updater index for ``sr``'s build.
 
     Returns the updater actually stored.  Same-range updaters share one
     interval entry — the paper's combining optimization — and an

@@ -1,12 +1,13 @@
 """Ordered key-value store substrate (paper §4).
 
-A blocked sorted array as the one ordered map, an interval tree for
-updaters, table/subtable layering with a hash index, value sharing, and
-LRU tracking — the data structures the Pequod join engine is built on.
+A blocked sorted array as the one ordered map, a prefix-filed range
+index for updaters and change watches, table/subtable layering with a
+hash index, value sharing, and LRU tracking — the data structures the
+Pequod join engine is built on.
 """
 
 from .batch import BatchOp, WriteBatch, as_ops
-from .interval_tree import IntervalEntry, IntervalTree
+from .range_index import IntervalEntry, RangeIndex
 from .keys import (
     SEP,
     SEP_SUCCESSOR,
@@ -47,10 +48,10 @@ __all__ = [
     "MAP_IMPLS",
     "BatchOp",
     "IntervalEntry",
-    "IntervalTree",
     "LRUEntry",
     "LRUList",
     "OrderedStore",
+    "RangeIndex",
     "SharedValue",
     "SortedArrayMap",
     "StoreStats",

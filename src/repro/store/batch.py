@@ -1,7 +1,7 @@
 """Write batches: grouped, coalesced store modifications.
 
 High write rates are where incremental maintenance earns its keep, and
-the per-write overheads — one interval-tree stab, one status lookup per
+the per-write overheads — one updater-index stab, one status lookup per
 updater, one eviction check — are exactly what a heavy write path must
 amortize.  :class:`WriteBatch` buffers a group of puts and removes,
 coalescing writes to the same key down to their net effect (last write

@@ -18,6 +18,10 @@ The contract, in terms of *nodes* (opaque handles exposing ``key`` and
   ``Table.install_many``);
 * ``find_node(key)`` / ``get(key, default)`` / ``remove(key)`` /
   ``remove_node(node)`` / ``clear()``;
+* ``insert_run(keys, values) -> [node, ...] | None`` — splice a
+  strictly ascending run of fresh keys in as one slice, refused (None,
+  map unchanged) when a stored key lies within it
+  (``Table.install_many``'s computed runs);
 * ``remove_range(lo, hi) -> [node, ...]`` — remove ``[lo, hi)`` as one
   run and return the removed nodes in key order (computed-range
   eviction and recompute, :meth:`~repro.store.table.Table.remove_range`);
@@ -31,9 +35,9 @@ The contract, in terms of *nodes* (opaque handles exposing ``key`` and
 
 The paper's §4.2 output hints (remember where a join last wrote, and
 skip the next descent) are not implemented: on the sorted array a hint
-costs a locate on top of the insert it was meant to save.  The updater
-interval tree keeps its own balanced tree (``rbtree.py``), which it
-needs for the augmentation hook.
+costs a locate on top of the insert it was meant to save.  Updaters
+are not kept in an ordered map at all: ``range_index.py`` files them
+by key prefix.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ iteration tolerates concurrent structural mutation.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 #: Blocks split when they exceed twice this many keys, so steady-state
 #: blocks hold LOAD..2*LOAD entries.
@@ -235,6 +235,42 @@ class SortedArrayMap:
             self._split(b)
         return node, True
 
+    def insert_run(
+        self, keys: Sequence[Any], values: Sequence[Any]
+    ) -> Optional[List[SANode]]:
+        """Splice a strictly ascending run of fresh keys in with one
+        slice assignment, and return its nodes.
+
+        Refused — None, the map unchanged, no node allocated — when a
+        stored key lies in ``[keys[0], keys[-1]]``: the run would not
+        be contiguous in the map.  A block the run overfills is split.
+        """
+        first, last = keys[0], keys[-1]
+        maxes = self._maxes
+        b = bisect_left(maxes, first)
+        if b < len(maxes):
+            block = self._key_blocks[b]
+            i = bisect_left(block, first)
+            if not last < block[i]:
+                return None
+        elif maxes:  # beyond every block: extend the last one
+            b -= 1
+            block = self._key_blocks[b]
+            i = len(block)
+            maxes[b] = last
+        else:
+            block, i = [], 0
+            maxes.append(last)
+            self._key_blocks.append(block)
+            self._node_blocks.append([])
+        nodes = list(map(SANode, keys, values))
+        block[i:i] = keys
+        self._node_blocks[b][i:i] = nodes
+        self._size += len(nodes)
+        if len(block) > 2 * LOAD:
+            self._split(b)
+        return nodes
+
     def remove(self, key: Any) -> bool:
         """Remove ``key``.  Returns True if it was present."""
         node = self.find_node(key)
@@ -299,15 +335,18 @@ class SortedArrayMap:
         self._size = 0
 
     def _split(self, b: int) -> None:
-        """Split block ``b`` in half, keeping the block index sorted."""
+        """Split overfull block ``b`` into ``len // LOAD`` blocks of
+        near-equal size, keeping the block index sorted: one insert
+        past ``2 * LOAD`` halves the block, a spliced run may cut it in
+        more pieces."""
         keys = self._key_blocks[b]
         nodes = self._node_blocks[b]
-        half = len(keys) // 2
-        self._key_blocks.insert(b + 1, keys[half:])
-        self._node_blocks.insert(b + 1, nodes[half:])
-        del keys[half:]
-        del nodes[half:]
-        self._maxes.insert(b, keys[-1])  # block b's new max; b+1 keeps the old
+        k = len(keys) // LOAD
+        cuts = [len(keys) * j // k for j in range(k + 1)]
+        spans = list(zip(cuts, cuts[1:]))
+        self._key_blocks[b : b + 1] = [keys[i:j] for i, j in spans]
+        self._node_blocks[b : b + 1] = [nodes[i:j] for i, j in spans]
+        self._maxes[b : b + 1] = [keys[j - 1] for j in cuts[1:]]
 
     # ------------------------------------------------------------------
     # Validation (tests only)
@@ -320,6 +359,7 @@ class SortedArrayMap:
         for b, keys in enumerate(self._key_blocks):
             nodes = self._node_blocks[b]
             assert keys, "empty block"
+            assert len(keys) <= 2 * LOAD, "overfull block"
             assert len(keys) == len(nodes), "key/node block misaligned"
             assert self._maxes[b] == keys[-1], "stale block max"
             for i, key in enumerate(keys):

@@ -19,12 +19,15 @@ behaves as one ordered map even across boundaries.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from itertools import islice, repeat
 from math import log2
+from operator import add, lt
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .interval_tree import IntervalTree
 from .keys import SEP, SEP_SUCCESSOR, key_successor, prefix_upper_bound, subtable_prefix
 from .omap import resolve_map_impl
+from .range_index import RangeIndex
 from .sortedarray import SANode
 from .stats import StoreStats
 from .values import NODE_OVERHEAD, Value, acquire_value, release_value
@@ -39,9 +42,9 @@ class Table:
 
     ``subtable_depth`` of 0 stores everything in one tree; a positive
     depth splits keys by their first ``depth`` segments.  The table also
-    hosts the updater interval tree used by incremental maintenance —
-    the paper attaches bookkeeping to tables so unrelated ranges don't
-    slow each other down.
+    hosts the updater index (:class:`RangeIndex`) used by incremental
+    maintenance — the paper attaches bookkeeping to tables so unrelated
+    ranges don't slow each other down.
     """
 
     __slots__ = (
@@ -69,14 +72,12 @@ class Table:
         self.subtable_depth = subtable_depth
         self.stats = stats if stats is not None else StoreStats()
         #: Factory for the data-plane ordered maps (``omap`` protocol).
-        #: The updater interval tree stays a red-black tree regardless:
-        #: it needs the augmentation hook.
         self._map_factory = resolve_map_impl(map_factory)
         self._tree = self._map_factory() if subtable_depth == 0 else None
         self._subtables: Dict[str, Any] = {}
         self._suborder = self._map_factory()  # subtable id -> ordered map
         self._residual = None
-        self.updaters = IntervalTree()
+        self.updaters = RangeIndex()
         self.key_count = 0
         self.memory_bytes = 0
 
@@ -163,6 +164,11 @@ class Table:
         so the last one wins, exactly as a sequence of :meth:`put` calls
         would; accounting is per key, as there.
 
+        A strictly ascending run inside one tree that spans no stored
+        key — a compute into a gap, or a recompute after its range was
+        cleared — is spliced in whole (``insert_run``), with the same
+        per-key accounting.
+
         Returns the per-key ``(key, old_value)`` results in input
         order.
         """
@@ -170,12 +176,21 @@ class Table:
         counters["batched_installs"] += 1
         counters["puts"] += len(pairs)
         counters["tree_descents"] += len(pairs)
-        results: List[Tuple[str, Optional[Value]]] = []
-        tree = None
-        tree_hi = ""  # keys below this stay in ``tree``
+        if not pairs:
+            return []
+        first = pairs[0][0]
+        tree = self._locate_tree(first, create=True)
+        if self._tree is None:
+            counters["hash_jumps"] += 1
+        tree_hi = self._tree_upper_bound(first)
+        if len(pairs) > 1 and pairs[-1][0] < tree_hi:
+            results = self._splice(tree, pairs)
+            if results is not None:
+                return results
+        results = []
         cost = 0.0
         for key, value in pairs:
-            if tree is None or not key < tree_hi:
+            if not key < tree_hi:
                 tree = self._locate_tree(key, create=True)
                 if self._tree is None:
                     counters["hash_jumps"] += 1
@@ -196,6 +211,30 @@ class Table:
                 results.append((key, old))
         counters["tree_descent_cost"] += cost
         return results
+
+    def _splice(
+        self, tree, pairs: List[Tuple[str, Value]]
+    ) -> Optional[List[Tuple[str, None]]]:
+        """:meth:`install_many`'s one-tree run as one ``insert_run``,
+        or None (nothing changed) when the keys are not strictly
+        ascending or a stored key lies among them.  Charges what the
+        per-key loop would: each key's bytes, and its descent costs
+        added one by one in the same order."""
+        keys, values = zip(*pairs)
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            return None
+        size = len(tree)
+        if tree.insert_run(keys, values) is None:
+            return None
+        n = len(keys)
+        self.key_count += n
+        self.memory_bytes += (
+            sum(map(len, keys)) + n * NODE_OVERHEAD + sum(map(acquire_value, values))
+        )
+        self.stats.counters["tree_descent_cost"] += reduce(
+            add, map(log2, range(size + 2, size + 2 + n)), 0.0
+        )
+        return list(zip(keys, repeat(None)))
 
     def _tree_upper_bound(self, key: str) -> str:
         """An exclusive bound below which keys sorting after ``key``
@@ -318,15 +357,6 @@ class Table:
         self.memory_bytes -= freed
         self.stats.add("removes", len(removed))
         return [(node.key, node.value) for node in removed]
-
-    def clear(self) -> None:
-        self._tree = self._map_factory() if self.subtable_depth == 0 else None
-        self._subtables.clear()
-        self._suborder.clear()
-        self._residual = None
-        self.updaters.clear()
-        self.key_count = 0
-        self.memory_bytes = 0
 
     # ------------------------------------------------------------------
     # Queries

@@ -196,10 +196,11 @@ class TestMapModel:
         st.tuples(
             st.sampled_from([
                 "insert", "insert_absent", "remove", "remove_node",
-                "remove_range", "nodes", "count_range", "walk",
+                "remove_range", "nodes", "count_range", "walk", "insert_run",
             ]),
             keys,
             keys,
+            st.integers(0, 7),
         ),
         min_size=1,
         max_size=120,
@@ -214,7 +215,7 @@ class TestMapModel:
     @staticmethod
     def check(sequence):
         tree, model = SortedArrayMap(), {}
-        for step, (op, a, b) in enumerate(sequence):
+        for step, (op, a, b, n) in enumerate(sequence):
             lo, hi = min(a, b), max(a, b)
             if op == "insert":
                 node = tree.insert(a, step)
@@ -246,6 +247,21 @@ class TestMapModel:
                 assert tree.count_range(lo, hi) == sum(
                     1 for k in model if lo <= k < hi
                 )
+            elif op == "insert_run":
+                # Up to seven keys into two-key blocks: a splice
+                # overfills its block and must cut it.
+                run = sorted({a + c for c in ("", "0", "1", "a", "b", "c", "|")[:n]})
+                if not run:
+                    continue
+                values = [(step, j) for j in range(len(run))]
+                before = list(tree.items())
+                nodes = tree.insert_run(run, values)
+                if any(run[0] <= k <= run[-1] for k in model):
+                    assert nodes is None  # refused: the map is unchanged
+                    assert list(tree.items()) == before
+                else:
+                    assert [(n.key, n.value) for n in nodes] == list(zip(run, values))
+                    model.update(zip(run, values))
             else:
                 # Table._overlapping_trees: floor, else min, then next.
                 node = tree.floor_node(lo)

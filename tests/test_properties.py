@@ -13,111 +13,165 @@ from hypothesis import strategies as st
 from repro import PequodServer
 from repro.core.pattern import Pattern
 from repro.net.codec import decode, encode
-from repro.store.interval_tree import IntervalTree
-from repro.store.rbtree import RBTree
+from repro.store.range_index import RangeIndex
 from repro.store.table import Table
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-keys = st.text(
-    alphabet=st.sampled_from("abc|0123"), min_size=1, max_size=8
-).filter(lambda s: not s.startswith("|"))
-
-users = st.sampled_from(["ann", "bob", "liz", "jim", "kay"])
+users =st.sampled_from(["ann", "bob", "liz", "jim", "kay"])
 times = st.integers(min_value=0, max_value=30).map(lambda t: f"{t:04d}")
 
 
-class TestRBTreeProperties:
-    """The interval tree's balanced tree, through the calls the
-    interval tree makes: ``insert_absent``, ``find_node``,
-    ``remove_node`` and the in-order ``nodes()`` walk."""
-
-    @given(st.lists(st.tuples(keys, st.integers()), max_size=80))
-    def test_matches_dict_model(self, pairs):
-        tree = RBTree()
-        model = {}
-        for key, value in pairs:
-            node, created = tree.insert_absent(key, value)
-            assert created == (key not in model)
-            node.value = value
-            model[key] = value
-        assert [(n.key, n.value) for n in tree.nodes()] == sorted(
-            model.items()
-        )
-        assert len(tree) == len(model)
-        tree.check_invariants()
-
-    @given(
-        st.lists(st.tuples(st.booleans(), keys), max_size=100),
+#: Interval bounds and stab points over nested groups: the residual
+#: group (``""``, ``a``, ``z``), tables (``p|`` .. ``p}``), users
+#: (``p|u1|`` .. ``p|u1}``, and ``p|u10|`` beside ``p|u1|``), and keys.
+index_bounds = ["", "a", "z", "p|", "p}", "q|", "q}"] + [
+    bound
+    for user in ("u0", "u1", "u10")
+    for bound in (
+        f"p|{user}|", f"p|{user}}}", f"p|{user}|1", f"p|{user}|2", f"q|{user}|1",
     )
-    def test_insert_remove_interleaved(self, ops):
-        tree = RBTree()
-        model = {}
-        for is_insert, key in ops:
-            if is_insert:
-                tree.insert_absent(key, key)
-                model[key] = key
-            else:
-                node = tree.find_node(key)
-                assert (node is not None) == (key in model)
-                if node is not None:
-                    tree.remove_node(node)
-                model.pop(key, None)
-        assert [n.key for n in tree.nodes()] == sorted(model)
-        tree.check_invariants()
+]
+bound_pairs = st.tuples(
+    st.sampled_from(index_bounds), st.sampled_from(index_bounds)
+).map(sorted)
 
 
 class TestIntervalTreeProperties:
-    @given(
-        st.lists(
-            st.tuples(times, times, st.integers(0, 99)), max_size=50
-        ),
-        times,
-    )
+    """The range index against brute force, through ``add``,
+    ``entry`` and ``discard``."""
+
+    @given(st.lists(st.tuples(bound_pairs, st.integers(0, 99)), max_size=50),
+           st.sampled_from(index_bounds))
     def test_stab_matches_bruteforce(self, intervals, point):
-        tree = IntervalTree()
+        index = RangeIndex()
         live = []
-        for lo, hi, payload in intervals:
+        for (lo, hi), payload in intervals:
             if lo < hi:
-                tree.add(lo, hi, payload)
+                index.add(lo, hi, payload)
                 live.append((lo, hi, payload))
         expected = sorted(p for lo, hi, p in live if lo <= point < hi)
-        got = sorted(p for e in tree.stab(point) for p in e.payloads)
+        got = sorted(p for e in index.stab(point) for p in e.payloads)
         assert got == expected
-        tree.check_invariants()
+        index.check_invariants()
 
     @given(
         st.lists(
-            st.tuples(st.booleans(), times, times, st.integers(0, 3)),
+            st.tuples(st.booleans(), bound_pairs, st.integers(0, 3)),
             max_size=80,
         )
     )
     def test_add_and_discard_match_a_dict_model(self, ops):
-        """``entry`` finds or creates in one descent; whatever the
-        interleaving, the augmentation stays exact and every interval
-        holds exactly the payloads added and not discarded, in order."""
-        tree = IntervalTree()
+        """``entry`` finds or creates; whatever the interleaving, every
+        interval holds exactly the payloads added and not discarded,
+        in order."""
+        index = RangeIndex()
         model = {}
-        for is_add, lo, hi, payload in ops:
+        for is_add, (lo, hi), payload in ops:
             if not lo < hi:
                 continue
             if is_add:
-                entry, created = tree.entry(lo, hi)
+                entry, created = index.entry(lo, hi)
                 assert created == ((lo, hi) not in model)
                 entry.payloads.append(payload)
                 model.setdefault((lo, hi), []).append(payload)
             else:
                 payloads = model.get((lo, hi), [])
-                assert tree.discard(lo, hi, payload) == (payload in payloads)
+                assert index.discard(lo, hi, payload) == (payload in payloads)
                 if payload in payloads:
                     payloads.remove(payload)
                     if not payloads:
                         del model[(lo, hi)]
-            tree.check_invariants()
+            index.check_invariants()
         assert [
-            ((e.lo, e.hi), e.payloads) for e in tree.entries()
+            ((e.lo, e.hi), e.payloads) for e in index.entries()
         ] == sorted(model.items())
+
+
+class TestRangeIndexModel:
+    """Random ``add``/``entry``/``discard``/``remove_payload`` sequences
+    against a list of intervals, with every ``stab`` and
+    ``overlapping`` answer — entries, payloads and ``(lo, hi)`` order
+    across groups — checked op by op."""
+
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add", "entry", "remove", "discard_missing", "stab", "overlapping"]
+            ),
+            bound_pairs,
+            st.integers(0, 30),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops)
+    def test_random_ops_match_an_interval_list(self, sequence):
+        index = RangeIndex()
+        model = []  # [lo, hi, payload, keyed] in insertion order
+        for step, (op, (lo, hi), pick) in enumerate(sequence):
+            if op in ("add", "entry") and lo < hi:
+                if op == "add":
+                    index.add(lo, hi, step)
+                else:
+                    entry, created = index.entry(lo, hi)
+                    assert created == all((m[0], m[1]) != (lo, hi) for m in model)
+                    entry.payloads.append(step)
+                    entry.payload_index[step] = step
+                model.append((lo, hi, step, op == "entry"))
+            elif op == "remove" and model:
+                vlo, vhi, payload, keyed = model.pop(pick % len(model))
+                if keyed:
+                    index.remove_payload(index.find_entry(vlo, vhi), payload)
+                else:
+                    assert index.discard(vlo, vhi, payload)
+            elif op == "discard_missing":
+                assert not index.discard(lo, hi, -1)
+            elif op == "stab":
+                assert self.answer(index.stab(lo)) == self.expect(
+                    model, lambda ilo, ihi: ilo <= lo < ihi
+                )
+            elif op == "overlapping":
+                assert self.answer(index.overlapping(lo, hi)) == self.expect(
+                    model, lambda ilo, ihi: lo < hi and ilo < hi and lo < ihi
+                )
+            index.check_invariants()
+            assert self.answer(index.entries()) == self.expect(
+                model, lambda ilo, ihi: True
+            )
+            # Emptied groups are pruned; each interval sits in the
+            # longest prefix group whose key range holds it.
+            assert set(index._groups) == {
+                self.group(ilo, ihi) for ilo, ihi, _, _ in model
+            }
+        for point in index_bounds:
+            assert self.answer(index.stab(point)) == self.expect(
+                model, lambda ilo, ihi: ilo <= point < ihi
+            )
+
+    @staticmethod
+    def answer(entries):
+        return [(e.lo, e.hi, list(e.payloads)) for e in entries]
+
+    @staticmethod
+    def expect(model, keep):
+        out = {}
+        for lo, hi, payload, _ in model:
+            if keep(lo, hi):
+                out.setdefault((lo, hi), []).append(payload)
+        return [(lo, hi, payloads) for (lo, hi), payloads in sorted(out.items())]
+
+    @staticmethod
+    def group(lo, hi):
+        """The longest ``|``-terminated prefix of ``lo`` that every key
+        in ``[lo, hi)`` shares, or the residual group."""
+        fits = [
+            lo[: i + 1] for i, c in enumerate(lo) if c == "|" and hi <= lo[:i] + "}"
+        ]
+        return max(fits, key=len, default="")
 
 
 class TestTableProperties:

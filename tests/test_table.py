@@ -1,10 +1,15 @@
 """Unit tests for the table/subtable layer."""
 
 import random
+from unittest import mock
 
+import pytest
+
+from repro.store import sortedarray
+from repro.store.sortedarray import SortedArrayMap
 from repro.store.stats import StoreStats
 from repro.store.table import SUBTABLE_OVERHEAD, Table
-from repro.store.values import NODE_OVERHEAD
+from repro.store.values import NODE_OVERHEAD, SharedValue
 
 
 class TestFlatTable:
@@ -170,3 +175,66 @@ class TestStats:
         assert stats.get("tree_descents") == 2
         assert stats.get("puts") == 1
         assert stats.get("gets") == 1
+
+
+class TestSplicedInstall:
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_splice_matches_the_per_key_loop(self, depth):
+        """A run into a gap is spliced in whole; the per-key loop
+        (splices refused) leaves the same rows, results, accounting and
+        counters, ``tree_descent_cost`` to the last bit."""
+
+        def install(splice):
+            shared = SharedValue("post")
+            stats = StoreStats()
+            tbl = Table("t", subtable_depth=depth, stats=stats)
+            for i in (0, 40):
+                tbl.put(f"t|ann|{i:03d}", "x")
+            run = [(f"t|ann|{i:03d}", shared if i % 2 else "v") for i in range(1, 40)]
+            calls = []
+            real = SortedArrayMap.insert_run
+
+            def insert_run(tree, keys, values):
+                calls.append(len(keys))
+                return real(tree, keys, values) if splice else None
+
+            with mock.patch.object(sortedarray, "LOAD", 4), mock.patch.object(
+                SortedArrayMap, "insert_run", insert_run
+            ):
+                results = tbl.install_many(run)
+                for tree in [tbl._tree, *tbl._subtables.values()]:
+                    if tree is not None:
+                        tree.check_invariants()  # the splice cut its block
+            assert calls == [len(run)]
+            rows = [
+                (k, v if type(v) is str else (v.payload, v.refs))
+                for k, v in tbl.scan("t|", "t}")
+            ]
+            return results, rows, tbl.key_count, tbl.memory_bytes, dict(stats.counters)
+
+        spliced, looped = install(splice=True), install(splice=False)
+        assert spliced == looped
+        assert spliced[0] == [(f"t|ann|{i:03d}", None) for i in range(1, 40)]
+
+    def test_runs_that_cannot_splice_take_the_per_key_loop(self):
+        tbl = Table("t", subtable_depth=2)
+        tbl.put("t|ann|005", "old")
+        # A duplicate key, and a run over two subtables, never reach
+        # the splice.
+        with mock.patch.object(
+            SortedArrayMap, "insert_run", side_effect=AssertionError
+        ):
+            assert tbl.install_many([("t|ann|001", "a"), ("t|ann|001", "b")]) == [
+                ("t|ann|001", None), ("t|ann|001", "a")
+            ]
+            tbl.install_many([("t|ann|002", "a"), ("t|bob|001", "b")])
+        # A run around a stored key is refused by the map and installed
+        # key by key.
+        assert tbl.install_many(
+            [("t|ann|003", "c"), ("t|ann|005", "new"), ("t|ann|007", "d")]
+        ) == [("t|ann|003", None), ("t|ann|005", "old"), ("t|ann|007", None)]
+        assert list(tbl.scan("t|", "t}")) == [
+            ("t|ann|001", "b"), ("t|ann|002", "a"), ("t|ann|003", "c"),
+            ("t|ann|005", "new"), ("t|ann|007", "d"), ("t|bob|001", "b"),
+        ]
+        assert tbl.key_count == 6
