@@ -55,16 +55,14 @@ REQUIRED_FAMILIES = (
     "repro_write_batched_installs_total",
     "repro_write_whole_table_fastpath_hits_total",
     "repro_write_fanout_max",
-    # The persistence tier (the server below runs with a data dir and
-    # the disk-backed store, so every family must be present).
+    # The persistence tier (the server below runs with a data dir, so
+    # every family must be present).
     "repro_persist_wal_bytes",
     "repro_persist_segments",
     "repro_persist_checkpoints_total",
     "repro_persist_recovery_ms",
     "repro_persist_segment_probes",
     "repro_persist_bloom_negatives",
-    "repro_persist_spilled_values",
-    "repro_persist_spill_segments",
     "repro_persist_flush_seconds_bucket",
     "repro_persist_compaction_seconds_bucket",
 )
@@ -100,7 +98,7 @@ def drive_traffic(port: int) -> None:
         client.put("p|bob|0002", "again")
         client.scan("t|ann|", prefix_upper_bound("t|ann|"))
         for i in range(20):
-            client.put(f"p|liz|{i:04d}", "x" * 100)  # spill fodder
+            client.put(f"p|liz|{i:04d}", "x" * 100)  # checkpoint fodder
         stats = client.stats()
         if "op_get" not in stats and "op_scan" not in stats:
             fail(f"stats() over RPC lacks op counters: {sorted(stats)[:8]}")
@@ -108,12 +106,14 @@ def drive_traffic(port: int) -> None:
 
 def drive_persistence(server: PequodServer) -> None:
     """Exercise the durability tier so its families carry real values:
-    a checkpoint (WAL -> segment), a value spill, and a bloom-answered
-    negative probe."""
+    a checkpoint (WAL -> segment) and a bloom-answered negative probe."""
     server.checkpoint()
-    if server.store.spill_all() <= 0:
-        fail("spill_all moved no bytes on the disk-backed store")
+    if server.persist.checkpoints <= 0 or not server.persist.segments.segments:
+        fail("checkpoint wrote no segment")
+    before = server.stats.get("persist_bloom_negatives")
     server.persist.segments.read("absent|key")
+    if server.stats.get("persist_bloom_negatives") <= before:
+        fail("the absent-key probe was not answered by a bloom filter")
 
 
 def check_exposition(text: str, families=REQUIRED_FAMILIES) -> int:
@@ -186,7 +186,6 @@ def main() -> int:
     data_dir = tempfile.mkdtemp(prefix="pequod-metrics-smoke-")
     server = PequodServer(
         overload_policy=policy,
-        store_impl="disk",
         data_dir=data_dir,
         wal_fsync="batch",
     )

@@ -229,9 +229,6 @@ def crash_server(server) -> int:
         raise ValueError("crash_server needs a server with a data_dir")
     lost = server.persist.wal.simulate_crash()
     server.persist.segments.close()
-    factory = server.store._map_factory
-    if getattr(factory, "spill_store", None) is not None:
-        factory.close()
     return lost
 
 

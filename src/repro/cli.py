@@ -56,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--memory-limit", type=int, default=None)
     serve.add_argument(
-        "--store-impl", choices=["sortedarray", "disk"],
-        default=None,
-        help="ordered map backing the data plane: the blocked sorted "
-        "array (default), or 'disk', the same map spilling cold values "
-        "to segment files",
-    )
-    serve.add_argument(
         "--data-dir", default=None, metavar="DIR",
         help="journal client writes to a WAL under DIR, checkpoint them "
         "into segment files, and recover prior state on startup",
@@ -311,13 +304,9 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return 2
         config[table] = int(depth)
-    if args.store_impl == "disk" and args.data_dir is None:
-        print("note: --store-impl disk without --data-dir spills to a "
-              "temp dir (no durability)", file=sys.stderr)
     server = PequodServer(
         subtable_config=config or None,
         memory_limit=args.memory_limit,
-        store_impl=args.store_impl,
         overload_policy=_overload_policy_from(args),
         data_dir=args.data_dir,
         wal_fsync=args.wal_fsync,

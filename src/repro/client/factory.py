@@ -86,8 +86,7 @@ async def make_async_client(
 
     * ``local`` — in-process server; ``server_kwargs`` reach
       :class:`PequodServer` (``subtable_config``, ``memory_limit``,
-      ``store_impl="disk"`` to spill cold values to segment files,
-      ``mode="write-around"`` for the CDC deployment of
+      ``data_dir`` for a WAL and checkpoints, ``mode="write-around"`` for the CDC deployment of
       :mod:`repro.cdc`, …).
     * ``rpc`` — with ``host`` and/or ``port``, connect to an existing
       server there (defaults: ``127.0.0.1``, the protocol's port

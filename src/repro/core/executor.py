@@ -554,10 +554,6 @@ class JoinEngine:
         """
         sr.builds = (Build(sr.lo, sr.hi),)
         expiry: Optional[float] = None
-        cost_before = (
-            self.stats.get("source_keys_examined")
-            + self.stats.get("outputs_installed")
-        )
         run: List[Tuple[str, Value]] = []
         for join in joins:
             self._compute_join(join, sr, run)
@@ -568,11 +564,6 @@ class JoinEngine:
         if run:
             run.sort(key=itemgetter(0))
             self._install_run(self.store.table(tbl_name), run)
-        sr.compute_cost = (
-            self.stats.get("source_keys_examined")
-            + self.stats.get("outputs_installed")
-            - cost_before
-        )
 
     def _compute_join(
         self, join: CacheJoin, sr: StatusRange, run: List[Tuple[str, Value]]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, Tuple
 
-from .operators import AGGREGATES, CHECK, CHECK_OPERATORS, ECHECK, OPERATORS
+from .operators import AGGREGATES, CHECK_OPERATORS, ECHECK, OPERATORS
 from .pattern import Pattern, pattern_from
 
 

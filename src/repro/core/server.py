@@ -47,9 +47,6 @@ class PequodServer:
     * ``memory_limit`` — optional byte budget; exceeding it evicts
       least-recently-used ranges (§2.5).
     * ``clock`` — injectable time source for snapshot joins.
-    * ``store_impl`` — the ordered map backing the data plane
-      (``"sortedarray"``, the default, or ``"disk"`` for the
-      value-spilling tier).
     * ``overload_policy`` — optional :class:`OverloadPolicy`; when set,
       every operation passes admission control (shed with
       ``OverloadError``, or degrade to bounded-staleness reads).
@@ -77,10 +74,8 @@ class PequodServer:
         clock: Optional[Clock] = None,
         enable_sharing: bool = True,
         memory_limit: Optional[int] = None,
-        eviction_policy: str = "lru",
         stats: Optional[StoreStats] = None,
         name: str = "pequod",
-        store_impl=None,
         overload_policy: Optional[OverloadPolicy] = None,
         data_dir: Optional[str] = None,
         wal_fsync: str = "batch",
@@ -96,35 +91,14 @@ class PequodServer:
         self.stats = stats if stats is not None else StoreStats()
         self.clock = clock if clock is not None else SystemClock()
         self.data_dir = data_dir
-        if store_impl == "disk":
-            # Construct the factory here rather than via resolve_map_impl
-            # so the spill tier lands under the data dir (or a temp dir)
-            # and shares the server's stats.
-            import os
-
-            from ..store.diskmap import DiskMapFactory
-
-            store_impl = DiskMapFactory(
-                directory=(
-                    os.path.join(data_dir, "spill") if data_dir else None
-                ),
-                stats=self.stats,
-            )
-        self.store = OrderedStore(
-            subtable_config, stats=self.stats, map_impl=store_impl
-        )
+        self.store = OrderedStore(subtable_config, stats=self.stats)
         self.engine = JoinEngine(
             self.store,
             clock=self.clock,
             stats=self.stats,
             enable_sharing=enable_sharing,
         )
-        self.eviction = EvictionManager(
-            self.engine,
-            memory_limit,
-            policy=eviction_policy,
-            spill=self.store.supports_spill(),
-        )
+        self.eviction = EvictionManager(self.engine, memory_limit)
         self.load: Optional[AdmissionController] = (
             AdmissionController(self.engine, overload_policy)
             if overload_policy is not None
@@ -432,9 +406,6 @@ class PequodServer:
             self.persist.close()
         if self.cdc is not None:
             self.cdc.feed.close()
-        factory = self.store._map_factory
-        if getattr(factory, "spill_store", None) is not None:
-            factory.close()
 
     # ------------------------------------------------------------------
     # Observability

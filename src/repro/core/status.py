@@ -141,10 +141,8 @@ class StatusRange:
         "pending",
         "lru_entry",
         "builds",
-        "compute_cost",
         "attached",
         "validated_at",
-        "spilled",
         "owner",
         "_pending_index",
     )
@@ -166,11 +164,6 @@ class StatusRange:
         self.lru_entry: Optional["LRUEntry"] = None
         #: The builds this range holds; it owns their updaters.
         self.builds: Tuple[Build, ...] = ()
-        #: Work units spent computing this range (source keys examined
-        #: + outputs installed), recorded by the engine.  Cost-aware
-        #: eviction (§2.5's suggested improvement) uses it to prefer
-        #: evicting ranges that are cheap to recompute.
-        self.compute_cost = 0.0
         #: Is this range currently part of a :class:`StatusTable`'s
         #: cover?  Maintained by the table on add/split/remove.  The
         #: engine's validation memo (§4.2's hint idea applied to
@@ -184,11 +177,6 @@ class StatusRange:
         #: younger than the staleness bound without re-validation; None
         #: (never validated) always re-validates.
         self.validated_at: Optional[float] = None
-        #: Were this range's values moved to the disk spill tier?  Set
-        #: by spill-before-evict (the disk store's gentler first stage
-        #: of §2.5) so memory pressure does not re-spill the same cold
-        #: range; cleared when the range is recomputed from scratch.
-        self.spilled = False
         #: The :class:`StatusTable` this range is attached to, if any.
         #: Lets validity mutations (invalidate, pending-log growth)
         #: bump the table's whole-table stamp without the caller
@@ -231,19 +219,18 @@ class StatusRange:
         """May ``right`` be folded into this range (its left neighbour)?
 
         Only across a shared boundary, and only when nothing a reader
-        can observe distinguishes the two: both VALID, one expiry, one
-        spill state, and no updater gaining reach — a build only one
-        of them holds must not span the other's keys (a piece rebuilt
-        on its own would otherwise take on its sibling's old updaters
-        over its keys and apply their changes twice).  Pending logs and
-        builds are united (see :meth:`absorb`).
+        can observe distinguishes the two: both VALID, one expiry, and
+        no updater gaining reach — a build only one of them holds must
+        not span the other's keys (a piece rebuilt on its own would
+        otherwise take on its sibling's old updaters over its keys and
+        apply their changes twice).  Pending logs and builds are united
+        (see :meth:`absorb`).
         """
         return (
             self.hi == right.lo
             and self.state is RangeState.VALID
             and right.state is RangeState.VALID
             and self.expires_at == right.expires_at
-            and self.spilled == right.spilled
             and all(b.hi <= right.lo for b in self.builds if b not in right.builds)
             and all(self.hi <= b.lo for b in right.builds if b not in self.builds)
         )
@@ -254,9 +241,8 @@ class StatusRange:
         The logs are concatenated (the caller compacts once per run):
         application re-executes against the current store, so an entry
         one piece had already applied is harmless over the whole.  The
-        merged range holds both halves' builds, is as old as its
-        oldest part (``None`` = never validated wins), and costs what
-        both cost.
+        merged range holds both halves' builds and is as old as its
+        oldest part (``None`` = never validated wins).
         """
         self.hi = right.hi
         for b in right.builds:
@@ -272,7 +258,6 @@ class StatusRange:
             self.validated_at = None
         elif right.validated_at < self.validated_at:
             self.validated_at = right.validated_at
-        self.compute_cost += right.compute_cost
         right.pending = []
 
     def invalidate(self) -> None:
@@ -280,7 +265,6 @@ class StatusRange:
         self.state = RangeState.INVALID
         self.pending.clear()
         self.expires_at = None
-        self.spilled = False
         if self.owner is not None:
             self.owner.note_mutation()
 
@@ -456,8 +440,6 @@ class StatusTable:
         for b in sr.builds:
             b.holders += 1
         right.validated_at = sr.validated_at
-        right.compute_cost = sr.compute_cost / 2
-        sr.compute_cost /= 2
         sr.hi = at
         i = bisect_right(self._los, right.lo)
         self._los.insert(i, right.lo)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 Samples = Iterable[Tuple[str, float]]
 
@@ -178,8 +178,6 @@ _STANDALONE_GAUGES = frozenset(
         "persist_segment_probes",
         "persist_bloom_negatives",
         "persist_bloom_false_positives",
-        "persist_spilled_values",
-        "persist_spill_segments",
         "cdc_feed_depth",
         "cdc_feed_high_water",
         "cdc_consumer_lag_records",
@@ -327,10 +325,9 @@ class ServerMetrics:
             yield "overloaded", 1.0 if load.overloaded else 0.0
             yield "overload_queue_depth", float(load.queue_depth)
         # Persistence: always-present families (zeros before first use)
-        # whenever the server has a durable or spill tier, so dashboards
-        # need no existence checks.
+        # whenever the server has a durable tier, so dashboards need no
+        # existence checks.
         persist = getattr(server, "persist", None)
-        spill = getattr(server.store._map_factory, "spill_store", None)
         if persist is not None:
             yield "persist_wal_bytes", float(persist.wal.size)
             yield "persist_wal_synced_bytes", float(persist.wal.synced_size)
@@ -343,19 +340,11 @@ class ServerMetrics:
             yield from persist.segments.compaction_seconds.samples(
                 "persist_compaction_seconds", tier="checkpoint"
             )
-        if persist is not None or spill is not None:
             stats = server.stats
             yield "persist_segment_probes", stats.get("persist_segment_probes")
             yield "persist_bloom_negatives", stats.get("persist_bloom_negatives")
             yield "persist_bloom_false_positives", stats.get(
                 "persist_bloom_false_positives"
-            )
-            yield "persist_spilled_values", stats.get("persist_spilled_values")
-        if spill is not None:
-            yield "persist_spill_segments", float(spill.segment_count())
-            yield "persist_spill_file_bytes", float(spill.file_bytes())
-            yield from spill.stack.compaction_seconds.samples(
-                "persist_compaction_seconds", tier="spill"
             )
         # CDC (write-around deployments): feed depth, consumer lag, and
         # the propagation-lag distribution — the freshness story of the

@@ -15,9 +15,9 @@ package adds the disk tier behind it:
   owned by :class:`~repro.core.server.PequodServer` when it is given a
   ``data_dir``).
 
-The value-spill side (cold values moving to segments so datasets exceed
-RAM) lives in :mod:`repro.store.diskmap`, which builds on the same
-segment format.
+Only client writes reach disk.  Memory pressure never moves values
+there: it evicts least-recently-used computed ranges, which recompute
+on demand (paper §2.5).
 """
 
 from .bloom import BloomFilter

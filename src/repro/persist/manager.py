@@ -2,16 +2,14 @@
 
 :class:`SegmentStack` is an ordered collection of immutable segment
 files behind a ``MANIFEST``: new segments stack on top (newest wins on
-read), and compaction merges the stack back down to one segment.  Both
-disk tiers reuse it — the durability tier (checkpoint segments folded
-out of the WAL) and the spill tier (cold values evicted from RAM by
-:mod:`repro.store.diskmap`).
+read), and compaction merges the stack back down to one segment.  The
+durability tier keeps its checkpoint segments, folded out of the WAL,
+in one.
 
 :class:`PersistenceManager` owns one data directory::
 
     <data_dir>/pequod.wal        the write-ahead log
     <data_dir>/segments/         checkpoint segments + MANIFEST
-    <data_dir>/spill/            value-spill segments (disk store impl)
 
 and implements the recovery contract: on startup, replay checkpoint
 segments oldest-to-newest (tombstones delete), then the WAL tail,
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..metrics import Histogram
 from .segment import SegmentReader, write_segment
@@ -117,23 +115,19 @@ class SegmentStack:
             self.stats.add("persist_segment_bytes_written", reader.file_bytes())
         return reader
 
-    def maybe_compact(
-        self, live: Optional[Callable[[str], bool]] = None
-    ) -> bool:
+    def maybe_compact(self) -> bool:
         if len(self.segments) > self.compact_threshold:
-            self.compact(live)
+            self.compact()
             return True
         return False
 
-    def compact(self, live: Optional[Callable[[str], bool]] = None) -> None:
+    def compact(self) -> None:
         """Merge the stack down to one segment (newest version per key).
 
         Tombstones are dropped — a compacted stack has no older version
-        left to mask.  ``live`` optionally filters keys (the spill tier
-        passes "is this key still spilled?" so dead values are garbage
-        collected); filtered keys are simply not carried forward.
+        left to mask.
         """
-        if len(self.segments) <= 1 and live is None:
+        if len(self.segments) <= 1:
             return
         start = time.perf_counter()
         merged: Dict[str, Optional[str]] = {}
@@ -143,7 +137,7 @@ class SegmentStack:
         pairs = [
             (key, value)
             for key, value in sorted(merged.items())
-            if value is not None and (live is None or live(key))
+            if value is not None
         ]
         old = self.segments
         name = f"seg-{self._next_id:08d}.seg"

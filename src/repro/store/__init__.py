@@ -23,7 +23,6 @@ from .keys import (
     table_range,
 )
 from .lru import LRUEntry, LRUList
-from .omap import DEFAULT_MAP_IMPL, MAP_IMPLS, resolve_map_impl
 from .sortedarray import SortedArrayMap
 from .stats import StoreStats
 from .store import OrderedStore
@@ -44,8 +43,6 @@ __all__ = [
     "SUBTABLE_OVERHEAD",
     "NODE_OVERHEAD",
     "POINTER_SIZE",
-    "DEFAULT_MAP_IMPL",
-    "MAP_IMPLS",
     "BatchOp",
     "IntervalEntry",
     "LRUEntry",
@@ -68,7 +65,6 @@ __all__ = [
     "range_contains",
     "ranges_overlap",
     "release_value",
-    "resolve_map_impl",
     "split_key",
     "subtable_prefix",
     "table_of",

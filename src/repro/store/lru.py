@@ -4,7 +4,7 @@ Paper §2.5: "an overloaded Pequod server simply evicts the least
 recently used data ranges."  The units of eviction are whole ranges —
 computed join outputs, remote subscribed copies, and cached base data —
 not individual keys.  ``LRUList`` is an intrusive doubly-linked list:
-O(1) touch, O(1) pop of the coldest entry.
+O(1) touch, O(1) lookup and removal of the coldest entry.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from typing import Any, Iterator, Optional
 class LRUEntry:
     """One evictable unit.  ``payload`` identifies what to evict."""
 
-    __slots__ = ("payload", "prev", "next", "pinned", "_list")
+    __slots__ = ("payload", "prev", "next", "_list")
 
     def __init__(self, payload: Any) -> None:
         self.payload = payload
         self.prev: Optional["LRUEntry"] = None
         self.next: Optional["LRUEntry"] = None
-        self.pinned = False
         self._list: Optional["LRUList"] = None
 
     def linked(self) -> bool:
@@ -64,17 +63,8 @@ class LRUList:
             self._unlink(entry)
 
     def coldest(self) -> Optional[LRUEntry]:
-        """The least recently used unpinned entry (without removing it)."""
-        entry = self._head
-        while entry is not None and entry.pinned:
-            entry = entry.next
-        return entry
-
-    def pop_coldest(self) -> Optional[LRUEntry]:
-        entry = self.coldest()
-        if entry is not None:
-            self._unlink(entry)
-        return entry
+        """The least recently used entry (without removing it)."""
+        return self._head
 
     def __iter__(self) -> Iterator[LRUEntry]:
         """Entries from coldest to hottest."""

@@ -25,6 +25,38 @@ can swap a stored node's value in place.
 
 ``nodes()`` returns a snapshot list (concatenated block slices), so
 iteration tolerates concurrent structural mutation.
+
+Nothing above the table layer depends on *tree-ness* — only on this
+contract, in terms of *nodes* (opaque handles exposing ``key`` and
+``value``; ``value`` is assignable in place):
+
+* ``insert(key, value) -> node`` — insert or overwrite;
+* ``insert_absent(key, value) -> (node, created)`` — insert unless
+  present, leaving an existing node untouched: one search where
+  "find, then insert" would take two (``Table.put``,
+  ``Table.install_many``);
+* ``find_node(key)`` / ``get(key, default)`` / ``remove(key)`` /
+  ``remove_node(node)`` / ``clear()``;
+* ``insert_run(keys, values) -> [node, ...] | None`` — splice a
+  strictly ascending run of fresh keys in as one slice, refused (None,
+  map unchanged) when a stored key lies within it
+  (``Table.install_many``'s computed runs);
+* ``remove_range(lo, hi) -> [node, ...]`` — remove ``[lo, hi)`` as one
+  run and return the removed nodes in key order (computed-range
+  eviction and recompute, :meth:`~repro.store.table.Table.remove_range`);
+* ``min_node`` / ``floor_node`` / ``next_node`` — the walk over a
+  table's subtable index;
+* ``nodes(lo, hi)`` / ``items`` / ``keys`` — ordered ``[lo, hi)``
+  iteration (``None`` bounds are open);
+* ``count_range(lo, hi)`` — size of ``[lo, hi)`` without yielding;
+* ``len()`` / ``bool()`` / ``in`` / iteration over keys;
+* ``check_invariants()`` — test hook.
+
+The paper's §4.2 output hints (remember where a join last wrote, and
+skip the next descent) are not implemented: on the sorted array a hint
+costs a locate on top of the insert it was meant to save.  Updaters
+are not kept in an ordered map at all: ``range_index.py`` files them
+by key prefix.
 """
 
 from __future__ import annotations

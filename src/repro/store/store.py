@@ -19,7 +19,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .batch import PUT, WriteBatch, as_ops
 from .keys import SEP, SEP_SUCCESSOR, prefix_upper_bound, table_of
-from .omap import resolve_map_impl
 from .sortedarray import SANode
 from .stats import StoreStats
 from .table import Table
@@ -38,17 +37,11 @@ class OrderedStore:
     ``subtable_config`` maps table names to subtable depths; it may also
     be amended later with :meth:`configure_subtables` (before the table
     first receives data).  All tables share one :class:`StoreStats`.
-
-    ``map_impl`` picks the ordered map backing every data tree: an
-    :data:`~repro.store.omap.MAP_IMPLS` name, a factory callable, or
-    None for the default (see ``omap.DEFAULT_MAP_IMPL``).
     """
 
     __slots__ = (
         "stats",
         "tables",
-        "map_impl",
-        "_map_factory",
         "_subtable_config",
     )
 
@@ -56,12 +49,9 @@ class OrderedStore:
         self,
         subtable_config: Optional[Dict[str, int]] = None,
         stats: Optional[StoreStats] = None,
-        map_impl=None,
     ) -> None:
         self.stats = stats if stats is not None else StoreStats()
         self.tables: Dict[str, Table] = {}
-        self.map_impl = map_impl
-        self._map_factory = resolve_map_impl(map_impl)
         self._subtable_config: Dict[str, int] = dict(subtable_config or {})
 
     # ------------------------------------------------------------------
@@ -89,12 +79,7 @@ class OrderedStore:
         tbl = self.tables.get(name)
         if tbl is None:
             depth = self._subtable_config.get(name, 0)
-            tbl = Table(
-                name,
-                subtable_depth=depth,
-                stats=self.stats,
-                map_factory=self._map_factory,
-            )
+            tbl = Table(name, subtable_depth=depth, stats=self.stats)
             self.tables[name] = tbl
         return tbl
 
@@ -213,19 +198,6 @@ class OrderedStore:
             return heapq.merge(*streams, key=lambda n: n.key)
         return iter(())
 
-    def iter_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
-        """As :meth:`scan_nodes` without charging work counters — the
-        internal path for counting, recounts, and eviction scoring."""
-        if not lo < hi:
-            return iter(())
-        relevant = self.tables_over(lo, hi)
-        if len(relevant) == 1:
-            return relevant[0].iter_nodes(lo, hi)
-        if relevant:
-            streams = [tbl.iter_nodes(lo, hi) for tbl in relevant]
-            return heapq.merge(*streams, key=lambda n: n.key)
-        return iter(())
-
     def scan(self, lo: str, hi: str) -> List[Tuple[str, str]]:
         """Client-visible ordered list of pairs with ``lo <= key < hi``."""
         nodes = self.scan_nodes(lo, hi)
@@ -259,36 +231,6 @@ class OrderedStore:
         return sum(
             tbl.count_range(lo, hi) for tbl in self.tables_over(lo, hi)
         )
-
-    # ------------------------------------------------------------------
-    # Value spill (disk-backed maps only)
-    # ------------------------------------------------------------------
-    def supports_spill(self) -> bool:
-        """Can this store move values to disk?  True when the map
-        factory carries a shared spill tier (the ``"disk"`` impl)."""
-        return getattr(self._map_factory, "spill_store", None) is not None
-
-    def spill_range(self, lo: str, hi: str) -> int:
-        """Spill cold values in ``[lo, hi)`` to disk; returns resident
-        bytes freed (0 when the store is not disk-backed)."""
-        if not lo < hi:
-            return 0
-        freed = 0
-        for tbl in self.tables_over(lo, hi):
-            freed += tbl.spill_range(lo, hi)
-        if freed:
-            self.stats.add("spill_freed_bytes", freed)
-        return freed
-
-    def spill_all(self) -> int:
-        """Spill every table's cold values; returns bytes freed."""
-        freed = 0
-        for name in sorted(self.tables):
-            tbl = self.tables[name]
-            freed += tbl.spill_range(name + SEP, name + SEP_SUCCESSOR)
-        if freed:
-            self.stats.add("spill_freed_bytes", freed)
-        return freed
 
     def remove_range(self, lo: str, hi: str) -> List[Tuple[str, Value]]:
         """Remove every key in ``[lo, hi)``, one run per table (see

@@ -26,9 +26,8 @@ from operator import add, lt
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .keys import SEP, SEP_SUCCESSOR, key_successor, prefix_upper_bound, subtable_prefix
-from .omap import resolve_map_impl
 from .range_index import RangeIndex
-from .sortedarray import SANode
+from .sortedarray import SANode, SortedArrayMap
 from .stats import StoreStats
 from .values import NODE_OVERHEAD, Value, acquire_value, release_value
 
@@ -51,7 +50,6 @@ class Table:
         "name",
         "subtable_depth",
         "stats",
-        "_map_factory",
         "_tree",
         "_subtables",
         "_suborder",
@@ -66,16 +64,13 @@ class Table:
         name: str,
         subtable_depth: int = 0,
         stats: Optional[StoreStats] = None,
-        map_factory=None,
     ) -> None:
         self.name = name
         self.subtable_depth = subtable_depth
         self.stats = stats if stats is not None else StoreStats()
-        #: Factory for the data-plane ordered maps (``omap`` protocol).
-        self._map_factory = resolve_map_impl(map_factory)
-        self._tree = self._map_factory() if subtable_depth == 0 else None
+        self._tree = SortedArrayMap() if subtable_depth == 0 else None
         self._subtables: Dict[str, Any] = {}
-        self._suborder = self._map_factory()  # subtable id -> ordered map
+        self._suborder = SortedArrayMap()  # subtable id -> ordered map
         self._residual = None
         self.updaters = RangeIndex()
         self.key_count = 0
@@ -98,12 +93,12 @@ class Table:
         sub_id = self._subtable_id(key)
         if sub_id is None:
             if self._residual is None and create:
-                self._residual = self._map_factory()
+                self._residual = SortedArrayMap()
                 self.memory_bytes += SUBTABLE_OVERHEAD
             return self._residual
         tree = self._subtables.get(sub_id)
         if tree is None and create:
-            tree = self._map_factory()
+            tree = SortedArrayMap()
             self._subtables[sub_id] = tree
             self._suborder.insert(sub_id, tree)
             self.memory_bytes += SUBTABLE_OVERHEAD
@@ -259,54 +254,6 @@ class Table:
         node.value = value
         return old
 
-    def spill_range(self, lo: str, hi: str) -> int:
-        """Move cold string payloads in ``[lo, hi)`` to the disk spill
-        tier; returns resident bytes freed.
-
-        Only works when the table's trees are disk-backed (they expose
-        a ``spill`` store); otherwise this is a no-op returning 0.  Keys
-        and node handles stay resident — eviction of *structure* remains
-        :meth:`remove`/range eviction — and only payloads longer than
-        the stub cost move: plain strings, and shared values whose last
-        holder this node is (``refs == 1`` — once dependents are gone
-        the SharedValue wrapper is just a private string with a
-        refcount).  Multi-holder shared values and aggregate
-        accumulators are pointer-shaped already, and tiny values would
-        cost more as stubs than they free.
-        """
-        from .diskmap import SPILLED_VALUE_SIZE, SpilledValue
-        from .values import SharedValue
-
-        def spillable(value) -> Optional[str]:
-            if type(value) is str:
-                payload = value
-            elif isinstance(value, SharedValue) and value.refs == 1:
-                payload = value.payload
-            else:
-                return None
-            return payload if len(payload) > SPILLED_VALUE_SIZE else None
-
-        if not lo < hi:
-            return 0
-        freed = 0
-        for tree in self._overlapping_trees(lo, hi):
-            spill = getattr(tree, "spill", None)
-            if spill is None:
-                continue
-            victims = [
-                (node, payload)
-                for node in tree.nodes(lo, hi)
-                if (payload := spillable(node.value)) is not None
-            ]
-            if not victims:
-                continue
-            spill.spill([(node.key, payload) for node, payload in victims])
-            for node, _ in victims:
-                before = self.memory_bytes
-                self.replace_node_value(node, SpilledValue(spill, node.key))
-                freed += before - self.memory_bytes
-        return freed
-
     def remove(self, key: str) -> Optional[Value]:
         """Remove ``key``; returns the removed value or None."""
         self.stats.add("removes")
@@ -330,7 +277,7 @@ class Table:
         Each tree the range touches removes its run in one call (the
         ordered map's ``remove_range``), and the run is accounted in
         bulk —
-        ``key_count``, ``memory_bytes`` (shared and spilled values
+        ``key_count``, ``memory_bytes`` (shared values
         released per key) and the ``removes`` counter end exactly where
         per-key :meth:`remove` calls would leave them.  Emptied
         subtables are dropped.
@@ -448,8 +395,8 @@ class Table:
 
     def iter_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
         """As :meth:`scan_nodes`, but charging nothing — the internal
-        path for counting, memory recounts, and eviction scoring, which
-        must not inflate the scan counters the cost model bills."""
+        path for memory recounts, which must not inflate the scan
+        counters the cost model bills."""
         if not lo < hi:
             return iter(())
         return self._merged_nodes(lo, hi)

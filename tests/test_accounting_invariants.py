@@ -45,12 +45,11 @@ def recount_memory(server: PequodServer) -> int:
 
 
 class TestMemoryAccountingExact:
-    def run_random_workload(self, seed, sharing, subtables, store_impl=None):
+    def run_random_workload(self, seed, sharing, subtables):
         rng = random.Random(seed)
         srv = PequodServer(
             subtable_config={"t": 2, "p": 2} if subtables else None,
             enable_sharing=sharing,
-            store_impl=store_impl,
         )
         srv.add_join(TIMELINE_JOIN)
         srv.add_join("karma|<poster> = count s|<user>|<poster>")
@@ -73,11 +72,8 @@ class TestMemoryAccountingExact:
                 srv.get(f"karma|{p}")
         return srv
 
-    @pytest.mark.parametrize("store_impl", ["sortedarray", "disk"])
-    def test_accounting_matches_recount_default(self, store_impl):
-        srv = self.run_random_workload(
-            1, sharing=True, subtables=True, store_impl=store_impl
-        )
+    def test_accounting_matches_recount_default(self):
+        srv = self.run_random_workload(1, sharing=True, subtables=True)
         assert srv.store.memory_bytes() == recount_memory(srv)
 
     def test_accounting_matches_recount_no_sharing(self):
@@ -283,21 +279,18 @@ class TestCounterInvariants:
 
     The pre-overhaul ``count()`` re-walked ``scan_nodes``, charging a
     second scan (plus descents) for an operation that moves no data;
-    eviction scoring and memory recounts did the same.  Those paths now
+    memory recounts did the same.  Those paths now
     use the non-counting iteration, and these tests pin the invariants.
     """
 
-    IMPLS = ["sortedarray", "disk"]
-
-    def build_store(self, store_impl) -> OrderedStore:
-        store = OrderedStore({"p": 2}, map_impl=store_impl)
+    def build_store(self) -> OrderedStore:
+        store = OrderedStore({"p": 2})
         for i in range(60):
             store.put(f"p|u{i % 4}|{i:04d}", f"v{i}")
         return store
 
-    @pytest.mark.parametrize("store_impl", IMPLS)
-    def test_count_charges_no_scan_counters(self, store_impl):
-        store = self.build_store(store_impl)
+    def test_count_charges_no_scan_counters(self):
+        store = self.build_store()
         before = store.stats.snapshot()
         assert store.count("p|", "p}") == 60
         assert store.count("p|u1|", "p|u1}") == 15
@@ -306,19 +299,17 @@ class TestCounterInvariants:
                         "tree_descent_cost", "hash_jumps"):
             assert after.get(counter, 0) == before.get(counter, 0), counter
 
-    @pytest.mark.parametrize("store_impl", IMPLS)
-    def test_iter_nodes_charges_nothing(self, store_impl):
-        store = self.build_store(store_impl)
+    def test_iter_nodes_charges_nothing(self):
+        store = self.build_store()
         before = store.stats.snapshot()
-        assert sum(1 for _ in store.iter_nodes("p|", "p}")) == 60
         tbl = store.tables["p"]
+        assert sum(1 for _ in tbl.iter_nodes("p|", "p}")) == 60
         assert sum(1 for _ in tbl.iter_nodes("p|u2|", "p|u2}")) == 15
         assert tbl.count_range("p|", "p}") == 60
         assert store.stats.snapshot() == before
 
-    @pytest.mark.parametrize("store_impl", IMPLS)
-    def test_scan_bills_each_item_exactly_once(self, store_impl):
-        store = self.build_store(store_impl)
+    def test_scan_bills_each_item_exactly_once(self):
+        store = self.build_store()
         before = store.stats.get("scanned_items")
         scans_before = store.stats.get("scans")
         out = store.scan("p|u1|", "p|u1}")
@@ -330,20 +321,18 @@ class TestCounterInvariants:
         assert store.stats.get("scanned_items") == before + len(out)
         assert store.stats.get("scans") == scans_before + 1
 
-    def test_eviction_scoring_charges_no_scans(self):
-        srv = PequodServer(
-            subtable_config={"t": 2}, memory_limit=10**9,
-            eviction_policy="cost",
-        )
+    def test_eviction_check_charges_no_scans(self):
+        srv = PequodServer(subtable_config={"t": 2}, memory_limit=10**9)
         srv.add_join(TIMELINE_JOIN)
         srv.put("s|ann|bob", "1")
         srv.put("p|bob|0001", "x")
         srv.scan("t|ann|", "t|ann}")
-        entry = srv.engine.lru.coldest()
         before = srv.stats.snapshot()
-        # Scoring walks candidate ranges; the walk must be free.
-        # (Eviction itself still bills its range-clearing read.)
-        assert srv.eviction._score(entry.payload) > 0
+        # Every operation ends in this check; under the limit it and
+        # the choice of a victim must be free.  (Eviction itself still
+        # bills its range-clearing read.)
+        assert srv.eviction.maybe_evict() == 0
+        assert srv.engine.lru.coldest() is not None
         assert srv.stats.snapshot() == before
 
 

@@ -103,7 +103,7 @@ class TestServeCommand:
 
     def test_retired_store_impl_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--store-impl", "rbtree"])
+            main(["serve", "--store-impl", "disk"])
         assert exc.value.code == 2
         assert "--store-impl" in capsys.readouterr().err
 

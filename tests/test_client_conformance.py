@@ -40,24 +40,20 @@ KARMA = "karma|<author> = count vote|<author>|<id>|<voter>"
 #: backends ignore this).
 BASE_TABLES = ("p", "s", "vote", "article", "comment")
 
-#: "disk" is the local backend on the durable disk-backed store (WAL +
-#: value spill under a per-test data dir) — the whole suite doubles as
-#: the persistence tier's semantic oracle.
-BACKENDS = ("local", "rpc", "cluster", "disk")
+#: "durable" is the local backend journaling to a WAL and checkpoint
+#: segments under a per-test data dir — the whole suite doubles as the
+#: persistence tier's semantic oracle.
+BACKENDS = ("local", "rpc", "cluster", "durable")
 
 
 def _sync_client(backend, **extra):
-    """make_client for one conformance backend; "disk" maps to the
-    local backend on the durable store, rooted in a throwaway data
-    dir that outlives the client and is reaped behind it."""
-    if backend == "disk":
-        data_dir = tempfile.mkdtemp(prefix="pequod-disk-")
+    """make_client for one conformance backend; "durable" maps to the
+    local backend with a WAL, rooted in a throwaway data dir that
+    outlives the client and is reaped behind it."""
+    if backend == "durable":
+        data_dir = tempfile.mkdtemp(prefix="pequod-durable-")
         c = make_client(
-            "local",
-            base_tables=BASE_TABLES,
-            store_impl="disk",
-            data_dir=data_dir,
-            **extra,
+            "local", base_tables=BASE_TABLES, data_dir=data_dir, **extra
         )
         weakref.finalize(c, shutil.rmtree, data_dir, ignore_errors=True)
         return c
@@ -395,36 +391,32 @@ class TestDiskCloseFlushes:
 
     def test_sync_close_then_reopen(self, tmp_path):
         data_dir = str(tmp_path)
-        c = make_client("local", store_impl="disk", data_dir=data_dir)
+        c = make_client("local", data_dir=data_dir)
         for key, value in self.WRITES:
             c.put(key, value)
         c.close()
-        with make_client("local", store_impl="disk", data_dir=data_dir) as again:
+        with make_client("local", data_dir=data_dir) as again:
             assert again.scan_prefix("p|") == self.WRITES
 
     async def test_async_aclose_then_reopen(self, tmp_path):
         data_dir = str(tmp_path)
-        async with await make_async_client(
-            "local", store_impl="disk", data_dir=data_dir
-        ) as c:
+        async with await make_async_client("local", data_dir=data_dir) as c:
             for key, value in self.WRITES:
                 await c.put(key, value)
         async with await make_async_client(
-            "local", store_impl="disk", data_dir=data_dir
+            "local", data_dir=data_dir
         ) as again:
             assert await again.scan_prefix("p|") == self.WRITES
 
     def test_a_server_passed_in_stays_open(self, tmp_path):
         from repro import PequodServer
 
-        server = PequodServer(store_impl="disk", data_dir=str(tmp_path))
+        server = PequodServer(data_dir=str(tmp_path))
         with LocalClient(server) as c:
             c.put("p|bob|0001", "x")
         server.put("p|bob|0002", "y")  # still writable: the caller owns it
         server.close()
-        with make_client(
-            "local", store_impl="disk", data_dir=str(tmp_path)
-        ) as again:
+        with make_client("local", data_dir=str(tmp_path)) as again:
             assert len(again.scan_prefix("p|")) == 2
 
 
@@ -433,13 +425,10 @@ class TestDiskCloseFlushes:
 # ======================================================================
 async def _async_client(backend):
     """Build an async client for one backend (awaitable)."""
-    if backend == "disk":
-        data_dir = tempfile.mkdtemp(prefix="pequod-disk-")
+    if backend == "durable":
+        data_dir = tempfile.mkdtemp(prefix="pequod-durable-")
         client = await make_async_client(
-            "local",
-            base_tables=BASE_TABLES,
-            store_impl="disk",
-            data_dir=data_dir,
+            "local", base_tables=BASE_TABLES, data_dir=data_dir
         )
         weakref.finalize(client, shutil.rmtree, data_dir, ignore_errors=True)
         return client

@@ -242,19 +242,18 @@ def _subtables(model, depth):
 
 
 class TestRunPrimitives:
-    @pytest.mark.parametrize("impl", ["sortedarray", "disk"])
     @pytest.mark.parametrize("depth", [0, 2])
     @settings(
         max_examples=40, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(ops=run_ops)
-    def test_runs_match_a_dict_model(self, impl, depth, ops):
+    def test_runs_match_a_dict_model(self, depth, ops):
         for value in SHARED:
             value.refs = 0
         # Four-key blocks, so runs cross block boundaries.
         with mock.patch.object(sortedarray, "LOAD", 2):
-            store = OrderedStore(subtable_config={"k": depth}, map_impl=impl)
+            store = OrderedStore(subtable_config={"k": depth})
             table = store.table("k")
             model = {}
             for kind, arg in ops:

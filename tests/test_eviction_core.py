@@ -109,6 +109,42 @@ class TestEviction:
         populate(srv, users=20, posts=10)
         assert srv.memory_bytes() <= 20_000
 
+    def test_base_data_over_the_limit_evicts_every_range_then_stops(self):
+        """Client-written base data is never evictable.  When it alone
+        exceeds the limit, each operation evicts every computed range
+        and returns; reads stay exact and later writes do not loop."""
+        srv = PequodServer(memory_limit=1)
+        srv.add_join(TIMELINE)
+        names = [f"u{i:02d}" for i in range(6)]
+        for u in names:
+            srv.put(f"s|{u}|star", "1")
+        for t in range(5):
+            srv.put(f"p|star|{t:04d}", f"tweet {t}")
+        assert srv.eviction.evictions == 0  # nothing computed yet
+        expected = [
+            (f"t|{u}|{t:04d}|star", f"tweet {t}")
+            for u in names
+            for t in range(5)
+        ]
+        assert srv.scan("t|", "t}") == expected  # computes every timeline
+        assert srv.eviction.evictions > 0
+        assert not srv.engine.lru
+        assert srv.store.count("t|", "t}") == 0
+        assert srv.engine.updater_bytes == 0
+        assert srv.eviction.over_limit()
+        assert srv.eviction.maybe_evict() == 0
+        for u in names:
+            assert srv.scan(f"t|{u}|", f"t|{u}}}") == [
+                row for row in expected if row[0].startswith(f"t|{u}|")
+            ]
+        evictions = srv.eviction.evictions
+        srv.put("p|star|0005", "tweet 5")
+        srv.remove("s|u00|star")
+        assert srv.eviction.evictions == evictions
+        assert srv.scan("t|u00|", "t|u00}") == []
+        assert srv.scan("t|u01|", "t|u01}")[-1] == ("t|u01|0005|star", "tweet 5")
+        assert srv.get("p|star|0000") == "tweet 0"
+
     def test_base_data_not_silently_lost(self):
         """Evicting computed ranges never deletes base data."""
         srv = PequodServer()

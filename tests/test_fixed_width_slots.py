@@ -16,11 +16,6 @@ from repro.core.pattern import Pattern, PatternError
 pytestmark = pytest.mark.usefixtures("pattern_mode")
 
 
-@pytest.fixture(params=["sortedarray", "disk"])
-def store_impl(request):
-    return request.param
-
-
 class TestWidthParsing:
     def test_width_parsed(self):
         p = Pattern("p|<poster>|<time:10>")
@@ -58,8 +53,8 @@ class TestWidthMatching:
 
 
 class TestWidthInJoins:
-    def test_join_with_widths_end_to_end(self, store_impl):
-        srv = PequodServer(store_impl=store_impl)
+    def test_join_with_widths_end_to_end(self):
+        srv = PequodServer()
         srv.add_join(
             "t|<user>|<time:4>|<poster> = "
             "check s|<user>|<poster> copy p|<poster>|<time:4>"
@@ -70,10 +65,10 @@ class TestWidthInJoins:
         got = srv.scan("t|ann|", "t|ann}")
         assert got == [("t|ann|0100|bob", "well-formed")]
 
-    def test_widths_keep_bounded_scans_exact(self, store_impl):
+    def test_widths_keep_bounded_scans_exact(self):
         """With fixed widths, a time-bounded scan cannot admit keys
         whose slot values are prefixes of the bound."""
-        srv = PequodServer(store_impl=store_impl)
+        srv = PequodServer()
         srv.add_join(
             "t|<user>|<time:4>|<poster> = "
             "check s|<user>|<poster> copy p|<poster>|<time:4>"

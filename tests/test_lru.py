@@ -5,6 +5,14 @@ import pytest
 from repro.store.lru import LRUList
 
 
+def pop_coldest(lru):
+    """Remove and return the coldest entry, as eviction does."""
+    entry = lru.coldest()
+    if entry is not None:
+        lru.remove(entry)
+    return entry
+
+
 class TestLRUOrdering:
     def test_add_and_pop_coldest(self):
         lru = LRUList()
@@ -12,8 +20,8 @@ class TestLRUOrdering:
         lru.add("b")
         lru.add("c")
         assert len(lru) == 3
-        assert lru.pop_coldest().payload == "a"
-        assert lru.pop_coldest().payload == "b"
+        assert pop_coldest(lru).payload == "a"
+        assert pop_coldest(lru).payload == "b"
         assert len(lru) == 1
 
     def test_touch_reheats(self):
@@ -21,8 +29,8 @@ class TestLRUOrdering:
         ea = lru.add("a")
         lru.add("b")
         lru.touch(ea)
-        assert lru.pop_coldest().payload == "b"
-        assert lru.pop_coldest().payload == "a"
+        assert pop_coldest(lru).payload == "b"
+        assert pop_coldest(lru).payload == "a"
 
     def test_touch_tail_is_noop(self):
         lru = LRUList()
@@ -39,25 +47,9 @@ class TestLRUOrdering:
 
     def test_empty_pop(self):
         lru = LRUList()
-        assert lru.pop_coldest() is None
+        assert pop_coldest(lru) is None
         assert lru.coldest() is None
         assert not lru
-
-
-class TestPinning:
-    def test_pinned_entries_skipped(self):
-        lru = LRUList()
-        ea = lru.add("a")
-        lru.add("b")
-        ea.pinned = True
-        assert lru.coldest().payload == "b"
-        assert lru.pop_coldest().payload == "b"
-        assert len(lru) == 1  # pinned entry remains
-
-    def test_all_pinned_returns_none(self):
-        lru = LRUList()
-        lru.add("a").pinned = True
-        assert lru.coldest() is None
 
 
 class TestRemoval:

@@ -10,8 +10,7 @@ recovery must recompute it on demand and arrive at the same answer.
 The hypothesis property at the bottom is the conformance oracle from
 the issue: a random write workload, a crash (or clean shutdown, per the
 policy's promise), and a recovery must land byte-identical to an
-uninterrupted run — across every ordered-map implementation and every
-fsync mode.
+uninterrupted run — in every fsync mode.
 """
 
 import random
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 from repro import PequodServer
 from repro.chaos import crash_server, torn_wal_tail
 from repro.persist.wal import FSYNC_MODES
-from repro.store.omap import MAP_IMPLS
 
 TIMELINE = (
     "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
@@ -191,23 +189,20 @@ _OPS = st.lists(
 
 class TestDurabilityOracle:
     """write -> crash -> recover == an uninterrupted run, for every
-    ordered-map implementation and every fsync mode."""
+    fsync mode."""
 
     @pytest.mark.parametrize("fsync", FSYNC_MODES)
-    @pytest.mark.parametrize("impl", MAP_IMPLS)
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(ops=_OPS)
-    def test_crash_recover_matches_uninterrupted(self, impl, fsync, ops):
+    def test_crash_recover_matches_uninterrupted(self, fsync, ops):
         data_dir = tempfile.mkdtemp(prefix="pequod-oracle-")
         try:
-            srv = durable(data_dir, store_impl=impl, wal_fsync=fsync)
-            ref = PequodServer(
-                subtable_config={"t": 2, "p": 2, "s": 2}, store_impl=impl
-            )
+            srv = durable(data_dir, wal_fsync=fsync)
+            ref = PequodServer(subtable_config={"t": 2, "p": 2, "s": 2})
             ref.add_join(TIMELINE)
             for op in ops:
                 if op[0] == "put":
@@ -229,7 +224,7 @@ class TestDurabilityOracle:
                 crash_server(srv)
             else:
                 srv.close()
-            recovered = durable(data_dir, store_impl=impl, wal_fsync=fsync)
+            recovered = durable(data_dir, wal_fsync=fsync)
             assert observable(recovered) == expected
             recovered.close()
             ref.close()
@@ -277,12 +272,11 @@ class TestGracefulShutdown:
 
 class TestPersistMetrics:
     def test_families_render_for_a_durable_server(self, tmp_path):
-        srv = durable(tmp_path / "d", store_impl="disk", wal_fsync="batch")
+        srv = durable(tmp_path / "d", wal_fsync="batch")
         srv.put("s|ann|bob", "1")
         for i in range(20):
             srv.put(f"p|bob|{i:04d}", "x" * 100)
         srv.checkpoint()
-        srv.store.spill_all()
         srv.persist.segments.read("absent|key")  # a bloom negative
         text = srv.metrics_text()
         for family in (
@@ -292,8 +286,6 @@ class TestPersistMetrics:
             "repro_persist_recovery_ms",
             "repro_persist_bloom_negatives",
             "repro_persist_segment_probes",
-            "repro_persist_spilled_values",
-            "repro_persist_spill_segments",
             "repro_persist_flush_seconds_bucket",
         ):
             assert family in text, family

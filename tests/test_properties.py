@@ -742,7 +742,7 @@ def _engine_state(srv):
         tables[name] = (rows, updaters, table.key_count, table.memory_bytes)
     status = {
         name: [
-            (sr.lo, sr.hi, sr.state, len(sr.pending), sr.compute_cost,
+            (sr.lo, sr.hi, sr.state, len(sr.pending),
              [(b.lo, b.hi, b.holders, len(b.updaters)) for b in sr.builds])
             for sr in stable.ranges()
         ]

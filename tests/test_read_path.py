@@ -1,22 +1,16 @@
-"""The read-path overhaul: validation memo, pluggable store, parity.
+"""The read-path overhaul: validation memo and parity.
 
 The validation memo (paper §4.2's hint idea applied to status-range
 validation) must never serve stale data: every test here mutates the
 cover out from under a remembered range — invalidation, splits,
 eviction, snapshot expiry — and asserts reads stay correct.  The
-end-to-end parity tests run the same workload across every store (the
-sorted array and its value-spilling ``disk`` tier) and both pattern
-paths and require byte-identical output.
+end-to-end parity test runs the same workload on both pattern paths
+and requires byte-identical output.
 """
-
-import pytest
 
 from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
-from repro.client import make_client
 from repro.core.clock import SimClock
-from repro.store.omap import MAP_IMPLS, resolve_map_impl
-from repro.store.sortedarray import SortedArrayMap
 
 
 def timeline_server(**kwargs) -> PequodServer:
@@ -109,50 +103,13 @@ class TestValidationMemo:
         assert srv.scan("low|", "low}") == [("low|bob", "nine")]
 
 
-class TestPluggableStore:
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_map_impl("btree")
-        with pytest.raises(ValueError):
-            resolve_map_impl("rbtree")  # retired from the data plane
-
-    def test_names_resolve(self):
-        assert resolve_map_impl("sortedarray") is SortedArrayMap
-        assert callable(resolve_map_impl(None))
-
-    def test_factory_callable_passthrough(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return SortedArrayMap()
-
-        srv = PequodServer(store_impl=factory)
-        srv.put("k|a", "1")
-        assert calls
-
-    @pytest.mark.parametrize("impl", MAP_IMPLS)
-    def test_client_factory_threads_store_impl(self, impl):
-        from repro.store.diskmap import DiskMap
-
-        with make_client("local", store_impl=impl) as client:
-            client.put("k|a", "1")
-            assert client.get("k|a") == "1"
-            expected = {
-                "sortedarray": SortedArrayMap,
-                "disk": DiskMap,
-            }[impl]
-            tree = client.server.store.tables["k"]._tree
-            assert isinstance(tree, expected)
-
-
 class TestEndToEndParity:
     """One deterministic Twip mini-workload; identical output state
-    across every store and both pattern paths (compiled, and the
-    reference walkers patched in)."""
+    on both pattern paths (compiled, and the reference walkers patched
+    in)."""
 
-    def drive(self, store_impl) -> list:
-        srv = timeline_server(store_impl=store_impl)
+    def drive(self) -> list:
+        srv = timeline_server()
         users = [f"u{i}" for i in range(8)]
         for i, u in enumerate(users):
             srv.put(f"s|{u}|u{(i + 1) % 8}", "1")
@@ -172,10 +129,8 @@ class TestEndToEndParity:
         return out
 
     def test_all_configurations_agree(self, request):
-        compiled = {impl: self.drive(impl) for impl in MAP_IMPLS}
+        compiled = self.drive()
         request.getfixturevalue("reference_patterns")
-        reference = self.drive("sortedarray")
+        reference = self.drive()
         assert reference  # non-trivial workload
-        for impl in MAP_IMPLS:
-            assert self.drive(impl) == reference, (impl, "reference")
-            assert compiled[impl] == reference, (impl, "compiled")
+        assert compiled == reference

@@ -194,14 +194,12 @@ class TestMergeOver:
     def test_undoes_a_split(self):
         st = StatusTable()
         sr = st.add(StatusRange("a", "z"))
-        sr.compute_cost = 8.0
         right = st.split(sr, "m")
         stamp = st.stamp
         assert st.merge_over("a", "z") == [(sr, right)]
         assert _cover(st) == [("a", "z")]
         assert sr.attached and sr.owner is st
         assert not right.attached and right.owner is None
-        assert sr.compute_cost == 8.0
         assert st.stamp > stamp
         assert st.merges == 1
         assert st.find("q") is sr
@@ -273,14 +271,6 @@ class TestMergeOver:
         assert len(st.merge_over("a", "z")) == 1
         assert st.ranges()[0].expires_at == 10.0
 
-    def test_refuses_spill_mismatch(self):
-        st, left, right = self.two()
-        left.spilled = True
-        assert st.merge_over("a", "z") == []
-        right.spilled = True
-        assert len(st.merge_over("a", "z")) == 1
-        assert st.ranges()[0].spilled
-
     def test_a_refusal_splits_the_run_not_the_merge(self):
         st = StatusTable()
         parts = [st.add(StatusRange(lo, hi)) for lo, hi in ("ac", "cf", "fk", "kz")]
@@ -330,12 +320,6 @@ class TestMergeOver:
         left.validated_at, right.validated_at = None, 7.0
         st.merge_over("a", "z")
         assert left.validated_at is None
-
-    def test_costs_add_up(self):
-        st, left, right = self.two()
-        left.compute_cost, right.compute_cost = 5.0, 7.0
-        st.merge_over("a", "z")
-        assert left.compute_cost == 12.0
 
     def test_summary_is_rebuilt(self):
         st, left, right = self.two()

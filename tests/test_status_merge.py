@@ -313,17 +313,6 @@ class TestRefusalsInTheEngine:
         assert [v for _, v in srv.scan(*LOGIN)] == ["old", "newer", "new", "newest"]
         assert cover(srv) == [LOGIN]  # rebuilt as one
 
-    def test_spilled_and_unspilled_never_merge(self, tmp_path):
-        srv = timeline_server(store_impl="disk", data_dir=str(tmp_path))
-        try:
-            fragmented(srv, rounds=1)
-            head, tail = srv.engine.status["t"].ranges()
-            head.spilled = True
-            assert srv.scan(*LOGIN) == expected_timeline(1)
-            assert len(cover(srv)) == 2
-        finally:
-            srv.close()
-
 
 class TestSilentReinstall:
     def watched(self):
