@@ -21,9 +21,11 @@ Computing a range (first touch or recompute) runs this loop through a
 compiled :class:`~repro.core.plan.ComputePlan` per join and installs
 everything it emitted as one key-sorted run (``Table.install_many``);
 evicting or clearing a range removes its keys as one run
-(``OrderedStore.remove_range``).  Pull joins, pending-log application
-and eager fires outside ``ExecPlan``'s subset walk the interpreted
-``_exec_source`` recursion.
+(``OrderedStore.remove_range``).  A pull join runs the same plan on
+every read and returns what it emitted without storing any of it.
+Pending-log application, eager checks and copy fires outside
+``ExecPlan``'s injective subset walk the interpreted ``_exec_source``
+recursion with one source key pinned.
 
 Writes run the other direction, along one path.  Every write — a
 single ``put`` or ``remove`` (``notify_change``, a batch of one), a
@@ -556,7 +558,7 @@ class JoinEngine:
         expiry: Optional[float] = None
         run: List[Tuple[str, Value]] = []
         for join in joins:
-            self._compute_join(join, sr, run)
+            self._compute_join(join, sr.lo, sr.hi, sr, run)
             if join.is_snapshot:
                 candidate = self.clock.now() + float(join.snapshot_interval or 0)
                 expiry = candidate if expiry is None else min(expiry, candidate)
@@ -566,20 +568,28 @@ class JoinEngine:
             self._install_run(self.store.table(tbl_name), run)
 
     def _compute_join(
-        self, join: CacheJoin, sr: StatusRange, run: List[Tuple[str, Value]]
+        self,
+        join: CacheJoin,
+        out_lo: str,
+        out_hi: str,
+        sr: Optional[StatusRange],
+        run: List[Tuple[str, Value]],
     ) -> None:
-        """Run ``join`` over ``sr``'s range (Figure 5) through its
-        :class:`ComputePlan`, appending each output to ``run``.
+        """Run ``join`` over output range ``[out_lo, out_hi)`` (Figures
+        3 and 5) through its :class:`ComputePlan`, appending each output
+        to ``run``.
 
         The nested loop of §3.1: per source level and outer binding, one
-        containing range, data resolution (§3.3) and — for push joins —
-        an updater installed for that range, at the same point and with
-        the same bounds and context as the interpreted walk;
-        then one scan whose rows are matched by ``Pattern.slot_tuple``
-        into the slot vector.  The rows, promoted shared values (§4.3),
-        emitted keys and their order are exactly the interpreted walk's.
+        containing range, data resolution (§3.3) and — for push joins
+        computing status range ``sr`` — an updater installed for that
+        range, at the same point and with the same bounds and context
+        as the interpreted walk; then one scan whose rows are matched by
+        ``Pattern.slot_tuple`` into the slot vector.  The rows, promoted
+        shared values (§4.3), emitted keys and their order are exactly
+        the interpreted walk's.  A pull join (``sr`` None) stores
+        nothing, so it installs no updater and promotes no source value.
         """
-        cs = SlotConstraints.for_output_range(join.output, sr.lo, sr.hi)
+        cs = SlotConstraints.for_output_range(join.output, out_lo, out_hi)
         if not cs.compatible:
             return
         self.stats.add("joins_executed")
@@ -590,13 +600,12 @@ class JoinEngine:
         # The frontier slot's bounds, if the range bounds one (§3.1).
         flo, fhi = next(iter(cs.bounds.values()), (None, None))
         vec = plan.vector(cs.exact)
-        out_lo, out_hi = sr.lo, sr.hi
         out_key = plan.out_fmt.format
         widths = plan.widths
         agg: Optional[Dict[str, AggValue]] = {} if join.is_aggregate else None
         emit = run.append
         counters = self.stats.counters
-        share = self.enable_sharing
+        share = self.enable_sharing and not join.is_pull
 
         def scan(k: int, value: Optional[Value]) -> None:
             level = levels[k]
@@ -756,31 +765,8 @@ class JoinEngine:
         )
 
     # ==================================================================
-    # Forward execution (Figures 3 and 5)
+    # Interpreted execution with a pinned source key (Figures 3 and 5)
     # ==================================================================
-    def _execute_join(
-        self, join: CacheJoin, out_lo: str, out_hi: str,
-        results: List[Tuple[str, str]],
-    ) -> None:
-        """Run a pull join over output range ``[out_lo, out_hi)``,
-        appending its outputs to ``results`` without touching the store
-        (§3.4 and Figure 3).  Materialized joins compute through
-        :meth:`_compute_join` instead."""
-        cs = SlotConstraints.for_output_range(join.output, out_lo, out_hi)
-        if not cs.compatible:
-            return
-        self.stats.add("joins_executed")
-        agg: Optional[Dict[str, AggValue]] = {} if join.is_aggregate else None
-        self._exec_source(
-            join, 0, cs, out_lo, out_hi, None, None, results, agg,
-            mode=ChangeKind.INSERT, skip_source=None,
-        )
-        if agg is not None:
-            for out_key in sorted(agg):
-                acc = agg[out_key]
-                if acc.count > 0:
-                    results.append((out_key, acc.payload))
-
     def _exec_source(
         self,
         join: CacheJoin,
@@ -789,49 +775,37 @@ class JoinEngine:
         out_lo: str,
         out_hi: str,
         value: Optional[Value],
-        sr: Optional[StatusRange],
-        results: Optional[List[Tuple[str, str]]],
-        agg: Optional[Dict[str, AggValue]],
+        sr: StatusRange,
         mode: ChangeKind,
         skip_source: Optional[int],
-        source_window: Optional[Tuple[int, str, str]] = None,
     ) -> None:
+        """Re-execute ``join`` from source ``idx`` on, with source
+        ``skip_source``'s key pinned into ``cs`` (an eager fire, an
+        eager check or a pending entry), installing or removing each
+        output in ``[out_lo, out_hi)`` as it is emitted."""
         if idx == len(join.sources):
-            self._emit(join, cs, out_lo, out_hi, value, results, agg, mode)
+            self._emit(join, cs, out_lo, out_hi, value, mode)
             return
         if idx == skip_source:
-            # This source's key is pinned (updater fire or pending
-            # application); its slots are already merged into ``cs``.
+            # This source's key is pinned; its slots are already merged
+            # into ``cs``.
             self._exec_source(
-                join, idx + 1, cs, out_lo, out_hi, value, sr, results, agg,
-                mode, skip_source, source_window,
+                join, idx + 1, cs, out_lo, out_hi, value, sr, mode, skip_source,
             )
             return
         src = join.sources[idx]
         lo, hi = cs.containing_range(src.pattern)
-        # A batched pending-log application windows ONE source to the
-        # run's key span: scan only that slice, and treat it like a
-        # pinned source — no data resolution, no updater install (the
-        # original build's broad updater already covers the range).
-        windowed = source_window is not None and source_window[0] == idx
-        if windowed:
-            lo, hi = clamp_range(lo, hi, source_window[1], source_window[2])
         if not lo < hi:
             return
-        if not windowed:
-            self._ensure_source_data(src.pattern.table, lo, hi)
-            if sr is not None and join.is_push and mode is ChangeKind.INSERT:
-                own = src.pattern.slot_index
-                context = {n: v for n, v in cs.exact.items() if n not in own}
-                self._install_updater_for(
-                    join, idx, context, out_lo, out_hi, lo, hi, sr
-                )
+        self._ensure_source_data(src.pattern.table, lo, hi)
+        if join.is_push and mode is ChangeKind.INSERT:
+            own = src.pattern.slot_index
+            context = {n: v for n, v in cs.exact.items() if n not in own}
+            self._install_updater_for(
+                join, idx, context, out_lo, out_hi, lo, hi, sr
+            )
         table = self.store.table(src.pattern.table)
-        share = (
-            src.operator == COPY
-            and self.enable_sharing
-            and results is None
-        )
+        share = src.operator == COPY and self.enable_sharing
         for node in list(table.scan_nodes(lo, hi)):
             self.stats.add("source_keys_examined")
             match = src.pattern.match(node.key)
@@ -847,8 +821,7 @@ class JoinEngine:
                 else:
                     v = materialize(node.value)
             self._exec_source(
-                join, idx + 1, child, out_lo, out_hi, v, sr, results, agg,
-                mode, skip_source, source_window,
+                join, idx + 1, child, out_lo, out_hi, v, sr, mode, skip_source,
             )
 
     def _promote_shared(self, table: Table, node) -> Value:
@@ -868,26 +841,15 @@ class JoinEngine:
         out_lo: str,
         out_hi: str,
         value: Optional[Value],
-        results: Optional[List[Tuple[str, str]]],
-        agg: Optional[Dict[str, AggValue]],
         mode: ChangeKind,
     ) -> None:
         out_key = join.output.expand(cs.exact)
         if not (out_lo <= out_key < out_hi):
             return  # emission re-check keeps over-approximate ranges exact
-        if agg is not None:
-            acc = agg.get(out_key)
-            if acc is None:
-                acc = agg[out_key] = AggValue(join.value_source.operator)
-            acc.include(materialize(value) if value is not None else "")
-            return
         if mode is ChangeKind.REMOVE:
             self._remove_output(out_key)
             return
         assert value is not None
-        if results is not None:
-            results.append((out_key, materialize(value)))
-            return
         self._install_output(out_key, value)
 
     def _install_output(self, key: str, value: Value) -> None:
@@ -966,14 +928,18 @@ class JoinEngine:
     # Pull joins (§3.4)
     # ==================================================================
     def _pull_results(self, first: str, last: str) -> List[Tuple[str, str]]:
-        out: List[Tuple[str, str]] = []
+        """Every pull join's outputs in ``[first, last)``, computed now
+        and never stored (§3.4): :meth:`_compute_join` with no status
+        range, each emission (aggregates included) materialized."""
+        run: List[Tuple[str, Value]] = []
         for join in self._pull_joins:
             tbl = join.output.table
             lo, hi = clamp_range(first, last, tbl, prefix_upper_bound(tbl))
             if not lo < hi:
                 continue
             self.stats.add("pull_executions")
-            self._execute_join(join, lo, hi, out)
+            self._compute_join(join, lo, hi, None, run)
+        out = [(key, materialize(value)) for key, value in run]
         out.sort()
         return out
 
@@ -1323,7 +1289,7 @@ class JoinEngine:
                 applied = True
                 self._exec_source(
                     join, updater.source_index + 1, child, lo, hi, value, sr,
-                    None, None, mode=mode, skip_source=updater.source_index,
+                    mode=mode, skip_source=updater.source_index,
                 )
             if applied:
                 self.stats.add("eager_updates")
@@ -1415,44 +1381,22 @@ class JoinEngine:
 
         The log is compacted first — entries superseded by a later
         write of the same source key collapse to one.  Surviving
-        entries apply in log order, but a *run* of entries for the
-        same (join, source) whose keys are contiguous in the source
-        table — the shape a burst of subscribes leaves behind —
-        collapses to ONE join re-execution over the run's key span
-        instead of one per logged key (the remaining sources are
-        scanned once per run, not once per entry).  Entries the span
-        test rejects fall back to per-key application: re-execute the
-        join with the changed source key pinned, restricted to this
-        (already isolated) output range.
+        entries apply in log order, each one re-executing the join with
+        its source key pinned, restricted to this (already isolated)
+        output range; an entry that forces a wholesale recompute
+        supersedes the rest of the log.
         """
         pending, sr.pending = compact_pending(sr.pending), []
         stable.note_mutation()  # drained log may re-open the fast path
-        i = 0
-        n = len(pending)
-        while i < n:
-            entry = pending[i]
-            # Extend the run: consecutive log entries for the same
-            # join, source, and change kind.
-            j = i + 1
-            while (
-                j < n
-                and pending[j].join is entry.join
-                and pending[j].source_index == entry.source_index
-                and pending[j].kind is entry.kind
-            ):
-                j += 1
-            if j - i > 1 and self._apply_pending_run(sr, pending[i:j]):
-                i = j
-                continue
+        for entry in pending:
             if self._apply_pending_entry(tbl_name, stable, sr, entry):
                 return  # recomputed wholesale; the rest is superseded
-            i += 1
 
     def _apply_pending_entry(
         self, tbl_name: str, stable: StatusTable, sr: StatusRange,
         entry: PendingEntry,
     ) -> bool:
-        """Apply ONE pending entry (the per-key fallback).
+        """Apply ONE pending entry.
 
         Returns True when the entry forced a wholesale recomputation
         of the range, which supersedes any remaining log entries.
@@ -1478,47 +1422,10 @@ class JoinEngine:
             self._recompute_range(tbl_name, stable, joins, sr)
             return True
         self._exec_source(
-            entry.join, 0, child, sr.lo, sr.hi, None, sr, None, None,
+            entry.join, 0, child, sr.lo, sr.hi, None, sr,
             mode=ChangeKind.INSERT, skip_source=entry.source_index,
         )
         return False
-
-    def _apply_pending_run(
-        self, sr: StatusRange, entries: List[PendingEntry]
-    ) -> bool:
-        """Apply a same-(join, source) run of pending entries as ONE
-        re-execution windowed to the run's source-key span.
-
-        Safe only when the span ``[min_key, succ(max_key))`` holds
-        exactly the logged keys — every logged key still stored, no
-        foreign key interleaved — so the windowed scan visits the very
-        keys the per-key path would pin, and nothing else.  Returns
-        False (caller falls back to per-key application) otherwise.
-        """
-        join = entries[0].join
-        if join.is_aggregate or entries[0].kind is not ChangeKind.INSERT:
-            return False
-        source_index = entries[0].source_index
-        keys = sorted({e.key for e in entries})
-        table = self.store.existing_table_for_key(keys[0])
-        if table is None:
-            return False
-        lo, hi = keys[0], key_successor(keys[-1])
-        if table.count_range(lo, hi) != len(keys) or any(
-            table.count_range(k, key_successor(k)) != 1 for k in keys
-        ):
-            return False  # interleaved or vanished keys: not contiguous
-        cs = SlotConstraints.for_output_range(join.output, sr.lo, sr.hi)
-        self.stats.add("pending_applied", len(entries))
-        if not cs.compatible:
-            return True  # nothing in this output range to patch
-        self.stats.add("pending_range_batches")
-        self._exec_source(
-            join, 0, cs, sr.lo, sr.hi, None, sr, None, None,
-            mode=ChangeKind.INSERT, skip_source=None,
-            source_window=(source_index, lo, hi),
-        )
-        return True
 
     def _fire_eager_check(
         self,
@@ -1554,7 +1461,7 @@ class JoinEngine:
             if not lo < hi:
                 continue
             self._exec_source(
-                join, 0, cs, lo, hi, None, sr, None, None,
+                join, 0, cs, lo, hi, None, sr,
                 mode=ChangeKind.INSERT, skip_source=updater.source_index,
             )
 

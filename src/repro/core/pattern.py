@@ -33,47 +33,24 @@ and every installed output runs ``expand``.  Patterns therefore
   expression with a named group per slot (repeats become
   backreferences), so ``match`` is a single C-level ``fullmatch``.
 * ``expand`` precompiles a ``str.format`` template.
-* ``expand_prefix`` and containing-range computation (§3.1) memoize
-  recent results per pattern in small LRU maps — the access-path state
-  caching that read-heavy workloads repay.
 
-The original segment-walking implementations are kept as the
-``*_reference`` methods: they are the executable specification the
-compiled paths are property-tested against (the tests swap them in for
-the compiled methods), and the memos fill from them on a miss.
+``expand_prefix`` and containing-range computation (§3.1) walk the
+segments on every call: their inputs are whole constraint sets, which
+almost never repeat, so a memo over them does not pay.  The compiled
+compute path (``repro.core.plan``) compiles each source's containing
+range once per join shape instead.  The segment-walking specifications the compiled
+``match``, ``slot_tuple`` and ``expand`` are property-tested against
+live with the tests, in ``tests/pattern_oracle.py``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..store.keys import SEP, key_successor, prefix_upper_bound
 
 _SLOT_RE = re.compile(r"^<([A-Za-z_][A-Za-z0-9_]*)(?::(\d+))?>$")
-
-
-class LRUMemo:
-    """A tiny bounded memo (insertion-ordered dict, LRU eviction)."""
-
-    __slots__ = ("cap", "data")
-
-    def __init__(self, cap: int = 512) -> None:
-        self.cap = cap
-        self.data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        value = self.data.get(key)
-        if value is not None:
-            self.data.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        data = self.data
-        data[key] = value
-        if len(data) > self.cap:
-            data.popitem(last=False)
 
 
 class Segment:
@@ -124,8 +101,6 @@ class Pattern:
         "_fixed",
         "_fmt",
         "_width_checks",
-        "_prefix_memo",
-        "_range_memo",
         "_tuple_spans",
         "_dup_checks",
         "slot_index",
@@ -261,9 +236,6 @@ class Pattern:
             self._tuple_spans = tuple(firsts[name] for name in self.slots)
             self._dup_checks = tuple(dups)
 
-        self._prefix_memo = LRUMemo()
-        self._range_memo = LRUMemo()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pattern({self.text!r})"
 
@@ -313,26 +285,6 @@ class Pattern:
         m = self._regex.fullmatch(key)
         return m.groupdict() if m is not None else None
 
-    def match_reference(self, key: str) -> Optional[Dict[str, str]]:
-        """The uncompiled segment-walking matcher — the executable
-        specification the compiled paths are property-tested against."""
-        parts = key.split(SEP)
-        if len(parts) != len(self.segments):
-            return None
-        out: Dict[str, str] = {}
-        for part, seg in zip(parts, self.segments):
-            if seg.is_slot:
-                if seg.width is not None and len(part) != seg.width:
-                    return None
-                prior = out.get(seg.slot)
-                if prior is None:
-                    out[seg.slot] = part
-                elif prior != part:
-                    return None
-            elif part != seg.text:
-                return None
-        return out
-
     def matches(self, key: str) -> bool:
         return self.match(key) is not None
 
@@ -365,14 +317,6 @@ class Pattern:
         m = self._regex.fullmatch(key)
         return m.groups() if m is not None else None
 
-    def slot_tuple_reference(self, key: str) -> Optional[Tuple[str, ...]]:
-        """Uncompiled ``slot_tuple`` (specification), via the reference
-        matcher."""
-        match = self.match_reference(key)
-        if match is None:
-            return None
-        return tuple(match[name] for name in self.slots)
-
     # ------------------------------------------------------------------
     # Expansion
     # ------------------------------------------------------------------
@@ -392,45 +336,13 @@ class Pattern:
                 )
         return key
 
-    def expand_reference(self, slots: Dict[str, str]) -> str:
-        """The uncompiled segment-walking expander (specification)."""
-        parts: List[str] = []
-        for seg in self.segments:
-            if seg.is_slot:
-                try:
-                    value = slots[seg.slot]
-                except KeyError:
-                    raise PatternError(
-                        f"missing slot {seg.slot!r} expanding {self.text!r}"
-                    ) from None
-                if seg.width is not None and len(value) != seg.width:
-                    raise PatternError(
-                        f"slot {seg.slot!r} value {value!r} does not have "
-                        f"declared width {seg.width} in {self.text!r}"
-                    )
-                parts.append(value)
-            else:
-                parts.append(seg.text)
-        return SEP.join(parts)
-
     def expand_prefix(self, slots: Dict[str, str]) -> Tuple[str, bool]:
         """Expand as far as consecutive known segments allow.
 
         Returns ``(prefix, complete)``.  When ``complete`` is False the
         prefix ends just before the first unknown slot and includes the
-        trailing separator, ready to serve as a scan bound.  Results
-        are memoized per assignment (an LRU keyed by the slot items):
-        repeated scans of the same join ranges re-derive the same
-        prefixes constantly.
+        trailing separator, ready to serve as a scan bound.
         """
-        memo_key = tuple(sorted(slots.items()))
-        hit = self._prefix_memo.get(memo_key)
-        if hit is None:
-            hit = self.expand_prefix_reference(slots)
-            self._prefix_memo.put(memo_key, hit)
-        return hit
-
-    def expand_prefix_reference(self, slots: Dict[str, str]) -> Tuple[str, bool]:
         parts: List[str] = []
         for seg in self.segments:
             if seg.is_slot and seg.slot not in slots:
@@ -451,28 +363,12 @@ class Pattern:
         ``exact`` maps slot names to pinned values; ``bounds`` maps the
         frontier slot to ``(lo, hi)`` string bounds (either may be
         None).  This is the engine of
-        :meth:`repro.core.ranges.SlotConstraints.containing_range`,
-        hosted here so results memoize per source pattern — the same
-        (pattern, constraints) pairs recur on every scan of a join.
-        """
-        memo_key = (
-            tuple(sorted(exact.items())),
-            tuple(sorted(bounds.items())) if bounds else (),
-        )
-        hit = self._range_memo.get(memo_key)
-        if hit is None:
-            hit = self.containing_range_reference(exact, bounds)
-            self._range_memo.put(memo_key, hit)
-        return hit
+        :meth:`repro.core.ranges.SlotConstraints.containing_range`.
 
-    def containing_range_reference(
-        self,
-        exact: Dict[str, str],
-        bounds: Optional[Dict[str, Tuple[Optional[str], Optional[str]]]] = None,
-    ) -> Tuple[str, str]:
-        """Walk the pattern, extending an exact prefix while segments
-        are literals or exactly-assigned slots; the first non-exact
-        segment closes the range using the slot's bounds (if any)."""
+        The walk extends an exact prefix while segments are literals or
+        exactly-assigned slots; the first non-exact segment closes the
+        range using the slot's bounds (if any).
+        """
         bounds = bounds or {}
         parts: List[str] = []
         for seg in self.segments:

@@ -35,9 +35,10 @@ output range (§3.1, Figure 5): every slot of the join gets a fixed
 position in a slot vector, each source level compiles to offsets —
 containing-range prefix, pinned-slot checks, frontier bounds, updater
 context — and the output key is one numbered format template.  It
-covers every materialized join (copy and aggregate, value source
-anywhere); pull joins, pending-log application and fires outside
-``ExecPlan``'s subset stay on the interpreted walk.
+covers every join (copy and aggregate, value source anywhere): a pull
+join runs it on every read without storing the result.  Pending-log
+application, eager checks and fires outside ``ExecPlan``'s subset stay
+on the interpreted walk.
 """
 
 from __future__ import annotations
@@ -240,7 +241,8 @@ class ComputeLevel:
 
 
 class ComputePlan:
-    """Compiled first-touch compute for one materialized join (§3.1).
+    """Compiled compute for one join (§3.1): a materialized join's
+    first touch and recompute, or a pull join's every read.
 
     The interpreted walk carries a ``SlotConstraints`` dict per row,
     matches every source key into a dict, merges dicts in

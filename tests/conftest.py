@@ -7,7 +7,7 @@ below detects plain ``async def`` tests and drives each through
 ``asyncio.run`` with its (synchronous) fixtures resolved as usual.
 
 ``pattern_mode`` runs a test twice: on the compiled ``Pattern`` paths
-and on the reference walkers that specify them.
+and on the reference walkers that specify them (``pattern_oracle``).
 """
 
 import asyncio
@@ -17,15 +17,17 @@ import pytest
 
 @pytest.fixture
 def reference_patterns(monkeypatch):
-    """Patch every compiled ``Pattern`` method to its ``*_reference``
-    twin (same signature) for the rest of the test, so the oracle
-    serves every match, expansion and containing range the code under
-    test asks for."""
+    """Patch every compiled ``Pattern`` method to its segment-walking
+    specification in ``pattern_oracle`` (same signature) for the rest
+    of the test, so the oracle serves every match, slot tuple and
+    expansion the code under test asks for."""
+    import pattern_oracle
     from repro.core.pattern import Pattern
 
-    for name in ("match", "slot_tuple", "expand", "expand_prefix",
-                 "containing_range"):
-        monkeypatch.setattr(Pattern, name, getattr(Pattern, f"{name}_reference"))
+    for name in ("match", "slot_tuple", "expand"):
+        monkeypatch.setattr(
+            Pattern, name, getattr(pattern_oracle, f"{name}_reference")
+        )
 
 
 @pytest.fixture(params=["compiled", "reference"])

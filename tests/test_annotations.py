@@ -38,6 +38,33 @@ class TestPullJoins:
         assert srv.get("v|x") == "1"
         assert srv.get("v|y") is None
 
+    def test_pull_read_changes_nothing_in_the_store(self):
+        """A pull read computes and returns; it installs no output, no
+        updater, and shares no source value (§4.3 sharing is for what
+        gets stored)."""
+        srv = PequodServer()
+        srv.add_join("v|<a> = pull copy src|<a>")
+        srv.add_join("n|<a> = pull count src|<a>")
+        srv.put("src|x", "1")
+        srv.put("src|y", "2")
+
+        def footprint():
+            values = [node.value for node in srv.store.scan_nodes("src|", "src}")]
+            return (
+                srv.memory_bytes(),
+                srv.stats.get("updaters_installed"),
+                srv.stats.get("outputs_installed"),
+                [type(value) for value in values],
+            )
+
+        before = footprint()
+        assert before[3] == [str, str]
+        assert srv.scan("v|", "v}") == [("v|x", "1"), ("v|y", "2")]
+        assert srv.scan("n|", "n}") == [("n|x", "1"), ("n|y", "1")]
+        assert srv.get("v|y") == "2"
+        assert srv.get("n|x") == "1"
+        assert footprint() == before
+
     def test_celebrity_configuration(self):
         """The §2.3 celebrity join set: push for normals, pull for celebs."""
         srv = PequodServer()

@@ -2,7 +2,8 @@
 
 Every test runs twice — once against the compiled match/expand paths
 (fixed-width slicing or the anchored regex) and once against the
-reference segment walkers — so the two implementations cannot drift.
+reference segment walkers in ``pattern_oracle`` — so the two
+implementations cannot drift.
 A hypothesis property test at the bottom drives randomized agreement
 directly.
 """
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pattern_oracle import expand_reference, match_reference
 from repro.core.pattern import Pattern, PatternError, common_prefix_segments
 
 pytestmark = pytest.mark.usefixtures("pattern_mode")
@@ -163,7 +165,7 @@ class TestCompiledEquivalence:
     def test_match_agrees(self, text, parts):
         p = Pattern(text)
         key = "|".join(parts)
-        assert p.match(key) == p.match_reference(key)
+        assert p.match(key) == match_reference(p, key)
 
     @settings(max_examples=200)
     @given(st.sampled_from(PATTERNS), chunk, st.data())
@@ -176,10 +178,10 @@ class TestCompiledEquivalence:
                 slots[seg.slot] = data.draw(
                     st.text(alphabet="ab0{}", min_size=width, max_size=width)
                 )
-        key = p.expand_reference(slots)
-        assert p.match(key) == p.match_reference(key)
+        key = expand_reference(p, slots)
+        assert p.match(key) == match_reference(p, key)
         mutated = noise + key if noise else key[1:]
-        assert p.match(mutated) == p.match_reference(mutated)
+        assert p.match(mutated) == match_reference(p, mutated)
 
     @settings(max_examples=150)
     @given(st.sampled_from(PATTERNS), st.data())
@@ -200,16 +202,7 @@ class TestCompiledEquivalence:
         except PatternError:
             compiled = PatternError
         try:
-            reference = p.expand_reference(slots)
+            reference = expand_reference(p, slots)
         except PatternError:
             reference = PatternError
         assert compiled == reference
-        assert p.expand_prefix(slots) == p.expand_prefix_reference(slots)
-
-    def test_containing_range_memo_agrees(self):
-        p = Pattern("p|<poster>|<time>")
-        exact = {"poster": "bob"}
-        bounds = {"time": ("0100", None)}
-        for _ in range(3):  # memo hits must return the same result
-            assert p.containing_range(exact, bounds) == \
-                p.containing_range_reference(exact, bounds)

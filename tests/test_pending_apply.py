@@ -1,10 +1,12 @@
-"""Batched pending-log application (the ROADMAP nibble).
+"""Pending-log application (§3.2).
 
-Subscribe-heavy mixes log one pending entry per written source key;
-application used to re-execute the join once per logged key.  Runs of
-contiguous keys now apply as ONE windowed re-execution per run.  These
-tests prove the batched path produces byte-identical store state to
-the per-key reference path, and that it actually engages.
+A lazy check source logs one pending entry per written key (a burst
+of follows), and the next read over the range applies the log: each
+surviving entry re-executes the join with its key pinned.  These tests
+hold every scenario to the paper's invariant — a range brought up to
+date incrementally equals the same range computed from scratch — by
+driving a reference server with the same writes but no read until the
+end, so every range it serves is a first-touch compute.
 """
 
 import pytest
@@ -16,25 +18,19 @@ TIMELINE = (
 )
 
 
-def _twin_servers():
-    """A server, and a reference whose engine refuses every windowed
-    run, so each logged key falls back to its own pinned re-execution
-    (the per-key path)."""
-    batched = PequodServer()
-    reference = PequodServer()
-    reference.engine._apply_pending_run = lambda sr, entries: False
-    for srv in (batched, reference):
-        srv.add_join(TIMELINE)
-    return batched, reference
+def _server() -> PequodServer:
+    srv = PequodServer()
+    srv.add_join(TIMELINE)
+    return srv
 
 
-def _drive(srv: PequodServer, ops):
+def _drive(srv: PequodServer, ops, reads=True):
     for op in ops:
         if op[0] == "put":
             srv.put(op[1], op[2])
         elif op[0] == "remove":
             srv.remove(op[1])
-        else:
+        elif reads:
             srv.scan_prefix(op[1])
 
 
@@ -43,11 +39,15 @@ def _state(srv: PequodServer):
 
 
 def assert_identical(ops):
-    batched, reference = _twin_servers()
-    _drive(batched, ops)
-    _drive(reference, ops)
-    assert _state(batched) == _state(reference)
-    return batched
+    """Drive ``ops`` on a server, and their writes on a reference that
+    then reads each scanned prefix once; both stores must agree."""
+    srv, reference = _server(), _server()
+    _drive(srv, ops)
+    _drive(reference, ops, reads=False)
+    for prefix in dict.fromkeys(op[1] for op in ops if op[0] == "scan"):
+        assert srv.scan_prefix(prefix) == reference.scan_prefix(prefix)
+    assert _state(srv) == _state(reference)
+    return srv
 
 
 def _follow_burst(users, posts_per_user=2, pre_follow=("bob",)):
@@ -70,13 +70,12 @@ class TestIdenticalState:
         srv = assert_identical(
             _follow_burst(["carl", "dan", "eve", "frank"])
         )
-        stats = srv.stats.snapshot()
-        assert stats.get("pending_range_batches", 0) >= 1  # batching engaged
-        assert stats.get("pending_applied", 0) >= 4
+        # One application per logged key.
+        assert srv.stats.get("pending_applied") == 4
 
     def test_burst_interleaved_with_foreign_keys(self):
-        """Pre-existing follows interleave with the burst: the span
-        test must split or fall back, and state stays identical."""
+        """Pre-existing follows interleave with the burst in the source
+        table; state stays identical."""
         ops = _follow_burst(
             ["carl", "eve"], pre_follow=("bob", "dan")
         )  # dan sits between carl and eve in the source table
@@ -84,7 +83,7 @@ class TestIdenticalState:
 
     def test_burst_then_unfollow_invalidates(self):
         """A remove escalates to complete invalidation; the recompute
-        path and the batched path agree on the final state."""
+        agrees with the from-scratch compute."""
         ops = _follow_burst(["carl", "dan", "eve"])
         ops.append(("remove", "s|ann|dan"))
         ops.append(("scan", "t|ann|"))
@@ -92,10 +91,11 @@ class TestIdenticalState:
 
     def test_repeated_writes_compact_then_batch(self):
         ops = _follow_burst(["carl", "dan"])
-        # Rewrite the same follows between reads: compaction collapses
-        # them before the run is formed.
+        # Rewrite the same follows before the read: a check key's
+        # update logs nothing, so the log keeps one entry per key.
         ops[-1:-1] = [("put", "s|ann|carl", "1"), ("put", "s|ann|dan", "1")]
-        assert_identical(ops)
+        srv = assert_identical(ops)
+        assert srv.stats.get("pending_applied") == 2
 
     def test_multiple_watchers_of_split_ranges(self):
         """Reads that split the status cover leave several ranges each
@@ -109,24 +109,4 @@ class TestIdenticalState:
     def test_burst_sizes(self, n):
         users = [f"u{i:02d}" for i in range(n)]
         srv = assert_identical(_follow_burst(users))
-        stats = srv.stats.snapshot()
-        assert stats.get("pending_range_batches", 0) >= 1
-
-
-class TestRunCost:
-    def test_one_reexecution_per_run(self):
-        """The point of the nibble: N logged follows cost one windowed
-        re-execution, not N pinned ones."""
-        batched, reference = _twin_servers()
-        ops = _follow_burst(["carl", "dan", "eve", "frank", "gail"])
-        _drive(batched, ops)
-        _drive(reference, ops)
-        b = batched.stats.snapshot()
-        r = reference.stats.snapshot()
-        # Identical logs were applied...
-        assert b.get("pending_applied") == r.get("pending_applied") == 5
-        # ...but the batched engine set up ONE windowed re-execution
-        # for the whole run where the reference pinned and re-executed
-        # once per logged key.
-        assert b.get("pending_range_batches") == 1
-        assert r.get("pending_range_batches", 0) == 0
+        assert srv.stats.get("pending_applied") == n

@@ -658,23 +658,37 @@ compute_steps = st.lists(
 )
 
 
-def _interpreted_compute(engine, join, sr, run):
+def _interpreted_compute(engine, join, lo, hi, sr, run):
     """How a compute ran before compiled plans — the interpreted
     ``_exec_source`` walk, every output put the moment it is emitted.
-    The parity oracle; patched over ``JoinEngine._compute_join``."""
-    from repro.core.operators import ChangeKind
+    An aggregate's emissions are folded into accumulators here instead,
+    installed in key order after the walk.  The parity oracle; patched
+    over ``JoinEngine._compute_join`` (materialized joins only)."""
+    from repro.core.operators import AggValue, ChangeKind
     from repro.core.ranges import SlotConstraints
+    from repro.store.values import materialize
 
-    cs = SlotConstraints.for_output_range(join.output, sr.lo, sr.hi)
+    cs = SlotConstraints.for_output_range(join.output, lo, hi)
     if not cs.compatible:
         return
     engine.stats.add("joins_executed")
-    agg = {} if join.is_aggregate else None
-    engine._exec_source(
-        join, 0, cs, sr.lo, sr.hi, None, sr, None, agg,
-        mode=ChangeKind.INSERT, skip_source=None,
-    )
-    for key in sorted(agg or ()):
+    emitted = []
+    if join.is_aggregate:
+        engine._install_output = lambda key, value: emitted.append((key, value))
+    try:
+        engine._exec_source(
+            join, 0, cs, lo, hi, None, sr,
+            mode=ChangeKind.INSERT, skip_source=None,
+        )
+    finally:
+        engine.__dict__.pop("_install_output", None)
+    agg = {}
+    for key, value in emitted:
+        acc = agg.get(key)
+        if acc is None:
+            acc = agg[key] = AggValue(join.value_source.operator)
+        acc.include(materialize(value))
+    for key in sorted(agg):
         if agg[key].count > 0:
             engine._install_output(key, agg[key])
 
