@@ -17,15 +17,15 @@ Execution of a scan over a join's output range proceeds as:
    the requested range, and emit the value (or fold it into an
    aggregate accumulator).
 
-Computing a range (first touch or recompute) runs this loop through a
-compiled :class:`~repro.core.plan.ComputePlan` per join and installs
-everything it emitted as one key-sorted run (``Table.install_many``);
-evicting or clearing a range removes its keys as one run
+Every run of this loop goes through the join's compiled
+:class:`~repro.core.plan.ComputePlan` (:meth:`JoinEngine._walk`).
+Computing a range (first touch or recompute) installs everything it
+emitted as one key-sorted run (``Table.install_many``); evicting or
+clearing a range removes its keys as one run
 (``OrderedStore.remove_range``).  A pull join runs the same plan on
 every read and returns what it emitted without storing any of it.
-Pending-log application, eager checks and copy fires outside
-``ExecPlan``'s injective subset walk the interpreted ``_exec_source``
-recursion with one source key pinned.
+Only pending-log application walks the interpreted ``_exec_source``
+recursion with its source key pinned.
 
 Writes run the other direction, along one path.  Every write — a
 single ``put`` or ``remove`` (``notify_change``, a batch of one), a
@@ -34,12 +34,14 @@ after the store has changed.  The batch's changes are taken in key
 order, so each source table's share is one contiguous run and one
 maintenance pass: its updater index is stabbed once per
 changed key, and each (interval entry, updater) pair fires once over
-the changes it covers.  Lazy updaters log partial invalidations or
-invalidate; echeck, aggregate and interpreted copy updaters apply each
-covered change in turn; compiled copy updaters (the common
-value-source-last join) only compute their output keys, and after the
-pass each output table's collected fan-out lands as ONE key-sorted run
-— a post to fifty timelines is one ``install_many`` of fifty keys.
+the changes it covers.  Every fire pins its changed key into the plan
+(``ComputePlan.pin``), one more bound level.  Lazy updaters then log
+partial invalidations or invalidate; echeck and deeper value-source
+updaters walk the other levels; value-last aggregates adjust their
+accumulators; value-last copies (the common join) only render their
+output keys, and after the pass each output table's collected fan-out
+lands as ONE key-sorted run — a post to fifty timelines is one
+``install_many`` of fifty keys.
 
 Staleness safety: each computation of a status range is a *build*
 (``core.status.Build``) owning the updaters installed on its behalf; a
@@ -72,7 +74,8 @@ from ..store.values import SharedValue, Value, materialize
 from .clock import Clock, SystemClock
 from .joins import CacheJoin, JoinError
 from .operators import COPY, AggValue, ChangeKind, UpdateOutcome
-from .plan import ComputePlan, ExecPlan, FireTemplate, compile_exec_plan
+from .pattern import PatternError
+from .plan import ComputeLevel, ComputePlan, FirePin
 from .ranges import SlotConstraints
 from .status import (
     Build,
@@ -193,11 +196,8 @@ class JoinEngine:
         self.lru = LRUList()
         self.listeners: List[ChangeListener] = []
         self.updater_bytes = 0
-        #: Compiled write-path plans per (join, fired source), shared by
-        #: every updater of that pair.  False marks a pair outside the
-        #: compiled subset so it is probed exactly once.
-        self._plans: Dict[Tuple[int, int], object] = {}
-        #: Compiled compute plans per materialized join (``id(join)``).
+        #: Compiled plans per join (``id(join)``): every compute and
+        #: every updater fire runs through one.
         self._compute_plans: Dict[int, ComputePlan] = {}
         #: Whole-table validity fast path (quiescent covers skip
         #: per-range validation).  Disabled by the eviction manager:
@@ -577,43 +577,87 @@ class JoinEngine:
     ) -> None:
         """Run ``join`` over output range ``[out_lo, out_hi)`` (Figures
         3 and 5) through its :class:`ComputePlan`, appending each output
-        to ``run``.
-
-        The nested loop of §3.1: per source level and outer binding, one
-        containing range, data resolution (§3.3) and — for push joins
-        computing status range ``sr`` — an updater installed for that
-        range, at the same point and with the same bounds and context
-        as the interpreted walk; then one scan whose rows are matched by
-        ``Pattern.slot_tuple`` into the slot vector.  The rows, promoted
-        shared values (§4.3), emitted keys and their order are exactly
-        the interpreted walk's.  A pull join (``sr`` None) stores
-        nothing, so it installs no updater and promotes no source value.
-        """
+        to ``run`` — an aggregate's outputs folded into accumulators,
+        in key order.  A pull join (``sr`` None) stores nothing, so it
+        installs no updater and promotes no source value."""
         cs = SlotConstraints.for_output_range(join.output, out_lo, out_hi)
         if not cs.compatible:
             return
         self.stats.add("joins_executed")
-        plan = self._compute_plans.get(id(join))
-        if plan is None:
-            plan = self._compute_plans[id(join)] = ComputePlan(join)
+        plan = self._plan(join)
         levels = plan.bind(cs.exact, cs.bounds)
         # The frontier slot's bounds, if the range bounds one (§3.1).
         flo, fhi = next(iter(cs.bounds.values()), (None, None))
         vec = plan.vector(cs.exact)
+        rows = [] if join.is_aggregate else run
+        self._walk(
+            plan, levels, vec, 0, -1, None, out_lo, out_hi, flo, fhi, sr, rows
+        )
+        if rows is run:
+            return
+        agg: Dict[str, AggValue] = {}
+        for key, value in rows:
+            acc = agg.get(key)
+            if acc is None:
+                acc = agg[key] = AggValue(join.value_source.operator)
+            acc.include(materialize(value))
+        for key in sorted(agg):
+            if agg[key].count > 0:
+                run.append((key, agg[key]))
+
+    def _plan(self, join: CacheJoin) -> ComputePlan:
+        """``join``'s compiled plan, compiled on first use."""
+        plan = self._compute_plans.get(id(join))
+        if plan is None:
+            plan = self._compute_plans[id(join)] = ComputePlan(join)
+        return plan
+
+    def _walk(
+        self,
+        plan: ComputePlan,
+        levels: Tuple[ComputeLevel, ...],
+        vec: List[Optional[str]],
+        start: int,
+        pinned: int,
+        value: Optional[Value],
+        out_lo: str,
+        out_hi: str,
+        flo: Optional[str],
+        fhi: Optional[str],
+        sr: Optional[StatusRange],
+        run: List[Tuple[str, Value]],
+    ) -> None:
+        """The nested loop of §3.1 over ``levels`` from ``start`` on,
+        appending each output in ``[out_lo, out_hi)`` to ``run``.
+
+        Level ``pinned`` (-1: none) is a fired source whose key is
+        already in ``vec``: it is skipped, not scanned.  Per scanned
+        level and outer binding: one containing range, data resolution
+        (§3.3) and — for a push join building status range ``sr`` — an
+        updater for that range; then one scan whose rows are matched by
+        ``Pattern.slot_tuple`` into the slot vector.  A value-source row
+        carries its value down, promoted to a shared value (§4.3) when
+        it is copied into stored output.  A row breaking a declared
+        output width raises ``Pattern.expand``'s own error.
+        """
+        join = plan.join
         out_key = plan.out_fmt.format
         widths = plan.widths
-        agg: Optional[Dict[str, AggValue]] = {} if join.is_aggregate else None
         emit = run.append
         counters = self.stats.counters
         share = self.enable_sharing and not join.is_pull
+        install = join.is_push and sr is not None
+        last = len(levels) - (2 if pinned == len(levels) - 1 else 1)
 
         def scan(k: int, value: Optional[Value]) -> None:
+            if k == pinned:
+                k += 1
             level = levels[k]
             lo, hi = level.containing_range(vec, flo, fhi)
             if not lo < hi:
                 return
             self._ensure_source_data(level.table, lo, hi)
-            if join.is_push:
+            if install:
                 self._install_updater_for(
                     join, k, {name: vec[i] for name, i in level.context},
                     out_lo, out_hi, lo, hi, sr,
@@ -627,7 +671,7 @@ class JoinEngine:
             checks, assigns, frontier = level.checks, level.assigns, level.frontier
             is_value = level.is_value
             promote = is_value and level.is_copy and share
-            inner = k + 1 < len(levels)
+            inner = k < last
             for node in nodes:
                 t = slot_tuple(node.key)
                 if t is None:
@@ -656,21 +700,10 @@ class JoinEngine:
                     if len(vec[vi]) != width:  # raise expand's own error
                         join.output.expand(plan.slot_dict(vec))
                 key = out_key(*vec)
-                if not (out_lo <= key < out_hi):
-                    continue
-                if agg is None:
+                if out_lo <= key < out_hi:
                     emit((key, v))
-                    continue
-                acc = agg.get(key)
-                if acc is None:
-                    acc = agg[key] = AggValue(join.value_source.operator)
-                acc.include(materialize(v))
 
-        scan(0, None)
-        if agg is not None:
-            for key in sorted(agg):
-                if agg[key].count > 0:
-                    emit((key, agg[key]))
+        scan(start, value)
 
     def _install_run(self, table: Table, run: List[Tuple[str, Value]]) -> None:
         """Install a key-sorted run of outputs with one
@@ -765,7 +798,7 @@ class JoinEngine:
         )
 
     # ==================================================================
-    # Interpreted execution with a pinned source key (Figures 3 and 5)
+    # Pending-log application: the interpreted walk (Figures 3 and 5)
     # ==================================================================
     def _exec_source(
         self,
@@ -776,21 +809,23 @@ class JoinEngine:
         out_hi: str,
         value: Optional[Value],
         sr: StatusRange,
-        mode: ChangeKind,
         skip_source: Optional[int],
     ) -> None:
         """Re-execute ``join`` from source ``idx`` on, with source
-        ``skip_source``'s key pinned into ``cs`` (an eager fire, an
-        eager check or a pending entry), installing or removing each
-        output in ``[out_lo, out_hi)`` as it is emitted."""
+        ``skip_source``'s key pinned into ``cs`` (a pending entry),
+        installing each output in ``[out_lo, out_hi)`` as it is
+        emitted."""
         if idx == len(join.sources):
-            self._emit(join, cs, out_lo, out_hi, value, mode)
+            out_key = join.output.expand(cs.exact)
+            # The emission re-check keeps over-approximate ranges exact.
+            if out_lo <= out_key < out_hi:
+                self._install_output(out_key, value)
             return
         if idx == skip_source:
             # This source's key is pinned; its slots are already merged
             # into ``cs``.
             self._exec_source(
-                join, idx + 1, cs, out_lo, out_hi, value, sr, mode, skip_source,
+                join, idx + 1, cs, out_lo, out_hi, value, sr, skip_source,
             )
             return
         src = join.sources[idx]
@@ -798,7 +833,7 @@ class JoinEngine:
         if not lo < hi:
             return
         self._ensure_source_data(src.pattern.table, lo, hi)
-        if join.is_push and mode is ChangeKind.INSERT:
+        if join.is_push:
             own = src.pattern.slot_index
             context = {n: v for n, v in cs.exact.items() if n not in own}
             self._install_updater_for(
@@ -821,7 +856,7 @@ class JoinEngine:
                 else:
                     v = materialize(node.value)
             self._exec_source(
-                join, idx + 1, child, out_lo, out_hi, v, sr, mode, skip_source,
+                join, idx + 1, child, out_lo, out_hi, v, sr, skip_source,
             )
 
     def _promote_shared(self, table: Table, node) -> Value:
@@ -833,24 +868,6 @@ class JoinEngine:
         shared = SharedValue(node.value)
         table.replace_node_value(node, shared)
         return shared
-
-    def _emit(
-        self,
-        join: CacheJoin,
-        cs: SlotConstraints,
-        out_lo: str,
-        out_hi: str,
-        value: Optional[Value],
-        mode: ChangeKind,
-    ) -> None:
-        out_key = join.output.expand(cs.exact)
-        if not (out_lo <= out_key < out_hi):
-            return  # emission re-check keeps over-approximate ranges exact
-        if mode is ChangeKind.REMOVE:
-            self._remove_output(out_key)
-            return
-        assert value is not None
-        self._install_output(out_key, value)
 
     def _install_output(self, key: str, value: Value) -> None:
         old = self.store.table_for_key(key).put(key, value)
@@ -1058,7 +1075,7 @@ class JoinEngine:
         The updater index is stabbed once per changed key and the hits
         are regrouped per interval entry, so each affected (entry,
         updater) pair fires once over the changes it covers
-        (:meth:`_fire_updater_group`).  Compiled copy updaters only
+        (:meth:`_fire_updater_group`).  Value-last copy updaters only
         collect their outputs; after the last pair, each output table's
         collection lands as one sorted run (:meth:`_install_collected`).
         """
@@ -1095,7 +1112,16 @@ class JoinEngine:
         collected: Dict[str, Tuple[StatusTable, Table, list]],
     ) -> None:
         """Fire one updater once for the changes it covers: the one
-        dispatch point of maintenance, one branch per updater kind."""
+        dispatch point of maintenance.
+
+        Every fire pins its changed key into the join's compiled plan
+        (:class:`FirePin`) over a slot vector holding the updater's
+        context; then, per updater kind: a lazy updater logs or
+        invalidates; an eager check or a deeper value source walks the
+        other levels; a value source that is the join's last renders
+        its output key — a copy collects it for the pass's sorted run,
+        an aggregate adjusts its accumulator.
+        """
         join = updater.join
         stable = self.status.get(join.output.table)
         if stable is None:
@@ -1105,67 +1131,58 @@ class JoinEngine:
         # One firing charge per covered change, before matching, so
         # counters (and modeled runtimes) do not depend on batch size.
         counters["updaters_fired"] += len(covered)
+        if updater.fire is None:
+            # The pin for the slots the context binds, and a slot vector
+            # holding the context.
+            plan = self._plan(join)
+            context = tuple(updater.context)
+            if (updater.source_index, context) not in plan.pins:
+                counters["write_plan_compiles"] += 1
+            updater.fire = (
+                plan.pin(updater.source_index, context),
+                plan.vector(updater.context),
+            )
+        pin, vec = updater.fire
         if updater.lazy:
-            self._fire_lazy_group(stable, updater, covered)
+            self._fire_lazy_group(stable, updater, pin, vec, covered)
             return
-        src = join.sources[updater.source_index]
-        if src.is_check:
-            # The echeck extension: eager maintenance of a check source.
-            for key, _old, _new, kind in covered:
-                child = self._eager_child(updater, key)
-                if child is not None:
-                    self._fire_eager_check(stable, updater, child, kind)
+        if (
+            join.sources[updater.source_index].is_check
+            or updater.source_index != len(join.sources) - 1
+        ):
+            self._fire_walk_group(stable, updater, pin, vec, covered, shared)
             return
-        plan = self._plan_for(updater)
-        template = None if plan is None else self._plan_template(updater, plan)
-        if src.operator != COPY:  # the value source of an aggregate
-            for key, old, new, kind in covered:
-                if template is None:
-                    child = self._eager_child(updater, key)
-                    if child is not None:
-                        self._eager_aggregate(stable, updater, child, old, new, kind)
-                    continue
-                out_key = self._plan_out_key(plan, template, updater, key)
-                if out_key is not None:
-                    self._eager_aggregate_at(stable, updater, out_key, old, new, kind)
-            return
-        if template is None or not template.injective:
-            self._fire_eager_group(stable, updater, covered, shared)
-            return
-        # A compiled, injective copy: collect.  Distinct source keys
-        # give distinct output keys, so landing the pass's outputs in
-        # key order cannot change which write wins a key.
-        out = collected.get(join.output.table)
-        if out is None:
-            out = collected[join.output.table] = (stable, plan.table, [])
-        emit = out[2].append
-        for key, _old, new, kind in covered:
-            out_key = self._plan_out_key(plan, template, updater, key)
-            if out_key is None:
+        plan = pin.plan
+        out_fmt, widths = plan.out_fmt.format, plan.widths
+        out_lo, out_hi = updater.output_lo, updater.output_hi
+        emit = None  # an aggregate adjusts its accumulator in place
+        if not join.is_aggregate:
+            out = collected.get(join.output.table)
+            if out is None:
+                out = collected[join.output.table] = (
+                    stable, self.store.table(join.output.table), []
+                )
+            emit = out[2].append
+        for key, old, new, kind in covered:
+            if not pin.bind(key, vec):
+                continue
+            if widths and not all(len(vec[vi]) == w for vi, w in widths):
+                # The compute would raise on this row: leave that to the
+                # next read instead of storing a malformed key.
+                self._invalidate_owning(stable, updater)
+                continue
+            out_key = out_fmt(*vec)
+            if not (out_lo <= out_key < out_hi):
+                continue
+            counters["write_plan_fires"] += 1
+            if emit is None:
+                self._eager_aggregate_at(stable, updater, out_key, old, new, kind)
                 continue
             value = (
                 None if kind is ChangeKind.REMOVE
                 else self._group_source_value(shared, key, new)
             )
             emit((out_key, key, value, updater.build, kind))
-
-    def _plan_out_key(
-        self, plan: ExecPlan, template: FireTemplate, updater: Updater, key: str
-    ) -> Optional[str]:
-        """The output key a compiled fire of ``updater`` writes for
-        source ``key``, or None when the key is not its concern: the
-        slot tuple replaces the regex match and ``child_with``, the
-        bound template replaces ``expand``."""
-        values = plan.extract(key)
-        if values is None:
-            return None
-        out_key = template.out_key(values)
-        if out_key is None or not (
-            updater.output_lo <= out_key < updater.output_hi
-        ):
-            return None  # context/source slot conflict, or out of range
-        self.stats.counters["write_plan_fires"] += 1
-        return out_key
 
     def _install_collected(
         self, stable: StatusTable, table: Table, fires: list
@@ -1174,15 +1191,16 @@ class JoinEngine:
         run.
 
         ``fires`` holds ``(out_key, source_key, value, build, kind)``
-        per compiled copy fire of the table pass.  Sorted by output
+        per value-last copy fire of the table pass.  Sorted by output
         key, then source key — so equal output keys apply in the order
-        changes applied one at a time would — each fire applies only if
-        the status range containing its key is VALID and holds the
-        emitting updater's build: a range recomputed since has let it
-        go.  The surviving inserts are one :meth:`_install_run`, which
-        may span many status ranges (one follower's timeline is one
-        range); a removal lands the inserts before it first, so
-        everything applies in key order.
+        changes applied one at a time would, and where a join projects
+        a source slot away the later source key wins, as in a compute —
+        each fire applies only if the status range containing its key
+        is VALID and holds the emitting updater's build: a range
+        recomputed since has let it go.  The surviving inserts are one
+        :meth:`_install_run`, which may span many status ranges (one
+        follower's timeline is one range); a removal lands the inserts
+        before it first, so everything applies in key order.
         """
         fires.sort(key=itemgetter(0, 1))
         counters = self.stats.counters
@@ -1210,7 +1228,12 @@ class JoinEngine:
             self._install_run(table, run)
 
     def _fire_lazy_group(
-        self, stable: StatusTable, updater: Updater, covered: List[Change]
+        self,
+        stable: StatusTable,
+        updater: Updater,
+        pin: FirePin,
+        vec: List[Optional[str]],
+        covered: List[Change],
     ) -> None:
         """Lazy maintenance, change by change: a matching insert is a
         partial invalidation, logged (compacted on arrival) on every
@@ -1224,75 +1247,102 @@ class JoinEngine:
         for key, old, new, kind in covered:
             if kind is ChangeKind.UPDATE:
                 continue  # check sources: values are uninteresting
-            if not self._lazy_match(updater, key):
+            if not pin.bind(key, vec):
                 continue
-            ranges = self._owning_ranges(stable, updater)
             if kind is ChangeKind.REMOVE:
-                self.stats.add("complete_invalidations")
-                for sr in ranges:
-                    sr.invalidate()
+                self._invalidate_owning(stable, updater)
                 return
             self.stats.add("partial_invalidations")
             pending = PendingEntry(
                 updater.join, updater.source_index, key, old, new, kind
             )
-            for sr in ranges:
+            for sr in self._owning_ranges(stable, updater):
                 if sr.state is RangeState.VALID and not sr.log_pending(pending):
                     self.stats.add("pending_compacted")
 
-    def _fire_eager_group(
+    def _fire_walk_group(
         self,
         stable: StatusTable,
         updater: Updater,
+        pin: FirePin,
+        vec: List[Optional[str]],
         covered: List[Change],
         shared: Dict[str, Value],
     ) -> None:
-        """Interpreted eager copy maintenance, for copies outside the
-        compiled subset or with a non-injective template: resolve the
-        updater's output targets once, then re-execute the remaining
-        sources with each covered key pinned.
+        """Eager maintenance that walks the join's other levels with the
+        changed key pinned, once per VALID range the updater maintains:
 
-        The copy path never splits this output table's status cover, so
-        the target list stays exact across the group; per-change
-        ``state``/ownership re-checks keep the paper's staleness
-        safety — a range invalidated or recomputed earlier in the batch
-        retires the remaining group members just as it would retire
-        later sequential firings.
+        * an ``echeck`` insert (extension, §3.2) runs the join from its
+          first level — a new subscription's backfill happens at write
+          time instead of on the next read.  Its removals invalidate
+          completely: retiring the eager updaters derived from the dead
+          tuple requires a recompute;
+        * a value source with check sources after it walks the levels
+          behind it, carrying the changed value: an insert or update
+          installs what the walk emits, a removal retracts it and
+          installs no updaters.
+
+        An aggregate invalidates instead, since group membership
+        cannot be patched without a rescan.  The walk runs on a copy of
+        ``vec`` (data resolution may fire this updater again); each
+        range's emissions land as one sorted run.  A row breaking a
+        declared output width invalidates the ranges, so the next read
+        raises the compute's error.
         """
         join = updater.join
-        targets: Optional[List[Tuple[StatusRange, str, str]]] = None
+        check = join.sources[updater.source_index].is_check
+        table = self.store.table(join.output.table)
         for key, old, new, kind in covered:
-            child = self._eager_child(updater, key)
-            if child is None:
+            if check and kind is ChangeKind.UPDATE:
+                continue  # check values are uninteresting
+            if not pin.bind(key, vec):
                 continue
-            if targets is None:
-                targets = []
-                for sr in stable.overlapping(updater.output_lo, updater.output_hi):
-                    lo, hi = clamp_range(
-                        updater.output_lo, updater.output_hi, sr.lo, sr.hi
-                    )
-                    if lo < hi:
-                        targets.append((sr, lo, hi))
-            value: Value
-            if kind is ChangeKind.REMOVE:
-                value = old or ""
-                mode = ChangeKind.REMOVE
+            retract = kind is ChangeKind.REMOVE
+            if join.is_aggregate or (check and retract):
+                self._invalidate_owning(stable, updater)
+                continue
+            if check:
+                self.stats.add("eager_check_inserts")
+                start, value = 0, None
             else:
-                value = self._group_source_value(shared, key, new)
-                mode = ChangeKind.INSERT
-            applied = False
-            for sr, lo, hi in targets:
+                start = updater.source_index + 1
+                value = (
+                    (old or "") if retract
+                    else self._group_source_value(shared, key, new)
+                )
+            walk_vec = vec[:]
+            walked = False
+            for sr in self._owning_ranges(stable, updater):
                 if sr.state is not RangeState.VALID:
                     continue
-                if updater.build not in sr.builds:
-                    continue  # superseded by a recomputation
-                applied = True
-                self._exec_source(
-                    join, updater.source_index + 1, child, lo, hi, value, sr,
-                    mode=mode, skip_source=updater.source_index,
+                walked = True
+                lo, hi = clamp_range(
+                    updater.output_lo, updater.output_hi, sr.lo, sr.hi
                 )
-            if applied:
+                run: List[Tuple[str, Value]] = []
+                try:
+                    self._walk(
+                        pin.plan, pin.levels, walk_vec, start,
+                        updater.source_index, value, lo, hi, None, None,
+                        None if retract else sr, run,
+                    )
+                except PatternError:
+                    self._invalidate_owning(stable, updater)
+                    break
+                if retract:
+                    for out_key, _ in run:
+                        self._remove_output(out_key)
+                elif run:
+                    run.sort(key=itemgetter(0))
+                    self._install_run(table, run)
+            if walked and not check:
                 self.stats.add("eager_updates")
+
+    def _invalidate_owning(self, stable: StatusTable, updater: Updater) -> None:
+        """Completely invalidate the ranges ``updater`` maintains."""
+        self.stats.add("complete_invalidations")
+        for sr in self._owning_ranges(stable, updater):
+            sr.invalidate()
 
     @staticmethod
     def _owning_ranges(stable: StatusTable, updater: Updater) -> List[StatusRange]:
@@ -1304,30 +1354,11 @@ class JoinEngine:
             if build in sr.builds
         ]
 
-    @staticmethod
-    def _lazy_match(updater: Updater, key: str) -> bool:
-        """Does ``key`` concern this lazy updater's context?"""
-        src = updater.join.sources[updater.source_index]
-        match = src.pattern.match(key)
-        if match is None:
-            return False
-        merged = dict(updater.context)
-        return all(merged.setdefault(n, v) == v for n, v in match.items())
-
-    @staticmethod
-    def _eager_child(updater: Updater, key: str) -> Optional[SlotConstraints]:
-        """The constraint set for ``key`` pinned into this updater's
-        context, or None when the key doesn't concern it."""
-        src = updater.join.sources[updater.source_index]
-        match = src.pattern.match(key)
-        if match is None:
-            return None
-        return SlotConstraints(exact=dict(updater.context)).child_with(match)
-
     def _group_source_value(
         self, shared: Dict[str, Value], key: str, new_value: Optional[str]
     ) -> Value:
-        """The pass-wide shared source value for ``key`` (§4.3).
+        """The pass-wide shared source value for ``key`` (§4.3): the
+        source's stored value, promoted to a SharedValue.
 
         Promoted at most once per table pass per key, however many
         updaters copy it — a post fanning out to hundreds of timelines
@@ -1336,43 +1367,14 @@ class JoinEngine:
         """
         value = shared.get(key)
         if value is None:
+            value = new_value or ""
             if self.enable_sharing:
-                value = self._shared_source_value(key, new_value or "")
-            else:
-                value = new_value or ""
+                table = self.store.existing_table_for_key(key)
+                node = table.get_node(key) if table is not None else None
+                if node is not None:
+                    value = self._promote_shared(table, node)
             shared[key] = value
         return value
-
-    # ------------------------------------------------------------------
-    # Compiled write-path plans (the write-side analogue of PR 3's
-    # compiled patterns; see ``core.plan``).
-    # ------------------------------------------------------------------
-    def _plan_for(self, updater: Updater) -> Optional[ExecPlan]:
-        """The compiled plan for this updater's (join, source) pair, or
-        None when the pair is outside the compiled subset.  Probed once
-        per pair; the result (or a negative marker) is cached."""
-        key = (id(updater.join), updater.source_index)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = compile_exec_plan(
-                updater.join, updater.source_index, self.store
-            )
-            if plan is not None:
-                self.stats.counters["write_plan_compiles"] += 1
-            self._plans[key] = plan if plan is not None else False
-        return plan if isinstance(plan, ExecPlan) else None
-
-    @staticmethod
-    def _plan_template(
-        updater: Updater, plan: ExecPlan
-    ) -> Optional[FireTemplate]:
-        """This updater's bound output-key template, cached on the
-        updater (None = not yet bound, False = binding failed)."""
-        template = updater.template
-        if template is None:
-            template = plan.bind(updater.context)
-            updater.template = template if template is not None else False
-        return template if isinstance(template, FireTemplate) else None
 
     def _apply_pending(
         self, tbl_name: str, stable: StatusTable, sr: StatusRange
@@ -1423,91 +1425,9 @@ class JoinEngine:
             return True
         self._exec_source(
             entry.join, 0, child, sr.lo, sr.hi, None, sr,
-            mode=ChangeKind.INSERT, skip_source=entry.source_index,
+            skip_source=entry.source_index,
         )
         return False
-
-    def _fire_eager_check(
-        self,
-        stable: StatusTable,
-        updater: Updater,
-        cs: SlotConstraints,
-        kind: ChangeKind,
-    ) -> None:
-        """Eagerly maintain an ``echeck`` source (extension, §3.2).
-
-        Inserted check tuples re-execute the join with the new key
-        pinned, flowing matching outputs in immediately — a new
-        subscription's backfill happens at write time instead of on the
-        next read.  Removals still invalidate completely: retiring the
-        eager updaters derived from the dead tuple requires a
-        recompute.  Aggregates likewise fall back to
-        invalidation, since group membership cannot be patched without
-        a rescan.
-        """
-        join = updater.join
-        if kind is ChangeKind.UPDATE:
-            return  # check values are uninteresting
-        if kind is ChangeKind.REMOVE or join.is_aggregate:
-            self.stats.add("complete_invalidations")
-            for sr in self._owning_ranges(stable, updater):
-                sr.invalidate()
-            return
-        self.stats.add("eager_check_inserts")
-        for sr in self._owning_ranges(stable, updater):
-            if sr.state is not RangeState.VALID:
-                continue
-            lo, hi = clamp_range(updater.output_lo, updater.output_hi, sr.lo, sr.hi)
-            if not lo < hi:
-                continue
-            self._exec_source(
-                join, 0, cs, lo, hi, None, sr,
-                mode=ChangeKind.INSERT, skip_source=updater.source_index,
-            )
-
-    def _shared_source_value(self, key: str, fallback: str) -> Value:
-        """The source's stored value, promoted to a SharedValue (§4.3)."""
-        table = self.store.existing_table_for_key(key)
-        if table is None:
-            return fallback
-        node = table.get_node(key)
-        if node is None:
-            return fallback
-        return self._promote_shared(table, node)
-
-    def _eager_aggregate(
-        self,
-        stable: StatusTable,
-        updater: Updater,
-        cs: SlotConstraints,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: ChangeKind,
-    ) -> None:
-        """Incrementally adjust an aggregate output (§2.3).
-
-        count/sum adjust in both directions; min/max recompute their
-        group when the extremum departs (the paper likewise constrains
-        aggregates to simple cases).
-        """
-        join = updater.join
-        if updater.source_index != len(join.sources) - 1:
-            # Deeper check sources would require a rescan to know how
-            # many tuples this key participates in; fall back to
-            # invalidation of the affected ranges.
-            for sr in self._owning_ranges(stable, updater):
-                sr.invalidate()
-            self.stats.add("complete_invalidations")
-            return
-        try:
-            out_key = join.output.expand(cs.exact)
-        except Exception:
-            return
-        if not (updater.output_lo <= out_key < updater.output_hi):
-            return
-        self._eager_aggregate_at(
-            stable, updater, out_key, old_value, new_value, kind
-        )
 
     def _eager_aggregate_at(
         self,
@@ -1518,10 +1438,12 @@ class JoinEngine:
         new_value: Optional[str],
         kind: ChangeKind,
     ) -> None:
-        """Adjust the aggregate accumulator at ``out_key``.
+        """Incrementally adjust the aggregate output at ``out_key``, the
+        key a value-last fire rendered (§2.3).
 
-        The tail of :meth:`_eager_aggregate`, split out so a compiled
-        fire can enter with its precomputed output key.
+        count/sum adjust in both directions; min/max recompute their
+        group when the extremum departs (the paper likewise constrains
+        aggregates to simple cases).
         """
         join = updater.join
         sr = stable.find(out_key)
@@ -1566,13 +1488,13 @@ class JoinEngine:
     ) -> None:
         """Isolate and invalidate just the group's key (min/max retreat)."""
         succ = key_successor(out_key)
-        tbl_name = updater_tbl = out_key.split("|", 1)[0]
+        tbl_name = table_of(out_key)
         if sr.lo < out_key:
             sr = stable.split(sr, out_key)
             self._ensure_tracked(tbl_name, sr)
         if succ < sr.hi:
             right = stable.split(sr, succ)
-            self._ensure_tracked(updater_tbl, right)
+            self._ensure_tracked(tbl_name, right)
         sr.invalidate()
         self.stats.add("group_invalidations")
 

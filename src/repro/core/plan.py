@@ -1,185 +1,41 @@
-"""Compiled per-join execution plans: for the write path, and for
-computing a range.
+"""Compiled per-join plans: one slot vector and one output template
+for every execution of a join's nested loop (§3.1–§3.2).
 
-The *read* path's patterns compile into slicing plans.  This
-module does the same for the *write* path's hot loop, eager updater
-fires, which interpreted (``JoinEngine._fire_eager_group``) match the
-source key into a dict, merge dicts and ``expand`` per follower.
+A :class:`ComputePlan` numbers every slot of a join once — a fixed slot
+vector — and renders the output key with one numbered format template
+over it.  Each source level compiles to offsets into that vector
+(:class:`ComputeLevel`): containing-range prefix, pinned-slot checks,
+frontier bounds, updater context.  The plan runs the loop in two ways:
 
-An :class:`ExecPlan` compiles one (join, fired source) pair into flat
-precomputed state:
+* **computing an output range** — a materialized join's first touch and
+  recompute (Figure 5), or a pull join's every read.  What the range
+  pins and bounds is resolved by :meth:`ComputePlan.bind` into levels
+  once per shape;
+* **firing an updater** — the same loop with the changed source key
+  already bound.  :meth:`ComputePlan.pin` compiles a :class:`FirePin`
+  per (fired source, context slots): the checks and assigns that move
+  the key's ``Pattern.slot_tuple`` into the slot vector, and the levels
+  compiled with those slots bound.  A value-last fire renders its
+  output key directly; a deeper value source or an eager check walks
+  the remaining levels.
 
-* the **write-side slot plan** — ``Pattern.slot_tuple``'s absolute
-  extraction offsets, shared across every updater of the pattern, with
-  the last key's tuple kept, so a fanned-out post extracts its slots
-  once per change, not once per follower;
-* the **preresolved output table handle** — the join's output table is
-  fixed, so the per-install ``table_for_key`` split+lookup goes away;
-* the **fused operator step** — ``copy`` installs directly; the
-  aggregate chain (``count``/``min``/``max``/``sum``) routes the
-  precomputed output key into the accumulator adjustment;
-* the **output-key expand template** — per updater, the output pattern
-  with literals *and* that updater's context values inlined into one
-  format string, leaving only positional fields indexed into the
-  extracted slot tuple.  Repeated/conflicting slots compile to equality
-  checks, mirroring ``SlotConstraints.child_with``.
-
-Plans only compile for the shape eager maintenance makes hot — a push
-join whose fired source is its value source *and* its last source (the
-paper's common value-source-last join).  Everything else (check and
-echeck sources, deep value sources, pull joins) stays interpreted.
-
-A :class:`ComputePlan` does the same for the *read* side's expensive
-step, first-touch compute and recompute of a materialized join's
-output range (§3.1, Figure 5): every slot of the join gets a fixed
-position in a slot vector, each source level compiles to offsets —
-containing-range prefix, pinned-slot checks, frontier bounds, updater
-context — and the output key is one numbered format template.  It
-covers every join (copy and aggregate, value source anywhere): a pull
-join runs it on every read without storing the result.  Pending-log
-application, eager checks and fires outside ``ExecPlan``'s subset stay
-on the interpreted walk.
+Only pending-log application still runs the interpreted walk
+(``JoinEngine._exec_source``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..store.keys import SEP, SEP_SUCCESSOR, key_successor
 from .operators import COPY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import OrderedStore
-    from ..store.table import Table
     from .joins import CacheJoin
-
-
-class FireTemplate:
-    """One updater's bound output-key template.
-
-    ``fmt`` is the output pattern with literals and the updater's
-    context values inlined; ``indexes`` are positions into the fired
-    source's slot tuple, in field order; ``checks`` are (tuple index,
-    expected value) pairs for slots pinned by both the context and the
-    source key — the compiled form of ``child_with``'s conflict test.
-    ``injective`` records whether distinct source keys always produce
-    distinct output keys (every free source slot appears in the
-    output); a fan-out installed as one sorted run requires it, so
-    reordering can never change which write wins an output key.
-    """
-
-    __slots__ = ("fmt", "indexes", "checks", "injective")
-
-    def __init__(
-        self,
-        fmt: str,
-        indexes: Tuple[int, ...],
-        checks: Tuple[Tuple[int, str], ...],
-        injective: bool,
-    ) -> None:
-        self.fmt = fmt
-        self.indexes = indexes
-        self.checks = checks
-        self.injective = injective
-
-    def out_key(self, values: Tuple[str, ...]) -> Optional[str]:
-        """The output key for one extracted slot tuple, or None when a
-        pinned-slot equality check rejects the key."""
-        for idx, expected in self.checks:
-            if values[idx] != expected:
-                return None
-        indexes = self.indexes
-        if not indexes:
-            return self.fmt
-        return self.fmt.format(*[values[i] for i in indexes])
 
 
 def _escape_literal(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
-
-
-class ExecPlan:
-    """Compiled execution state for one (join, fired source) pair.
-
-    Shared by every updater installed for that pair; per-updater state
-    (the bound :class:`FireTemplate`) is derived via :meth:`bind` and
-    cached on the updater itself.
-    """
-
-    __slots__ = ("join", "source_index", "pattern", "operator", "table", "_last")
-
-    def __init__(
-        self,
-        join: "CacheJoin",
-        source_index: int,
-        table: "Table",
-    ) -> None:
-        self.join = join
-        self.source_index = source_index
-        src = join.sources[source_index]
-        self.pattern = src.pattern
-        #: The fused operator step: ``copy`` means install-directly,
-        #: anything else is the aggregate accumulator chain.
-        self.operator = src.operator
-        #: Preresolved output table handle — table objects are stable
-        #: for the store's lifetime, so the per-install name split and
-        #: dict lookup compile away.
-        self.table = table
-        self._last: tuple = (None, None)  # (key, its slot tuple)
-
-    @property
-    def is_copy(self) -> bool:
-        return self.operator == COPY
-
-    def extract(self, key: str) -> Optional[Tuple[str, ...]]:
-        """The fired source's slot tuple for ``key`` (write-side slot
-        plan), or None when the key doesn't fit the source pattern.
-        The last key's tuple is kept: a fanned-out write extracts once
-        for all its followers."""
-        last_key, values = self._last
-        if key is not last_key:
-            values = self.pattern.slot_tuple(key)
-            self._last = (key, values)
-        return values
-
-    def bind(self, context: Dict[str, str]) -> Optional[FireTemplate]:
-        """Compile one updater's context into a :class:`FireTemplate`.
-
-        Returns None when the context plus the source slots cannot
-        produce the output key (the fire would fail slot resolution);
-        the caller then falls back to the interpreted path.
-        """
-        slot_index = self.pattern.slot_index
-        parts = []
-        indexes = []
-        for i, seg in enumerate(self.join.output.segments):
-            if i:
-                parts.append(SEP)
-            if not seg.is_slot:
-                parts.append(_escape_literal(seg.text))
-                continue
-            src_idx = slot_index.get(seg.slot)
-            ctx_value = context.get(seg.slot)
-            if src_idx is not None and ctx_value is None:
-                parts.append("{}")
-                indexes.append(src_idx)
-            elif ctx_value is not None:
-                parts.append(_escape_literal(ctx_value))
-            else:
-                return None  # slot unavailable: interpreted path decides
-        checks = tuple(
-            (idx, value)
-            for name, idx in slot_index.items()
-            if (value := context.get(name)) is not None
-        )
-        free = {
-            idx
-            for name, idx in slot_index.items()
-            if context.get(name) is None
-        }
-        return FireTemplate(
-            "".join(parts), tuple(indexes), checks, free <= set(indexes)
-        )
 
 
 class ComputeLevel:
@@ -240,9 +96,61 @@ class ComputeLevel:
         )
 
 
+class FirePin:
+    """One fired source of a :class:`ComputePlan`, its key pinned
+    (§3.2): what an updater fire runs instead of matching the key into
+    a dict and merging it with the updater's context.
+
+    ``checks`` are (tuple index, vec index) equality tests for source
+    slots the updater's context already binds — the compiled form of
+    ``child_with``'s conflict test; ``assigns`` move the other source
+    slots into the slot vector.  ``levels`` are the join's levels
+    compiled with the context and every slot of the fired source bound,
+    for fires that walk on (the fired level itself is never scanned).
+    The last key's tuple is kept, so a fanned-out write extracts its
+    slots once for all its followers.
+    """
+
+    __slots__ = ("plan", "pattern", "checks", "assigns", "levels", "_last")
+
+    def __init__(
+        self, plan: "ComputePlan", source: int, context: Sequence[str]
+    ) -> None:
+        self.plan = plan
+        self.pattern = pattern = plan.join.sources[source].pattern
+        index = plan.index
+        own = pattern.slot_index
+        self.checks = tuple((i, index[n]) for n, i in own.items() if n in context)
+        self.assigns = tuple(
+            (i, index[n]) for n, i in own.items() if n not in context
+        )
+        self.levels = plan._compile(
+            list(context) + [n for n in own if n not in context], None
+        )
+        self._last: tuple = (None, None)  # (key, its slot tuple)
+
+    def bind(self, key: str, vec: List[Optional[str]]) -> bool:
+        """Pin ``key`` into ``vec`` (which holds the updater's context);
+        False when the key does not fit the source pattern or conflicts
+        with the context — the fire is not this updater's concern."""
+        last_key, values = self._last
+        if key is not last_key:
+            values = self.pattern.slot_tuple(key)
+            self._last = (key, values)
+        if values is None:
+            return False
+        for ti, vi in self.checks:
+            if values[ti] != vec[vi]:
+                return False
+        for ti, vi in self.assigns:
+            vec[vi] = values[ti]
+        return True
+
+
 class ComputePlan:
-    """Compiled compute for one join (§3.1): a materialized join's
-    first touch and recompute, or a pull join's every read.
+    """The compiled nested loop of one join (§3.1–§3.2): a materialized
+    join's first touch and recompute, a pull join's every read, and
+    every updater fire.
 
     The interpreted walk carries a ``SlotConstraints`` dict per row,
     matches every source key into a dict, merges dicts in
@@ -252,12 +160,13 @@ class ComputePlan:
     template over it.  What depends on the requested range (which
     output slots it pins, which slot it bounds) is resolved by
     :meth:`bind` into per-level :class:`ComputeLevel` offsets, once
-    per shape and cached, so an execution does no per-row and no per-outer-row
-    planning: each level's containing range, slot checks, frontier test
-    and updater context are precomputed offsets.
+    per shape and cached, so an execution does no per-row and no
+    per-outer-row planning: each level's containing range, slot
+    checks, frontier test and updater context are precomputed offsets.
+    A fire's pinned source key is one more bound level (:meth:`pin`).
     """
 
-    __slots__ = ("join", "index", "out_fmt", "widths", "_shapes")
+    __slots__ = ("join", "index", "out_fmt", "widths", "pins", "_shapes")
 
     def __init__(self, join: "CacheJoin") -> None:
         self.join = join
@@ -287,6 +196,8 @@ class ComputePlan:
             and (seg.slot, seg.width) not in guaranteed
         )
         self._shapes: Dict[tuple, Tuple[ComputeLevel, ...]] = {}
+        #: Compiled fire pins per (source index, context slot names).
+        self.pins: Dict[Tuple[int, Tuple[str, ...]], FirePin] = {}
 
     def vector(self, exact: Dict[str, str]) -> List[Optional[str]]:
         """A fresh slot vector holding the range's pinned slots."""
@@ -314,6 +225,14 @@ class ComputePlan:
                 list(exact), next(iter(bounds), None)
             )
         return levels
+
+    def pin(self, source: int, context: Tuple[str, ...]) -> FirePin:
+        """The :class:`FirePin` for updaters of source ``source`` whose
+        context binds the slots ``context``, compiled on first use."""
+        pin = self.pins.get((source, context))
+        if pin is None:
+            pin = self.pins[source, context] = FirePin(self, source, context)
+        return pin
 
     def _compile(
         self, pinned: List[str], frontier: Optional[str]
@@ -374,19 +293,3 @@ def _numbered(segments, index: Dict[str, int], stop: int) -> str:
         for seg in segments[:stop]
     )
 
-
-def compile_exec_plan(
-    join: "CacheJoin", source_index: int, store: "OrderedStore"
-) -> Optional[ExecPlan]:
-    """Compile the plan for one (join, source) pair, or None when the
-    shape is outside the compiled subset (the interpreted walk remains
-    the implementation for it)."""
-    if not join.is_push:
-        return None
-    if source_index != join.value_index:
-        return None  # check/echeck sources: lazy or invalidation paths
-    if source_index != len(join.sources) - 1:
-        # A deeper value source still scans trailing sources per fire;
-        # the interpreted recursion handles that shape.
-        return None
-    return ExecPlan(join, source_index, store.table(join.output.table))

@@ -24,6 +24,11 @@ updater index: *updater combining* (same-range updaters share one
 interval entry; identical updaters are deduplicated) and *context
 compression* (an updater stores only slot assignments that the source
 key itself cannot supply).
+
+Every fire, whatever its flavour, pins the changed key into the join's
+compiled plan (``core.plan.FirePin``): the context fills the slot
+vector, the key's slots join it, and the fire renders or walks on from
+there.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class Updater:
         "lazy",
         "source_lo",
         "source_hi",
-        "template",
+        "fire",
         "build",
         "entry",
         "key",
@@ -83,10 +88,11 @@ class Updater:
         self.lazy = lazy
         self.source_lo = source_lo
         self.source_hi = source_hi
-        #: Cached compiled fire template (``core.plan.FireTemplate``),
-        #: bound lazily on first fire.  None = not yet bound; False =
-        #: binding failed, use the interpreted path.
-        self.template = None
+        #: ``(pin, vec)``, set on first fire: the join's compiled
+        #: ``core.plan.FirePin`` for this source and context, and a slot
+        #: vector holding the context.  Not charged by
+        #: :meth:`memory_size`: pins are shared, the vector is a cache.
+        self.fire = None
         self.build = None
         #: Set by :func:`install_updater`: the interval entry holding
         #: this updater, its key in ``entry.payload_index``, and its

@@ -300,10 +300,10 @@ class ServerMetrics:
             yield sample_key("table_memory_bytes", table=name), float(tbl.memory_bytes)
         yield "memory_bytes", float(engine.memory_bytes())
         yield "updater_memory_bytes", float(engine.updater_bytes)
-        # The compiled write path (per-join execution plans, batched
-        # fan-out installs, whole-table validity): how often plans
-        # compile and fire, how installs batch, and the worst fan-out
-        # one write has faced.
+        # The compiled write path (fire pins, batched fan-out installs,
+        # whole-table validity): how many fire pins compiled, how many
+        # value-last fires rendered an output key, how installs batch,
+        # and the worst fan-out one write has faced.
         stats = engine.stats
         yield "write_plan_compiles_total", stats.get("write_plan_compiles")
         yield "write_plan_fires_total", stats.get("write_plan_fires")

@@ -28,6 +28,11 @@ WIDE_TIMELINE = (
     "t|<user>|<time:4>|<poster> = check s|<user>|<poster> "
     "copy p|<poster>|<time>"
 )
+#: The same, its value source first: a post walks the check source.
+WIDE_TIMELINE_DEEP = (
+    "t|<user>|<time:4>|<poster> = copy p|<poster>|<time> "
+    "check s|<user>|<poster>"
+)
 
 
 def _server(join, keys):
@@ -103,6 +108,40 @@ class TestFailedCompute:
         resolver.down = False
         assert srv.scan("t|ann|", "t|ann}") == [
             ("t|ann|0001|bob", "v"), ("t|ann|0005|carol", "v"),
+        ]
+
+
+class TestFireWidths:
+    """A fire whose output would break a declared width stores nothing
+    and raises nothing: it invalidates the ranges its updater maintains,
+    so the next read raises the compute's own error — and once the
+    offending source key goes, the read returns the good rows."""
+
+    @pytest.mark.parametrize("join", [WIDE_TIMELINE, WIDE_TIMELINE_DEEP])
+    def test_a_post_breaking_a_width_is_left_to_the_read(self, join):
+        srv = _server(join, ["s|ann|bob", "p|bob|0001"])
+        assert srv.scan("t|ann|", "t|ann}") == [("t|ann|0001|bob", "v")]
+        srv.put("p|bob|02", "v")
+        assert srv.store.get("t|ann|02|bob") is None
+        for _ in range(2):
+            with pytest.raises(PatternError, match="declared width 4"):
+                srv.scan("t|ann|", "t|ann}")
+        srv.remove("p|bob|02")
+        assert srv.scan("t|ann|", "t|ann}") == [("t|ann|0001|bob", "v")]
+
+    def test_an_eager_check_backfill_breaking_a_width(self):
+        srv = _server(
+            WIDE_TIMELINE.replace("= check", "= echeck"),
+            ["s|ann|bob", "p|bob|0001", "p|carol|0003", "p|carol|02"],
+        )
+        assert srv.scan("t|ann|", "t|ann}") == [("t|ann|0001|bob", "v")]
+        srv.put("s|ann|carol", "1")  # the backfill walks carol's posts
+        assert srv.store.get("t|ann|0003|carol") is None
+        with pytest.raises(PatternError, match="declared width 4"):
+            srv.scan("t|ann|", "t|ann}")
+        srv.remove("p|carol|02")
+        assert srv.scan("t|ann|", "t|ann}") == [
+            ("t|ann|0001|bob", "v"), ("t|ann|0003|carol", "v"),
         ]
 
 

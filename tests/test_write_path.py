@@ -1,11 +1,11 @@
 """The write-path overhaul: compiled plans, batched installs, validity.
 
-Mirrors ``test_read_path.py`` for PR 8: the compiled fire path
-(``core.plan``) is property-tested against its interpreted reference,
-and an end-to-end celebrity workload must leave byte-identical store
-state with plans on and off (``JoinEngine._plan_for`` patched to
-return None for the interpreted side).  The whole-table validity fast
-path is exercised through the situations that must defeat it:
+Mirrors ``test_read_path.py``: the write-side slot plan
+(``Pattern.slot_tuple``) is property-tested against its reference, the
+fire pins of ``core.plan`` are unit-tested, and an end-to-end celebrity
+workload fanned out through compiled fires must leave byte-identical
+store state to a server that computed everything from scratch.  The
+whole-table validity fast path is exercised through the situations that must defeat it:
 invalidation, pending logs, gaps in the cover, and memory limits.
 """
 
@@ -20,7 +20,7 @@ from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
 from repro.core.grammar import parse_join
 from repro.core.pattern import Pattern
-from repro.core.plan import compile_exec_plan
+from repro.core.plan import ComputePlan
 from repro.core.status import Build, StatusRange
 from repro.core.updaters import Updater, install_updater
 from repro.store.keys import prefix_upper_bound
@@ -92,62 +92,38 @@ class TestSlotTuple:
 
 
 # ----------------------------------------------------------------------
-# ExecPlan compilation subset and FireTemplate binding.
+# Fire pins: a fired source key bound into the join's slot vector.
 # ----------------------------------------------------------------------
-class TestExecPlan:
-    def plan_for(self, join_text, source_index):
-        join = parse_join(join_text)
-        return join, compile_exec_plan(join, source_index, OrderedStore())
+class TestFirePin:
+    def pin_for(self, join_text, source_index, context):
+        plan = ComputePlan(parse_join(join_text))
+        return plan, plan.pin(source_index, tuple(context)), plan.vector(context)
 
-    def test_value_source_of_push_join_compiles(self):
-        join, plan = self.plan_for(TIMELINE_JOIN, 1)
-        assert plan is not None
-        assert plan.is_copy
-        assert plan.table.name == "t"
-
-    def test_check_source_does_not_compile(self):
-        _, plan = self.plan_for(TIMELINE_JOIN, 0)
-        assert plan is None
-
-    def test_pull_join_does_not_compile(self):
-        _, plan = self.plan_for("o|<a> = pull copy v|<a>|<b>", 0)
-        assert plan is None
-
-    def test_bind_inlines_context_and_indexes_free_slots(self):
-        join, plan = self.plan_for(TIMELINE_JOIN, 1)
-        template = plan.bind({"user": "ann"})
-        assert template is not None
-        # poster and time come from the source key; user is inlined.
-        assert template.out_key(plan.extract("p|bob|0000000007")) == (
-            "t|ann|0000000007|bob"
-        )
-        assert template.injective  # both free slots appear in the output
-
-    def test_bind_without_required_context_fails(self):
-        join, plan = self.plan_for(TIMELINE_JOIN, 1)
-        assert plan.bind({}) is None  # user unavailable
+    def test_free_source_slots_assign(self):
+        plan, pin, vec = self.pin_for(TIMELINE_JOIN, 1, {"user": "ann"})
+        assert pin.checks == ()
+        assert len(pin.assigns) == 2  # poster and time
+        assert pin.bind("p|bob|0000000007", vec)
+        # poster and time come from the source key; user from the context.
+        assert plan.out_fmt.format(*vec) == "t|ann|0000000007|bob"
+        assert plan.pin(1, ("user",)) is pin  # compiled once, shared
 
     def test_context_pinned_source_slot_becomes_check(self):
-        join, plan = self.plan_for(TIMELINE_JOIN, 1)
-        template = plan.bind({"user": "ann", "poster": "bob"})
-        assert template is not None
-        assert template.out_key(plan.extract("p|bob|0000000001")) == (
-            "t|ann|0000000001|bob"
+        plan, pin, vec = self.pin_for(
+            TIMELINE_JOIN, 1, {"user": "ann", "poster": "bob"}
         )
+        assert pin.checks == ((0, plan.index["poster"]),)
+        assert pin.bind("p|bob|0000000001", vec)
+        assert plan.out_fmt.format(*vec) == "t|ann|0000000001|bob"
         # A key for another poster fails the compiled equality check —
         # the ``child_with`` conflict, compiled.
-        assert template.out_key(plan.extract("p|liz|0000000001")) is None
-
-    def test_projection_template_is_not_injective(self):
-        join, plan = self.plan_for("o|<a> = copy v|<a>|<b>", 0)
-        template = plan.bind({})
-        assert template is not None
-        assert not template.injective  # b is free but projected away
+        assert not pin.bind("p|liz|0000000001", vec)
+        assert not pin.bind("q|bob|0000000001", vec)  # not the pattern
 
     def test_literal_braces_are_escaped(self):
-        join, plan = self.plan_for("o|x{0}y|<a> = copy v|<a>", 0)
-        template = plan.bind({})
-        assert template.out_key(plan.extract("v|k")) == "o|x{0}y|k"
+        plan, pin, vec = self.pin_for("o|x{0}y|<a> = copy v|<a>", 0, {})
+        assert pin.bind("v|k", vec)
+        assert plan.out_fmt.format(*vec) == "o|x{0}y|k"
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +224,7 @@ class TestUpdaterDedupIndex:
 
 
 # ----------------------------------------------------------------------
-# End-to-end parity: compiled plans vs the interpreted reference.
+# End-to-end parity: compiled fires vs a from-scratch server.
 # ----------------------------------------------------------------------
 def state_digest(srv: PequodServer) -> str:
     items = []
@@ -258,24 +234,28 @@ def state_digest(srv: PequodServer) -> str:
 
 
 class TestWritePathParity:
-    """The celebrity workload at unit-test scale: every config must
-    leave byte-identical store state."""
+    """The celebrity workload at unit-test scale: with reads between
+    the writes (so every write fans out through compiled fires), every
+    config must leave byte-identical store state to a server that took
+    the same writes and computed everything from scratch at the end."""
 
     FAN_OUT = 1000
 
-    def drive(self, plans: bool, fastpath: bool = False) -> str:
+    def drive(self, reads: bool, fastpath: bool = False) -> str:
         srv = timeline_server()
-        if not plans:
-            # The interpreted reference: no updater gets a compiled plan.
-            srv.engine._plan_for = lambda updater: None
         srv.engine.enable_whole_table_fastpath = fastpath
+
+        def scan(lo, hi):
+            if reads:
+                srv.scan(lo, hi)
+
         followers = [f"u{i:05d}" for i in range(self.FAN_OUT)]
         for u in followers:
             srv.put(f"s|{u}|celeb", "1")
         srv.put("p|celeb|0000000000", "warmup")
         for u in followers:
-            srv.scan(f"t|{u}|", prefix_upper_bound(f"t|{u}|"))
-        srv.scan("t|", "t}")  # tile the gaps: contiguous cover
+            scan(f"t|{u}|", prefix_upper_bound(f"t|{u}|"))
+        scan("t|", "t}")  # tile the gaps: contiguous cover
         # Single-key fan-out writes, including an overwrite and a
         # retraction.
         srv.put("p|celeb|0000000001", "post one")
@@ -287,19 +267,19 @@ class TestWritePathParity:
                 batch.put(f"p|celeb|{t:010d}", f"batch {t}")
             batch.remove("p|celeb|0000000002")
         # Interleave reads so validation runs between write rounds.
-        srv.scan("t|u00000|", prefix_upper_bound("t|u00000|"))
-        srv.scan("t|", "t}")
+        scan("t|u00000|", prefix_upper_bound("t|u00000|"))
+        scan("t|", "t}")
         with srv.write_batch() as batch:
             for t in range(10, 14):
                 batch.put(f"p|celeb|{t:010d}", f"batch {t}")
-        if not plans:
-            assert srv.stats.get("write_plan_fires") == 0
+        fires = srv.stats.get("write_plan_fires")
+        assert fires > 0 if reads else fires == 0
         return state_digest(srv)
 
     def test_compiled_matches_reference(self):
-        reference = self.drive(plans=False)
-        assert self.drive(plans=True) == reference
-        assert self.drive(plans=True, fastpath=True) == reference
+        reference = self.drive(reads=False)
+        assert self.drive(reads=True) == reference
+        assert self.drive(reads=True, fastpath=True) == reference
 
     def test_compiled_path_actually_fires(self):
         srv = timeline_server()
