@@ -1,10 +1,16 @@
 """Asyncio RPC server exposing a PequodServer over TCP.
 
 Pequod is "a single-threaded, event-driven C++ program" (§4); this is
-the Python analogue: one event loop, per-connection frame reassembly,
-and request dispatch into the (non-async) cache engine.  Clients
-pipeline requests; responses go back in completion order carrying the
-request id.
+the Python analogue: one event loop and one :class:`asyncio.Protocol`
+per connection, dispatching into the (non-async) cache engine straight
+from ``data_received``.  Clients pipeline requests; each read chunk's
+frames are answered in request order and its responses leave in one
+transport write, so a request costs one loop callback.  A handler that
+returns an awaitable (the cluster endpoints' migration and main-loop
+hand-offs, or an installed ``RpcChaos``) pauses reading; a task
+finishes the rest of the chunk in order, writes, and resumes.  A
+client that stops reading its responses is paused the same way, by
+the transport's write-buffer watermarks.
 
 Beyond request/response, connections carry *watch subscriptions*
 (§2.4's push model): ``subscribe lo hi`` registers a range on the
@@ -21,9 +27,9 @@ from __future__ import annotations
 import asyncio
 import logging
 import threading
-import time
 import traceback
-from typing import Any, Awaitable, Callable, Dict, List, Optional
+from time import perf_counter
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Set
 
 from ..core.hub import WatchHandle
 from ..core.joins import JoinError
@@ -62,16 +68,116 @@ def classify_error(exc: BaseException) -> str:
     return protocol.ERR_CODE_SERVER
 
 
-class _Connection:
-    """Per-connection state: the writer, frame reassembly, and watches."""
+class _Connection(asyncio.Protocol):
+    """One client connection: frame reassembly, dispatch and watches.
 
-    __slots__ = ("writer", "buffer", "subscriptions", "next_sub_id")
+    ``data_received`` answers every complete frame of a read chunk in
+    request order and sends the chunk's responses in ONE
+    ``transport.write``: a pipelined window of N requests costs one
+    loop callback and one send syscall, not N.
+    """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    __slots__ = (
+        "rpc", "transport", "buffer", "subscriptions", "next_sub_id",
+        "task", "write_paused",
+    )
+
+    def __init__(self, rpc: "RpcServer") -> None:
+        self.rpc = rpc
+        self.transport: Optional[asyncio.Transport] = None
         self.buffer = protocol.FrameBuffer()
         self.subscriptions: Dict[int, WatchHandle] = {}
         self.next_sub_id = 0
+        #: Finishes a chunk whose handler went async; reading stays
+        #: paused until it has written the chunk's responses.
+        self.task: Optional[asyncio.Task] = None
+        self.write_paused = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.rpc.connections += 1
+        self.rpc._live_connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        rpc = self.rpc
+        try:
+            payloads = self.buffer.feed(data)
+        except protocol.ProtocolError:
+            # Unframeable garbage: drop this connection, keep serving
+            # the rest.
+            self.transport.close()
+            return
+        if not payloads:
+            return
+        rpc.window_occupancy.observe(len(payloads))
+        load = rpc.server.load
+        if load is not None:
+            # The pipelined chunk depth is the admission controller's
+            # queue signal: a client windowing hundreds of requests per
+            # read is the unbounded-queueing shape overload policies
+            # exist for.
+            load.report_queue_depth(len(payloads))
+        dispatch = rpc._dispatch
+        responses = []
+        rest = iter(payloads)
+        for payload in rest:
+            response = dispatch(self, payload)
+            if not isinstance(response, bytes):
+                # A subclass handler went async (cluster migration
+                # drivers, peer installs run on the main loop).
+                self._finish_later(responses, response, rest)
+                return
+            responses.append(response)
+        if rpc.chaos is not None:
+            self._finish_later(responses, None, rest)
+        else:
+            self.transport.write(b"".join(responses))
+
+    def _finish_later(self, responses: List[bytes], pending, rest) -> None:
+        """Hand the chunk's tail to a task; no further chunk is read
+        until it has written, so responses keep request order."""
+        self.transport.pause_reading()
+        self.task = asyncio.get_running_loop().create_task(
+            self._finish_chunk(responses, pending, rest)
+        )
+
+    async def _finish_chunk(self, responses: List[bytes], pending, rest) -> None:
+        rpc = self.rpc
+        try:
+            if pending is not None:
+                responses.append(await pending)
+            for payload in rest:
+                response = rpc._dispatch(self, payload)
+                if not isinstance(response, bytes):
+                    response = await response
+                responses.append(response)
+            if rpc.chaos is not None:
+                responses = await rpc.chaos.apply(responses)
+            if responses and not self.transport.is_closing():
+                self.transport.write(b"".join(responses))
+        finally:
+            self.task = None
+            self._resume_reading()
+
+    # Backpressure: a client that stops reading its responses stops
+    # having its requests read.
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._resume_reading()
+
+    def _resume_reading(self) -> None:
+        if self.task is None and not self.write_paused:
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Teardown runs on EVERY exit path — EOF, reset, garbage or
+        # server stop — so no subscription pushes into a dead transport.
+        self.teardown()
+        self.rpc._live_connections.discard(self)
 
     def teardown(self) -> None:
         """Drop everything this connection holds on the server:
@@ -80,7 +186,7 @@ class _Connection:
         A handle whose ``close()`` faults must not abort the loop —
         the remaining subscriptions still have to be dropped — but the
         fault is *logged*, never swallowed: silent teardown failures
-        leave ghost watchers pushing into dead writers.
+        leave ghost watchers pushing into dead transports.
         """
         for sub_id, handle in self.subscriptions.items():
             try:
@@ -109,8 +215,7 @@ class RpcServer:
         self.host = host
         self.port = port
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._connection_tasks: set = set()
-        self._live_connections: set = set()
+        self._live_connections: Set[_Connection] = set()
         self.requests_served = 0
         self.connections = 0
         self.pushes_sent = 0
@@ -137,9 +242,8 @@ class RpcServer:
         yield "rpc_slow_watchers_dropped_total", float(self.slow_watchers_dropped)
         backlog = 0
         for conn in self._live_connections:
-            transport = conn.writer.transport
-            if transport is not None and not transport.is_closing():
-                backlog += transport.get_write_buffer_size()
+            if not conn.transport.is_closing():
+                backlog += conn.transport.get_write_buffer_size()
         yield "rpc_push_backlog_bytes", float(backlog)
         yield from self.frame_latency.samples("rpc_frame_latency_seconds")
         yield from self.window_occupancy.samples("rpc_window_occupancy")
@@ -150,24 +254,30 @@ class RpcServer:
             )
 
     async def start(self) -> None:
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._asyncio_server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockets = self._asyncio_server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop accepting, close every live connection, and wait for
+        unfinished async chunks to unwind."""
         if self._asyncio_server is not None:
             self._asyncio_server.close()
+        tasks = []
+        for conn in list(self._live_connections):
+            if conn.task is not None:
+                conn.task.cancel()
+                tasks.append(conn.task)
+            conn.transport.close()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if self._asyncio_server is not None:
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        # Reap per-connection tasks so event-loop teardown is clean.
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        self._connection_tasks.clear()
 
     async def serve_forever(self) -> None:
         if self._asyncio_server is None:
@@ -181,89 +291,27 @@ class RpcServer:
         return self.server.hub.watcher_count()
 
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        self.connections += 1
-        conn = _Connection(writer)
-        self._live_connections.add(conn)
-        load = self.server.load
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                payloads = conn.buffer.feed(data)
-                if payloads:
-                    self.window_occupancy.observe(len(payloads))
-                    if load is not None:
-                        # The pipelined chunk depth is the admission
-                        # controller's queue signal: a client windowing
-                        # hundreds of requests per read is the
-                        # unbounded-queueing shape overload policies
-                        # exist for.
-                        load.report_queue_depth(len(payloads))
-                # Dispatch the whole chunk, then write every response
-                # in ONE transport write: a pipelined window of N
-                # requests costs one send syscall, not N.
-                responses = []
-                for payload in payloads:
-                    response = self._dispatch(conn, payload)
-                    if not isinstance(response, bytes):
-                        # A subclass handler went async (cluster
-                        # migration drivers); await it in request
-                        # order so responses stay a flat byte list.
-                        response = await response
-                    responses.append(response)
-                if self.chaos is not None:
-                    responses = await self.chaos.apply(responses)
-                if len(responses) == 1:
-                    writer.write(responses[0])
-                elif responses:
-                    writer.write(b"".join(responses))
-                await writer.drain()
-        except protocol.ProtocolError:
-            # Unframeable garbage: drop this connection, keep serving
-            # the rest.
-            pass
-        except (OSError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels connection handlers; exiting
-            # normally keeps asyncio's stream callbacks quiet.
-            pass
-        finally:
-            # Teardown must run on EVERY exit path — a fault mid-frame
-            # must not leave subscriptions pushing into a dead writer
-            # or partial state behind the reader task.
-            conn.teardown()
-            self._live_connections.discard(conn)
-            if task is not None:
-                self._connection_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
     def _dispatch(self, conn: _Connection, payload: bytes):
+        """One request frame's response bytes — or, when the handler
+        returned an awaitable, a coroutine that produces them (and
+        times the frame once it is done)."""
         request_id = -1
-        started = time.perf_counter()
+        started = perf_counter()
         try:
             message = protocol.decode_message(payload)
             request_id, method, args = protocol.parse_request(message)
             result = self._invoke(conn, method, args)
-            if asyncio.iscoroutine(result) or asyncio.isfuture(result):
+            if hasattr(result, "__await__"):
+                # A coroutine or future: cheaper to spot than
+                # ``asyncio.iscoroutine``, which pays an ABC check on
+                # every plain result.
                 return self._finish_async(request_id, result, started)
             self.requests_served += 1
-            return protocol.encode_response(request_id, protocol.OK, result)
+            response = protocol.encode_response(request_id, protocol.OK, result)
         except Exception as exc:  # noqa: BLE001 - faults go to the client
-            return self._encode_failure(request_id, exc)
-        finally:
-            self.frame_latency.observe(time.perf_counter() - started)
+            response = self._encode_failure(request_id, exc)
+        self.frame_latency.observe(perf_counter() - started)
+        return response
 
     async def _finish_async(self, request_id: int, coro, started: float) -> bytes:
         """Await a coroutine-valued handler and encode its outcome with
@@ -275,7 +323,7 @@ class RpcServer:
         except Exception as exc:  # noqa: BLE001 - faults go to the client
             return self._encode_failure(request_id, exc)
         finally:
-            self.frame_latency.observe(time.perf_counter() - started)
+            self.frame_latency.observe(perf_counter() - started)
 
     def _encode_failure(self, request_id: int, exc: BaseException) -> bytes:
         code = classify_error(exc)
@@ -299,17 +347,15 @@ class RpcServer:
             raise ValueError(f"bad watch range [{lo!r}, {hi!r})")
         sub_id = conn.next_sub_id
         conn.next_sub_id += 1
-        writer = conn.writer
+        transport = conn.transport
 
         def sink(event) -> None:
             # Synchronous with the commit: the frame enters the
-            # writer's buffer before the originating request's
-            # response, so a subscriber never sees an ack ahead of the
-            # changes it implies.  StreamWriter flushes asynchronously.
-            transport = writer.transport
+            # transport before the originating request's response, so
+            # a subscriber never sees an ack ahead of the changes it
+            # implies.  The transport flushes asynchronously.
             if (
-                transport is None
-                or transport.is_closing()
+                transport.is_closing()
                 or transport.get_write_buffer_size() > self.MAX_PUSH_BACKLOG
             ):
                 # Slow-consumer policy: a watcher that stopped reading
@@ -320,7 +366,7 @@ class RpcServer:
                 conn.subscriptions.clear()
                 self.slow_watchers_dropped += 1
                 return
-            writer.write(protocol.encode_push(sub_id, [event]))
+            transport.write(protocol.encode_push(sub_id, [event]))
             self.pushes_sent += 1
 
         conn.subscriptions[sub_id] = self.server.watch(lo, hi, sink)

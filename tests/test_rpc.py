@@ -137,6 +137,113 @@ class TestPipelining:
         run(with_server(body))
 
 
+class _AwaitingServer(RpcServer):
+    """Answers ``put`` and ``ping`` from coroutines, the shape of the
+    cluster endpoints' migration and main-loop hand-offs: the put is
+    applied only after the handler has yielded to the loop."""
+
+    async def _late_put(self, key, value):
+        await asyncio.sleep(0)
+        self.server.put(key, value)
+        return True
+
+    async def _late_ping(self):
+        await asyncio.sleep(0)
+        return "pong"
+
+    def _invoke(self, conn, method, args):
+        if method == "put":
+            return self._late_put(*args[:2])
+        if method == "ping":
+            return self._late_ping()
+        return super()._invoke(conn, method, args)
+
+
+async def _read_responses(reader, n):
+    """``n`` response frames off a raw stream as (id, status, payload)."""
+    out = []
+    for _ in range(n):
+        header = await reader.readexactly(4)
+        payload = await reader.readexactly(int.from_bytes(header, "big"))
+        out.append(protocol.parse_response(protocol.decode_message(payload)))
+    return out
+
+
+class TestAwaitableHandlers:
+    def test_pipelined_chunk_answers_in_request_order(self):
+        """One chunk [async put x, get x, ping]: the get runs after the
+        awaited put has applied, and the answers keep request order."""
+
+        async def body():
+            server = _AwaitingServer(PequodServer())
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(
+                    protocol.encode_request(0, "put", ["p|x", "late"])
+                    + protocol.encode_request(1, "get", ["p|x"])
+                    + protocol.encode_request(2, "ping", [])
+                )
+                await writer.drain()
+                responses = await asyncio.wait_for(_read_responses(reader, 3), 5)
+                assert responses == [
+                    (0, protocol.OK, True),
+                    (1, protocol.OK, "late"),
+                    (2, protocol.OK, "pong"),
+                ]
+                assert server.window_occupancy.count == 1  # one chunk
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(body())
+
+    def test_deep_window_answers_every_id(self):
+        async def body():
+            server = _AwaitingServer(PequodServer())
+            await server.start()
+            client = RpcClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                calls = [("put", [f"p|w|{i:03d}", f"v{i}"]) for i in range(300)]
+                calls += [("get", [f"p|w|{i:03d}"]) for i in range(300)]
+                results = await asyncio.wait_for(
+                    client.call_windowed(calls, depth=200), 10
+                )
+                assert results[:300] == [True] * 300
+                assert results[300:] == [f"v{i}" for i in range(300)]
+                assert server.requests_served == 600
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(body())
+
+    def test_each_frame_is_timed_once(self):
+        """An awaitable handler's frame is observed once, when it is
+        answered — not also when its coroutine is handed back."""
+
+        async def body():
+            server = _AwaitingServer(PequodServer())
+            await server.start()
+            client = RpcClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                for _ in range(5):
+                    assert await client.ping() == "pong"
+                await client.call("get", "p|none")
+                assert server.requests_served == 6
+                assert server.frame_latency.count == 6
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(body())
+
+
 class TestClientClose:
     def test_close_fails_calls_in_flight_and_after(self):
         """A call awaiting its reply when the client closes fails with

@@ -2,6 +2,7 @@
 per-connection teardown, and the windowed pipelining driver."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -182,7 +183,7 @@ class TestRpcPush:
 
 class TestConnectionTeardown:
     """The satellite fix: whatever ends a connection, its watch
-    subscriptions, buffers, and task bookkeeping are dropped."""
+    subscriptions, buffers, and connection bookkeeping are dropped."""
 
     def test_clean_disconnect_drops_subscriptions(self):
         async def body():
@@ -197,7 +198,7 @@ class TestConnectionTeardown:
                 await client.close()  # no unsubscribe: just drop the link
                 await asyncio.sleep(0.05)
                 assert server.watcher_count() == 0
-                assert not server._connection_tasks
+                assert not server._live_connections
             finally:
                 await server.stop()
 
@@ -224,7 +225,7 @@ class TestConnectionTeardown:
                 assert data == b""  # server dropped the connection...
                 await asyncio.sleep(0.05)
                 assert server.watcher_count() == 0  # ...and its watches
-                assert not server._connection_tasks
+                assert not server._live_connections
                 writer.close()
                 try:
                     await writer.wait_closed()
@@ -344,6 +345,54 @@ class TestReviewRegressions:
                 except (ConnectionResetError, BrokenPipeError):
                     pass
             finally:
+                await server.stop()
+
+        run(body())
+
+    def test_slow_watcher_drop_spares_the_writing_connection(self):
+        """Writes over one connection back a never-reading subscriber
+        up past the cap: the subscriber loses its watches, the writer
+        keeps being served."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            server = RpcServer(PequodServer())
+            server.MAX_PUSH_BACKLOG = 1024
+            await server.start()
+            # Small kernel buffers on both ends, so the backlog lands
+            # in the server transport after a few pushes.
+            sub = socket.socket()
+            sub.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sub.setblocking(False)
+            client = RpcClient("127.0.0.1", server.port)
+            try:
+                await loop.sock_connect(sub, ("127.0.0.1", server.port))
+                await loop.sock_sendall(
+                    sub, protocol.encode_request(0, "subscribe", ["p|", "p}"])
+                )
+                header = await loop.sock_recv(sub, 4)
+                await loop.sock_recv(sub, int.from_bytes(header, "big"))
+                assert server.watcher_count() == 1
+                (conn,) = [c for c in server._live_connections if c.subscriptions]
+                conn.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                await client.connect()
+                big = "v" * 4096
+                for i in range(1000):
+                    await client.put(f"p|k|{i:04d}", big)
+                    if server.slow_watchers_dropped:
+                        break
+                stats = await client.call("stats")
+                assert stats["rpc_slow_watchers_dropped_total"] == 1
+                assert server.watcher_count() == 0
+                # The writing connection is still served.
+                await client.put("p|after", "x")
+                assert await client.get("p|after") == "x"
+                assert await client.ping() == "pong"
+            finally:
+                sub.close()
+                await client.close()
                 await server.stop()
 
         run(body())
