@@ -61,8 +61,6 @@ REQUIRED_FAMILIES = (
     "repro_persist_segments",
     "repro_persist_checkpoints_total",
     "repro_persist_recovery_ms",
-    "repro_persist_segment_probes",
-    "repro_persist_bloom_negatives",
     "repro_persist_flush_seconds_bucket",
     "repro_persist_compaction_seconds_bucket",
 )
@@ -106,14 +104,16 @@ def drive_traffic(port: int) -> None:
 
 def drive_persistence(server: PequodServer) -> None:
     """Exercise the durability tier so its families carry real values:
-    a checkpoint (WAL -> segment) and a bloom-answered negative probe."""
+    a checkpoint seals the WAL as a segment."""
     server.checkpoint()
-    if server.persist.checkpoints <= 0 or not server.persist.segments.segments:
-        fail("checkpoint wrote no segment")
-    before = server.stats.get("persist_bloom_negatives")
-    server.persist.segments.read("absent|key")
-    if server.stats.get("persist_bloom_negatives") <= before:
-        fail("the absent-key probe was not answered by a bloom filter")
+
+
+def check_sealed(text: str) -> None:
+    """The scrape must show the checkpoint and the segment it sealed."""
+    for family in ("repro_persist_segments", "repro_persist_checkpoints_total"):
+        found = re.search(rf"^{family} (\S+)$", text, re.M)
+        if found is None or float(found.group(1)) < 1:
+            fail(f"{family} < 1: the checkpoint sealed no segment")
 
 
 def check_exposition(text: str, families=REQUIRED_FAMILIES) -> int:
@@ -207,6 +207,7 @@ def main() -> int:
                 fail(f"unexpected content type {ctype!r}")
             text = resp.read().decode()
         samples = check_exposition(text)
+        check_sealed(text)
         fires = re.search(
             r"^repro_write_plan_fires_total (\S+)$", text, re.M
         )

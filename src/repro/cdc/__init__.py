@@ -7,8 +7,8 @@ loop, productionized:
 
 * :mod:`~repro.cdc.feed` — a durable, resumable change feed on
   :class:`~repro.backing.database.BackingDatabase`: monotonically
-  sequenced :class:`ChangeRecord` s in a ring/journal (WAL framing +
-  wire codec from :mod:`repro.persist`), named consumer cursors with
+  sequenced :class:`ChangeRecord` s in a ring/journal (written by the
+  WAL's writer from :mod:`repro.persist`), named consumer cursors with
   persisted acks, batching, and bounded-queue backpressure.
 * :mod:`~repro.cdc.pump` — :class:`CdcPump`, the maintenance consumer:
   tails the feed and drives the cache's join engine from change

@@ -15,9 +15,10 @@ tail at their own pace.
   gaps (the barrier ``settle_cdc`` compares cursor positions against
   ``high_water``).
 * **Durability** — with a ``directory``, records append to a journal
-  reusing the WAL frame format (length + crc32, wire-codec payload;
-  see :mod:`repro.persist.wal`) under the WAL's fsync policies, and
-  consumer cursors persist their acknowledged position atomically.  A
+  written by the WAL's own writer (length + crc32 frames, wire-codec
+  payload, the WAL's fsync policies and torn-tail truncation; see
+  :mod:`repro.persist.wal`), and consumer cursors persist their
+  acknowledged position atomically.  A
   crashed consumer resumes exactly after its last ack and replays the
   rest — at-least-once delivery, made effectively-once by the pump's
   idempotent apply path.
@@ -39,16 +40,8 @@ from itertools import islice
 from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 from ..core.operators import ChangeKind
-from ..net.codec import CodecError, decode, encode
-from ..persist.wal import (
-    FSYNC_ALWAYS,
-    FSYNC_BATCH,
-    FSYNC_MODES,
-    FSYNC_OFF,
-    SYNC_INTERVAL_BYTES,
-    frame_payload,
-    scan_frames,
-)
+from ..net.codec import decode, encode
+from ..persist.wal import FSYNC_BATCH, FSYNC_MODES, WriteAheadLog, scan_journal
 
 __all__ = [
     "ChangeFeed",
@@ -163,7 +156,6 @@ class ChangeFeed:
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         max_pending: int = DEFAULT_MAX_PENDING,
         fsync: str = FSYNC_BATCH,
-        sync_interval_bytes: int = SYNC_INTERVAL_BYTES,
         clock: Callable[[], float] = time.time,
         stats=None,
     ) -> None:
@@ -175,8 +167,6 @@ class ChangeFeed:
         self.durable = directory is not None
         self.ring_capacity = ring_capacity
         self.max_pending = max_pending
-        self.fsync = fsync
-        self.sync_interval_bytes = sync_interval_bytes
         self.clock = clock
         self.stats = stats
         self.next_seq = 1
@@ -188,40 +178,24 @@ class ChangeFeed:
         #: write-around server points this at the pump's ``step``.
         self.backpressure_hook: Optional[Callable[[], object]] = None
         self.records_total = 0
-        self.journal_bytes = 0
-        self._synced_bytes = 0
-        self._fh = None
-        self._path: Optional[str] = None
+        self._journal: Optional[WriteAheadLog] = None
         if self.durable:
             os.makedirs(directory, exist_ok=True)
-            self._path = os.path.join(directory, JOURNAL_FILE)
+            self._journal = WriteAheadLog(
+                os.path.join(directory, JOURNAL_FILE),
+                fsync=fsync,
+                stats=stats,
+                prefix="cdc_journal",
+            )
             self._recover()
-            self._fh = open(self._path, "ab")
-            self.journal_bytes = os.fstat(self._fh.fileno()).st_size
-            self._synced_bytes = self.journal_bytes
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Restore ``next_seq`` and the in-memory tail from the journal,
-        truncating any torn tail (a record the writer died inside of)."""
-        from ..persist.wal import WAL_HEADER_SIZE
-
-        payloads, good_offset, torn = scan_frames(self._path)
-        records: List[ChangeRecord] = []
-        offset = 0
-        for payload in payloads:
-            try:
-                records.append(ChangeRecord.from_payload(payload))
-            except (CodecError, ValueError, KeyError):
-                torn = True
-                good_offset = offset  # truncate from the bad record on
-                break
-            offset += WAL_HEADER_SIZE + len(payload)
-        if torn and os.path.exists(self._path):
-            with open(self._path, "r+b") as fh:
-                fh.truncate(good_offset)
+        """Restore ``next_seq`` and the in-memory tail from the journal
+        (the writer truncates a torn tail)."""
+        records = self._journal.replay(ChangeRecord.from_payload)
         if records:
             self.next_seq = records[-1].seq + 1
             tail = records[-self.ring_capacity :]
@@ -231,6 +205,11 @@ class ChangeFeed:
     # ------------------------------------------------------------------
     # Producing
     # ------------------------------------------------------------------
+    @property
+    def journal_bytes(self) -> int:
+        """Bytes in the durable journal (0 in memory)."""
+        return self._journal.size if self._journal is not None else 0
+
     @property
     def high_water(self) -> int:
         """The last assigned sequence number (0 before any record)."""
@@ -251,17 +230,7 @@ class ChangeFeed:
         if self.stats is not None:
             self.stats.add("cdc_records")
         if self.durable:
-            frame = frame_payload(rec.encode())
-            self._fh.write(frame)
-            self.journal_bytes += len(frame)
-            if self.fsync == FSYNC_ALWAYS:
-                self._sync()
-            elif (
-                self.fsync == FSYNC_BATCH
-                and self.journal_bytes - self._synced_bytes
-                >= self.sync_interval_bytes
-            ):
-                self._sync()
+            self._journal.append_payload(rec.encode())
             while len(self._ring) > self.ring_capacity:
                 dropped = self._ring.popleft()
                 self.trimmed_through = dropped.seq
@@ -293,13 +262,6 @@ class ChangeFeed:
             while len(self._ring) > self.ring_capacity:
                 dropped = self._ring.popleft()
                 self.trimmed_through = dropped.seq
-
-    def _sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._synced_bytes = self.journal_bytes
-        if self.stats is not None:
-            self.stats.add("cdc_journal_syncs")
 
     # ------------------------------------------------------------------
     # Consuming
@@ -349,12 +311,8 @@ class ChangeFeed:
         startup and for cursors that fell behind the ring)."""
         if self.durable:
             self.flush()
-            payloads, _, _ = scan_frames(self._path)
-            for payload in payloads:
-                try:
-                    rec = ChangeRecord.from_payload(payload)
-                except (CodecError, ValueError, KeyError):
-                    return
+            records, _, _ = scan_journal(self._journal.path, ChangeRecord.from_payload)
+            for rec in records:
                 if rec.seq > after_seq:
                     yield rec
         else:
@@ -382,28 +340,18 @@ class ChangeFeed:
         return None
 
     def flush(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self._fh.flush()
-            if self.fsync != FSYNC_OFF:
-                os.fsync(self._fh.fileno())
-                self._synced_bytes = self.journal_bytes
+        if self._journal is not None:
+            self._journal.flush()
 
     def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self.flush()
-            self._fh.close()
+        if self._journal is not None:
+            self._journal.close()
 
     def simulate_crash(self) -> int:
         """Chaos hook: drop journal bytes written after the last fsync
-        (mirrors :meth:`repro.persist.wal.WriteAheadLog.simulate_crash`).
+        (:meth:`repro.persist.wal.WriteAheadLog.simulate_crash`).
         Returns bytes lost; the feed is unusable afterwards."""
-        if not self.durable:
-            return 0
-        lost = self.journal_bytes - self._synced_bytes
-        self._fh.close()
-        with open(self._path, "r+b") as fh:
-            fh.truncate(self._synced_bytes)
-        return lost
+        return self._journal.simulate_crash() if self._journal is not None else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.directory if self.durable else "memory"

@@ -227,9 +227,7 @@ def crash_server(server) -> int:
     """
     if server.persist is None:
         raise ValueError("crash_server needs a server with a data_dir")
-    lost = server.persist.wal.simulate_crash()
-    server.persist.segments.close()
-    return lost
+    return server.persist.wal.simulate_crash()
 
 
 def torn_wal_tail(data_dir: str, rng) -> int:
@@ -242,26 +240,14 @@ def torn_wal_tail(data_dir: str, rng) -> int:
     """
     import os
 
-    from .persist.wal import WAL_HEADER_SIZE, scan_wal
+    from .persist.wal import WAL_HEADER_SIZE, scan_frames
 
     path = os.path.join(data_dir, "pequod.wal")
-    records, good_offset, _ = scan_wal(path)
-    if not records:
+    payloads, good_offset, _ = scan_frames(path)
+    if not payloads:
         return 0
     size = os.path.getsize(path)
-    # Find the offset of the last record by re-scanning all but it.
-    prev_end = good_offset
-    with open(path, "rb") as fh:
-        data = fh.read(good_offset)
-    # Walk record frames to the start of the final one.
-    import struct as _struct
-
-    offset = 0
-    last_start = 0
-    while offset < len(data):
-        (length,) = _struct.unpack_from(">I", data, offset)
-        last_start = offset
-        offset += WAL_HEADER_SIZE + length
+    last_start = good_offset - WAL_HEADER_SIZE - len(payloads[-1])
     cut = rng.randrange(last_start + 1, size)
     with open(path, "r+b") as fh:
         fh.truncate(cut)

@@ -50,8 +50,8 @@ class PequodServer:
     * ``overload_policy`` — optional :class:`OverloadPolicy`; when set,
       every operation passes admission control (shed with
       ``OverloadError``, or degrade to bounded-staleness reads).
-    * ``data_dir`` — when set, client writes are journaled to a WAL and
-      checkpointed into segment files under this directory, and the
+    * ``data_dir`` — when set, client writes are journaled to a WAL,
+      which checkpoints seal as segment files under this directory, and the
       server recovers prior durable state on startup.  Joins installed
       afterwards recompute from the recovered base data on demand —
       computed output is never persisted.
@@ -393,8 +393,12 @@ class PequodServer:
             self.cdc.feed.flush()
 
     def checkpoint(self) -> None:
-        """Fold the WAL into a checkpoint segment now (no-op without a
-        ``data_dir``); startup recovery gets cheaper, the WAL empties."""
+        """Seal the WAL as a segment now and start a fresh one (no-op
+        without a ``data_dir``).  Nothing is re-encoded: the WAL is
+        fsynced under every policy and renamed into the segment stack,
+        so checkpointed writes survive a crash even with
+        ``wal_fsync="off"``; recovery replays the same records either
+        way."""
         if self.persist is not None:
             self.persist.checkpoint()
 

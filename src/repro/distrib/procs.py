@@ -77,11 +77,13 @@ class _ProcNode:
             self.proc.kill()
 
     def wait(self, timeout: float = 10.0) -> None:
+        """Reap the process and close its stdout pipe."""
         try:
             self.proc.wait(timeout)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait(5)
+        self.proc.stdout.close()
 
 
 class _ThreadNode:
@@ -237,6 +239,7 @@ class ProcCluster:
         deadline = time.monotonic() + READY_TIMEOUT
         while True:
             if proc.poll() is not None:
+                proc.stdout.close()
                 raise ClusterError(
                     f"cluster node {name} exited with {proc.returncode} "
                     f"before READY"
@@ -245,6 +248,8 @@ class ProcCluster:
             if not line:
                 if time.monotonic() > deadline:
                     proc.kill()
+                    proc.wait()
+                    proc.stdout.close()
                     raise ClusterError(f"cluster node {name}: READY timeout")
                 continue
             try:

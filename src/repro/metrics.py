@@ -166,7 +166,7 @@ def label_by_node(per_node: Dict[str, Dict[str, float]]) -> Dict[str, float]:
 #: Unlabeled, unsuffixed derived gauges that must render as their own
 #: families (not fold into the generic ``stat`` family): the load and
 #: watch state the README's catalog documents by name, plus the
-#: persistence tier's gauges and probe counters.
+#: persistence tier's gauges.
 _STANDALONE_GAUGES = frozenset(
     {
         "overloaded",
@@ -175,9 +175,6 @@ _STANDALONE_GAUGES = frozenset(
         "write_fanout_max",
         "persist_segments",
         "persist_recovery_ms",
-        "persist_segment_probes",
-        "persist_bloom_negatives",
-        "persist_bloom_false_positives",
         "cdc_feed_depth",
         "cdc_feed_high_water",
         "cdc_consumer_lag_records",
@@ -339,12 +336,6 @@ class ServerMetrics:
             yield from persist.flush_seconds.samples("persist_flush_seconds")
             yield from persist.segments.compaction_seconds.samples(
                 "persist_compaction_seconds", tier="checkpoint"
-            )
-            stats = server.stats
-            yield "persist_segment_probes", stats.get("persist_segment_probes")
-            yield "persist_bloom_negatives", stats.get("persist_bloom_negatives")
-            yield "persist_bloom_false_positives", stats.get(
-                "persist_bloom_false_positives"
             )
         # CDC (write-around deployments): feed depth, consumer lag, and
         # the propagation-lag distribution — the freshness story of the

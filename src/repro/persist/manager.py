@@ -1,254 +1,203 @@
-"""Segment stacks and the persistence manager.
-
-:class:`SegmentStack` is an ordered collection of immutable segment
-files behind a ``MANIFEST``: new segments stack on top (newest wins on
-read), and compaction merges the stack back down to one segment.  The
-durability tier keeps its checkpoint segments, folded out of the WAL,
-in one.
+"""Sealed segments and the persistence manager.
 
 :class:`PersistenceManager` owns one data directory::
 
-    <data_dir>/pequod.wal        the write-ahead log
-    <data_dir>/segments/         checkpoint segments + MANIFEST
+    <data_dir>/pequod.wal               the write-ahead log
+    <data_dir>/segments/seg-<n>.log     sealed WALs, oldest first
 
-and implements the recovery contract: on startup, replay checkpoint
-segments oldest-to-newest (tombstones delete), then the WAL tail,
-truncating a torn tail at the last intact record.  Only *client* writes
-are journaled — computed join outputs are never persisted, so recovered
-state re-enters the validity machinery with no status ranges at all and
-every computed range starts invalid until demand recomputation
-revalidates it (the conservative reading of single-table invalidation:
-never trust recovered derived data).
+The disk has one record format, the WAL's CRC-framed
+``[KeyList(keys), values]`` frames.  A checkpoint folds nothing: it
+fsyncs the WAL (under every fsync policy, so ``off`` keeps its promise
+that checkpointed data survives a crash), renames it to the next
+``seg-<n>.log``, fsyncs the directory and opens a fresh WAL.  Recovery
+replays the sealed segments in sequence order, then the WAL, through
+one loop.  A sealed segment was fsynced before it was published, so
+one that fails its CRC or does not decode raises
+:class:`DataDirError`; a torn WAL tail is truncated at the last intact
+record.
+
+Past :data:`COMPACT_THRESHOLD` segments, compaction folds the stack
+into one new segment (newest value per key, tombstones dropped),
+written to a temp file, fsynced and renamed into place before the
+inputs are unlinked oldest first.  Replay is idempotent and a fold
+sorts after its inputs, so a crash at any step recovers the
+acknowledged state and no manifest is needed.
+
+Only *client* writes are journaled — computed join outputs are never
+persisted, so recovered state re-enters the validity machinery with no
+status ranges at all and every computed range starts invalid until
+demand recomputation revalidates it (the conservative reading of
+single-table invalidation: never trust recovered derived data).
 """
 
 from __future__ import annotations
 
 import os
+import re
 import time
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..metrics import Histogram
-from .segment import SegmentReader, write_segment
-from .wal import FSYNC_BATCH, FSYNC_MODES, WriteAheadLog, scan_wal
+from .wal import (
+    FSYNC_BATCH,
+    WalRecord,
+    WriteAheadLog,
+    encode_record,
+    frame_payload,
+    scan_wal,
+)
 
-MANIFEST = "MANIFEST"
 WAL_NAME = "pequod.wal"
+SEGMENT_DIR = "segments"
+
+#: A checkpoint seals the WAL once it holds this many bytes.
+CHECKPOINT_BYTES = 4 << 20
+#: Compaction folds the stack once it holds more segments than this.
+COMPACT_THRESHOLD = 8
+#: Recovery hands the store batches of about this many operations, and
+#: compaction writes frames of this many keys.
+REPLAY_CHUNK = 4096
+
+_SEGMENT_NAME = re.compile(r"seg-(\d+)\.log")
 
 #: Fixed buckets (seconds) for flush / compaction duration histograms.
 FLUSH_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
 
-class SegmentStack:
-    """An ordered stack of immutable segments behind a manifest.
+class DataDirError(ValueError):
+    """A data directory that cannot be recovered as written: a sealed
+    segment failed its CRC or decode, or the layout is the older
+    SSTable format (a ``MANIFEST``), which this build cannot read."""
 
-    ``segments[0]`` is oldest; reads probe newest-first and stop at the
-    first segment whose bloom admits the key and whose run contains it.
-    The manifest is replaced atomically (temp file + rename), so a crash
-    between writing a segment and publishing it leaves at worst an
-    orphan ``.seg`` file, never a half-registered stack.
+
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class SegmentStack:
+    """The sealed WAL segments of one directory, oldest first.
+
+    A segment is a WAL file a checkpoint renamed out of the way, never
+    modified afterwards; the stack is whatever ``seg-<n>.log`` files
+    the directory holds, ordered by ``n``.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        stats=None,
-        compact_threshold: int = 8,
-        label: str = "segments",
-    ) -> None:
+    def __init__(self, directory: str, stats=None) -> None:
         self.directory = directory
         self.stats = stats
-        self.compact_threshold = compact_threshold
-        self.label = label
-        self.segments: List[SegmentReader] = []
-        self._next_id = 0
         self.compaction_seconds = Histogram(FLUSH_BUCKETS)
         os.makedirs(directory, exist_ok=True)
-        self._load_manifest()
+        if os.path.exists(os.path.join(directory, "MANIFEST")):
+            raise DataDirError(
+                f"{directory} holds a MANIFEST of the older SSTable "
+                "segment format, which this build cannot recover"
+            )
+        seqs = []
+        for name in os.listdir(directory):
+            match = _SEGMENT_NAME.fullmatch(name)
+            if match:
+                seqs.append(int(match.group(1)))
+            elif name.endswith(".tmp"):  # a compaction the crash cut short
+                os.unlink(os.path.join(directory, name))
+        seqs.sort()
+        self.paths: List[str] = [self._path(seq) for seq in seqs]
+        self._next_seq = seqs[-1] + 1 if seqs else 0
+
+    def _path(self, seq: int) -> str:
+        return os.path.join(self.directory, f"seg-{seq:08d}.log")
+
+    def _claim_path(self) -> str:
+        path = self._path(self._next_seq)
+        self._next_seq += 1
+        return path
 
     # ------------------------------------------------------------------
-    # Manifest
-    # ------------------------------------------------------------------
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST)
-
-    def _load_manifest(self) -> None:
-        try:
-            with open(self._manifest_path()) as fh:
-                names = [line.strip() for line in fh if line.strip()]
-        except FileNotFoundError:
-            return
-        for name in names:
-            path = os.path.join(self.directory, name)
-            self.segments.append(SegmentReader(path))
-            seq = int(name.split("-")[1].split(".")[0])
-            self._next_id = max(self._next_id, seq + 1)
-
-    def _write_manifest(self) -> None:
-        tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "w") as fh:
-            for seg in self.segments:
-                fh.write(os.path.basename(seg.path) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._manifest_path())
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def push(self, pairs: List[Tuple[str, Optional[str]]]) -> Optional[SegmentReader]:
-        """Write ``pairs`` (None value = tombstone) as the newest
-        segment and publish it.  Empty input writes nothing."""
-        if not pairs:
-            return None
-        # Segments must be key-sorted (restart-key bisect and prefix
-        # compression both assume it); sorting sorted input is O(n).
-        pairs = sorted(pairs, key=lambda pair: pair[0])
-        name = f"seg-{self._next_id:08d}.seg"
-        self._next_id += 1
-        path = os.path.join(self.directory, name)
-        write_segment(path, pairs)
-        reader = SegmentReader(path)
-        self.segments.append(reader)
-        self._write_manifest()
+    def seal(self, wal_path: str) -> None:
+        """Publish a synced, closed WAL file as the newest segment."""
+        path = self._claim_path()
+        size = os.path.getsize(wal_path)
+        os.replace(wal_path, path)
+        _fsync_dir(self.directory)
+        self.paths.append(path)
         if self.stats is not None:
             self.stats.add("persist_segments_written")
-            self.stats.add("persist_segment_bytes_written", reader.file_bytes())
-        return reader
+            self.stats.add("persist_segment_bytes_written", size)
 
-    def maybe_compact(self) -> bool:
-        if len(self.segments) > self.compact_threshold:
+    def records(self) -> Iterator[WalRecord]:
+        """Every record of every segment, oldest first."""
+        for path in self.paths:
+            records, _, torn = scan_wal(path)
+            if torn:
+                raise DataDirError(
+                    f"sealed segment {path} fails its CRC or does not decode"
+                )
+            yield from records
+
+    def maybe_compact(self) -> None:
+        if len(self.paths) > COMPACT_THRESHOLD:
             self.compact()
-            return True
-        return False
 
     def compact(self) -> None:
-        """Merge the stack down to one segment (newest version per key).
+        """Fold the stack into one segment (newest value per key).
 
-        Tombstones are dropped — a compacted stack has no older version
-        left to mask.
+        Tombstones are dropped — the fold has no older version left to
+        mask.  The fold is durable under its final name before any
+        input goes, and inputs go oldest first, so every crash leaves a
+        stack whose replay ends in the same state.
         """
-        if len(self.segments) <= 1:
+        if len(self.paths) <= 1:
             return
         start = time.perf_counter()
-        merged: Dict[str, Optional[str]] = {}
-        for seg in self.segments:  # oldest first: newest naturally wins
-            for key, value in seg.scan():
-                merged[key] = value
-        pairs = [
-            (key, value)
-            for key, value in sorted(merged.items())
-            if value is not None
-        ]
-        old = self.segments
-        name = f"seg-{self._next_id:08d}.seg"
-        self._next_id += 1
-        if pairs:
-            path = os.path.join(self.directory, name)
-            write_segment(path, pairs)
-            self.segments = [SegmentReader(path)]
-        else:
-            self.segments = []
-        self._write_manifest()
-        for seg in old:
-            seg.close()
-            try:
-                os.unlink(seg.path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+        net: Dict[str, Optional[str]] = {}
+        for keys, values in self.records():
+            net.update(zip(keys, values))
+        live = sorted((key, value) for key, value in net.items() if value is not None)
+        path = self._claim_path()
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:
+            for i in range(0, len(live), REPLAY_CHUNK):
+                keys, values = zip(*live[i : i + REPLAY_CHUNK])
+                fh.write(frame_payload(encode_record(list(keys), list(values))))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        _fsync_dir(self.directory)
+        old, self.paths = self.paths, [path]
+        for segment in old:
+            os.unlink(segment)
         self.compaction_seconds.observe(time.perf_counter() - start)
         if self.stats is not None:
             self.stats.add("persist_compactions")
 
     # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def read(self, key: str) -> Tuple[bool, Optional[str]]:
-        """Newest-first point lookup: ``(present, value_or_tombstone)``.
-
-        Counts every probe: a probe of a segment that lacks the key is
-        *negative*, and the bloom filter's job is to answer those
-        without touching the file (``persist_bloom_negatives``); the
-        ones it lets through are its false positives.
-        """
-        stats = self.stats
-        for seg in reversed(self.segments):
-            if not seg.may_contain(key):
-                if stats is not None:
-                    stats.add("persist_segment_probes")
-                    stats.add("persist_bloom_negatives")
-                continue
-            if stats is not None:
-                stats.add("persist_segment_probes")
-            present, value = seg.get(key)
-            if present:
-                if stats is not None:
-                    stats.add("persist_segment_hits")
-                return True, value
-            if stats is not None:
-                stats.add("persist_bloom_false_positives")
-        return False, None
-
-    def iter_merged(
-        self, lo: Optional[str] = None, hi: Optional[str] = None
-    ) -> Iterator[Tuple[str, Optional[str]]]:
-        """Newest-wins merged iteration over ``[lo, hi)``, tombstones
-        included (callers decide whether deletions matter)."""
-        merged: Dict[str, Optional[str]] = {}
-        for seg in self.segments:
-            for key, value in seg.scan(lo, hi):
-                merged[key] = value
-        for key in sorted(merged):
-            yield key, merged[key]
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.segments)
-
-    def record_count(self) -> int:
-        return sum(seg.count for seg in self.segments)
+        return len(self.paths)
 
     def file_bytes(self) -> int:
-        return sum(seg.file_bytes() for seg in self.segments)
-
-    def close(self) -> None:
-        for seg in self.segments:
-            seg.close()
-        self.segments = []
+        return sum(os.path.getsize(path) for path in self.paths)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SegmentStack {self.label} segments={len(self.segments)}>"
+        return f"<SegmentStack {self.directory!r} segments={len(self.paths)}>"
 
 
 class PersistenceManager:
-    """WAL + checkpoint segments + recovery for one data directory."""
+    """WAL + sealed segments + recovery for one data directory."""
 
-    def __init__(
-        self,
-        data_dir: str,
-        fsync: str = FSYNC_BATCH,
-        checkpoint_bytes: int = 4 << 20,
-        compact_threshold: int = 8,
-        stats=None,
-    ) -> None:
-        if fsync not in FSYNC_MODES:
-            raise ValueError(
-                f"unknown fsync policy {fsync!r}; expected one of {FSYNC_MODES}"
-            )
+    def __init__(self, data_dir: str, fsync: str = FSYNC_BATCH, stats=None) -> None:
         self.data_dir = data_dir
         self.fsync = fsync
-        self.checkpoint_bytes = checkpoint_bytes
         self.stats = stats
         os.makedirs(data_dir, exist_ok=True)
-        self.segments = SegmentStack(
-            os.path.join(data_dir, "segments"),
-            stats=stats,
-            compact_threshold=compact_threshold,
-            label="checkpoint",
-        )
-        self.flush_seconds = Histogram(FLUSH_BUCKETS)
+        self.segments = SegmentStack(os.path.join(data_dir, SEGMENT_DIR), stats=stats)
         self.wal = WriteAheadLog(
             os.path.join(data_dir, WAL_NAME), fsync=fsync, stats=stats
         )
+        self.flush_seconds = Histogram(FLUSH_BUCKETS)
         self.checkpoints = 0
         self.recovered_ops = 0
         self.recovery_ms = 0.0
@@ -258,43 +207,25 @@ class PersistenceManager:
     # Recovery
     # ------------------------------------------------------------------
     def recover_into(self, store) -> int:
-        """Rebuild ``store`` from checkpoint segments plus the WAL tail.
+        """Rebuild ``store`` by replaying the sealed segments, then the
+        WAL, in order.
 
         Applies raw store batches (no join maintenance — joins are not
         installed yet at recovery time, and computed output is never
         persisted anyway).  Returns the number of operations replayed.
-        A torn WAL tail is truncated at the last intact record.
         """
         start = time.perf_counter()
         ops = 0
         chunk: List[Tuple[str, Optional[str]]] = []
-        for key, value in self.segments.iter_merged():
-            if value is None:
-                continue  # a fully-compacted delete; nothing to apply
-            chunk.append((key, value))
-            if len(chunk) >= 4096:
-                store.apply_batch(chunk)
+        for keys, values in chain(self.segments.records(), self.wal.replay()):
+            chunk.extend(zip(keys, values))
+            if len(chunk) >= REPLAY_CHUNK:
+                store.apply_batch(chunk)  # a batch coalesces: last op wins
                 ops += len(chunk)
                 chunk = []
         if chunk:
             store.apply_batch(chunk)
             ops += len(chunk)
-        records, good_offset, torn = scan_wal(self.wal.path)
-        if torn:
-            # Truncate the torn tail so the next append lands on a
-            # record boundary.  The WAL handle is already open (append
-            # mode); reopen after truncating to keep offsets honest.
-            self.wal.close()
-            with open(self.wal.path, "r+b") as fh:
-                fh.truncate(good_offset)
-            self.wal = WriteAheadLog(
-                self.wal.path, fsync=self.fsync, stats=self.stats
-            )
-            if self.stats is not None:
-                self.stats.add("persist_wal_torn_tails")
-        for keys, values in records:
-            store.apply_batch(list(zip(keys, values)))
-            ops += len(keys)
         self.recovered_ops = ops
         self.recovery_ms = (time.perf_counter() - start) * 1000.0
         if self.stats is not None:
@@ -315,29 +246,29 @@ class PersistenceManager:
         self.wal.append_ops(ops)
 
     def maybe_checkpoint(self) -> bool:
-        if self.wal.size >= self.checkpoint_bytes:
+        if self.wal.size >= CHECKPOINT_BYTES:
             self.checkpoint()
             return True
         return False
 
     def checkpoint(self) -> None:
-        """Fold the WAL into a new checkpoint segment and reset it.
+        """Seal the WAL as the newest segment and open a fresh one.
 
-        The WAL is synced first so the fold reads everything; the
-        segment is fsynced and published (manifest rename) before the
-        WAL truncates, so a crash at any point loses nothing: either
-        the old WAL still holds the records, or the segment does.
+        The WAL is fsynced under every policy, then renamed and the
+        segment directory fsynced, so from here on the segment holds
+        what the WAL did; a crash before the fresh WAL opens recovers
+        from the segments alone.  The data directory is fsynced after
+        the fresh WAL is created, so its entry outlives a crash too.
+        An empty WAL is not sealed.
         """
         start = time.perf_counter()
-        self.wal.flush()
-        records, _, _ = scan_wal(self.wal.path)
-        net: Dict[str, Optional[str]] = {}
-        for keys, values in records:
-            for key, value in zip(keys, values):
-                net[key] = value
-        self.segments.push(sorted(net.items()))
-        self.segments.maybe_compact()
-        self.wal.reset()
+        if self.wal.size:
+            self.wal.sync()
+            self.wal.close()
+            self.segments.seal(self.wal.path)
+            self.wal = WriteAheadLog(self.wal.path, fsync=self.fsync, stats=self.stats)
+            _fsync_dir(self.data_dir)
+            self.segments.maybe_compact()
         self.checkpoints += 1
         self.flush_seconds.observe(time.perf_counter() - start)
         if self.stats is not None:
@@ -353,7 +284,6 @@ class PersistenceManager:
             return
         self._closed = True
         self.wal.close()
-        self.segments.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

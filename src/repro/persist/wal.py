@@ -1,4 +1,4 @@
-"""The write-ahead log: batch journaling with torn-tail recovery.
+"""The write-ahead log: the one framed journal format on disk.
 
 Every client write (``put``, ``remove``, ``apply_batch``) is journaled
 here *before* it touches the store, as one record per committed batch::
@@ -9,14 +9,16 @@ where the payload is the wire codec's encoding of ``[keys, values]`` —
 ``keys`` a :class:`~repro.net.codec.KeyList` (batches arrive key-sorted,
 so the shared-prefix compression that earns its keep on the wire earns
 it again on disk) and ``values`` a parallel list with ``None`` marking
-removes.
+removes.  A checkpoint seals a WAL file as a segment without rewriting
+it, and the CDC change feed (:mod:`repro.cdc.feed`) journals its
+records through the same writer, so this module is the only place that
+knows how a framed journal is appended, synced and truncated.
 
 Replay applies records in order and is idempotent (records are plain
 puts/removes), so recovery after a crash mid-apply is safe.  A torn
 tail — a record the process died inside of writing, or that never fully
-reached disk — fails the length or CRC check; :func:`scan_wal` reports
-the last good offset so recovery can truncate the tail rather than
-refuse to start.
+reached disk — fails the length or CRC check; :meth:`WriteAheadLog.replay`
+truncates it at the last intact record rather than refuse to start.
 
 Durability is the fsync policy:
 
@@ -25,7 +27,7 @@ Durability is the fsync policy:
 * ``batch`` — fsync when :data:`SYNC_INTERVAL_BYTES` of records have
   accumulated, and on :meth:`~WriteAheadLog.flush`/close: bounded loss.
 * ``off`` — never fsync (the OS flushes eventually): fastest, and the
-  contract after a hard crash is only what the checkpoint segments hold.
+  contract after a hard crash is only what the sealed segments hold.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from ..net.codec import CodecError, KeyList, decode, encode
 
@@ -46,19 +48,22 @@ FSYNC_MODES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF)
 SYNC_INTERVAL_BYTES = 64 * 1024
 
 _HEADER = struct.Struct(">II")  # payload length, payload crc32
-#: Frame header size in bytes, exported for fault injectors that need
-#: to compute record boundaries (``repro.chaos.torn_wal_tail``).
 WAL_HEADER_SIZE = _HEADER.size
 
 #: One WAL record: parallel (keys, values); a None value is a remove.
 WalRecord = Tuple[List[str], List[Optional[str]]]
+T = TypeVar("T")
 
 
 def frame_payload(payload: bytes) -> bytes:
     """Frame one payload in the journal record format: length + crc32
-    header followed by the payload bytes.  Shared by the WAL and the
-    CDC change-feed journal (:mod:`repro.cdc.feed`)."""
+    header followed by the payload bytes."""
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_record(keys: List[str], values: List[Optional[str]]) -> bytes:
+    """One WAL record's payload for parallel ``keys`` and ``values``."""
+    return encode([KeyList(keys), list(values)])
 
 
 def scan_frames(path: str) -> Tuple[List[bytes], int, bool]:
@@ -67,8 +72,8 @@ def scan_frames(path: str) -> Tuple[List[bytes], int, bool]:
     Returns ``(payloads, good_offset, torn)``: every intact payload in
     order, the byte offset just past the last intact frame, and whether
     a torn/corrupt tail was found after it.  A missing file is an empty
-    journal.  This is the framing layer only; callers decode payloads
-    themselves (and may treat an undecodable payload as a torn tail).
+    journal.  This is the framing layer only; :func:`scan_journal`
+    decodes.
     """
     try:
         with open(path, "rb") as fh:
@@ -92,36 +97,48 @@ def scan_frames(path: str) -> Tuple[List[bytes], int, bool]:
     return payloads, offset, offset < size
 
 
-def scan_wal(path: str) -> Tuple[List[WalRecord], int, bool]:
-    """Parse a WAL file tolerantly.
-
-    Returns ``(records, good_offset, torn)``: every intact record in
-    order, the byte offset just past the last intact record, and
-    whether a torn/corrupt tail was found after it.  A missing file is
-    an empty log.
-    """
+def scan_journal(
+    path: str, parse: Callable[[bytes], T]
+) -> Tuple[List[T], int, bool]:
+    """:func:`scan_frames` plus decoding: ``(records, good_offset,
+    torn)``, where a payload ``parse`` rejects is a torn tail too."""
     payloads, good_offset, torn = scan_frames(path)
-    records: List[WalRecord] = []
+    records: List[T] = []
     offset = 0
     for payload in payloads:
         try:
-            keys, values = decode(payload)
-        except (CodecError, ValueError):
+            records.append(parse(payload))
+        except (CodecError, ValueError, KeyError):
             return records, offset, True
-        records.append((keys, values))
         offset += _HEADER.size + len(payload)
     return records, good_offset, torn
 
 
+def _wal_record(payload: bytes) -> WalRecord:
+    keys, values = decode(payload)
+    return keys, values
+
+
+def scan_wal(path: str) -> Tuple[List[WalRecord], int, bool]:
+    """Parse a WAL file tolerantly: ``(records, good_offset, torn)``.
+    A missing file is an empty log."""
+    return scan_journal(path, _wal_record)
+
+
 class WriteAheadLog:
-    """An append-only batch journal with a configurable fsync policy."""
+    """An append-only framed journal with a configurable fsync policy.
+
+    Counters go to ``stats`` under ``prefix``: ``<prefix>_records``,
+    ``<prefix>_appended_bytes``, ``<prefix>_syncs`` and
+    ``<prefix>_torn_tails``.
+    """
 
     def __init__(
         self,
         path: str,
         fsync: str = FSYNC_BATCH,
-        sync_interval_bytes: int = SYNC_INTERVAL_BYTES,
         stats=None,
+        prefix: str = "persist_wal",
     ) -> None:
         if fsync not in FSYNC_MODES:
             raise ValueError(
@@ -129,8 +146,10 @@ class WriteAheadLog:
             )
         self.path = path
         self.fsync = fsync
-        self.sync_interval_bytes = sync_interval_bytes
         self.stats = stats
+        self.prefix = prefix
+        self._records_counter = prefix + "_records"
+        self._bytes_counter = prefix + "_appended_bytes"
         self._fh = open(path, "ab")
         #: Bytes in the file.  Pre-existing contents were either synced
         #: by the previous run or survived into this one regardless; in
@@ -139,26 +158,29 @@ class WriteAheadLog:
         self.synced_size = self.size
         self.records = 0
 
+    def _count(self, name: str) -> None:
+        if self.stats is not None:
+            self.stats.add(f"{self.prefix}_{name}")
+
     # ------------------------------------------------------------------
-    def append(
-        self, keys: List[str], values: List[Optional[str]]
-    ) -> None:
-        """Journal one batch: parallel keys and values (None = remove)."""
-        payload = encode([KeyList(keys), list(values)])
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    def append_payload(self, payload: bytes) -> None:
+        """Journal one payload as a frame, then apply the fsync policy."""
+        frame = frame_payload(payload)
         self._fh.write(frame)
         self.size += len(frame)
         self.records += 1
         if self.stats is not None:
-            self.stats.add("persist_wal_records")
-            self.stats.add("persist_wal_appended_bytes", len(frame))
-        if self.fsync == FSYNC_ALWAYS:
-            self._sync()
-        elif (
+            self.stats.add(self._records_counter)
+            self.stats.add(self._bytes_counter, len(frame))
+        if self.fsync == FSYNC_ALWAYS or (
             self.fsync == FSYNC_BATCH
-            and self.size - self.synced_size >= self.sync_interval_bytes
+            and self.size - self.synced_size >= SYNC_INTERVAL_BYTES
         ):
-            self._sync()
+            self.sync()
+
+    def append(self, keys: List[str], values: List[Optional[str]]) -> None:
+        """Journal one batch: parallel keys and values (None = remove)."""
+        self.append_payload(encode_record(keys, values))
 
     def append_ops(self, ops) -> None:
         """Journal a sequence of :class:`~repro.store.batch.BatchOp`."""
@@ -167,32 +189,34 @@ class WriteAheadLog:
         if keys:
             self.append(keys, values)
 
-    def _sync(self) -> None:
+    def replay(self, parse: Callable[[bytes], T] = _wal_record) -> List[T]:
+        """Every intact record, decoded by ``parse``.  A torn or
+        undecodable tail is truncated so the next append lands on a
+        frame boundary."""
+        self._fh.flush()
+        records, good_offset, torn = scan_journal(self.path, parse)
+        if torn:
+            self._fh.truncate(good_offset)
+            self.size = self.synced_size = good_offset
+            self._count("torn_tails")
+        return records
+
+    def sync(self) -> None:
+        """fsync now, whatever the policy."""
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self.synced_size = self.size
-        if self.stats is not None:
-            self.stats.add("persist_wal_syncs")
+        self._count("syncs")
 
     def flush(self) -> None:
-        """Force everything written so far to durable storage."""
+        """Force everything written so far to durable storage (under
+        ``off``, only to the OS)."""
         if self._fh.closed:
             return
         self._fh.flush()
         if self.fsync != FSYNC_OFF:
             os.fsync(self._fh.fileno())
             self.synced_size = self.size
-
-    def reset(self) -> None:
-        """Empty the log (after its contents were checkpointed)."""
-        self._fh.truncate(0)
-        self._fh.seek(0)
-        self._fh.flush()
-        if self.fsync != FSYNC_OFF:
-            os.fsync(self._fh.fileno())
-        self.size = 0
-        self.synced_size = 0
-        self.records = 0
 
     def close(self) -> None:
         if self._fh.closed:

@@ -106,7 +106,7 @@ class TestChangeFeed:
 
     def test_unsynced_tail_lost_on_crash(self, tmp_path):
         d = str(tmp_path / "cdc")
-        feed = ChangeFeed(d, fsync="batch", sync_interval_bytes=1 << 30)
+        feed = ChangeFeed(d, fsync="batch")
         feed.record("a", None, "1", ChangeKind.INSERT)
         feed.flush()
         feed.record("b", None, "2", ChangeKind.INSERT)

@@ -234,13 +234,17 @@ def test_failover_invalidates_only_ranges_built_on_the_dead_mirrors():
 def test_real_processes_end_to_end(reference):
     """Real OS processes, real TCP, real SIGKILL."""
     with cluster(count=2, replication=2, in_process=False) as pc:
+        pipes = {name: node.proc.stdout for name, node in pc.nodes.items()}
         client = ProcClusterClient.for_cluster(pc)
         twip_workload(reference, 0)
         twip_workload(client, 0)
         assert state_digest(client) == state_digest(reference)
         victim = kill_node_process(pc)
+        assert pipes[victim].closed  # reaped by kill()
         pc.fail_over(victim)
         twip_workload(reference, 1)
         twip_workload(client, 1)
         assert state_digest(client) == state_digest(reference)
         client.close()
+    # stop_all() closed every node's stdout pipe, not just the victim's.
+    assert all(pipe.closed for pipe in pipes.values())

@@ -21,7 +21,11 @@ TIMELINE = (
 
 
 def run(coro):
-    return asyncio.new_event_loop().run_until_complete(coro)
+    loop = asyncio.new_event_loop()
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        loop.close()
 
 
 async def with_server(fn):
