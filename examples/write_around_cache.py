@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """A write-around deployment next to a backing database (§2).
 
-Application writes go to the database; the database forwards changes
-to the cache (Postgres-notify style); reads hit the cache, which loads
-missing base ranges on demand and keeps them fresh.
+Application writes go to the database; the database's change feed
+forwards them to the cache; reads hit the cache, which loads missing
+base ranges on demand and keeps them fresh.
 
-Part one uses the in-process ``WriteAroundDeployment``, where the
-database notifies the cache before each write returns.  Part two uses
-the deployable write-around mode, where a change feed carries writes
-to the cache asynchronously and ``settle_cdc()`` closes the window.
+Part one uses the in-process ``WriteAroundDeployment``, which drains
+the feed into the cache before each write returns.  Part two uses the
+deployable write-around mode, where the same feed carries writes to
+the cache asynchronously and ``settle_cdc()`` closes the window.
 
 Run:  python examples/write_around_cache.py
 """
@@ -29,7 +29,7 @@ def on_demand_fetch() -> None:
     app.put("s|ann|bob", "1")
     app.put("p|bob|0100", "stored durably first")
 
-    print("timeline (cache miss -> DB range fetch + subscription):")
+    print("timeline (cache miss -> DB range fetch):")
     print("  ", app.scan("t|ann|", "t|ann}"))
     print(f"DB range queries so far: {db.query_count}")
 
@@ -37,7 +37,7 @@ def on_demand_fetch() -> None:
     app.scan("t|ann|", "t|ann}")
     print(f"after a warm re-read, DB queries unchanged: {db.query_count}")
 
-    # The subscription installed by the fetch keeps the range fresh.
+    # The change feed keeps the fetched range fresh.
     app.put("p|bob|0200", "notified write")
     print("after a DB write:", app.scan("t|ann|0200", "t|ann}"))
     print(f"DB queries still unchanged: {db.query_count}")

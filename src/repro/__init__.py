@@ -13,7 +13,7 @@ paper's system and every substrate it depends on, in pure Python:
   maintenance, the single-node :class:`PequodServer`;
 * ``repro.store`` — the ordered store (a blocked sorted array, interval
   trees, tables/subtables, value sharing);
-* ``repro.backing`` — a backing database with change notifications and
+* ``repro.backing`` — a backing database with a change feed, and the
   cache deployments (write-around / write-through / lookaside);
 * ``repro.net`` — a binary RPC protocol over asyncio TCP and a
   deterministic simulated network;

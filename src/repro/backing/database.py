@@ -10,13 +10,11 @@ cache design depends on:
 
 * durable-looking writes with insert/update/delete semantics,
 * ordered range queries (the cache loads containing ranges in bulk),
-* change notifications on subscribed ranges (Postgres ``notify``),
-  as watches on a :class:`~repro.core.hub.ChangeHub`,
-* a change-data-capture hook: attach a
-  :class:`~repro.cdc.feed.ChangeFeed` and every committed write becomes
-  a sequenced, optionally journaled record that the write-around
-  deployment's :class:`~repro.cdc.pump.CdcPump` tails (see
-  :mod:`repro.cdc`),
+* one change output: every committed write becomes a sequenced record
+  on the database's :class:`~repro.cdc.feed.ChangeFeed` (Postgres
+  logical replication, say), which a :class:`~repro.cdc.pump.CdcPump`
+  tails into a cache; journaled, the feed is also the database's log,
+  replayed on startup,
 * query/row accounting so benchmarks can charge database work.
 
 It deliberately reuses the ordered-store substrate: a database shard in
@@ -28,56 +26,44 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.hub import ChangeHub, EventSink, WatchHandle
+from ..cdc.feed import ChangeFeed
 from ..core.operators import ChangeKind
 from ..store.sortedarray import SortedArrayMap
 
 
 class BackingDatabase:
-    """An ordered key-value database with range notifications and CDC."""
+    """An ordered key-value database whose changes leave through its
+    feed.
 
-    def __init__(self, feed=None) -> None:
+    ``feed`` defaults to an in-memory :class:`ChangeFeed`; a journaled
+    one rebuilds the database from its journal here, silently (nothing
+    is re-recorded).
+    """
+
+    def __init__(self, feed: Optional[ChangeFeed] = None) -> None:
         self._tree = SortedArrayMap()
-        self.hub = ChangeHub()
-        self.feed = feed
+        self.feed = feed if feed is not None else ChangeFeed()
         self.query_count = 0
         self.rows_returned = 0
         self.write_count = 0
+        for rec in self.feed.replay():
+            node = self._tree.find_node(rec.key)
+            if rec.kind is ChangeKind.REMOVE:
+                if node is not None:
+                    self._tree.remove_node(node)
+            elif node is None:
+                self._tree.insert(rec.key, rec.new)
+            else:
+                node.value = rec.new
 
     def __len__(self) -> int:
         return len(self._tree)
 
     # ------------------------------------------------------------------
-    # Change data capture
-    # ------------------------------------------------------------------
-    def attach_feed(self, feed, replay: bool = False) -> None:
-        """Attach a :class:`~repro.cdc.feed.ChangeFeed`; every committed
-        write from here on is sequenced into it.
-
-        With ``replay=True`` the feed's retained records (the durable
-        journal, on a restarted deployment) are first applied to the
-        tree silently — no notifications, no re-recording — rebuilding
-        the database state the journal describes.
-        """
-        if replay:
-            for rec in feed.replay():
-                if rec.kind is ChangeKind.REMOVE:
-                    node = self._tree.find_node(rec.key)
-                    if node is not None:
-                        self._tree.remove_node(node)
-                else:
-                    node = self._tree.find_node(rec.key)
-                    if node is None:
-                        self._tree.insert(rec.key, rec.new)
-                    else:
-                        node.value = rec.new
-        self.feed = feed
-
-    # ------------------------------------------------------------------
     # Writes (the application's write path in write-around deployments)
     # ------------------------------------------------------------------
     def put(self, key: str, value: str) -> None:
-        """Insert or update ``key``; record to the feed and notify."""
+        """Insert or update ``key`` and record the change to the feed."""
         if not key:
             raise ValueError("keys must be non-empty")
         self.write_count += 1
@@ -88,9 +74,7 @@ class BackingDatabase:
         else:
             old, kind = node.value, ChangeKind.UPDATE
             node.value = value
-        if self.feed is not None:
-            self.feed.record(key, old, value, kind)
-        self.hub.publish(key, old, value, kind)
+        self.feed.record(key, old, value, kind)
 
     def remove(self, key: str) -> bool:
         self.write_count += 1
@@ -99,9 +83,7 @@ class BackingDatabase:
             return False
         old = node.value
         self._tree.remove_node(node)
-        if self.feed is not None:
-            self.feed.record(key, old, None, ChangeKind.REMOVE)
-        self.hub.publish(key, old, None, ChangeKind.REMOVE)
+        self.feed.record(key, old, None, ChangeKind.REMOVE)
         return True
 
     # ------------------------------------------------------------------
@@ -135,11 +117,3 @@ class BackingDatabase:
 
     def count(self, lo: str, hi: str) -> int:
         return self._tree.count_range(lo, hi)
-
-    # ------------------------------------------------------------------
-    # Notifications
-    # ------------------------------------------------------------------
-    def subscribe(self, lo: str, hi: str, sink: EventSink) -> WatchHandle:
-        """Forward future changes in ``[lo, hi)`` to the cache, before
-        each write returns."""
-        return self.hub.watch(lo, hi, sink)

@@ -7,8 +7,8 @@ write-through and lookaside deployments are also possible.  §5.1 runs
 the evaluation in lookaside mode because database notification was a
 bottleneck.  All three are implemented here:
 
-* :class:`WriteAroundDeployment` — writes to the DB; the DB's
-  notifications keep cached base data fresh.
+* :class:`WriteAroundDeployment` — writes to the DB; the DB's change
+  feed keeps cached base data fresh.
 * :class:`WriteThroughDeployment` — writes go to the DB and the cache
   synchronously (read-your-own-writes for a single client).
 * :class:`LookasideDeployment` — writes go directly to the cache; the
@@ -16,22 +16,23 @@ bottleneck.  All three are implemented here:
 
 Each deployment installs a :class:`CachedBaseResolver` so join
 execution transparently loads missing base ranges from the database
-(§3.3) and subscribes to keep them fresh.
+(§3.3), and drains the database's :class:`~repro.cdc.feed.ChangeFeed`
+into it with a :class:`~repro.cdc.pump.CdcPump`.  The resolver keeps
+the records a mirrored range covers and drops the rest.
 
-The classes here model the arrangements in-process, with synchronous
-hub watches.  The *deployable* write-around path is
-``PequodServer(mode="write-around")``, built on :mod:`repro.cdc`: the
-database's durable change feed replaces the synchronous watch, a
-``CdcPump`` applies it in batches (with fenced backfill for cold
-caches), and ``settle_cdc()`` bounds the asynchrony window.
+The classes here model the arrangements in-process and synchronously:
+they settle the pump after every write and before every read.  The
+*deployable* write-around path is ``PequodServer(mode="write-around")``,
+where the same pump runs behind the writes (with fenced backfill for
+cold caches), and ``settle_cdc()`` bounds the asynchrony window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
+from ..cdc.pump import CdcPump
 from ..core.executor import JoinEngine
-from ..core.hub import ChangeEvent, WatchHandle
 from ..core.mirror import MirrorResolver
 from ..core.server import PequodServer
 from .database import BackingDatabase
@@ -42,8 +43,10 @@ class CachedBaseResolver(MirrorResolver):
     adapter of :class:`~repro.core.mirror.MirrorResolver`.
 
     The database is home to every slice of a base table; a fetch is one
-    range query plus a watch on the database's hub, whose changes flow
-    into the cache and trigger ordinary join maintenance.  Mirrored
+    range query.  The resolver is also the apply target of the pump
+    draining the database's feed: changes to mirrored ranges flow into
+    the cache and trigger ordinary join maintenance, and the rest are
+    dropped, so forgetting a range needs no unsubscribe.  Mirrored
     ranges join the server's LRU so memory pressure can push them out
     (§2.5's "cached base data, loaded on demand").
     """
@@ -51,33 +54,28 @@ class CachedBaseResolver(MirrorResolver):
     def __init__(
         self, db: BackingDatabase, base_tables: Set[str], engine: JoinEngine
     ) -> None:
-        super().__init__(self._homes, self._fetch, self._unsubscribe)
+        super().__init__(self._homes, self._fetch, lambda *_: None)
         self.db = db
         self.base_tables = set(base_tables)
         self.engine = engine
-        self._subscriptions: Dict[Tuple[str, str], WatchHandle] = {}
 
     def _homes(self, table: str, lo: str, hi: str):
         return [(lo, hi, "db", False)] if table in self.base_tables else None
 
     def _fetch(self, home: str, table: str, lo: str, hi: str):
-        rows = self.db.query(lo, hi)
-        self._subscriptions[(lo, hi)] = self.db.subscribe(lo, hi, self._on_db_change)
-        return rows
+        return self.db.query(lo, hi)
 
-    def _unsubscribe(self, home: str, table: str, lo: str, hi: str) -> None:
-        handle = self._subscriptions.pop((lo, hi), None)
-        if handle is not None:
-            handle.close()
-
-    def _on_db_change(self, event: ChangeEvent) -> None:
-        pairs = self.covered([(event.key, event.old, event.new, event.kind)])
+    def apply_batch(self, pairs: List[Tuple[str, Optional[str]]]) -> None:
+        """Apply the pump's ``(key, value)`` batch to the mirrored
+        ranges it covers."""
+        pairs = [pair for pair in pairs if self.covers(pair[0])]
         if pairs:
             self.engine.apply_batch(pairs)
 
 
 class _BaseDeployment:
-    """Shared wiring: a server, a database, and the resolver."""
+    """Shared wiring: a server, a database, the resolver, and the pump
+    from the database's feed into the resolver."""
 
     def __init__(
         self,
@@ -89,12 +87,17 @@ class _BaseDeployment:
         self.db = db
         self.resolver = CachedBaseResolver(db, set(base_tables), server.engine)
         server.set_resolver(self.resolver)
+        self.pump = CdcPump(
+            db, db.feed, self.resolver, consumer=f"deployment-{len(db.feed.cursors)}"
+        )
 
-    # Reads always come from the cache.
+    # Reads always come from the cache, after every change reached it.
     def get(self, key: str) -> Optional[str]:
+        self.pump.settle()
         return self.server.get(key)
 
     def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
+        self.pump.settle()
         return self.server.scan(first, last)
 
 
@@ -103,9 +106,11 @@ class WriteAroundDeployment(_BaseDeployment):
 
     def put(self, key: str, value: str) -> None:
         self.db.put(key, value)
+        self.pump.settle()
 
     def remove(self, key: str) -> None:
         self.db.remove(key)
+        self.pump.settle()
 
 
 class WriteThroughDeployment(_BaseDeployment):
@@ -113,13 +118,15 @@ class WriteThroughDeployment(_BaseDeployment):
 
     def put(self, key: str, value: str) -> None:
         self.db.put(key, value)
-        # The DB notification delivers this write only to a mirrored
-        # range; applying it directly makes it visible in the cache
-        # before any read (read-your-own-writes).
+        # The feed delivers this write only to a mirrored range;
+        # applying it directly makes it visible in the cache before
+        # any read (read-your-own-writes).
+        self.pump.settle()
         self.server.put(key, value)
 
     def remove(self, key: str) -> None:
         self.db.remove(key)
+        self.pump.settle()
         self.server.remove(key)
 
 

@@ -5,11 +5,12 @@ writes go to the backing database, not the cache, and asynchronous
 change notifications keep cached data fresh.  This package is that
 loop, productionized:
 
-* :mod:`~repro.cdc.feed` — a durable, resumable change feed on
-  :class:`~repro.backing.database.BackingDatabase`: monotonically
-  sequenced :class:`ChangeRecord` s in a ring/journal (written by the
-  WAL's writer from :mod:`repro.persist`), named consumer cursors with
-  persisted acks, batching, and bounded-queue backpressure.
+* :mod:`~repro.cdc.feed` — the change feed of
+  :class:`~repro.backing.database.BackingDatabase`, its only change
+  output: monotonically sequenced :class:`ChangeRecord` s queued until
+  every named consumer cursor acknowledges them, with bounded-queue
+  backpressure, and journaled (by the WAL's writer from
+  :mod:`repro.persist`) when the database is durable.
 * :mod:`~repro.cdc.pump` — :class:`CdcPump`, the maintenance consumer:
   tails the feed and drives the cache's join engine from change
   records, with fenced backfill for cold-cache cut-over and a
@@ -17,7 +18,9 @@ loop, productionized:
   backend).
 
 ``PequodServer(mode="write-around")`` assembles the pieces; see
-:mod:`repro.core.server`.
+:mod:`repro.core.server`.  The in-process deployments of
+:mod:`repro.backing.deployment` drain the same feed through a pump
+they settle around every call.
 """
 
 from .feed import ChangeFeed, ChangeRecord, FeedCursor, FeedOverflowError

@@ -1,34 +1,32 @@
-"""The change feed: a durable, resumable CDC log on the backing DB.
+"""The change feed: the backing database's only change output.
 
 The paper's write-around deployment (§2) sends application writes to
 the backing database and relies on asynchronous change notifications to
-keep the cache fresh.  The database's in-process
-:class:`~repro.core.hub.ChangeHub` watches model the *synchronous*
-version of that; this module is the production shape: every committed
-database write becomes a
-monotonically sequenced :class:`ChangeRecord` in a feed that consumers
-tail at their own pace.
+keep the cache fresh.  Every committed database write becomes a
+monotonically sequenced :class:`ChangeRecord` in this feed, and
+consumers (a :class:`~repro.cdc.pump.CdcPump`) tail it at their own
+pace; there is no other path from the database to a cache.
 
 * **Sequencing** — records get dense, strictly increasing sequence
   numbers; ``high_water`` is the last assigned one.  A consumer that
   has acknowledged ``s`` is guaranteed to see ``s+1, s+2, ...`` with no
   gaps (the barrier ``settle_cdc`` compares cursor positions against
   ``high_water``).
-* **Durability** — with a ``directory``, records append to a journal
-  written by the WAL's own writer (length + crc32 frames, wire-codec
-  payload, the WAL's fsync policies and torn-tail truncation; see
-  :mod:`repro.persist.wal`), and consumer cursors persist their
-  acknowledged position atomically.  A
-  crashed consumer resumes exactly after its last ack and replays the
-  rest — at-least-once delivery, made effectively-once by the pump's
-  idempotent apply path.
-* **Backpressure** — the in-memory mode keeps records until every
-  cursor acknowledges them, bounded by ``max_pending``; past the bound
-  the feed invokes its ``backpressure_hook`` (the write-around server
+* **Retention** — one rule, journaled or not: a record stays queued
+  until every cursor has acknowledged it (with no cursor attached,
+  nothing is queued), bounded by ``max_pending``; past the bound the
+  feed invokes its ``backpressure_hook`` (the write-around server
   points this at the pump) and, failing that, raises
-  :class:`FeedOverflowError` instead of growing without limit.
-  Durable mode trims its in-memory ring freely — the journal is
-  authoritative and old records replay from disk.
+  :class:`FeedOverflowError` instead of growing without limit.  A new
+  cursor starts at what the queue still holds.
+* **Durability** — with a ``directory``, records also append to a
+  journal written by the WAL's own writer (length + crc32 frames,
+  wire-codec payload, the WAL's fsync policies and torn-tail
+  truncation; see :mod:`repro.persist.wal`).  The journal is the
+  database's log, not a consumer's: on startup it is read once to
+  rebuild the database (:meth:`ChangeFeed.replay`), and the feed starts
+  empty at the next sequence number.  A cache consumer is soft state —
+  it rebuilds by fenced backfill — so cursors are never persisted.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ import os
 import time
 from collections import deque
 from itertools import islice
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..core.operators import ChangeKind
 from ..net.codec import decode, encode
-from ..persist.wal import FSYNC_BATCH, FSYNC_MODES, WriteAheadLog, scan_journal
+from ..persist.wal import FSYNC_BATCH, FSYNC_MODES, WriteAheadLog
 
 __all__ = [
     "ChangeFeed",
@@ -53,13 +51,9 @@ __all__ = [
 
 JOURNAL_FILE = "feed.log"
 
-#: In-memory feeds hold at most this many unacknowledged records before
+#: A feed holds at most this many unacknowledged records before
 #: engaging backpressure.
 DEFAULT_MAX_PENDING = 65536
-
-#: Durable feeds keep this many recent records in memory; older ones
-#: replay from the journal.
-DEFAULT_RING_CAPACITY = 8192
 
 # ChangeKind members carry string values and enums don't cross the wire
 # codec; journal payloads store these small ints instead.
@@ -68,8 +62,8 @@ _CODE_KIND = {code: kind for kind, code in _KIND_CODE.items()}
 
 
 class FeedOverflowError(RuntimeError):
-    """An in-memory feed exceeded ``max_pending`` unacknowledged records
-    and the backpressure hook (if any) could not drain it."""
+    """A feed exceeded ``max_pending`` unacknowledged records and the
+    backpressure hook (if any) could not drain it."""
 
 
 class ChangeRecord:
@@ -108,52 +102,25 @@ class ChangeRecord:
 
 
 class FeedCursor:
-    """A named consumer position: the highest acknowledged sequence.
+    """A named consumer position: the highest acknowledged sequence."""
 
-    Durable cursors persist every ack with an atomic tmp+rename, so a
-    consumer killed mid-batch resumes exactly after its last ack — the
-    unacked suffix redelivers (gap-free, at-least-once).
-    """
+    __slots__ = ("name", "acked")
 
-    __slots__ = ("name", "acked", "path")
-
-    def __init__(self, name: str, acked: int = 0, path: Optional[str] = None):
+    def __init__(self, name: str, acked: int = 0):
         self.name = name
         self.acked = acked
-        self.path = path
-
-    def persist(self) -> None:
-        if self.path is None:
-            return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(str(self.acked))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-
-    @classmethod
-    def load(cls, name: str, path: str) -> "FeedCursor":
-        acked = 0
-        try:
-            with open(path) as fh:
-                acked = int(fh.read().strip() or 0)
-        except (FileNotFoundError, ValueError):
-            pass
-        return cls(name, acked, path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FeedCursor {self.name!r} acked={self.acked}>"
 
 
 class ChangeFeed:
-    """A sequenced change log with named consumer cursors."""
+    """A sequenced change queue with named consumer cursors."""
 
     def __init__(
         self,
         directory: Optional[str] = None,
         *,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
         max_pending: int = DEFAULT_MAX_PENDING,
         fsync: str = FSYNC_BATCH,
         clock: Callable[[], float] = time.time,
@@ -164,22 +131,20 @@ class ChangeFeed:
                 f"unknown fsync policy {fsync!r}; expected one of {FSYNC_MODES}"
             )
         self.directory = directory
-        self.durable = directory is not None
-        self.ring_capacity = ring_capacity
         self.max_pending = max_pending
         self.clock = clock
         self.stats = stats
         self.next_seq = 1
-        #: Sequences ``<= trimmed_through`` are no longer in the ring.
+        #: Sequences ``<= trimmed_through`` are no longer queued.
         self.trimmed_through = 0
         self._ring: Deque[ChangeRecord] = deque()
         self.cursors: Dict[str, FeedCursor] = {}
-        #: Called when an in-memory feed exceeds ``max_pending``; the
+        #: Called when the feed exceeds ``max_pending``; the
         #: write-around server points this at the pump's ``step``.
         self.backpressure_hook: Optional[Callable[[], object]] = None
-        self.records_total = 0
         self._journal: Optional[WriteAheadLog] = None
-        if self.durable:
+        self._recovered: List[ChangeRecord] = []
+        if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self._journal = WriteAheadLog(
                 os.path.join(directory, JOURNAL_FILE),
@@ -187,20 +152,13 @@ class ChangeFeed:
                 stats=stats,
                 prefix="cdc_journal",
             )
-            self._recover()
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Restore ``next_seq`` and the in-memory tail from the journal
-        (the writer truncates a torn tail)."""
-        records = self._journal.replay(ChangeRecord.from_payload)
-        if records:
-            self.next_seq = records[-1].seq + 1
-            tail = records[-self.ring_capacity :]
-            self._ring.extend(tail)
-            self.trimmed_through = tail[0].seq - 1
+            # The writer truncates a torn tail.  Everything journaled is
+            # already in the database this log rebuilds, so nothing is
+            # queued: the feed continues after the last record.
+            self._recovered = self._journal.replay(ChangeRecord.from_payload)
+            if self._recovered:
+                self.next_seq = self._recovered[-1].seq + 1
+                self.trimmed_through = self.high_water
 
     # ------------------------------------------------------------------
     # Producing
@@ -225,106 +183,70 @@ class ChangeFeed:
         """Append one committed change; returns the sequenced record."""
         rec = ChangeRecord(self.next_seq, key, old, new, kind, self.clock())
         self.next_seq += 1
-        self.records_total += 1
-        self._ring.append(rec)
         if self.stats is not None:
             self.stats.add("cdc_records")
-        if self.durable:
+        if self._journal is not None:
             self._journal.append_payload(rec.encode())
-            while len(self._ring) > self.ring_capacity:
-                dropped = self._ring.popleft()
-                self.trimmed_through = dropped.seq
-        else:
-            self._trim_acked()
+        if not self.cursors:
+            self.trimmed_through = rec.seq  # nobody to deliver it to
+            return rec
+        self._ring.append(rec)
+        if len(self._ring) > self.max_pending:
+            hook = self.backpressure_hook
+            if hook is not None:
+                hook()
             if len(self._ring) > self.max_pending:
-                hook = self.backpressure_hook
-                if hook is not None:
-                    hook()
-                    self._trim_acked()
-                if len(self._ring) > self.max_pending:
-                    raise FeedOverflowError(
-                        f"change feed holds {len(self._ring)} unacknowledged "
-                        f"records (max_pending={self.max_pending}) and no "
-                        "consumer is draining it"
-                    )
+                raise FeedOverflowError(
+                    f"change feed holds {len(self._ring)} unacknowledged "
+                    f"records (max_pending={self.max_pending}) and no "
+                    "consumer is draining it"
+                )
         return rec
 
-    def _trim_acked(self) -> None:
-        """Drop records every cursor has acknowledged (in-memory mode);
-        with no cursors attached, bound the ring at ``ring_capacity``
-        (a late consumer recovers the trimmed prefix via backfill)."""
-        if self.cursors:
-            floor = min(cur.acked for cur in self.cursors.values())
-            while self._ring and self._ring[0].seq <= floor:
-                dropped = self._ring.popleft()
-                self.trimmed_through = dropped.seq
-        else:
-            while len(self._ring) > self.ring_capacity:
-                dropped = self._ring.popleft()
-                self.trimmed_through = dropped.seq
+    def replay(self) -> List[ChangeRecord]:
+        """The journal's records as read when the feed opened, oldest
+        first, handed over once: the database rebuilds from them on
+        startup.  Empty in memory, and on every later call."""
+        records, self._recovered = self._recovered, []
+        return records
 
     # ------------------------------------------------------------------
     # Consuming
     # ------------------------------------------------------------------
     def cursor(self, name: str) -> FeedCursor:
-        """The named consumer cursor, creating (or, durable, loading
-        the persisted position of) one on first use."""
+        """The named consumer cursor, created on first use at the
+        oldest record still queued."""
         cur = self.cursors.get(name)
         if cur is None:
-            if self.durable:
-                path = os.path.join(self.directory, f"cursor-{name}.seq")
-                cur = FeedCursor.load(name, path)
-            else:
-                cur = FeedCursor(name)
-            self.cursors[name] = cur
+            cur = self.cursors[name] = FeedCursor(name, self.trimmed_through)
         return cur
 
     def fetch(self, after_seq: int, limit: int = 256) -> List[ChangeRecord]:
         """Up to ``limit`` records with ``seq > after_seq``, in order."""
         start = after_seq - self.trimmed_through
         if start < 0:
-            if not self.durable:
-                raise FeedOverflowError(
-                    f"records after seq {after_seq} were trimmed from the "
-                    "in-memory feed; the consumer must backfill"
-                )
-            out: List[ChangeRecord] = []
-            for rec in self.replay(after_seq):
-                out.append(rec)
-                if len(out) >= limit:
-                    break
-            return out
+            raise FeedOverflowError(
+                f"records after seq {after_seq} were trimmed from the "
+                "feed; the consumer must backfill"
+            )
         return list(islice(self._ring, start, start + limit))
 
     def ack(self, cursor: FeedCursor, seq: int) -> None:
-        """Acknowledge everything up to ``seq`` for ``cursor``."""
+        """Acknowledge everything up to ``seq`` for ``cursor``, and drop
+        the records every cursor has now acknowledged."""
         if seq <= cursor.acked:
             return
         cursor.acked = seq
-        cursor.persist()
-        if not self.durable:
-            self._trim_acked()
-
-    def replay(self, after_seq: int = 0) -> Iterator[ChangeRecord]:
-        """Every retained record with ``seq > after_seq``, oldest first
-        (durable feeds read the journal; used for DB rebuild on
-        startup and for cursors that fell behind the ring)."""
-        if self.durable:
-            self.flush()
-            records, _, _ = scan_journal(self._journal.path, ChangeRecord.from_payload)
-            for rec in records:
-                if rec.seq > after_seq:
-                    yield rec
-        else:
-            for rec in self._ring:
-                if rec.seq > after_seq:
-                    yield rec
+        floor = min(cur.acked for cur in self.cursors.values())
+        ring = self._ring
+        while ring and ring[0].seq <= floor:
+            self.trimmed_through = ring.popleft().seq
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def pending_records(self) -> int:
-        """Records retained in memory (the ring depth)."""
+        """Records queued (the ring depth)."""
         return len(self._ring)
 
     def depth(self, cursor: FeedCursor) -> int:
@@ -332,8 +254,8 @@ class ChangeFeed:
         return self.high_water - cursor.acked
 
     def oldest_pending_ts(self, cursor: FeedCursor) -> Optional[float]:
-        """Timestamp of the oldest unacknowledged record still in the
-        ring, or None when the cursor is caught up."""
+        """Timestamp of the oldest record the cursor has not
+        acknowledged, or None when it is caught up."""
         idx = cursor.acked - self.trimmed_through
         if 0 <= idx < len(self._ring):
             return self._ring[idx].ts
@@ -354,7 +276,7 @@ class ChangeFeed:
         return self._journal.simulate_crash() if self._journal is not None else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = self.directory if self.durable else "memory"
+        where = self.directory if self.directory is not None else "memory"
         return (
             f"<ChangeFeed {where} high_water={self.high_water} "
             f"ring={len(self._ring)} cursors={len(self.cursors)}>"

@@ -7,8 +7,8 @@ pump tails the feed and replays each batch into the cache's join
 engine.  ``engine.apply_batch`` derives the *actual* (old, new) pair
 from the cache's own store before notifying joins, which is what makes
 the at-least-once feed safe: redelivering an already-applied record is
-a no-op (or a correct net change), so crash/resume and
-drop-then-redeliver chaos both converge to the oracle state.
+a no-op (or a correct net change), so deferred and redelivered
+batches converge to the oracle state.
 
 Cold caches converge through **fenced backfill**: the pump range-scans
 the backing DB in chunks, and for every chunk remembers the feed's
@@ -97,18 +97,11 @@ class CdcPump:
         return self._frontier is not None
 
     def begin_backfill(self) -> None:
-        """Start a fenced range scan of the backing DB.
-
-        Records already trimmed from an in-memory feed are fully
-        covered by the snapshot about to be taken, so the cursor jumps
-        over them rather than failing to fetch.
-        """
+        """Start a fenced range scan of the backing DB."""
         self._frontier = ""
         self._fence_his = []
         self._fences = []
         self._tail_fence = None
-        if self.cursor.acked < self.feed.trimmed_through:
-            self.feed.ack(self.cursor, self.feed.trimmed_through)
 
     def backfill_step(self) -> int:
         """Scan and apply the next chunk; returns rows loaded.

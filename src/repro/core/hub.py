@@ -3,9 +3,7 @@
 The paper's servers push updates to subscribers instead of being
 polled: home servers keep per-range subscriptions in an interval tree
 (here the :class:`~repro.store.range_index.RangeIndex` that also holds
-updaters) and forward every covered change (§2.4), and the backing
-database does the same for the cache (§2, "e.g., using Postgres's
-notify").
+updaters) and forward every covered change (§2.4).
 ``ChangeHub`` is that machinery, once: a range watcher over one
 server's committed changes, feeding
 
@@ -13,9 +11,12 @@ server's committed changes, feeding
 * RPC connections (the ``subscribe`` protocol method's push frames),
 * cluster-routed watches (one hub per node, filtered by key ownership),
 * cross-server mirror subscriptions
-  (:class:`~repro.distrib.subscription.SubscriptionRegistry`),
-* the backing database's change notifications
-  (``BackingDatabase.subscribe``).
+  (:class:`~repro.distrib.subscription.SubscriptionRegistry`).
+
+The backing database is not a hub publisher: its changes reach a
+cache only through its :class:`~repro.cdc.feed.ChangeFeed` (§2's
+"e.g., using Postgres's notify", in the shape of logical replication),
+drained by a :class:`~repro.cdc.pump.CdcPump`.
 
 Every committed change — client writes and the outputs the join engine
 installs or retracts during maintenance — is stamped with a

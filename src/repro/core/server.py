@@ -63,9 +63,10 @@ class PequodServer:
       :class:`~repro.backing.database.BackingDatabase` instead; a
       change feed + :class:`~repro.cdc.pump.CdcPump` replay them into
       the cache asynchronously, and :meth:`settle_cdc` is the
-      convergence barrier.  With a ``data_dir`` the change feed is the
-      durable record (journaled under ``data_dir/cdc``) and the cache
-      rebuilds by fenced backfill on startup.
+      convergence barrier.  With a ``data_dir`` the change feed's
+      journal (under ``data_dir/cdc``) is the database's log: startup
+      replays it into the database, and the cache rebuilds by fenced
+      backfill.
     """
 
     def __init__(
@@ -126,21 +127,21 @@ class PequodServer:
             from ..backing.database import BackingDatabase
             from ..cdc import CdcPump, ChangeFeed
 
-            feed = ChangeFeed(
-                _os.path.join(data_dir, "cdc") if data_dir else None,
-                fsync=wal_fsync,
-                stats=self.stats,
+            # A journaled feed rebuilds the database a previous process
+            # accumulated, then records live writes after it.
+            self.backing = BackingDatabase(
+                ChangeFeed(
+                    _os.path.join(data_dir, "cdc") if data_dir else None,
+                    fsync=wal_fsync,
+                    stats=self.stats,
+                )
             )
-            self.backing = BackingDatabase()
-            # Replay the journal (if any) to rebuild the DB a previous
-            # process accumulated, then start recording live writes.
-            self.backing.attach_feed(feed, replay=True)
-            self.cdc = CdcPump(self.backing, feed, self.engine)
+            self.cdc = CdcPump(self.backing, self.backing.feed, self.engine)
             # A cold cache converges via fenced backfill before tailing.
             self.cdc.bootstrap()
             # If writers outrun maintenance, the feed drains through the
             # pump instead of growing without bound.
-            feed.backpressure_hook = self.cdc.step
+            self.backing.feed.backpressure_hook = self.cdc.step
         self._hub: Optional[ChangeHub] = None
         self._metrics = None
 
@@ -194,7 +195,9 @@ class PequodServer:
         if self.load is not None:
             self.load.admit_read()
         self.stats.add("op_get")
-        return self.engine.get(key)
+        value = self.engine.get(key)
+        self.eviction.maybe_evict()
+        return value
 
     def put(self, key: str, value: str) -> None:
         """Write ``key``; incremental maintenance runs before returning
@@ -212,9 +215,7 @@ class PequodServer:
         if self.persist is not None:
             self.persist.log_put(key, value)
         self.engine.apply_put(key, value)
-        self.eviction.maybe_evict()
-        if self.persist is not None:
-            self.persist.maybe_checkpoint()
+        self._after_write()
 
     def remove(self, key: str) -> bool:
         """Remove ``key``; returns True if it was present."""
@@ -227,7 +228,9 @@ class PequodServer:
             return present
         if self.persist is not None:
             self.persist.log_remove(key)
-        return self.engine.apply_remove(key)
+        present = self.engine.apply_remove(key)
+        self._after_write()
+        return present
 
     def write_batch(self) -> WriteBatch:
         """A maintenance-aware write batch bound to this server.
@@ -264,10 +267,15 @@ class PequodServer:
             self.persist.log_ops(ops)
             batch = ops
         applied = self.engine.apply_batch(batch)
+        self._after_write()
+        return applied
+
+    def _after_write(self) -> None:
+        """The write-through post-write steps: evict past the memory
+        limit, then checkpoint a full WAL."""
         self.eviction.maybe_evict()
         if self.persist is not None:
             self.persist.maybe_checkpoint()
-        return applied
 
     def put_many(self, pairs: Sequence[Tuple[str, str]]) -> int:
         """Batch-write ``(key, value)`` pairs; returns changes applied."""

@@ -7,7 +7,6 @@ from repro.backing import (
     WriteAroundDeployment,
     WriteThroughDeployment,
 )
-from repro.core.operators import ChangeKind
 
 TIMELINE = (
     "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
@@ -28,26 +27,6 @@ class TestBackingDatabase:
         assert db.remove("k|1")
         assert not db.remove("k|1")
         assert db.get("k|1") is None
-
-    def test_notifications_synchronous(self):
-        db = BackingDatabase()
-        seen = []
-        db.subscribe("p|", "p}", seen.append)
-        db.put("p|bob|1", "x")
-        db.put("q|other|1", "y")  # outside range
-        db.remove("p|bob|1")
-        assert [e.key for e in seen] == ["p|bob|1", "p|bob|1"]
-        assert seen[0].kind is ChangeKind.INSERT
-        assert seen[1].kind is ChangeKind.REMOVE
-
-    def test_unsubscribe_stops_delivery(self):
-        db = BackingDatabase()
-        seen = []
-        sub = db.subscribe("p|", "p}", seen.append)
-        db.put("p|1", "x")
-        sub.close()
-        db.put("p|2", "y")
-        assert len(seen) == 1
 
     def test_accounting(self):
         db = BackingDatabase()

@@ -2,28 +2,30 @@
 
 The contract under test (§2's write-around deployment, made durable):
 
-* the change feed assigns dense sequence numbers, survives crashes
-  (torn tails truncate, cursors resume gap-free), and backpressures
-  instead of growing without bound;
+* the change feed assigns dense sequence numbers, queues a record
+  until every cursor acknowledges it, journals it when durable (torn
+  tails truncate, a reopened feed continues after the journal), and
+  backpressures instead of growing without bound;
 * the pump's fenced backfill converges a cold cache under concurrent
   write load without losing or double-applying a change;
 * a ``mode="write-around"`` deployment is observationally identical to
   write-through after ``settle_cdc()`` — on the local, rpc, and procs
-  backends, after a mid-workload consumer crash + resume, and under
-  ``chaos.cdc_lag`` fault injection.
+  backends, after a server crash + reopen, and under ``chaos.cdc_lag``
+  fault injection.
 """
 
 import hashlib
+import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.twip import TIMELINE_JOIN, format_time
 from repro.backing import BackingDatabase
 from repro.cdc import ChangeFeed, CdcPump, FeedOverflowError
-from repro.chaos import CdcLag
+from repro.chaos import CdcLag, crash_server
 from repro.client import make_client
 from repro.client.procs import ProcClusterClient
 from repro.core.operators import ChangeKind
@@ -35,11 +37,12 @@ MODES = ("write-through", "write-around")
 
 
 # ======================================================================
-# The feed: sequencing, durability, cursors, backpressure
+# The feed: sequencing, retention, durability, backpressure
 # ======================================================================
 class TestChangeFeed:
     def test_dense_sequencing_and_fetch(self):
         feed = ChangeFeed()
+        feed.cursor("c")
         for i in range(5):
             rec = feed.record(f"k{i}", None, str(i), ChangeKind.INSERT)
             assert rec.seq == i + 1
@@ -56,6 +59,16 @@ class TestChangeFeed:
         feed.ack(cur, 3)
         assert feed.pending_records() == 1
         assert feed.depth(cur) == 1
+
+    def test_nothing_queued_without_a_cursor(self):
+        feed = ChangeFeed()
+        for i in range(4):
+            feed.record(f"k{i}", None, "v", ChangeKind.INSERT)
+        assert feed.pending_records() == 0
+        cur = feed.cursor("late")  # starts past what nobody was owed
+        assert cur.acked == 4
+        feed.record("k4", None, "v", ChangeKind.INSERT)
+        assert [r.key for r in feed.fetch(cur.acked)] == ["k4"]
 
     def test_backpressure_raises_without_consumer(self):
         feed = ChangeFeed(max_pending=4)
@@ -82,11 +95,16 @@ class TestChangeFeed:
         feed.close()
         feed2 = ChangeFeed(d)
         assert feed2.high_water == 3
-        kinds = [r.kind for r in feed2.replay(0)]
+        kinds = [r.kind for r in feed2.replay()]
         assert kinds == [ChangeKind.INSERT, ChangeKind.UPDATE, ChangeKind.REMOVE]
+        assert feed2.replay() == []  # handed over once
+        cur = feed2.cursor("c")
+        assert cur.acked == 3  # the journal rebuilds the DB, not a queue
         rec = feed2.record("b", None, "x", ChangeKind.INSERT)
         assert rec.seq == 4  # sequencing continues, no reuse
+        assert [r.seq for r in feed2.fetch(cur.acked)] == [4]
         feed2.close()
+        assert os.listdir(d) == ["feed.log"]  # no consumer state on disk
 
     def test_torn_tail_truncates_to_last_intact_record(self, tmp_path):
         import os
@@ -101,7 +119,7 @@ class TestChangeFeed:
             fh.write(b"\x00\x00\x00\x30torn-mid-record")
         feed2 = ChangeFeed(d)
         assert feed2.high_water == 3
-        assert [r.key for r in feed2.replay(0)] == ["k0", "k1", "k2"]
+        assert [r.key for r in feed2.replay()] == ["k0", "k1", "k2"]
         feed2.close()
 
     def test_unsynced_tail_lost_on_crash(self, tmp_path):
@@ -113,30 +131,8 @@ class TestChangeFeed:
         lost = feed.simulate_crash()
         assert lost > 0
         feed2 = ChangeFeed(d)
-        assert [r.key for r in feed2.replay(0)] == ["a"]
+        assert [r.key for r in feed2.replay()] == ["a"]
         feed2.close()
-
-    def test_cursor_position_persists(self, tmp_path):
-        d = str(tmp_path / "cdc")
-        feed = ChangeFeed(d, fsync="always")
-        for i in range(6):
-            feed.record(f"k{i}", None, "v", ChangeKind.INSERT)
-        feed.ack(feed.cursor("c"), 4)
-        feed.close()
-        feed2 = ChangeFeed(d)
-        cur = feed2.cursor("c")
-        assert cur.acked == 4
-        assert [r.seq for r in feed2.fetch(cur.acked)] == [5, 6]
-        feed2.close()
-
-    def test_fetch_behind_ring_replays_from_journal(self, tmp_path):
-        feed = ChangeFeed(str(tmp_path / "cdc"), ring_capacity=4)
-        for i in range(10):
-            feed.record(f"k{i}", None, str(i), ChangeKind.INSERT)
-        assert feed.pending_records() == 4  # ring trimmed freely
-        got = feed.fetch(0, limit=100)
-        assert [r.seq for r in got] == list(range(1, 11))
-        feed.close()
 
 
 # ======================================================================
@@ -144,6 +140,7 @@ class TestChangeFeed:
 # ======================================================================
 def test_backing_database_records_old_and_new():
     feed = ChangeFeed()
+    feed.cursor("c")
     db = BackingDatabase(feed=feed)
     db.put("k", "1")
     db.put("k", "2")
@@ -157,7 +154,7 @@ def test_backing_database_records_old_and_new():
 
 
 # ======================================================================
-# The pump: tailing, backfill cut-over, crash/resume
+# The pump: tailing, backfill cut-over
 # ======================================================================
 def fresh_cache() -> PequodServer:
     server = PequodServer(subtable_config={"t": 2})
@@ -182,7 +179,7 @@ def test_pump_applies_changes_to_cache():
 
 
 def test_bootstrap_backfills_past_trimmed_feed():
-    feed = ChangeFeed(ring_capacity=2, max_pending=4)
+    feed = ChangeFeed(max_pending=4)
     db = BackingDatabase(feed=feed)
     for i in range(8):  # trims the feed: no cursor attached yet
         db.put(f"p|u|{i:04d}", str(i))
@@ -220,41 +217,12 @@ def test_backfill_cutover_under_concurrent_writes():
     assert server.scan("p|", "p}") == db.scan_from("", 10_000)
 
 
-def test_consumer_crash_resume_is_gap_free(tmp_path):
-    d = str(tmp_path / "cdc")
-    feed = ChangeFeed(d, fsync="always")
-    db = BackingDatabase(feed=feed)
-    server = fresh_cache()
-    pump = CdcPump(db, feed, server.engine, batch_size=1)
-    pump.bootstrap()
-    db.put("s|ann|bob", "1")
-    db.put("p|bob|0100", "first")
-    db.put("p|bob|0200", "second")
-    pump.step()  # consumes ONE record, then the consumer "crashes"
-    acked = pump.cursor.acked
-    assert 0 < acked < feed.high_water
-    # Resume: a new pump on the same warm cache; the persisted cursor
-    # position survives (simulate the process boundary by dropping the
-    # in-memory cursor so it reloads from disk).
-    feed.cursors.clear()
-    pump2 = CdcPump(db, feed, server.engine)
-    assert pump2.cursor.acked == acked
-    pump2.settle()
-    assert server.scan("t|ann|", "t|ann}") == [
-        ("t|ann|0100|bob", "first"),
-        ("t|ann|0200|bob", "second"),
-    ]
-    feed.close()
+_KEYS = [f"p|u{i}|{j:02d}" for i in (0, 1) for j in range(3)] + [
+    f"s|u{i}|u{j}" for i in (0, 1) for j in (0, 1)
+]
 
 
-_KEYS = [f"p|u{i}|{j:02d}" for i in (0, 1) for j in range(3)]
-
-
-@settings(
-    deadline=None,
-    max_examples=25,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(deadline=None, max_examples=25)
 @given(
     ops=st.lists(
         st.tuples(
@@ -263,32 +231,41 @@ _KEYS = [f"p|u{i}|{j:02d}" for i in (0, 1) for j in range(3)]
         ),
         max_size=24,
     ),
-    crash_after=st.integers(min_value=0, max_value=24),
     data=st.data(),
 )
-def test_cursor_gap_freedom_property(ops, crash_after, data):
-    """Crash the consumer at an arbitrary point in an arbitrary op
-    stream (with arbitrary partial consumption before the crash): the
-    resumed consumer must converge the cache to exactly the DB state."""
+def test_server_crash_property(ops, data):
+    """Crash a durable write-around server after an arbitrary op stream,
+    pumped at arbitrary points: the reopened server rebuilds its
+    database from the feed journal and backfills its cache, and both
+    equal the model of every acknowledged write."""
     with tempfile.TemporaryDirectory() as d:
-        feed = ChangeFeed(d, fsync="always")
-        db = BackingDatabase(feed=feed)
-        server = PequodServer()
-        pump = CdcPump(db, feed, server.engine, batch_size=2)
-        pump.bootstrap()
-        for i, (key, value) in enumerate(ops[:crash_after]):
-            db.put(key, value) if value is not None else db.remove(key)
-            if data.draw(st.booleans(), label=f"step after op {i}"):
-                pump.step()
-        before = pump.cursor.acked
-        feed.cursors.clear()  # consumer process boundary
-        pump2 = CdcPump(db, feed, server.engine, batch_size=2)
-        assert pump2.cursor.acked == before  # resumed exactly, no gap
-        for key, value in ops[crash_after:]:
-            db.put(key, value) if value is not None else db.remove(key)
-        pump2.settle()
-        assert server.scan("p|", "p}") == db.scan_from("", 10_000)
-        feed.close()
+        srv = PequodServer(mode="write-around", data_dir=d, wal_fsync="always")
+        model = {}
+        try:
+            for i, (key, value) in enumerate(ops):
+                if value is None:
+                    srv.remove(key)
+                    model.pop(key, None)
+                else:
+                    srv.put(key, value)
+                    model[key] = value
+                pumped = data.draw(st.integers(0, 3), label=f"pumped after op {i}")
+                srv.cdc.step(pumped)
+            assert crash_server(srv) == 0  # fsync="always" loses nothing
+        finally:
+            srv.close()  # a no-op after the crash; not when a draw aborts
+        srv2 = PequodServer(mode="write-around", data_dir=d, wal_fsync="always")
+        try:
+            srv2.settle_cdc()
+            for table in ("p", "s"):
+                want = sorted(
+                    (k, v) for k, v in model.items() if k.startswith(f"{table}|")
+                )
+                assert srv2.backing.query(f"{table}|", f"{table}}}") == want
+                assert srv2.scan(f"{table}|", f"{table}}}") == want
+        finally:
+            srv2.close()
+        assert os.listdir(os.path.join(d, "cdc")) == ["feed.log"]
 
 
 # ======================================================================

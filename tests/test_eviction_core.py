@@ -158,6 +158,32 @@ class TestEviction:
         assert srv.get("s|ann|bob") == "1"
 
 
+class TestReadsEvict:
+    """Every read that computes joins evicts past the memory limit."""
+
+    @staticmethod
+    def read_timelines(read):
+        srv = PequodServer(subtable_config={"t": 2}, memory_limit=60_000)
+        srv.add_join(TIMELINE)
+        for u in range(20):
+            srv.put(f"s|u{u:02d}|star", "1")
+        for t in range(10):
+            srv.put(f"p|star|{t:04d}", "x" * 100)
+        for i in range(200):
+            read(srv, f"t|u{i % 20:02d}|{i // 20:04d}|star")
+        return srv
+
+    def test_get_evicts_like_scan(self):
+        by_get = self.read_timelines(lambda srv, key: srv.get(key))
+        by_scan = self.read_timelines(
+            lambda srv, key: srv.scan(key, key + "\x00")
+        )
+        assert by_get.eviction.evictions > 0
+        assert by_get.memory_bytes() <= 60_000
+        assert by_get.memory_bytes() == by_scan.memory_bytes()
+        assert by_get.eviction.evictions == by_scan.eviction.evictions
+
+
 class TestEvictionRetiresUpdaters:
     """Eviction uninstalls the updaters only the evicted range owned
     (§3.2), so a range computed afresh over the same keys inherits

@@ -96,6 +96,15 @@ class TestRecovery:
         assert again.scan("p|", "p}") == [("p|bob|0001", "keep")]
         again.close()
 
+    def test_removes_checkpoint_a_full_wal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manager, "CHECKPOINT_BYTES", 4096)
+        srv = durable(tmp_path / "d")
+        for i in range(300):
+            srv.remove(f"p|bob|{i:04d}")
+        assert srv.persist.checkpoints > 0
+        assert srv.persist.wal.size < 4096
+        srv.close()
+
     def test_batches_are_journaled(self, tmp_path):
         srv = durable(tmp_path / "d")
         srv.apply_batch(
