@@ -9,8 +9,8 @@ loop, productionized:
   :class:`~repro.backing.database.BackingDatabase`, its only change
   output: monotonically sequenced :class:`ChangeRecord` s queued until
   every named consumer cursor acknowledges them, with bounded-queue
-  backpressure, and journaled (by the WAL's writer from
-  :mod:`repro.persist`) when the database is durable.
+  backpressure.  It is memory-only: a durable database keeps its own
+  log (the WAL and sealed segments of :mod:`repro.persist`).
 * :mod:`~repro.cdc.pump` — :class:`CdcPump`, the maintenance consumer:
   tails the feed and drives the cache's join engine from change
   records, with fenced backfill for cold-cache cut-over and a

@@ -20,7 +20,7 @@ lane) make it prove that:
 * :func:`net_latency` / :func:`net_drop_filter` — degrade the simulated
   network under a workload.
 * :func:`crash_server` — hard-kill a durable server: drop everything
-  after the last fsync of its WAL (of its change-feed journal, in
+  after the last fsync of its WAL (of its database's log, in
   write-around mode), exactly the power-loss contract of the
   configured fsync policy.
 * :func:`torn_wal_tail` — tear the WAL mid-record (a crash inside a
@@ -220,8 +220,8 @@ def kill_node_process(proc_cluster, name: Optional[str] = None) -> str:
 def crash_server(server) -> int:
     """Hard-kill a durable server (``kill -9`` + power loss).
 
-    Unsynced journal bytes — the WAL's, or on a write-around server the
-    change feed's — are discarded, pessimistically assuming they never
+    Unsynced log bytes — the WAL's, or on a write-around server the
+    database log's — are discarded, pessimistically assuming they never
     reached the platter, and the server object is left unusable, like
     the process it models.  Returns the number of bytes lost (0 under
     ``fsync="always"``); recovery is opening a fresh server on the same
@@ -229,8 +229,8 @@ def crash_server(server) -> int:
     """
     if server.persist is not None:
         return server.persist.wal.simulate_crash()
-    if server.cdc is not None and server.data_dir is not None:
-        return server.cdc.feed.simulate_crash()
+    if server.backing is not None and server.data_dir is not None:
+        return server.backing.simulate_crash()
     raise ValueError("crash_server needs a server with a data_dir")
 
 

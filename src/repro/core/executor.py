@@ -62,6 +62,7 @@ matching removal escalates to a complete invalidation.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -834,8 +835,11 @@ class JoinEngine:
             return
         self._ensure_source_data(src.pattern.table, lo, hi)
         if join.is_push:
-            own = src.pattern.slot_index
-            context = {n: v for n, v in cs.exact.items() if n not in own}
+            # Every bound slot the range's prefix does not fix (see
+            # ``ComputeLevel.context``).
+            slots = [seg.slot for seg in src.pattern.segments if seg.is_slot]
+            fixed = list(takewhile(cs.exact.__contains__, slots))
+            context = {n: v for n, v in cs.exact.items() if n not in fixed}
             self._install_updater_for(
                 join, idx, context, out_lo, out_hi, lo, hi, sr
             )

@@ -59,8 +59,10 @@ class ComputeLevel:
       binds it and the range does not already enforce its bounds
       (``child_with``'s test, including ``lo.startswith(value)``), or -1;
     * ``context`` — (name, vec index) of the updater context: the
-      bound slots the source key cannot re-derive (context compression,
-      §3.2).
+      bound slots the source range's prefix does not fix (context
+      compression, §3.2).  That includes the source's own bound slots
+      after its first unbound segment: the range does not enforce
+      them, so a fire's :class:`FirePin` checks them.
     """
 
     __slots__ = (
@@ -278,7 +280,7 @@ class ComputePlan:
                 else -1
             )
             level.context = tuple(
-                (name, index[name]) for name in bound if name not in own
+                (name, index[name]) for name in bound if name not in in_prefix
             )
             bound.extend(fresh)
             levels.append(level)

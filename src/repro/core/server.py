@@ -63,10 +63,10 @@ class PequodServer:
       :class:`~repro.backing.database.BackingDatabase` instead; a
       change feed + :class:`~repro.cdc.pump.CdcPump` replay them into
       the cache asynchronously, and :meth:`settle_cdc` is the
-      convergence barrier.  With a ``data_dir`` the change feed's
-      journal (under ``data_dir/cdc``) is the database's log: startup
-      replays it into the database, and the cache rebuilds by fenced
-      backfill.
+      convergence barrier.  With a ``data_dir`` the database keeps its
+      own log under ``data_dir/db`` (the WAL and sealed segments of
+      :mod:`repro.persist`): startup rebuilds the database from it,
+      and the cache rebuilds by fenced backfill.
     """
 
     def __init__(
@@ -116,8 +116,8 @@ class PequodServer:
             # recompute on first demand.
             self.persist.recover_into(self.store)
         else:
-            # Write-around durability lives in the CDC journal, not the
-            # cache WAL: the cache is rebuilt by backfill on startup.
+            # Write-around durability lives in the database's own log,
+            # not the cache WAL: the cache is rebuilt by backfill.
             self.persist = None
         self.backing = None
         self.cdc = None
@@ -125,16 +125,19 @@ class PequodServer:
             import os as _os
 
             from ..backing.database import BackingDatabase
-            from ..cdc import CdcPump, ChangeFeed
+            from ..cdc import CdcPump
+            from ..persist import DataDirError
 
-            # A journaled feed rebuilds the database a previous process
-            # accumulated, then records live writes after it.
-            self.backing = BackingDatabase(
-                ChangeFeed(
-                    _os.path.join(data_dir, "cdc") if data_dir else None,
-                    fsync=wal_fsync,
-                    stats=self.stats,
+            if data_dir and _os.path.exists(_os.path.join(data_dir, "cdc", "feed.log")):
+                raise DataDirError(
+                    f"{data_dir} holds cdc/feed.log, the older write-around "
+                    "layout, which this build cannot recover"
                 )
+            # A durable database rebuilds itself from its log.
+            self.backing = BackingDatabase(
+                data_dir and _os.path.join(data_dir, "db"),
+                fsync=wal_fsync,
+                stats=self.stats,
             )
             self.cdc = CdcPump(self.backing, self.backing.feed, self.engine)
             # A cold cache converges via fenced backfill before tailing.
@@ -397,11 +400,12 @@ class PequodServer:
         without a ``data_dir``)."""
         if self.persist is not None:
             self.persist.flush()
-        if self.cdc is not None:
-            self.cdc.feed.flush()
+        if self.backing is not None:
+            self.backing.flush()
 
     def checkpoint(self) -> None:
-        """Seal the WAL as a segment now and start a fresh one (no-op
+        """Seal the WAL — the cache's, or on a write-around server the
+        database's — as a segment now and start a fresh one (no-op
         without a ``data_dir``).  Nothing is re-encoded: the WAL is
         fsynced under every policy and renamed into the segment stack,
         so checkpointed writes survive a crash even with
@@ -409,6 +413,8 @@ class PequodServer:
         way."""
         if self.persist is not None:
             self.persist.checkpoint()
+        if self.backing is not None:
+            self.backing.checkpoint()
 
     def close(self) -> None:
         """Flush and release durable state — the graceful-shutdown path
@@ -416,8 +422,8 @@ class PequodServer:
         twice; the server must not be written to afterwards."""
         if self.persist is not None:
             self.persist.close()
-        if self.cdc is not None:
-            self.cdc.feed.close()
+        if self.backing is not None:
+            self.backing.close()
 
     # ------------------------------------------------------------------
     # Observability

@@ -345,7 +345,8 @@ class ServerMetrics:
             feed = cdc.feed
             yield "cdc_feed_high_water", float(feed.high_water)
             yield "cdc_feed_depth", float(feed.pending_records())
-            yield "cdc_journal_bytes", float(feed.journal_bytes)
+            # The database log's bytes: its WAL plus sealed segments.
+            yield "cdc_journal_bytes", float(server.backing.log_bytes)
             yield "cdc_consumer_lag_records", float(cdc.lag_records)
             yield "cdc_consumer_lag_seconds", float(cdc.lag_seconds())
             yield "cdc_backfill_active", 1.0 if cdc.backfilling else 0.0

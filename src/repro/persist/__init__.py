@@ -6,14 +6,14 @@ package adds the disk tier behind it:
 
 * :mod:`~repro.persist.wal` — a write-ahead log journaling
   ``WriteBatch``es (length-prefixed, CRC-checked, KeyList
-  prefix-compressed) with a configurable fsync policy; its writer also
-  journals the CDC change feed;
+  prefix-compressed) with a configurable fsync policy;
 * :mod:`~repro.persist.manager` — ``SegmentStack`` (sealed WAL files
   ``segments/seg-<n>.log``, replayed in order and folded into one past
   a threshold) and ``PersistenceManager`` (WAL + checkpoints + crash
   recovery, owned by :class:`~repro.core.server.PequodServer` when it
-  is given a ``data_dir``).  A checkpoint renames the WAL into the
-  stack; nothing on disk is ever re-encoded except by compaction.
+  is given a ``data_dir``; a write-around server's database keeps its
+  log in the same pair).  A checkpoint renames the WAL into the stack;
+  nothing on disk is ever re-encoded except by compaction.
 
 Only client writes reach disk.  Memory pressure never moves values
 there: it evicts least-recently-used computed ranges, which recompute

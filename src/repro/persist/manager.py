@@ -5,6 +5,11 @@
     <data_dir>/pequod.wal               the write-ahead log
     <data_dir>/segments/seg-<n>.log     sealed WALs, oldest first
 
+and a write-around server's
+:class:`~repro.backing.database.BackingDatabase` keeps its log in the
+same layout under ``<data_dir>/db/``, through the same
+:class:`SegmentStack`.
+
 The disk has one record format, the WAL's CRC-framed
 ``[KeyList(keys), values]`` frames.  A checkpoint folds nothing: it
 fsyncs the WAL (under every fsync policy, so ``off`` keeps its promise
@@ -36,7 +41,7 @@ import os
 import re
 import time
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..metrics import Histogram
 from .wal import (
@@ -79,17 +84,29 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def live_rows(records: Iterable[WalRecord]) -> List[Tuple[str, str]]:
+    """The state ``records`` replay to: the newest value per key,
+    tombstones dropped, in key order."""
+    net: Dict[str, Optional[str]] = {}
+    for keys, values in records:
+        net.update(zip(keys, values))
+    return sorted((key, value) for key, value in net.items() if value is not None)
+
+
 class SegmentStack:
     """The sealed WAL segments of one directory, oldest first.
 
     A segment is a WAL file a checkpoint renamed out of the way, never
     modified afterwards; the stack is whatever ``seg-<n>.log`` files
-    the directory holds, ordered by ``n``.
+    the directory holds, ordered by ``n``.  Counters go to ``stats``
+    under ``prefix``: ``<prefix>_segments_written``,
+    ``<prefix>_segment_bytes_written`` and ``<prefix>_compactions``.
     """
 
-    def __init__(self, directory: str, stats=None) -> None:
+    def __init__(self, directory: str, stats=None, prefix: str = "persist") -> None:
         self.directory = directory
         self.stats = stats
+        self.prefix = prefix
         self.compaction_seconds = Histogram(FLUSH_BUCKETS)
         os.makedirs(directory, exist_ok=True)
         if os.path.exists(os.path.join(directory, "MANIFEST")):
@@ -117,16 +134,32 @@ class SegmentStack:
         return path
 
     # ------------------------------------------------------------------
-    def seal(self, wal_path: str) -> None:
-        """Publish a synced, closed WAL file as the newest segment."""
+    def seal(self, wal: WriteAheadLog) -> WriteAheadLog:
+        """Publish ``wal`` as the newest segment and return the fresh
+        WAL that replaces it (``wal`` itself when empty: nothing to
+        seal).  The WAL is fsynced under every policy before the rename
+        and the segment directory after it, so a crash before the fresh
+        WAL exists recovers from the segments alone; the WAL's own
+        directory is fsynced once the fresh WAL is in it.  The owner
+        calls :meth:`maybe_compact` after taking the fresh WAL, so a
+        fold that dies midway leaves it a usable log.
+        """
+        if not wal.size:
+            return wal
+        wal.sync()
+        wal.close()
         path = self._claim_path()
-        size = os.path.getsize(wal_path)
-        os.replace(wal_path, path)
+        os.replace(wal.path, path)
         _fsync_dir(self.directory)
         self.paths.append(path)
         if self.stats is not None:
-            self.stats.add("persist_segments_written")
-            self.stats.add("persist_segment_bytes_written", size)
+            self.stats.add(f"{self.prefix}_segments_written")
+            self.stats.add(f"{self.prefix}_segment_bytes_written", wal.size)
+        fresh = WriteAheadLog(
+            wal.path, fsync=wal.fsync, stats=wal.stats, prefix=wal.prefix
+        )
+        _fsync_dir(os.path.dirname(wal.path) or ".")
+        return fresh
 
     def records(self) -> Iterator[WalRecord]:
         """Every record of every segment, oldest first."""
@@ -153,10 +186,7 @@ class SegmentStack:
         if len(self.paths) <= 1:
             return
         start = time.perf_counter()
-        net: Dict[str, Optional[str]] = {}
-        for keys, values in self.records():
-            net.update(zip(keys, values))
-        live = sorted((key, value) for key, value in net.items() if value is not None)
+        live = live_rows(self.records())
         path = self._claim_path()
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
@@ -172,7 +202,7 @@ class SegmentStack:
             os.unlink(segment)
         self.compaction_seconds.observe(time.perf_counter() - start)
         if self.stats is not None:
-            self.stats.add("persist_compactions")
+            self.stats.add(f"{self.prefix}_compactions")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -190,7 +220,6 @@ class PersistenceManager:
 
     def __init__(self, data_dir: str, fsync: str = FSYNC_BATCH, stats=None) -> None:
         self.data_dir = data_dir
-        self.fsync = fsync
         self.stats = stats
         os.makedirs(data_dir, exist_ok=True)
         self.segments = SegmentStack(os.path.join(data_dir, SEGMENT_DIR), stats=stats)
@@ -252,23 +281,11 @@ class PersistenceManager:
         return False
 
     def checkpoint(self) -> None:
-        """Seal the WAL as the newest segment and open a fresh one.
-
-        The WAL is fsynced under every policy, then renamed and the
-        segment directory fsynced, so from here on the segment holds
-        what the WAL did; a crash before the fresh WAL opens recovers
-        from the segments alone.  The data directory is fsynced after
-        the fresh WAL is created, so its entry outlives a crash too.
-        An empty WAL is not sealed.
-        """
+        """Seal the WAL as the newest segment and open a fresh one
+        (:meth:`SegmentStack.seal`), then compact past the threshold."""
         start = time.perf_counter()
-        if self.wal.size:
-            self.wal.sync()
-            self.wal.close()
-            self.segments.seal(self.wal.path)
-            self.wal = WriteAheadLog(self.wal.path, fsync=self.fsync, stats=self.stats)
-            _fsync_dir(self.data_dir)
-            self.segments.maybe_compact()
+        self.wal = self.segments.seal(self.wal)
+        self.segments.maybe_compact()
         self.checkpoints += 1
         self.flush_seconds.observe(time.perf_counter() - start)
         if self.stats is not None:

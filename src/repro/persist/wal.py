@@ -10,9 +10,11 @@ where the payload is the wire codec's encoding of ``[keys, values]`` —
 so the shared-prefix compression that earns its keep on the wire earns
 it again on disk) and ``values`` a parallel list with ``None`` marking
 removes.  A checkpoint seals a WAL file as a segment without rewriting
-it, and the CDC change feed (:mod:`repro.cdc.feed`) journals its
-records through the same writer, so this module is the only place that
-knows how a framed journal is appended, synced and truncated.
+it, and the write-around backing database
+(:class:`~repro.backing.database.BackingDatabase`) keeps its own log in
+the same records through the same writer, so this module is the only
+place that knows how a framed journal is appended, synced and
+truncated.
 
 Replay applies records in order and is idempotent (records are plain
 puts/removes), so recovery after a crash mid-apply is safe.  A torn
@@ -35,7 +37,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import List, Optional, Tuple
 
 from ..net.codec import CodecError, KeyList, decode, encode
 
@@ -52,7 +54,6 @@ WAL_HEADER_SIZE = _HEADER.size
 
 #: One WAL record: parallel (keys, values); a None value is a remove.
 WalRecord = Tuple[List[str], List[Optional[str]]]
-T = TypeVar("T")
 
 
 def frame_payload(payload: bytes) -> bytes:
@@ -72,7 +73,7 @@ def scan_frames(path: str) -> Tuple[List[bytes], int, bool]:
     Returns ``(payloads, good_offset, torn)``: every intact payload in
     order, the byte offset just past the last intact frame, and whether
     a torn/corrupt tail was found after it.  A missing file is an empty
-    journal.  This is the framing layer only; :func:`scan_journal`
+    journal.  This is the framing layer only; :func:`scan_wal`
     decodes.
     """
     try:
@@ -97,32 +98,21 @@ def scan_frames(path: str) -> Tuple[List[bytes], int, bool]:
     return payloads, offset, offset < size
 
 
-def scan_journal(
-    path: str, parse: Callable[[bytes], T]
-) -> Tuple[List[T], int, bool]:
-    """:func:`scan_frames` plus decoding: ``(records, good_offset,
-    torn)``, where a payload ``parse`` rejects is a torn tail too."""
+def scan_wal(path: str) -> Tuple[List[WalRecord], int, bool]:
+    """Parse a WAL file tolerantly: ``(records, good_offset, torn)``,
+    where a payload that does not decode is a torn tail too.  A missing
+    file is an empty log."""
     payloads, good_offset, torn = scan_frames(path)
-    records: List[T] = []
+    records: List[WalRecord] = []
     offset = 0
     for payload in payloads:
         try:
-            records.append(parse(payload))
-        except (CodecError, ValueError, KeyError):
+            keys, values = decode(payload)
+        except (CodecError, ValueError, TypeError):
             return records, offset, True
+        records.append((keys, values))
         offset += _HEADER.size + len(payload)
     return records, good_offset, torn
-
-
-def _wal_record(payload: bytes) -> WalRecord:
-    keys, values = decode(payload)
-    return keys, values
-
-
-def scan_wal(path: str) -> Tuple[List[WalRecord], int, bool]:
-    """Parse a WAL file tolerantly: ``(records, good_offset, torn)``.
-    A missing file is an empty log."""
-    return scan_journal(path, _wal_record)
 
 
 class WriteAheadLog:
@@ -163,9 +153,10 @@ class WriteAheadLog:
             self.stats.add(f"{self.prefix}_{name}")
 
     # ------------------------------------------------------------------
-    def append_payload(self, payload: bytes) -> None:
-        """Journal one payload as a frame, then apply the fsync policy."""
-        frame = frame_payload(payload)
+    def append(self, keys: List[str], values: List[Optional[str]]) -> None:
+        """Journal one batch — parallel keys and values (None = remove)
+        — as a frame, then apply the fsync policy."""
+        frame = frame_payload(encode_record(keys, values))
         self._fh.write(frame)
         self.size += len(frame)
         self.records += 1
@@ -178,10 +169,6 @@ class WriteAheadLog:
         ):
             self.sync()
 
-    def append(self, keys: List[str], values: List[Optional[str]]) -> None:
-        """Journal one batch: parallel keys and values (None = remove)."""
-        self.append_payload(encode_record(keys, values))
-
     def append_ops(self, ops) -> None:
         """Journal a sequence of :class:`~repro.store.batch.BatchOp`."""
         keys = [op.key for op in ops]
@@ -189,12 +176,11 @@ class WriteAheadLog:
         if keys:
             self.append(keys, values)
 
-    def replay(self, parse: Callable[[bytes], T] = _wal_record) -> List[T]:
-        """Every intact record, decoded by ``parse``.  A torn or
-        undecodable tail is truncated so the next append lands on a
-        frame boundary."""
+    def replay(self) -> List[WalRecord]:
+        """Every intact record.  A torn or undecodable tail is truncated
+        so the next append lands on a frame boundary."""
         self._fh.flush()
-        records, good_offset, torn = scan_journal(self.path, parse)
+        records, good_offset, torn = scan_wal(self.path)
         if torn:
             self._fh.truncate(good_offset)
             self.size = self.synced_size = good_offset

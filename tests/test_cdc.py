@@ -3,9 +3,13 @@
 The contract under test (§2's write-around deployment, made durable):
 
 * the change feed assigns dense sequence numbers, queues a record
-  until every cursor acknowledges it, journals it when durable (torn
-  tails truncate, a reopened feed continues after the journal), and
-  backpressures instead of growing without bound;
+  until every cursor acknowledges it, and backpressures instead of
+  growing without bound; it keeps nothing on disk;
+* a durable database keeps its own log in the WAL format, sealed into
+  segments and compacted like the write-through server's: torn tails
+  truncate, unsynced tails die in a crash, a reopen rebuilds every
+  acknowledged row and starts a fresh feed, and the log stays bounded
+  by the live rows under overwrites and removes;
 * the pump's fenced backfill converges a cold cache under concurrent
   write load without losing or double-applying a change;
 * a ``mode="write-around"`` deployment is observationally identical to
@@ -16,6 +20,7 @@ The contract under test (§2's write-around deployment, made durable):
 
 import hashlib
 import os
+import random
 import tempfile
 
 import pytest
@@ -31,13 +36,16 @@ from repro.client.procs import ProcClusterClient
 from repro.core.operators import ChangeKind
 from repro.core.server import PequodServer
 from repro.distrib.procs import ProcCluster
+from repro.persist import DataDirError, manager
+from repro.persist.wal import WAL_HEADER_SIZE
+from repro.store.stats import StoreStats
 
 KARMA = "karma|<author> = count vote|<author>|<id>|<voter>"
 MODES = ("write-through", "write-around")
 
 
 # ======================================================================
-# The feed: sequencing, retention, durability, backpressure
+# The feed: sequencing, retention, backpressure
 # ======================================================================
 class TestChangeFeed:
     def test_dense_sequencing_and_fetch(self):
@@ -86,66 +94,150 @@ class TestChangeFeed:
             feed.record(f"k{i}", None, "v", ChangeKind.INSERT)
         assert feed.high_water == 20  # never overflowed
 
-    def test_journal_replay_restores_sequencing(self, tmp_path):
-        d = str(tmp_path / "cdc")
-        feed = ChangeFeed(d, fsync="always")
-        feed.record("a", None, "1", ChangeKind.INSERT)
-        feed.record("a", "1", "2", ChangeKind.UPDATE)
-        feed.record("a", "2", None, ChangeKind.REMOVE)
-        feed.close()
-        feed2 = ChangeFeed(d)
-        assert feed2.high_water == 3
-        kinds = [r.kind for r in feed2.replay()]
-        assert kinds == [ChangeKind.INSERT, ChangeKind.UPDATE, ChangeKind.REMOVE]
-        assert feed2.replay() == []  # handed over once
-        cur = feed2.cursor("c")
-        assert cur.acked == 3  # the journal rebuilds the DB, not a queue
-        rec = feed2.record("b", None, "x", ChangeKind.INSERT)
-        assert rec.seq == 4  # sequencing continues, no reuse
-        assert [r.seq for r in feed2.fetch(cur.acked)] == [4]
-        feed2.close()
-        assert os.listdir(d) == ["feed.log"]  # no consumer state on disk
+
+# ======================================================================
+# The database log: the WAL format, sealed and compacted
+# ======================================================================
+def rows(db: BackingDatabase):
+    return db.scan_from("", 1000)
+
+
+def disk_bytes(directory: str) -> int:
+    return sum(
+        os.path.getsize(os.path.join(root, name))
+        for root, _, names in os.walk(directory)
+        for name in names
+    )
+
+
+class TestDatabaseLog:
+    def test_log_replay_rebuilds_database(self, tmp_path):
+        d = str(tmp_path / "db")
+        db = BackingDatabase(d, fsync="always")
+        db.put("a", "1")
+        db.put("a", "2")
+        db.put("b", "x")
+        db.remove("a")
+        db.close()
+        db2 = BackingDatabase(d)
+        assert rows(db2) == [("b", "x")]
+        # Nothing is re-recorded: the reopened feed starts empty at 1.
+        assert db2.feed.high_water == 0
+        db2.feed.cursor("c")
+        db2.put("c", "y")
+        assert [r.seq for r in db2.feed.fetch(0)] == [1]
+        db2.close()
+        assert sorted(os.listdir(d)) == ["pequod.wal", "segments"]
 
     def test_torn_tail_truncates_to_last_intact_record(self, tmp_path):
-        import os
-
-        d = str(tmp_path / "cdc")
-        feed = ChangeFeed(d, fsync="always")
+        d = str(tmp_path / "db")
+        db = BackingDatabase(d, fsync="always")
         for i in range(3):
-            feed.record(f"k{i}", None, str(i), ChangeKind.INSERT)
-        feed.close()
-        path = os.path.join(d, "feed.log")
-        with open(path, "ab") as fh:
+            db.put(f"k{i}", str(i))
+        db.close()
+        with open(os.path.join(d, "pequod.wal"), "ab") as fh:
             fh.write(b"\x00\x00\x00\x30torn-mid-record")
-        feed2 = ChangeFeed(d)
-        assert feed2.high_water == 3
-        assert [r.key for r in feed2.replay()] == ["k0", "k1", "k2"]
-        feed2.close()
+        stats = StoreStats()
+        db2 = BackingDatabase(d, stats=stats)
+        assert rows(db2) == [("k0", "0"), ("k1", "1"), ("k2", "2")]
+        assert stats.get("cdc_journal_torn_tails") == 1
+        db2.close()
 
     def test_unsynced_tail_lost_on_crash(self, tmp_path):
-        d = str(tmp_path / "cdc")
-        feed = ChangeFeed(d, fsync="batch")
-        feed.record("a", None, "1", ChangeKind.INSERT)
-        feed.flush()
-        feed.record("b", None, "2", ChangeKind.INSERT)
-        lost = feed.simulate_crash()
-        assert lost > 0
-        feed2 = ChangeFeed(d)
-        assert [r.key for r in feed2.replay()] == ["a"]
-        feed2.close()
+        d = str(tmp_path / "db")
+        db = BackingDatabase(d, fsync="batch")
+        db.put("a", "1")
+        db.flush()
+        db.put("b", "2")
+        assert db.simulate_crash() > 0
+        db2 = BackingDatabase(d)
+        assert rows(db2) == [("a", "1")]
+        db2.close()
+
+    def test_corrupt_sealed_segment_raises(self, tmp_path):
+        d = str(tmp_path / "db")
+        db = BackingDatabase(d)
+        db.put("a", "1")
+        db.checkpoint()
+        db.close()
+        (path,) = db.segments.paths
+        with open(path, "r+b") as fh:
+            fh.seek(WAL_HEADER_SIZE + 2)
+            byte = fh.read(1)
+            fh.seek(WAL_HEADER_SIZE + 2)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(DataDirError, match="seg-"):
+            BackingDatabase(d)
+
+    def test_server_checkpoint_seals_the_database_log(self, tmp_path):
+        d = str(tmp_path / "srv")
+        srv = PequodServer(mode="write-around", data_dir=d)
+        for i in range(5):
+            srv.put(f"p|bob|{i:04d}", f"v{i}")
+        srv.remove("p|bob|0002")
+        srv.checkpoint()
+        assert len(os.listdir(os.path.join(d, "db", "segments"))) == 1
+        assert srv.stats.get("persist_checkpoints") == 0  # the cache WAL is idle
+        want = srv.backing.query("p|", "p}")
+        srv.close()
+        srv2 = PequodServer(mode="write-around", data_dir=d)
+        srv2.settle_cdc()
+        assert srv2.backing.query("p|", "p}") == want
+        assert srv2.scan("p|", "p}") == want
+        srv2.close()
+
+    def test_old_feed_journal_layout_raises(self, tmp_path):
+        """A data dir holding the older write-around layout (a change
+        feed journal at ``cdc/feed.log``) is refused, not silently
+        opened empty."""
+        (tmp_path / "cdc").mkdir()
+        (tmp_path / "cdc" / "feed.log").write_bytes(b"\x00" * 16)
+        with pytest.raises(DataDirError, match="feed.log"):
+            PequodServer(mode="write-around", data_dir=str(tmp_path))
+
+    def test_log_stays_bounded_under_overwrites_and_removes(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoints seal the log and compaction folds the segments,
+        so the log on disk is bounded by the live rows plus a fixed
+        number of unfolded segments, not by the write history."""
+        monkeypatch.setattr(manager, "CHECKPOINT_BYTES", 2048)
+        d = str(tmp_path / "srv")
+        srv = PequodServer(mode="write-around", data_dir=d, wal_fsync="off")
+        rng = random.Random(7)
+        keys = [f"p|u{i % 4}|{i:04d}" for i in range(24)]
+        model = {}
+        frame = 64  # one small record, framed, with room to spare
+        bound = (manager.COMPACT_THRESHOLD + 1) * (manager.CHECKPOINT_BYTES + frame)
+        for i in range(3000):
+            key = rng.choice(keys)
+            if rng.random() < 0.4:
+                srv.remove(key)
+                model.pop(key, None)
+            else:
+                srv.put(key, f"v{i}")
+                model[key] = f"v{i}"
+            if i % 500 == 499:
+                srv.flush()
+                assert disk_bytes(d) <= bound + frame * len(model), i
+        srv.close()
+        srv2 = PequodServer(mode="write-around", data_dir=d)
+        srv2.settle_cdc()
+        assert srv2.backing.query("p|", "p}") == sorted(model.items())
+        assert srv2.scan("p|", "p}") == sorted(model.items())
+        srv2.close()
 
 
 # ======================================================================
 # The backing database produces the feed
 # ======================================================================
 def test_backing_database_records_old_and_new():
-    feed = ChangeFeed()
-    feed.cursor("c")
-    db = BackingDatabase(feed=feed)
+    db = BackingDatabase()
+    db.feed.cursor("c")
     db.put("k", "1")
     db.put("k", "2")
     db.remove("k")
-    recs = feed.fetch(0)
+    recs = db.feed.fetch(0)
     assert [(r.kind, r.old, r.new) for r in recs] == [
         (ChangeKind.INSERT, None, "1"),
         (ChangeKind.UPDATE, "1", "2"),
@@ -163,10 +255,9 @@ def fresh_cache() -> PequodServer:
 
 
 def test_pump_applies_changes_to_cache():
-    feed = ChangeFeed()
-    db = BackingDatabase(feed=feed)
+    db = BackingDatabase()
     server = fresh_cache()
-    pump = CdcPump(db, feed, server.engine)
+    pump = CdcPump(db, db.feed, server.engine)
     pump.bootstrap()
     db.put("s|ann|bob", "1")
     db.put("p|bob|0100", "hello")
@@ -179,12 +270,12 @@ def test_pump_applies_changes_to_cache():
 
 
 def test_bootstrap_backfills_past_trimmed_feed():
-    feed = ChangeFeed(max_pending=4)
-    db = BackingDatabase(feed=feed)
+    db = BackingDatabase()
+    db.feed.max_pending = 4
     for i in range(8):  # trims the feed: no cursor attached yet
         db.put(f"p|u|{i:04d}", str(i))
     server = fresh_cache()
-    pump = CdcPump(db, feed, server.engine)
+    pump = CdcPump(db, db.feed, server.engine)
     pump.bootstrap()
     assert server.scan("p|", "p}") == db.scan_from("", 100)
 
@@ -193,12 +284,11 @@ def test_backfill_cutover_under_concurrent_writes():
     """The acceptance property: a cold cache backfilling in small
     chunks while writes land between every chunk scan converges to
     exactly the database's state — nothing lost, nothing doubled."""
-    feed = ChangeFeed()
-    db = BackingDatabase(feed=feed)
+    db = BackingDatabase()
     for i in range(40):
         db.put(f"p|u{i % 4}|{i:04d}", f"v{i}")
     server = fresh_cache()
-    pump = CdcPump(db, feed, server.engine, chunk_size=8)
+    pump = CdcPump(db, db.feed, server.engine, chunk_size=8)
     pump.begin_backfill()
     tick = 0
     while pump.backfilling:
@@ -236,7 +326,7 @@ _KEYS = [f"p|u{i}|{j:02d}" for i in (0, 1) for j in range(3)] + [
 def test_server_crash_property(ops, data):
     """Crash a durable write-around server after an arbitrary op stream,
     pumped at arbitrary points: the reopened server rebuilds its
-    database from the feed journal and backfills its cache, and both
+    database from the database log and backfills its cache, and both
     equal the model of every acknowledged write."""
     with tempfile.TemporaryDirectory() as d:
         srv = PequodServer(mode="write-around", data_dir=d, wal_fsync="always")
@@ -265,7 +355,8 @@ def test_server_crash_property(ops, data):
                 assert srv2.scan(f"{table}|", f"{table}}}") == want
         finally:
             srv2.close()
-        assert os.listdir(os.path.join(d, "cdc")) == ["feed.log"]
+        assert os.listdir(d) == ["db"]  # one log, the database's
+        assert sorted(os.listdir(os.path.join(d, "db"))) == ["pequod.wal", "segments"]
 
 
 # ======================================================================
@@ -344,8 +435,8 @@ def test_write_around_matches_write_through_procs():
 
 
 def test_write_around_durable_restart(tmp_path):
-    """In write-around mode the CDC journal IS the durability story:
-    a restarted server rebuilds the DB from the journal, backfills the
+    """In write-around mode the database's log is the durability
+    story: a restarted server rebuilds the DB from it, backfills the
     cache, and serves identical state."""
     d = str(tmp_path / "srv")
 

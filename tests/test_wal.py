@@ -140,13 +140,10 @@ class TestWriteAheadLog:
 def sealed(stack, tmp_path, *records):
     """Write ``records`` to a WAL and seal it as the stack's newest
     segment, the way a checkpoint does."""
-    path = str(tmp_path / "pequod.wal")
-    wal = WriteAheadLog(path)
+    wal = WriteAheadLog(str(tmp_path / "pequod.wal"))
     for keys, values in records:
         wal.append(keys, values)
-    wal.sync()
-    wal.close()
-    stack.seal(path)
+    stack.seal(wal).close()
 
 
 def replayed(stack) -> dict:
@@ -243,3 +240,17 @@ class TestSegmentStack:
             f"k|{i}": str(i) for i in range(COMPACT_THRESHOLD + 1)
         }
 
+
+    def test_seal_hands_back_a_fresh_wal(self, tmp_path):
+        stats = StoreStats()
+        stack = SegmentStack(str(tmp_path / "segs"), stats=stats, prefix="db_log")
+        path = str(tmp_path / "pequod.wal")
+        wal = WriteAheadLog(path, fsync="off", stats=stats, prefix="db_log")
+        assert stack.seal(wal) is wal  # an empty WAL is not sealed
+        wal.append(["k|1"], ["x"])
+        fresh = stack.seal(wal)
+        assert (fresh.path, fresh.size, fresh.fsync) == (path, 0, "off")
+        assert len(stack) == 1 and replayed(stack) == {"k|1": "x"}
+        assert stats.get("db_log_segments_written") == 1
+        assert stats.get("db_log_segment_bytes_written") == wal.size
+        fresh.close()
