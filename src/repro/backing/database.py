@@ -9,9 +9,10 @@ notification because of notification bottlenecks.
 cache design depends on:
 
 * durable writes with insert/update/delete semantics: given a
-  ``directory``, the database keeps its own log in the write-through
-  server's WAL format, sealed and compacted by the same segment stack
-  (:mod:`repro.persist`), and rebuilds from it on startup,
+  ``directory``, the database logs each write, a batch as one frame, in
+  a :class:`~repro.persist.manager.DurableLog` — the write-through
+  server's class and layout — and rebuilds from it on startup; a failed
+  log refuses writes (``DurabilityError``) while reads go on,
 * ordered range queries (the cache loads containing ranges in bulk),
 * one change output: every committed write becomes a sequenced record
   on the database's in-memory :class:`~repro.cdc.feed.ChangeFeed`
@@ -26,14 +27,12 @@ rows live in the same blocked sorted array as the cache's tables.
 
 from __future__ import annotations
 
-import os
-from itertools import chain
 from typing import List, Optional, Tuple
 
 from ..cdc.feed import ChangeFeed
 from ..core.operators import ChangeKind
-from ..persist import manager
-from ..persist.wal import FSYNC_BATCH, WriteAheadLog
+from ..persist.manager import DurableLog
+from ..persist.wal import FSYNC_BATCH
 from ..store.sortedarray import SortedArrayMap
 
 #: Counter prefix of the database log (WAL and segment counters alike).
@@ -44,11 +43,11 @@ class BackingDatabase:
     """An ordered key-value database whose changes leave through its
     feed.
 
-    With a ``directory`` every write is logged before it applies, as a
-    one-key WAL record sealed into ``segments/`` past
-    :data:`~repro.persist.manager.CHECKPOINT_BYTES`, with counters under
-    ``cdc_journal_``.  The rows are rebuilt from the segments, then the
-    WAL, silently: the feed starts empty at sequence 1.
+    With a ``directory`` every write is logged before it applies — a
+    put or remove as a one-key frame, an :meth:`apply_batch` as one
+    frame — in a :class:`~repro.persist.manager.DurableLog` (``log``)
+    with counters under ``cdc_journal_``.  The rows are rebuilt from
+    the log silently: the feed starts empty at sequence 1.
     """
 
     def __init__(
@@ -63,21 +62,12 @@ class BackingDatabase:
         self.query_count = 0
         self.rows_returned = 0
         self.write_count = 0
-        self.wal: Optional[WriteAheadLog] = None
-        if directory is None:
-            return
-        os.makedirs(directory, exist_ok=True)
-        self.segments = manager.SegmentStack(
-            os.path.join(directory, manager.SEGMENT_DIR), stats, LOG_PREFIX
-        )
-        # Segments first: a bad one raises before the WAL is open.
-        sealed = list(self.segments.records())
-        self.wal = WriteAheadLog(
-            os.path.join(directory, manager.WAL_NAME), fsync, stats, LOG_PREFIX
-        )
-        live = manager.live_rows(chain(sealed, self.wal.replay()))
-        if live:
-            self._tree.insert_run(*zip(*live))
+        self.log: Optional[DurableLog] = None
+        if directory is not None:
+            self.log = DurableLog(directory, fsync, stats, LOG_PREFIX)
+            live = self.log.take_live_rows()
+            if live:
+                self._tree.insert_run(*zip(*live))
 
     def __len__(self) -> int:
         return len(self._tree)
@@ -90,34 +80,41 @@ class BackingDatabase:
         change to the feed."""
         if not key:
             raise ValueError("keys must be non-empty")
-        self.write_count += 1
-        node = self._tree.find_node(key)
-        self._log(key, value)
-        if node is None:
-            self._tree.insert(key, value)
-            old, kind = None, ChangeKind.INSERT
-        else:
-            old, kind = node.value, ChangeKind.UPDATE
-            node.value = value
-        self.feed.record(key, old, value, kind)
+        if self.log is not None:
+            self.log.append([key], [value])
+        self._apply(key, value)
 
     def remove(self, key: str) -> bool:
+        if self.log is not None:
+            self.log.append([key], [None])
+        return self._apply(key, None)
+
+    def apply_batch(self, ops) -> None:
+        """Apply :class:`~repro.store.batch.BatchOp` s in order, logged
+        as one frame, each recorded to the feed."""
+        if self.log is not None and ops:
+            self.log.append([op.key for op in ops], [op.value for op in ops])
+        for op in ops:
+            self._apply(op.key, op.value)
+
+    def _apply(self, key: str, value: Optional[str]) -> bool:
+        """Apply one logged write (None removes); False if it changed
+        nothing."""
         self.write_count += 1
         node = self._tree.find_node(key)
-        if node is None:
-            return False
-        self._log(key, None)
-        old = node.value
-        self._tree.remove_node(node)
-        self.feed.record(key, old, None, ChangeKind.REMOVE)
+        if value is None:
+            if node is None:
+                return False
+            old = node.value
+            self._tree.remove_node(node)
+            self.feed.record(key, old, None, ChangeKind.REMOVE)
+        elif node is None:
+            self._tree.insert(key, value)
+            self.feed.record(key, None, value, ChangeKind.INSERT)
+        else:
+            old, node.value = node.value, value
+            self.feed.record(key, old, value, ChangeKind.UPDATE)
         return True
-
-    def _log(self, key: str, value: Optional[str]) -> None:
-        wal = self.wal
-        if wal is not None:
-            wal.append([key], [value])
-            if wal.size >= manager.CHECKPOINT_BYTES:
-                self.checkpoint()
 
     # ------------------------------------------------------------------
     # Reads (the cache's miss path)
@@ -147,35 +144,3 @@ class BackingDatabase:
                 break
         self.rows_returned += len(rows)
         return rows
-
-    def count(self, lo: str, hi: str) -> int:
-        return self._tree.count_range(lo, hi)
-
-    # ------------------------------------------------------------------
-    # Durability lifecycle (no-ops in memory)
-    # ------------------------------------------------------------------
-    @property
-    def log_bytes(self) -> int:
-        """Bytes of the log on disk: the WAL plus sealed segments."""
-        return 0 if self.wal is None else self.wal.size + self.segments.file_bytes()
-
-    def checkpoint(self) -> None:
-        """Seal the WAL as the newest segment, then compact past the
-        threshold (as :meth:`PersistenceManager.checkpoint
-        <repro.persist.manager.PersistenceManager.checkpoint>` does)."""
-        if self.wal is not None:
-            self.wal = self.segments.seal(self.wal)
-            self.segments.maybe_compact()
-
-    def flush(self) -> None:
-        if self.wal is not None:
-            self.wal.flush()
-
-    def close(self) -> None:
-        if self.wal is not None:
-            self.wal.close()
-
-    def simulate_crash(self) -> int:
-        """Chaos hook: drop log bytes written after the last fsync;
-        returns bytes lost.  The database is unusable afterwards."""
-        return self.wal.simulate_crash() if self.wal is not None else 0

@@ -227,11 +227,9 @@ def crash_server(server) -> int:
     ``fsync="always"``); recovery is opening a fresh server on the same
     ``data_dir``.
     """
-    if server.persist is not None:
-        return server.persist.wal.simulate_crash()
-    if server.backing is not None and server.data_dir is not None:
-        return server.backing.simulate_crash()
-    raise ValueError("crash_server needs a server with a data_dir")
+    if server.log is None:
+        raise ValueError("crash_server needs a server with a data_dir")
+    return server.log.simulate_crash()
 
 
 def torn_wal_tail(data_dir: str, rng) -> int:
@@ -244,14 +242,14 @@ def torn_wal_tail(data_dir: str, rng) -> int:
     """
     import os
 
-    from .persist.wal import WAL_HEADER_SIZE, scan_frames
+    from .persist.wal import encode_frame, scan_wal
 
     path = os.path.join(data_dir, "pequod.wal")
-    payloads, good_offset, _ = scan_frames(path)
-    if not payloads:
+    records, good_offset, _ = scan_wal(path)
+    if not records:
         return 0
     size = os.path.getsize(path)
-    last_start = good_offset - WAL_HEADER_SIZE - len(payloads[-1])
+    last_start = good_offset - len(encode_frame(*records[-1]))
     cut = rng.randrange(last_start + 1, size)
     with open(path, "r+b") as fh:
         fh.truncate(cut)

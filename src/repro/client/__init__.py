@@ -62,6 +62,7 @@ from .cluster import ClusterClient
 from .errors import (
     BadRequestError,
     ClientError,
+    DurabilityError,
     JoinSpecError,
     NotFoundError,
     OverloadError,
@@ -87,6 +88,7 @@ __all__ = [
     "ChangeEvent",
     "ClientError",
     "ClusterClient",
+    "DurabilityError",
     "JoinBuilder",
     "JoinLike",
     "JoinSpecError",

@@ -60,11 +60,14 @@ from ..distrib.node import ROLE_BASE, ROLE_COMPUTE, DistributedNode
 from ..metrics import merge_snapshots
 from ..net import protocol
 from ..net.rpc_client import RpcClient, RpcError
+from ..persist import DurabilityError as LogDurabilityError
 from ..store.batch import PUT, WriteBatch
 from ..store.keys import prefix_upper_bound
 from .base import BatchLike, JoinLike, check_value, checked_ops, join_text
 from .errors import (
     BadRequestError,
+    ClientError,
+    DurabilityError,
     JoinSpecError,
     NotFoundError,
     OverloadError,
@@ -73,9 +76,16 @@ from .errors import (
 )
 
 
-def _overload(exc: CoreOverloadError) -> OverloadError:
-    """Re-raise an engine-level shed as the unified client type."""
-    return OverloadError(str(exc), reason=exc.reason)
+#: Server-side failures the in-process backends re-raise as client types.
+_TYPED = (CoreOverloadError, LogDurabilityError)
+
+
+def _typed(exc: Exception) -> ClientError:
+    """Re-raise an engine-level shed or a failed durable log as the
+    unified client type."""
+    if isinstance(exc, CoreOverloadError):
+        return OverloadError(str(exc), reason=exc.reason)
+    return DurabilityError(str(exc))
 
 #: Sentinel queued into a Watch when its stream has ended.
 _STREAM_END = object()
@@ -342,27 +352,27 @@ class AsyncLocalClient(AsyncPequodClient):
     async def get(self, key: str) -> Optional[str]:
         try:
             return self.server.get(key)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def put(self, key: str, value: str) -> None:
         check_value(value)
         try:
             self.server.put(key, value)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def remove(self, key: str) -> bool:
         try:
             return self.server.remove(key)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
         try:
             return self.server.scan(first, last)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def add_join(self, join: JoinLike) -> List[str]:
         try:
@@ -375,8 +385,8 @@ class AsyncLocalClient(AsyncPequodClient):
     async def apply_batch(self, batch: BatchLike) -> int:
         try:
             return self.server.apply_batch(checked_ops(batch))
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def stats(self) -> Dict[str, float]:
         return self.server.metrics_snapshot()
@@ -384,8 +394,8 @@ class AsyncLocalClient(AsyncPequodClient):
     async def settle_cdc(self) -> int:
         try:
             return self.server.settle_cdc()
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def watch(self, lo: str, hi: str) -> Watch:
         if not lo < hi:
@@ -613,8 +623,8 @@ class AsyncClusterClient(AsyncPequodClient):
                 return self.cluster.get(self.affinity_of(key), key)
             # Base / plain data: read the home server directly.
             return self.cluster.get_home(key)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def put(self, key: str, value: str) -> None:
         check_value(value)
@@ -626,16 +636,16 @@ class AsyncClusterClient(AsyncPequodClient):
                 self.cluster.put_at(self._compute_node_of(key), key, value)
                 return
             self.cluster.put(key, value)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def remove(self, key: str) -> bool:
         try:
             if self._is_computed(self._table_of(key)):
                 return self.cluster.remove_at(self._compute_node_of(key), key)
             return self.cluster.remove(key)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def _scan_homes(self, first: str, last: str) -> List[Tuple[str, str]]:
         """Fan-out: every involved home server's slice is requested as
@@ -654,8 +664,8 @@ class AsyncClusterClient(AsyncPequodClient):
     async def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
         try:
             return await self._scan_routed(first, last)
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
 
     async def _scan_routed(self, first: str, last: str) -> List[Tuple[str, str]]:
         table = self._table_of(first)
@@ -754,8 +764,8 @@ class AsyncClusterClient(AsyncPequodClient):
             applied = await asyncio.gather(
                 *(ship(node, pairs) for node, pairs in shipments)
             )
-        except CoreOverloadError as exc:
-            raise _overload(exc) from exc
+        except _TYPED as exc:
+            raise _typed(exc) from exc
         return sum(applied)
 
     async def stats(self) -> Dict[str, float]:

@@ -20,6 +20,10 @@ its transport's native faults onto these types:
 * :class:`OverloadError` — admission control shed the request (load
   control; see ``repro.core.load``).  Also a subclass of the core
   ``OverloadError`` so engine-level handlers catch it unchanged.
+* :class:`DurabilityError` — the server's durable log failed (an I/O
+  error on append, fsync or checkpoint) and takes no more writes until
+  a restart; the failed write's outcome is unknown, reads still work.
+  Also a subclass of ``repro.persist.DurabilityError``.
 * :class:`TransportError` — the request never completed: connection
   refused/reset, protocol framing errors, client used after close.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from ..core.load import OverloadError as CoreOverloadError
 from ..net import protocol
+from ..persist import DurabilityError as LogDurabilityError
 
 
 class ClientError(Exception):
@@ -69,6 +74,13 @@ class OverloadError(ServerError, CoreOverloadError):
     """
 
 
+class DurabilityError(ServerError, LogDurabilityError):
+    """The server's durable log failed and refuses writes until a
+    restart; the write that failed may or may not have reached disk.
+    Local backends re-raise the log's exception as this type, and
+    remote ones rebuild it from its error code."""
+
+
 class TransportError(ClientError):
     """The request could not be delivered or completed."""
 
@@ -93,6 +105,7 @@ _CODE_TYPES = {
     protocol.ERR_CODE_SERVER: ServerError,
     protocol.ERR_CODE_OVERLOAD: OverloadError,
     protocol.ERR_CODE_WRONG_OWNER: WrongOwnerError,
+    protocol.ERR_CODE_DURABILITY: DurabilityError,
 }
 
 

@@ -64,9 +64,11 @@ class PequodServer:
       change feed + :class:`~repro.cdc.pump.CdcPump` replay them into
       the cache asynchronously, and :meth:`settle_cdc` is the
       convergence barrier.  With a ``data_dir`` the database keeps its
-      own log under ``data_dir/db`` (the WAL and sealed segments of
-      :mod:`repro.persist`): startup rebuilds the database from it,
-      and the cache rebuilds by fenced backfill.
+      own log under ``data_dir/db`` (a :class:`~repro.persist.DurableLog`,
+      as the write-through WAL is): startup rebuilds the database from
+      it, and the cache rebuilds by fenced backfill.  Either log is
+      fail-stop: after an I/O error every write raises
+      ``DurabilityError`` while reads go on.
     """
 
     def __init__(
@@ -105,20 +107,7 @@ class PequodServer:
             if overload_policy is not None
             else None
         )
-        if data_dir is not None and mode != "write-around":
-            from ..persist import PersistenceManager
-
-            self.persist: Optional[PersistenceManager] = PersistenceManager(
-                data_dir, fsync=wal_fsync, stats=self.stats
-            )
-            # Recovery runs before any join is installed, so only base
-            # data is rebuilt; computed ranges start untracked and
-            # recompute on first demand.
-            self.persist.recover_into(self.store)
-        else:
-            # Write-around durability lives in the database's own log,
-            # not the cache WAL: the cache is rebuilt by backfill.
-            self.persist = None
+        self.persist = None
         self.backing = None
         self.cdc = None
         if mode == "write-around":
@@ -133,7 +122,9 @@ class PequodServer:
                     f"{data_dir} holds cdc/feed.log, the older write-around "
                     "layout, which this build cannot recover"
                 )
-            # A durable database rebuilds itself from its log.
+            # Write-around durability lives in the database's own log,
+            # which rebuilds the database; the cache is rebuilt by
+            # backfill.
             self.backing = BackingDatabase(
                 data_dir and _os.path.join(data_dir, "db"),
                 fsync=wal_fsync,
@@ -145,6 +136,17 @@ class PequodServer:
             # If writers outrun maintenance, the feed drains through the
             # pump instead of growing without bound.
             self.backing.feed.backpressure_hook = self.cdc.step
+        elif data_dir is not None:
+            from ..persist import PersistenceManager
+
+            self.persist = PersistenceManager(data_dir, wal_fsync, self.stats)
+            # Recovery runs before any join is installed, so only base
+            # data is rebuilt; computed ranges start untracked and
+            # recompute on first demand.
+            self.persist.recover_into(self.store)
+        #: The one durable log this server writes: the cache's WAL, or
+        #: on a write-around server the database's (None in memory).
+        self.log = self.backing.log if self.backing is not None else self.persist
         self._hub: Optional[ChangeHub] = None
         self._metrics = None
 
@@ -218,7 +220,7 @@ class PequodServer:
         if self.persist is not None:
             self.persist.log_put(key, value)
         self.engine.apply_put(key, value)
-        self._after_write()
+        self.eviction.maybe_evict()
 
     def remove(self, key: str) -> bool:
         """Remove ``key``; returns True if it was present."""
@@ -230,9 +232,9 @@ class PequodServer:
             self._maybe_pump()
             return present
         if self.persist is not None:
-            self.persist.log_remove(key)
+            self.persist.append([key], [None])
         present = self.engine.apply_remove(key)
-        self._after_write()
+        self.eviction.maybe_evict()
         return present
 
     def write_batch(self) -> WriteBatch:
@@ -258,27 +260,15 @@ class PequodServer:
         self.stats.add("op_batch")
         if self.backing is not None:
             ops = as_ops(batch)
-            for op in ops:
-                if op.kind == "put":
-                    self.backing.put(op.key, op.value)
-                else:
-                    self.backing.remove(op.key)
+            self.backing.apply_batch(ops)
             self._maybe_pump()
             return len(ops)
         if self.persist is not None:
-            ops = as_ops(batch)
-            self.persist.log_ops(ops)
-            batch = ops
+            batch = as_ops(batch)
+            self.persist.log_ops(batch)
         applied = self.engine.apply_batch(batch)
-        self._after_write()
-        return applied
-
-    def _after_write(self) -> None:
-        """The write-through post-write steps: evict past the memory
-        limit, then checkpoint a full WAL."""
         self.eviction.maybe_evict()
-        if self.persist is not None:
-            self.persist.maybe_checkpoint()
+        return applied
 
     def put_many(self, pairs: Sequence[Tuple[str, str]]) -> int:
         """Batch-write ``(key, value)`` pairs; returns changes applied."""
@@ -398,10 +388,8 @@ class PequodServer:
     def flush(self) -> None:
         """Force all acknowledged writes to durable storage (no-op
         without a ``data_dir``)."""
-        if self.persist is not None:
-            self.persist.flush()
-        if self.backing is not None:
-            self.backing.flush()
+        if self.log is not None:
+            self.log.flush()
 
     def checkpoint(self) -> None:
         """Seal the WAL — the cache's, or on a write-around server the
@@ -411,19 +399,16 @@ class PequodServer:
         so checkpointed writes survive a crash even with
         ``wal_fsync="off"``; recovery replays the same records either
         way."""
-        if self.persist is not None:
-            self.persist.checkpoint()
-        if self.backing is not None:
-            self.backing.checkpoint()
+        if self.log is not None:
+            self.log.checkpoint()
 
     def close(self) -> None:
         """Flush and release durable state — the graceful-shutdown path
         (``repro serve`` calls this on SIGTERM/SIGINT).  Safe to call
-        twice; the server must not be written to afterwards."""
-        if self.persist is not None:
-            self.persist.close()
-        if self.backing is not None:
-            self.backing.close()
+        twice, and on a failed log; the server must not be written to
+        afterwards."""
+        if self.log is not None:
+            self.log.close()
 
     # ------------------------------------------------------------------
     # Observability

@@ -329,12 +329,12 @@ class ServerMetrics:
             yield "persist_wal_bytes", float(persist.wal.size)
             yield "persist_wal_synced_bytes", float(persist.wal.synced_size)
             yield "persist_segments", float(len(persist.segments))
-            yield "persist_segment_file_bytes", float(persist.segments.file_bytes())
+            yield "persist_segment_file_bytes", float(persist.bytes() - persist.wal.size)
             yield "persist_checkpoints_total", float(persist.checkpoints)
             yield "persist_recovered_ops_total", float(persist.recovered_ops)
             yield "persist_recovery_ms", float(persist.recovery_ms)
             yield from persist.flush_seconds.samples("persist_flush_seconds")
-            yield from persist.segments.compaction_seconds.samples(
+            yield from persist.compaction_seconds.samples(
                 "persist_compaction_seconds", tier="checkpoint"
             )
         # CDC (write-around deployments): feed depth, consumer lag, and
@@ -346,7 +346,8 @@ class ServerMetrics:
             yield "cdc_feed_high_water", float(feed.high_water)
             yield "cdc_feed_depth", float(feed.pending_records())
             # The database log's bytes: its WAL plus sealed segments.
-            yield "cdc_journal_bytes", float(server.backing.log_bytes)
+            log = server.backing.log
+            yield "cdc_journal_bytes", float(log.bytes() if log is not None else 0)
             yield "cdc_consumer_lag_records", float(cdc.lag_records)
             yield "cdc_consumer_lag_seconds", float(cdc.lag_seconds())
             yield "cdc_backfill_active", 1.0 if cdc.backfilling else 0.0

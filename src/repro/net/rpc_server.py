@@ -38,6 +38,7 @@ from ..core.pattern import PatternError
 from ..core.server import PequodServer
 from ..distrib.partition_map import WrongOwnerError
 from ..metrics import LATENCY_BUCKETS, WINDOW_BUCKETS, Histogram, sample_key
+from ..persist import DurabilityError
 from . import protocol
 from .codec import CodecError, RowBlock
 
@@ -49,7 +50,8 @@ def classify_error(exc: BaseException) -> str:
 
     ``OverloadError`` classifies first — it subclasses RuntimeError but
     carries load-control semantics every backend must surface as the
-    typed client error, not a generic server fault.  ``KeyError``
+    typed client error, not a generic server fault — and so does a
+    failed durable log's ``DurabilityError``.  ``KeyError``
     classifies before the generic bad-request bucket: the engine (and
     the subscription table) raise it for *missing things*, which a
     client must be able to distinguish from a malformed request — see
@@ -57,6 +59,8 @@ def classify_error(exc: BaseException) -> str:
     """
     if isinstance(exc, OverloadError):
         return protocol.ERR_CODE_OVERLOAD
+    if isinstance(exc, DurabilityError):
+        return protocol.ERR_CODE_DURABILITY
     if isinstance(exc, WrongOwnerError):
         return protocol.ERR_CODE_WRONG_OWNER
     if isinstance(exc, (JoinError, PatternError)):

@@ -1,35 +1,32 @@
-"""Durable persistence: one framed journal format, sealed segments and
-crash recovery.
+"""Durable persistence: one framed log format, one log owner, crash
+recovery and fail-stop.
 
-Everything above this package treats the store as RAM-resident; this
-package adds the disk tier behind it:
+* :mod:`~repro.persist.wal` — a write-ahead log journaling batches
+  (length-prefixed, CRC-checked, KeyList prefix-compressed) with a
+  configurable fsync policy;
+* :mod:`~repro.persist.manager` — ``DurableLog``, the one owner of a
+  WAL and its sealed segments (``segments/seg-<n>.log``).  It serves
+  both durable deployments: ``PersistenceManager``, a thin subclass, is
+  the write-through server's log under ``data_dir``, and a write-around
+  server's database holds a plain one under ``data_dir/db``.  A
+  committed batch is one frame on both.
 
-* :mod:`~repro.persist.wal` — a write-ahead log journaling
-  ``WriteBatch``es (length-prefixed, CRC-checked, KeyList
-  prefix-compressed) with a configurable fsync policy;
-* :mod:`~repro.persist.manager` — ``SegmentStack`` (sealed WAL files
-  ``segments/seg-<n>.log``, replayed in order and folded into one past
-  a threshold) and ``PersistenceManager`` (WAL + checkpoints + crash
-  recovery, owned by :class:`~repro.core.server.PequodServer` when it
-  is given a ``data_dir``; a write-around server's database keeps its
-  log in the same pair).  A checkpoint renames the WAL into the stack;
-  nothing on disk is ever re-encoded except by compaction.
-
-Only client writes reach disk.  Memory pressure never moves values
-there: it evicts least-recently-used computed ranges, which recompute
-on demand (paper §2.5).
+A failed append, fsync or checkpoint stops the log: every later write
+raises ``DurabilityError``, reads keep being served, the failed write's
+outcome is unknown, and a restart is the only way out.  Only client
+writes reach disk; memory pressure evicts computed ranges, which
+recompute on demand (paper §2.5).
 """
 
-from .manager import DataDirError, PersistenceManager, SegmentStack
-from .wal import FSYNC_MODES, WriteAheadLog, frame_payload, scan_frames, scan_wal
+from .manager import DataDirError, DurabilityError, DurableLog, PersistenceManager
+from .wal import FSYNC_MODES, WriteAheadLog, scan_wal
 
 __all__ = [
     "DataDirError",
+    "DurabilityError",
+    "DurableLog",
     "PersistenceManager",
-    "SegmentStack",
     "FSYNC_MODES",
     "WriteAheadLog",
-    "frame_payload",
-    "scan_frames",
     "scan_wal",
 ]

@@ -10,11 +10,8 @@ where the payload is the wire codec's encoding of ``[keys, values]`` —
 so the shared-prefix compression that earns its keep on the wire earns
 it again on disk) and ``values`` a parallel list with ``None`` marking
 removes.  A checkpoint seals a WAL file as a segment without rewriting
-it, and the write-around backing database
-(:class:`~repro.backing.database.BackingDatabase`) keeps its own log in
-the same records through the same writer, so this module is the only
-place that knows how a framed journal is appended, synced and
-truncated.
+it, and :class:`~repro.persist.manager.DurableLog` owns every WAL on
+both write paths.
 
 Replay applies records in order and is idempotent (records are plain
 puts/removes), so recovery after a crash mid-apply is safe.  A torn
@@ -56,63 +53,39 @@ WAL_HEADER_SIZE = _HEADER.size
 WalRecord = Tuple[List[str], List[Optional[str]]]
 
 
-def frame_payload(payload: bytes) -> bytes:
-    """Frame one payload in the journal record format: length + crc32
-    header followed by the payload bytes."""
+def encode_frame(keys: List[str], values: List[Optional[str]]) -> bytes:
+    """One WAL frame for parallel ``keys`` and ``values``: the length +
+    crc32 header, then the payload."""
+    payload = encode([KeyList(keys), list(values)])
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def encode_record(keys: List[str], values: List[Optional[str]]) -> bytes:
-    """One WAL record's payload for parallel ``keys`` and ``values``."""
-    return encode([KeyList(keys), list(values)])
-
-
-def scan_frames(path: str) -> Tuple[List[bytes], int, bool]:
-    """Tolerantly parse a framed journal into raw payloads.
-
-    Returns ``(payloads, good_offset, torn)``: every intact payload in
-    order, the byte offset just past the last intact frame, and whether
-    a torn/corrupt tail was found after it.  A missing file is an empty
-    journal.  This is the framing layer only; :func:`scan_wal`
-    decodes.
-    """
+def scan_wal(path: str) -> Tuple[List[WalRecord], int, bool]:
+    """Parse a WAL file tolerantly: ``(records, good_offset, torn)`` —
+    every intact record in order, the byte offset just past the last
+    one, and whether a torn tail follows it (a frame cut short, a CRC
+    mismatch, or a payload that does not decode).  A missing file is an
+    empty log."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return [], 0, False
-    payloads: List[bytes] = []
-    offset = 0
-    size = len(data)
-    while offset + _HEADER.size <= size:
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > size:
-            return payloads, offset, True  # torn: record body cut short
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return payloads, offset, True
-        payloads.append(payload)
-        offset = end
-    return payloads, offset, offset < size
-
-
-def scan_wal(path: str) -> Tuple[List[WalRecord], int, bool]:
-    """Parse a WAL file tolerantly: ``(records, good_offset, torn)``,
-    where a payload that does not decode is a torn tail too.  A missing
-    file is an empty log."""
-    payloads, good_offset, torn = scan_frames(path)
     records: List[WalRecord] = []
     offset = 0
-    for payload in payloads:
+    while offset + _HEADER.size <= len(data):
+        length, crc = _HEADER.unpack_from(data, offset)
+        end = offset + _HEADER.size + length
+        payload = data[offset + _HEADER.size : end]
+        if end > len(data) or zlib.crc32(payload) != crc:
+            return records, offset, True
         try:
             keys, values = decode(payload)
         except (CodecError, ValueError, TypeError):
             return records, offset, True
         records.append((keys, values))
-        offset += _HEADER.size + len(payload)
-    return records, good_offset, torn
+        offset = end
+    return records, offset, offset < len(data)
 
 
 class WriteAheadLog:
@@ -156,7 +129,7 @@ class WriteAheadLog:
     def append(self, keys: List[str], values: List[Optional[str]]) -> None:
         """Journal one batch — parallel keys and values (None = remove)
         — as a frame, then apply the fsync policy."""
-        frame = frame_payload(encode_record(keys, values))
+        frame = encode_frame(keys, values)
         self._fh.write(frame)
         self.size += len(frame)
         self.records += 1
@@ -168,13 +141,6 @@ class WriteAheadLog:
             and self.size - self.synced_size >= SYNC_INTERVAL_BYTES
         ):
             self.sync()
-
-    def append_ops(self, ops) -> None:
-        """Journal a sequence of :class:`~repro.store.batch.BatchOp`."""
-        keys = [op.key for op in ops]
-        values = [op.value if op.kind == "put" else None for op in ops]
-        if keys:
-            self.append(keys, values)
 
     def replay(self) -> List[WalRecord]:
         """Every intact record.  A torn or undecodable tail is truncated
@@ -205,10 +171,13 @@ class WriteAheadLog:
             self.synced_size = self.size
 
     def close(self) -> None:
+        """Flush, then release the file even if the flush fails."""
         if self._fh.closed:
             return
-        self.flush()
-        self._fh.close()
+        try:
+            self.flush()
+        finally:
+            self._fh.close()
 
     # ------------------------------------------------------------------
     # Crash simulation (chaos hooks)

@@ -118,7 +118,7 @@ class TestDatabaseLog:
         db.put("a", "2")
         db.put("b", "x")
         db.remove("a")
-        db.close()
+        db.log.close()
         db2 = BackingDatabase(d)
         assert rows(db2) == [("b", "x")]
         # Nothing is re-recorded: the reopened feed starts empty at 1.
@@ -126,7 +126,7 @@ class TestDatabaseLog:
         db2.feed.cursor("c")
         db2.put("c", "y")
         assert [r.seq for r in db2.feed.fetch(0)] == [1]
-        db2.close()
+        db2.log.close()
         assert sorted(os.listdir(d)) == ["pequod.wal", "segments"]
 
     def test_torn_tail_truncates_to_last_intact_record(self, tmp_path):
@@ -134,33 +134,33 @@ class TestDatabaseLog:
         db = BackingDatabase(d, fsync="always")
         for i in range(3):
             db.put(f"k{i}", str(i))
-        db.close()
+        db.log.close()
         with open(os.path.join(d, "pequod.wal"), "ab") as fh:
             fh.write(b"\x00\x00\x00\x30torn-mid-record")
         stats = StoreStats()
         db2 = BackingDatabase(d, stats=stats)
         assert rows(db2) == [("k0", "0"), ("k1", "1"), ("k2", "2")]
         assert stats.get("cdc_journal_torn_tails") == 1
-        db2.close()
+        db2.log.close()
 
     def test_unsynced_tail_lost_on_crash(self, tmp_path):
         d = str(tmp_path / "db")
         db = BackingDatabase(d, fsync="batch")
         db.put("a", "1")
-        db.flush()
+        db.log.flush()
         db.put("b", "2")
-        assert db.simulate_crash() > 0
+        assert db.log.simulate_crash() > 0
         db2 = BackingDatabase(d)
         assert rows(db2) == [("a", "1")]
-        db2.close()
+        db2.log.close()
 
     def test_corrupt_sealed_segment_raises(self, tmp_path):
         d = str(tmp_path / "db")
         db = BackingDatabase(d)
         db.put("a", "1")
-        db.checkpoint()
-        db.close()
-        (path,) = db.segments.paths
+        db.log.checkpoint()
+        db.log.close()
+        (path,) = db.log.segments
         with open(path, "r+b") as fh:
             fh.seek(WAL_HEADER_SIZE + 2)
             byte = fh.read(1)
@@ -184,6 +184,26 @@ class TestDatabaseLog:
         srv2.settle_cdc()
         assert srv2.backing.query("p|", "p}") == want
         assert srv2.scan("p|", "p}") == want
+        srv2.close()
+
+    def test_a_batch_is_one_frame(self, tmp_path):
+        """A write-around batch of 256 ops is one database log frame, and
+        a crash + reopen rebuilds the database and the cache from it."""
+        d = str(tmp_path / "srv")
+        srv = PequodServer(mode="write-around", data_dir=d, wal_fsync="always")
+        keys = [f"p|u{i % 8}|{i:04d}" for i in range(256)]
+        for key in keys[:64]:
+            srv.put(key, "old")
+        before = srv.stats.get("cdc_journal_records")
+        # 32 removes, 32 updates and 192 inserts.
+        srv.apply_batch([(k, None) for k in keys[:32]] + [(k, k) for k in keys[32:]])
+        assert srv.stats.get("cdc_journal_records") == before + 1
+        model = sorted((k, k) for k in keys[32:])
+        assert crash_server(srv) == 0
+        srv2 = PequodServer(mode="write-around", data_dir=d, wal_fsync="always")
+        srv2.settle_cdc()
+        assert srv2.backing.query("p|", "p}") == model
+        assert srv2.scan("p|", "p}") == model
         srv2.close()
 
     def test_old_feed_journal_layout_raises(self, tmp_path):

@@ -952,3 +952,52 @@ class TestOverloadConformance:
         with pytest.raises(OverloadError):
             shed_client.put("p|a|1", "y")
         assert shed_client.stats().get("overloaded", 0) >= 1.0
+
+
+# ----------------------------------------------------------------------
+# A failed durable log: one typed error on every backend
+# ----------------------------------------------------------------------
+from repro.client import DurabilityError  # noqa: E402
+from repro.persist import DurabilityError as LogDurabilityError  # noqa: E402
+from repro.persist.wal import WriteAheadLog  # noqa: E402
+
+
+class TestDurabilityConformance:
+    """A write whose log append fails raises the client-layer
+    DurabilityError on every backend — catchable as a ServerError and
+    as the log's own DurabilityError — and so does every later write,
+    while reads go on."""
+
+    @pytest.mark.parametrize("backend", ("local", "rpc", "cluster"))
+    def test_failed_log_raises_typed_durability_error(
+        self, backend, tmp_path, monkeypatch
+    ):
+        c = make_client(
+            backend, base_tables=BASE_TABLES, data_dir=str(tmp_path),
+            wal_fsync="always",
+        )
+        try:
+            c.put("p|a|1", "acked")
+
+            def full_disk(*_):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(WriteAheadLog, "append", full_disk)
+            with pytest.raises(DurabilityError) as ei:
+                c.put("p|a|2", "lost")
+            assert isinstance(ei.value, ServerError)
+            assert isinstance(ei.value, LogDurabilityError)
+            assert "unknown until a restart" in str(ei.value)
+            monkeypatch.undo()
+            with pytest.raises(DurabilityError):
+                c.apply_batch([("p|a|3", "refused")])
+            assert c.get("p|a|1") == "acked"
+        finally:
+            monkeypatch.undo()
+            c.close()
+            # The rpc and cluster clients leave the servers they built open.
+            if backend == "rpc":
+                c._service.rpc.server.close()
+            elif backend == "cluster":
+                for node in c.cluster.base_nodes + c.cluster.compute_nodes:
+                    node.server.close()

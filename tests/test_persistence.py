@@ -13,6 +13,7 @@ policy's promise), and a recovery must land byte-identical to an
 uninterrupted run — in every fsync mode.
 """
 
+import errno
 import os
 import random
 import shutil
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from repro import PequodServer
 from repro.chaos import crash_server, torn_wal_tail
 from repro.persist import manager
-from repro.persist.manager import DataDirError
+from repro.persist.manager import DataDirError, DurabilityError
 from repro.persist.wal import FSYNC_MODES, WAL_HEADER_SIZE
 
 TIMELINE = (
@@ -44,6 +45,17 @@ def durable(data_dir, **kwargs) -> PequodServer:
     )
     srv.add_join(TIMELINE)
     return srv
+
+
+def open_files() -> set:
+    """The paths this process holds open."""
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the fd listdir itself used, closed since
+            pass
+    return paths
 
 
 class Killed(BaseException):
@@ -222,15 +234,19 @@ class TestCrashInjection:
         for i in range(5):
             srv.put(f"p|bob|{i:04d}", f"v{i}")
         srv.checkpoint()
-        (path,) = srv.persist.segments.paths
+        (path,) = srv.persist.segments
         srv.close()
         with open(path, "r+b") as fh:
             fh.seek(WAL_HEADER_SIZE + 2)
             byte = fh.read(1)
             fh.seek(WAL_HEADER_SIZE + 2)
             fh.write(bytes([byte[0] ^ 0xFF]))
-        with pytest.raises(DataDirError, match="seg-"):
+        with pytest.raises(DataDirError, match="seg-") as raised:
             durable(tmp_path / "d")
+        # The segments are read before the WAL opens, so no file is
+        # open even while the error's frames are still alive.
+        assert raised.traceback
+        assert str(tmp_path / "d" / "pequod.wal") not in open_files()
 
     def test_old_format_manifest_raises(self, tmp_path):
         """A data dir the SSTable-segment build checkpointed is refused,
@@ -262,6 +278,83 @@ class TestCrashInjection:
         final = durable(tmp_path / "d")
         assert final.get("p|bob|0007") == "rewritten"
         final.close()
+
+
+class FaultyFile:
+    """Stands in for a durable log's file object and passes every call
+    through, apart from one armed fault: a write that lands half its
+    frame and raises ``ENOSPC``, or an fsync handed a pipe (``EINVAL``
+    on Linux)."""
+
+    def __init__(self, fh, torn: bool = False, fsync_fd=None) -> None:
+        self._fh = fh
+        self.torn = torn
+        self.fsync_fd = fsync_fd
+
+    def write(self, frame):
+        if self.torn:
+            self.torn = False
+            self._fh.write(frame[: len(frame) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(frame)
+
+    def fileno(self):
+        if self.fsync_fd is not None:
+            fd, self.fsync_fd = self.fsync_fd, None
+            return fd
+        return self._fh.fileno()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def rows(srv) -> list:
+    srv.settle_cdc()
+    return srv.scan("p|", "p}")
+
+
+@pytest.mark.parametrize("mode", ["write-through", "write-around"])
+class TestFailStop:
+    """One I/O error stops the log: that write and every later one
+    raise ``DurabilityError``, reads go on, and a reopen holds every
+    write acknowledged before the fault."""
+
+    def test_torn_write(self, tmp_path, mode):
+        srv = durable(tmp_path / "d", wal_fsync="always", mode=mode)
+        acked = [(f"p|bob|{i:04d}", f"acked {i}") for i in range(5)]
+        for key, value in acked:
+            srv.put(key, value)
+        srv.log.wal._fh = FaultyFile(srv.log.wal._fh, torn=True)
+        with pytest.raises(DurabilityError, match="unknown until a restart"):
+            srv.put("p|bob|0005", "torn")
+        for i in range(6, 11):
+            with pytest.raises(DurabilityError):
+                srv.put(f"p|bob|{i:04d}", "after the fault")
+        assert rows(srv) == acked  # reads are still served
+        srv.close()  # releases the file without raising
+        again = durable(tmp_path / "d", wal_fsync="always", mode=mode)
+        assert rows(again) == acked
+        again.close()
+
+    def test_failed_fsync(self, tmp_path, mode):
+        srv = durable(tmp_path / "d", wal_fsync="always", mode=mode)
+        acked = [(f"p|bob|{i:04d}", f"acked {i}") for i in range(5)]
+        for key, value in acked:
+            srv.put(key, value)
+        read_end, write_end = os.pipe()
+        try:
+            srv.log.wal._fh = FaultyFile(srv.log.wal._fh, fsync_fd=write_end)
+            with pytest.raises(DurabilityError):
+                srv.put("p|bob|0005", "unknown")
+            with pytest.raises(DurabilityError):
+                srv.put("p|bob|0006", "refused")
+            srv.close()
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        again = durable(tmp_path / "d", wal_fsync="always", mode=mode)
+        assert rows(again) in (acked, acked + [("p|bob|0005", "unknown")])
+        again.close()
 
 
 # Small key space so puts, overwrites, and removes collide often.

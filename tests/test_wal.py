@@ -1,18 +1,20 @@
-"""The persistence primitives: WAL framing and sealed segments.
+"""The persistence primitives: WAL framing and the durable log.
 
 Each layer is tested against its own durability contract — the WAL's
 torn-tail tolerance (any prefix of a crash is recoverable to the last
-intact record), and the sealed segment stack's (a sealed segment is
-trusted only whole, replay order decides which write wins, and a
-compaction fold leaves no temp file behind).
+intact record), and the durable log's (a sealed segment is trusted only
+whole, replay order decides which write wins, a compaction fold leaves
+no temp file behind, and a failed write stops the log for good).
 """
 
+import errno
 import os
 import struct
 
 import pytest
 
-from repro.persist.manager import DataDirError, SegmentStack
+from repro.persist import manager
+from repro.persist.manager import DataDirError, DurabilityError, DurableLog
 from repro.persist.wal import (
     FSYNC_MODES,
     WAL_HEADER_SIZE,
@@ -137,120 +139,189 @@ class TestWriteAheadLog:
         wal.close()
 
 
-def sealed(stack, tmp_path, *records):
-    """Write ``records`` to a WAL and seal it as the stack's newest
-    segment, the way a checkpoint does."""
-    wal = WriteAheadLog(str(tmp_path / "pequod.wal"))
+def sealed(log, *records):
+    """Append ``records`` and seal them as the log's newest segment, the
+    way a checkpoint does."""
     for keys, values in records:
-        wal.append(keys, values)
-    stack.seal(wal).close()
+        log.append(keys, values)
+    log.checkpoint()
 
 
-def replayed(stack) -> dict:
-    """What recovery would rebuild: every record in order, last wins."""
-    state = {}
-    for keys, values in stack.records():
-        for key, value in zip(keys, values):
-            if value is None:
-                state.pop(key, None)
-            else:
-                state[key] = value
-    return state
+def replayed(directory) -> dict:
+    """What recovery rebuilds from ``directory``."""
+    log = DurableLog(directory)
+    try:
+        return dict(log.take_live_rows())
+    finally:
+        log.close()
 
 
 class TestSegment:
     """One sealed segment: a WAL file, trusted only whole."""
 
     def test_tombstones_read_back_as_none(self, tmp_path):
-        stack = SegmentStack(str(tmp_path / "segs"))
-        sealed(stack, tmp_path, (["k|1", "k|2", "k|3"], ["x", None, "z"]))
-        assert list(stack.records()) == [(["k|1", "k|2", "k|3"], ["x", None, "z"])]
+        log = DurableLog(str(tmp_path))
+        sealed(log, (["k|1", "k|2", "k|3"], ["x", None, "z"]))
+        log.close()
+        records, _, torn = scan_wal(log.segments[0])
+        assert records == [(["k|1", "k|2", "k|3"], ["x", None, "z"])] and not torn
 
     def test_truncated_file_detected(self, tmp_path):
-        stack = SegmentStack(str(tmp_path / "segs"))
-        sealed(stack, tmp_path, (["k|1"], ["x"]), (["k|2"], ["y"]))
-        (path,) = stack.paths
+        log = DurableLog(str(tmp_path))
+        sealed(log, (["k|1"], ["x"]), (["k|2"], ["y"]))
+        log.close()
+        (path,) = log.segments
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 5)
         with pytest.raises(DataDirError):
-            list(SegmentStack(stack.directory).records())
+            DurableLog(str(tmp_path))
 
-    def test_no_temp_file_left_behind(self, tmp_path):
-        stack = SegmentStack(str(tmp_path / "segs"))
+    def test_no_temp_file_left_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manager, "COMPACT_THRESHOLD", 2)
+        log = DurableLog(str(tmp_path))
         for i in range(3):
-            sealed(stack, tmp_path, ([f"k|{i}"], [str(i)]))
-        stack.compact()
-        assert os.listdir(stack.directory) == [os.path.basename(stack.paths[0])]
+            sealed(log, ([f"k|{i}"], [str(i)]))
+        log.close()
+        assert os.listdir(log.segment_dir) == [os.path.basename(log.segments[0])]
 
     def test_stale_temp_file_is_removed_on_open(self, tmp_path):
-        directory = str(tmp_path / "segs")
-        os.makedirs(directory)
-        with open(os.path.join(directory, "seg-00000003.log.tmp"), "wb") as fh:
-            fh.write(b"a fold the crash cut short")
-        stack = SegmentStack(directory)
-        assert len(stack) == 0 and os.listdir(directory) == []
+        directory = tmp_path / "segments"
+        directory.mkdir()
+        (directory / "seg-00000003.log.tmp").write_bytes(b"a fold the crash cut short")
+        log = DurableLog(str(tmp_path))
+        log.close()
+        assert log.segments == [] and os.listdir(directory) == []
 
 
-class TestSegmentStack:
+class TestDurableLog:
     def test_newest_segment_wins(self, tmp_path):
-        stack = SegmentStack(str(tmp_path / "segs"))
-        sealed(stack, tmp_path, (["k|1", "k|2"], ["old", "keep"]))
-        sealed(stack, tmp_path, (["k|1"], ["new"]))
-        assert replayed(stack) == {"k|1": "new", "k|2": "keep"}
+        log = DurableLog(str(tmp_path))
+        sealed(log, (["k|1", "k|2"], ["old", "keep"]))
+        sealed(log, (["k|1"], ["new"]))
+        log.close()
+        assert replayed(str(tmp_path)) == {"k|1": "new", "k|2": "keep"}
 
     def test_tombstone_masks_older_value(self, tmp_path):
-        stack = SegmentStack(str(tmp_path / "segs"))
-        sealed(stack, tmp_path, (["k|1"], ["alive"]))
-        sealed(stack, tmp_path, (["k|1"], [None]))
-        assert replayed(stack) == {}
+        log = DurableLog(str(tmp_path))
+        sealed(log, (["k|1"], ["alive"]))
+        sealed(log, (["k|1"], [None]))
+        log.close()
+        assert replayed(str(tmp_path)) == {}
 
-    def test_stack_survives_reopen(self, tmp_path):
-        directory = str(tmp_path / "segs")
-        stack = SegmentStack(directory)
-        sealed(stack, tmp_path, (["a|1"], ["x"]))
-        sealed(stack, tmp_path, (["a|2"], ["y"]))
-        reopened = SegmentStack(directory)
-        assert reopened.paths == stack.paths
-        sealed(reopened, tmp_path, (["a|3"], ["z"]))  # ids keep advancing
-        assert len(reopened) == 3
-        assert replayed(reopened) == {"a|1": "x", "a|2": "y", "a|3": "z"}
+    def test_segments_survive_reopen(self, tmp_path):
+        log = DurableLog(str(tmp_path))
+        sealed(log, (["a|1"], ["x"]))
+        sealed(log, (["a|2"], ["y"]))
+        log.close()
+        reopened = DurableLog(str(tmp_path))
+        assert reopened.segments == log.segments
+        sealed(reopened, (["a|3"], ["z"]))  # ids keep advancing
+        reopened.close()
+        assert len(reopened.segments) == 3
+        assert replayed(str(tmp_path)) == {"a|1": "x", "a|2": "y", "a|3": "z"}
 
-    def test_compaction_merges_and_drops_tombstones(self, tmp_path):
+    def test_compaction_merges_and_drops_tombstones(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manager, "COMPACT_THRESHOLD", 2)
         stats = StoreStats()
-        stack = SegmentStack(str(tmp_path / "segs"), stats=stats)
-        sealed(stack, tmp_path, (["k|1", "k|2"], ["v1", "v2"]))
-        sealed(stack, tmp_path, (["k|2", "k|3"], ["v2b", "v3"]))
-        sealed(stack, tmp_path, (["k|1"], [None]))
-        stack.compact()
-        assert len(stack) == 1
-        assert list(stack.records()) == [(["k|2", "k|3"], ["v2b", "v3"])]
+        log = DurableLog(str(tmp_path), stats=stats)
+        sealed(log, (["k|1", "k|2"], ["v1", "v2"]))
+        sealed(log, (["k|2", "k|3"], ["v2b", "v3"]))
+        sealed(log, (["k|1"], [None]))  # the third segment folds the stack
+        log.close()
+        (path,) = log.segments
+        assert scan_wal(path)[0] == [(["k|2", "k|3"], ["v2b", "v3"])]
         assert stats.get("persist_compactions") == 1
         # Old segment files are actually unlinked.
-        assert len(os.listdir(stack.directory)) == 1
+        assert len(os.listdir(log.segment_dir)) == 1
 
     def test_threshold_triggers_compaction(self, tmp_path):
-        from repro.persist.manager import COMPACT_THRESHOLD
-
-        stack = SegmentStack(str(tmp_path / "segs"))
-        for i in range(COMPACT_THRESHOLD + 1):
-            sealed(stack, tmp_path, ([f"k|{i}"], [str(i)]))
-            stack.maybe_compact()
-        assert len(stack) == 1
-        assert replayed(stack) == {
-            f"k|{i}": str(i) for i in range(COMPACT_THRESHOLD + 1)
+        log = DurableLog(str(tmp_path))
+        for i in range(manager.COMPACT_THRESHOLD + 1):
+            sealed(log, ([f"k|{i}"], [str(i)]))
+        log.close()
+        assert len(log.segments) == 1
+        assert replayed(str(tmp_path)) == {
+            f"k|{i}": str(i) for i in range(manager.COMPACT_THRESHOLD + 1)
         }
 
-
-    def test_seal_hands_back_a_fresh_wal(self, tmp_path):
+    def test_checkpoint_opens_a_fresh_wal(self, tmp_path):
         stats = StoreStats()
-        stack = SegmentStack(str(tmp_path / "segs"), stats=stats, prefix="db_log")
-        path = str(tmp_path / "pequod.wal")
-        wal = WriteAheadLog(path, fsync="off", stats=stats, prefix="db_log")
-        assert stack.seal(wal) is wal  # an empty WAL is not sealed
-        wal.append(["k|1"], ["x"])
-        fresh = stack.seal(wal)
-        assert (fresh.path, fresh.size, fresh.fsync) == (path, 0, "off")
-        assert len(stack) == 1 and replayed(stack) == {"k|1": "x"}
+        log = DurableLog(str(tmp_path), fsync="off", stats=stats, prefix="db_log")
+        wal = log.wal
+        log.checkpoint()
+        assert log.wal is wal and log.segments == []  # nothing to seal
+        log.append(["k|1"], ["x"])
+        log.checkpoint()
+        assert (log.wal.path, log.wal.size, log.wal.fsync) == (wal.path, 0, "off")
+        assert len(log.segments) == 1
         assert stats.get("db_log_segments_written") == 1
         assert stats.get("db_log_segment_bytes_written") == wal.size
-        fresh.close()
+        assert stats.get("db_log_checkpoints") == 2
+        log.close()
+        assert replayed(str(tmp_path)) == {"k|1": "x"}
+
+    def test_recovery_folds_rows_and_counts_ops(self, tmp_path):
+        log = DurableLog(str(tmp_path))
+        sealed(log, (["b", "a"], ["1", "2"]))
+        log.append(["a", "c"], [None, "3"])  # the WAL tail
+        log.close()
+        stats = StoreStats()
+        again = DurableLog(str(tmp_path), stats=stats)
+        assert again.recovered_ops == stats.get("persist_recovered_ops") == 4
+        assert again.take_live_rows() == [("b", "1"), ("c", "3")]
+        assert again.take_live_rows() == []  # handed over once
+        again.close()
+
+    def test_append_seals_a_full_wal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manager, "CHECKPOINT_BYTES", 256)
+        log = DurableLog(str(tmp_path))
+        for i in range(20):
+            log.append([f"k|{i:02d}"], ["x" * 32])
+        assert log.checkpoints > 0 and log.wal.size < 256
+        log.close()
+        assert len(replayed(str(tmp_path))) == 20
+
+
+class BrokenFile:
+    """A log file object whose writes and flushes raise ``EIO``."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def write(self, *_):
+        raise OSError(errno.EIO, "Input/output error")
+
+    flush = write
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestFailStop:
+    def test_a_failed_append_refuses_every_later_write(self, tmp_path):
+        log = DurableLog(str(tmp_path))
+        log.append(["k|1"], ["acked"])
+        log.wal._fh = BrokenFile(log.wal._fh)
+        for _ in range(3):
+            with pytest.raises(DurabilityError, match="unknown until a restart"):
+                log.append(["k|2"], ["refused"])
+        with pytest.raises(DurabilityError):
+            log.checkpoint()
+        with pytest.raises(DurabilityError):
+            log.flush()
+        assert not isinstance(log.failed, DurabilityError)
+        assert not issubclass(DurabilityError, ValueError)
+        log.close()  # releases the file, raises nothing
+        log.close()
+        assert replayed(str(tmp_path)) == {"k|1": "acked"}
+
+    def test_a_failed_seal_stops_the_log(self, tmp_path):
+        log = DurableLog(str(tmp_path), fsync="off")
+        log.append(["k|1"], ["acked"])
+        log.wal._fh = BrokenFile(log.wal._fh)
+        with pytest.raises(DurabilityError):
+            log.checkpoint()
+        assert log.segments == []
+        with pytest.raises(DurabilityError):
+            log.append(["k|2"], ["refused"])
+        log.close()
