@@ -12,7 +12,7 @@ paper's system and every substrate it depends on, in pure Python:
 * ``repro.core`` — cache joins, query execution, incremental
   maintenance, the single-node :class:`PequodServer`;
 * ``repro.store`` — the ordered store (a blocked sorted array, interval
-  trees, tables/subtables, value sharing);
+  trees, tables/subtables, value charging);
 * ``repro.backing`` — a backing database with a change feed, and the
   cache deployments (write-around / write-through / lookaside);
 * ``repro.net`` — a binary RPC protocol over asyncio TCP and a
@@ -58,7 +58,6 @@ from .core import (
 )
 from .store import (
     OrderedStore,
-    SharedValue,
     StoreStats,
     WriteBatch,
     prefix_upper_bound,
@@ -97,7 +96,6 @@ __all__ = [
     "Pattern",
     "PatternError",
     "PequodServer",
-    "SharedValue",
     "SimClock",
     "Source",
     "StoreStats",

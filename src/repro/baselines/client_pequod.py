@@ -12,9 +12,10 @@ in-process server).  The client keeps a reverse-subscription index
 follower timeline it updates.  The paper splits client Pequod's 1.64x
 penalty into RPC overhead and insertion overhead (no output hints, no
 value sharing).  Here it differs from server-side Pequod in exactly two
-ways: those client RPCs, and no value sharing (§4.3) — each timeline
-entry is a private copy of the tweet.  Output hints (§4.2) are not
-implemented on either side, so none of the modeled gap comes from them.
+ways: those client RPCs, and no value sharing (§4.3) — no copy join
+writes the ``t`` table, so each timeline entry is charged as a private
+copy of the tweet.  Output hints (§4.2) are not implemented on either
+side, so none of the modeled gap comes from them.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ class ClientPequodBackend(TwipBackend):
     ) -> None:
         super().__init__()
         if client is None:
-            # Client-managed timelines hold private copies: value
-            # sharing only helps outputs a cache join computes.
-            server_kwargs.setdefault("enable_sharing", False)
+            # No copy join is installed, so the store charges each
+            # client-written timeline entry its full payload.
             client = LocalClient(
                 PequodServer(stats=self.meter, **server_kwargs)
             )

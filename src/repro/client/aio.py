@@ -578,6 +578,10 @@ class AsyncClusterClient(AsyncPequodClient):
         self.cluster = cluster
         self.affinity_of = affinity_of or default_affinity
         self._computed_cache: Optional[set] = None
+        #: Set by :func:`~repro.client.factory.make_async_client` for a
+        #: cluster it built: :meth:`aclose` then closes every node's
+        #: server.  A cluster passed in belongs to the caller.
+        self._owns_cluster = False
 
     # ------------------------------------------------------------------
     # Routing helpers
@@ -804,6 +808,11 @@ class AsyncClusterClient(AsyncPequodClient):
     async def settle(self) -> int:
         """Deliver all in-flight subscription updates (§2.4)."""
         return self.cluster.settle()
+
+    async def aclose(self) -> None:
+        if self._owns_cluster:
+            for node in self.cluster.nodes:
+                node.server.close()
 
     async def settle_cdc(self) -> int:
         """Drain every live node's change feed, then settle the

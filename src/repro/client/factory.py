@@ -54,7 +54,9 @@ _FACADES = {
 
 
 class _AsyncEphemeralRemoteClient(AsyncRemoteClient):
-    """An AsyncRemoteClient that owns the loopback server it talks to."""
+    """An AsyncRemoteClient that owns the loopback server it talks to:
+    closing the client stops the service, then closes its server's
+    durable log."""
 
     def __init__(self, service: RpcServer) -> None:
         super().__init__("127.0.0.1", service.port)
@@ -65,6 +67,7 @@ class _AsyncEphemeralRemoteClient(AsyncRemoteClient):
             await super().aclose()
         finally:
             await self._service.stop()
+            self._service.server.close()
             # One extra tick so closed transports detach their sockets
             # before a private loop goes away (avoids ResourceWarnings).
             await asyncio.sleep(0)
@@ -180,6 +183,7 @@ async def make_async_client(
             server_factory=cluster_server,
         )
         client = AsyncClusterClient(cluster)
+        client._owns_cluster = True
     if joins is not None:
         try:
             await client.add_join(joins)
@@ -193,7 +197,8 @@ class _EphemeralRemoteClient(RemoteClient):
     """A RemoteClient facade that owns the loopback server it talks
     to — an RPC server on a private event-loop *thread*, so it serves
     this client, and any other connection, between the facade's
-    blocking calls."""
+    blocking calls.  Closing the facade stops the thread, then closes
+    the server's durable log."""
 
     def __init__(self, service: ThreadedRpcService) -> None:
         self._service = service
@@ -208,6 +213,7 @@ class _EphemeralRemoteClient(RemoteClient):
             super().close()
         finally:
             self._service.stop()
+            self._service.rpc.server.close()
 
 
 def make_client(

@@ -71,10 +71,10 @@ from ..store.lru import LRUList
 from ..store.stats import StoreStats
 from ..store.store import OrderedStore
 from ..store.table import Table
-from ..store.values import SharedValue, Value, materialize
+from ..store.values import Value, materialize
 from .clock import Clock, SystemClock
 from .joins import CacheJoin, JoinError
-from .operators import COPY, AggValue, ChangeKind, UpdateOutcome
+from .operators import AggValue, ChangeKind, UpdateOutcome
 from .pattern import PatternError
 from .plan import ComputeLevel, ComputePlan, FirePin
 from .ranges import SlotConstraints
@@ -151,12 +151,10 @@ class JoinEngine:
         store: OrderedStore,
         clock: Optional[Clock] = None,
         stats: Optional[StoreStats] = None,
-        enable_sharing: bool = True,
     ) -> None:
         self.store = store
         self.clock = clock if clock is not None else SystemClock()
         self.stats = stats if stats is not None else store.stats
-        self.enable_sharing = enable_sharing
         self.joins: List[CacheJoin] = []
         self._output_joins: Dict[str, List[CacheJoin]] = {}
         #: Precomputed views of ``joins``: materialized joins per output
@@ -250,7 +248,9 @@ class JoinEngine:
     def add_join(self, join: CacheJoin, validate: bool = True) -> CacheJoin:
         """Install a cache join ("add-join RPC", §3).  ``validate=False``
         skips re-validation for callers that batch-validated already
-        (:meth:`PequodServer.add_join`)."""
+        (:meth:`PequodServer.add_join`).  A stored copy join marks its
+        output table, whose strings are then charged a pointer each
+        (§4.3, :meth:`Table.mark_copy_output`)."""
         if validate:
             self.validate_join(join)
         self.joins.append(join)
@@ -259,6 +259,8 @@ class JoinEngine:
             self._pull_joins.append(join)
         else:
             self._materialized_joins.setdefault(join.output.table, []).append(join)
+            if not join.is_aggregate:
+                self.store.table(join.output.table).mark_copy_output()
             self._validate_plan = [
                 (
                     tbl,
@@ -580,7 +582,7 @@ class JoinEngine:
         3 and 5) through its :class:`ComputePlan`, appending each output
         to ``run`` — an aggregate's outputs folded into accumulators,
         in key order.  A pull join (``sr`` None) stores nothing, so it
-        installs no updater and promotes no source value."""
+        installs no updater."""
         cs = SlotConstraints.for_output_range(join.output, out_lo, out_hi)
         if not cs.compatible:
             return
@@ -637,16 +639,17 @@ class JoinEngine:
         (§3.3) and — for a push join building status range ``sr`` — an
         updater for that range; then one scan whose rows are matched by
         ``Pattern.slot_tuple`` into the slot vector.  A value-source row
-        carries its value down, promoted to a shared value (§4.3) when
-        it is copied into stored output.  A row breaking a declared
-        output width raises ``Pattern.expand``'s own error.
+        carries its stored string down, so a copy output holds the
+        source's own string object (§4.3's shared value buffer); an
+        aggregate source's accumulator carries its rendered payload.  A
+        row breaking a declared output width raises ``Pattern.expand``'s
+        own error.
         """
         join = plan.join
         out_key = plan.out_fmt.format
         widths = plan.widths
         emit = run.append
         counters = self.stats.counters
-        share = self.enable_sharing and not join.is_pull
         install = join.is_push and sr is not None
         last = len(levels) - (2 if pinned == len(levels) - 1 else 1)
 
@@ -671,7 +674,6 @@ class JoinEngine:
             slot_tuple = level.pattern.slot_tuple
             checks, assigns, frontier = level.checks, level.assigns, level.frontier
             is_value = level.is_value
-            promote = is_value and level.is_copy and share
             inner = k < last
             for node in nodes:
                 t = slot_tuple(node.key)
@@ -690,10 +692,8 @@ class JoinEngine:
                 v = value
                 if is_value:
                     v = node.value
-                    if not promote:
-                        v = materialize(v)
-                    elif not isinstance(v, SharedValue):
-                        v = self._promote_shared(table, node)
+                    if type(v) is not str:  # an aggregate's accumulator
+                        v = v.payload
                 if inner:
                     scan(k + 1, v)
                     continue
@@ -844,7 +844,6 @@ class JoinEngine:
                 join, idx, context, out_lo, out_hi, lo, hi, sr
             )
         table = self.store.table(src.pattern.table)
-        share = src.operator == COPY and self.enable_sharing
         for node in list(table.scan_nodes(lo, hi)):
             self.stats.add("source_keys_examined")
             match = src.pattern.match(node.key)
@@ -853,25 +852,10 @@ class JoinEngine:
             child = cs.child_with(match)
             if child is None:
                 continue
-            v = value
-            if idx == join.value_index:
-                if share:
-                    v = self._promote_shared(table, node)
-                else:
-                    v = materialize(node.value)
+            v = materialize(node.value) if idx == join.value_index else value
             self._exec_source(
                 join, idx + 1, child, out_lo, out_hi, v, sr, skip_source,
             )
-
-    def _promote_shared(self, table: Table, node) -> Value:
-        """Promote a copy source's value to a SharedValue (§4.3)."""
-        if isinstance(node.value, SharedValue):
-            return node.value
-        if not isinstance(node.value, str):
-            return materialize(node.value)  # aggregate sources stay private
-        shared = SharedValue(node.value)
-        table.replace_node_value(node, shared)
-        return shared
 
     def _install_output(self, key: str, value: Value) -> None:
         old = self.store.table_for_key(key).put(key, value)
@@ -1100,11 +1084,10 @@ class JoinEngine:
                 counters["write_fanout_max"] = float(fanout)
         if not hits:
             return
-        shared: Dict[str, Value] = {}
         collected: Dict[str, Tuple[StatusTable, Table, list]] = {}
         for entry, covered in hits.values():
             for updater in list(entry.payloads):
-                self._fire_updater_group(updater, covered, shared, collected)
+                self._fire_updater_group(updater, covered, collected)
         for stable, out_table, fires in collected.values():
             self._install_collected(stable, out_table, fires)
 
@@ -1112,7 +1095,6 @@ class JoinEngine:
         self,
         updater: Updater,
         covered: List[Change],
-        shared: Dict[str, Value],
         collected: Dict[str, Tuple[StatusTable, Table, list]],
     ) -> None:
         """Fire one updater once for the changes it covers: the one
@@ -1154,7 +1136,7 @@ class JoinEngine:
             join.sources[updater.source_index].is_check
             or updater.source_index != len(join.sources) - 1
         ):
-            self._fire_walk_group(stable, updater, pin, vec, covered, shared)
+            self._fire_walk_group(stable, updater, pin, vec, covered)
             return
         plan = pin.plan
         out_fmt, widths = plan.out_fmt.format, plan.widths
@@ -1182,11 +1164,7 @@ class JoinEngine:
             if emit is None:
                 self._eager_aggregate_at(stable, updater, out_key, old, new, kind)
                 continue
-            value = (
-                None if kind is ChangeKind.REMOVE
-                else self._group_source_value(shared, key, new)
-            )
-            emit((out_key, key, value, updater.build, kind))
+            emit((out_key, key, new, updater.build, kind))
 
     def _install_collected(
         self, stable: StatusTable, table: Table, fires: list
@@ -1271,7 +1249,6 @@ class JoinEngine:
         pin: FirePin,
         vec: List[Optional[str]],
         covered: List[Change],
-        shared: Dict[str, Value],
     ) -> None:
         """Eager maintenance that walks the join's other levels with the
         changed key pinned, once per VALID range the updater maintains:
@@ -1310,10 +1287,7 @@ class JoinEngine:
                 start, value = 0, None
             else:
                 start = updater.source_index + 1
-                value = (
-                    (old or "") if retract
-                    else self._group_source_value(shared, key, new)
-                )
+                value = (old or "") if retract else new
             walk_vec = vec[:]
             walked = False
             for sr in self._owning_ranges(stable, updater):
@@ -1357,28 +1331,6 @@ class JoinEngine:
             for sr in stable.overlapping(updater.output_lo, updater.output_hi)
             if build in sr.builds
         ]
-
-    def _group_source_value(
-        self, shared: Dict[str, Value], key: str, new_value: Optional[str]
-    ) -> Value:
-        """The pass-wide shared source value for ``key`` (§4.3): the
-        source's stored value, promoted to a SharedValue.
-
-        Promoted at most once per table pass per key, however many
-        updaters copy it — a post fanning out to hundreds of timelines
-        shares one buffer.  Only copies call this, so a value no copy
-        consumes stays a plain string.
-        """
-        value = shared.get(key)
-        if value is None:
-            value = new_value or ""
-            if self.enable_sharing:
-                table = self.store.existing_table_for_key(key)
-                node = table.get_node(key) if table is not None else None
-                if node is not None:
-                    value = self._promote_shared(table, node)
-            shared[key] = value
-        return value
 
     def _apply_pending(
         self, tbl_name: str, stable: StatusTable, sr: StatusRange

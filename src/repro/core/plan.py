@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..store.keys import SEP, SEP_SUCCESSOR, key_successor
-from .operators import COPY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .joins import CacheJoin
@@ -69,7 +68,6 @@ class ComputeLevel:
         "pattern",
         "table",
         "is_value",
-        "is_copy",
         "prefix",
         "closing",
         "checks",
@@ -255,7 +253,6 @@ class ComputePlan:
             level.pattern = pattern
             level.table = pattern.table
             level.is_value = idx == join.value_index
-            level.is_copy = src.operator == COPY
             if closing_at == len(segments):
                 level.closing = ComputeLevel.KEY
                 level.prefix = _numbered(segments, index, closing_at)

@@ -40,10 +40,11 @@ class PequodServer:
 
     * ``subtable_config`` — developer-marked subtable boundaries per
       table (§4.1), e.g. ``{"t": 2}`` for one subtable per timeline.
-    * ``enable_sharing`` — §4.3's value sharing; the client-Pequod
-      baseline (§5.2, ``baselines.client_pequod``) turns it off.
-      §4.2's output hints are not implemented: on the sorted-array
-      store a hint costs a locate on top of the insert it would skip.
+      §4.3's value sharing is not a parameter: a copy output holds its
+      source's string, and a table a copy join writes into charges
+      each string a pointer (:mod:`repro.store.values`).  §4.2's
+      output hints are not implemented: on the sorted-array store a
+      hint costs a locate on top of the insert it would skip.
     * ``memory_limit`` — optional byte budget; exceeding it evicts
       least-recently-used ranges (§2.5).
     * ``clock`` — injectable time source for snapshot joins.
@@ -75,7 +76,6 @@ class PequodServer:
         self,
         subtable_config: Optional[Dict[str, int]] = None,
         clock: Optional[Clock] = None,
-        enable_sharing: bool = True,
         memory_limit: Optional[int] = None,
         stats: Optional[StoreStats] = None,
         name: str = "pequod",
@@ -95,12 +95,7 @@ class PequodServer:
         self.clock = clock if clock is not None else SystemClock()
         self.data_dir = data_dir
         self.store = OrderedStore(subtable_config, stats=self.stats)
-        self.engine = JoinEngine(
-            self.store,
-            clock=self.clock,
-            stats=self.stats,
-            enable_sharing=enable_sharing,
-        )
+        self.engine = JoinEngine(self.store, clock=self.clock, stats=self.stats)
         self.eviction = EvictionManager(self.engine, memory_limit)
         self.load: Optional[AdmissionController] = (
             AdmissionController(self.engine, overload_policy)

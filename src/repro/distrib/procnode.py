@@ -134,12 +134,14 @@ class ClusterNodeRuntime:
         return None if self._peer is None else self._peer.loop
 
     async def _close_peer_conns(self) -> None:
-        for task in self._peer_conns.values():
-            if task.done() and task.exception() is None:
+        # Pop, don't iterate: a connection may be opened or dropped
+        # while an earlier one is closing.
+        while self._peer_conns:
+            _, task = self._peer_conns.popitem()
+            if task.done() and not task.cancelled() and task.exception() is None:
                 await task.result().close()
             else:
                 task.cancel()
-        self._peer_conns.clear()
 
     def stop(self) -> None:
         """Stop both endpoints and close the engine (flushes the WAL)."""

@@ -2,7 +2,7 @@
 
 A blocked sorted array as the one ordered map, a prefix-filed range
 index for updaters and change watches, table/subtable layering with a
-hash index, value sharing, and LRU tracking — the data structures the
+hash index, value charging, and LRU tracking — the data structures the
 Pequod join engine is built on.
 """
 
@@ -30,11 +30,9 @@ from .table import SUBTABLE_OVERHEAD, Table
 from .values import (
     NODE_OVERHEAD,
     POINTER_SIZE,
-    SharedValue,
     Value,
-    acquire_value,
     materialize,
-    release_value,
+    value_bytes,
 )
 
 __all__ = [
@@ -49,13 +47,11 @@ __all__ = [
     "LRUList",
     "OrderedStore",
     "RangeIndex",
-    "SharedValue",
     "SortedArrayMap",
     "StoreStats",
     "Table",
     "Value",
     "WriteBatch",
-    "acquire_value",
     "as_ops",
     "clamp_range",
     "join_key",
@@ -64,9 +60,9 @@ __all__ = [
     "prefix_upper_bound",
     "range_contains",
     "ranges_overlap",
-    "release_value",
     "split_key",
     "subtable_prefix",
     "table_of",
     "table_range",
+    "value_bytes",
 ]

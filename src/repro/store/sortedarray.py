@@ -20,8 +20,8 @@ The structure mirrors the classic blocked sorted list (cf. the
 
 Keys and nodes are kept in separate parallel lists so bisect compares
 raw keys (no key= callable per probe).  Node handles stay stable across
-block splits — only list membership moves — so value sharing (§4.3)
-can swap a stored node's value in place.
+block splits — only list membership moves — so an overwrite can set a
+stored node's value in place.
 
 ``nodes()`` returns a snapshot list (concatenated block slices), so
 iteration tolerates concurrent structural mutation.

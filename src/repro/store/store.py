@@ -8,8 +8,8 @@ maintenance on top of this store; baselines and the backing database
 reuse it as well.
 
 Values handed to clients are always plain strings; internally the store
-may hold :class:`~repro.store.values.SharedValue` buffers installed by
-the value-sharing optimization (§4.3).
+may hold aggregate accumulators, which :func:`~repro.store.values.materialize`
+renders.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class OrderedStore:
             if existing.subtable_depth != depth:
                 del self.tables[table_name]
         self._subtable_config[table_name] = depth
+        if existing is not None and existing.copy_output:
+            self.table(table_name).mark_copy_output()  # a rebuilt table too
 
     def table(self, name: str) -> Table:
         """The table called ``name``, created on first use."""
@@ -107,14 +109,6 @@ class OrderedStore:
         if node is None:
             return default
         return materialize(node.value)
-
-    def get_raw(self, key: str) -> Optional[Value]:
-        """The stored value object (possibly shared), or None."""
-        tbl = self.existing_table_for_key(key)
-        if tbl is None:
-            return None
-        node = tbl.get_node(key)
-        return node.value if node is not None else None
 
     def remove(self, key: str) -> bool:
         tbl = self.existing_table_for_key(key)
@@ -206,7 +200,7 @@ class OrderedStore:
         if nodes:
             self.stats.counters["scanned_items"] += len(nodes)
         # Inline the common plain-string case; materialize() handles
-        # shared values and aggregate accumulators.
+        # aggregate accumulators.
         return [
             (node.key, value)
             if type(value := node.value) is str

@@ -29,7 +29,7 @@ from .keys import SEP, SEP_SUCCESSOR, key_successor, prefix_upper_bound, subtabl
 from .range_index import RangeIndex
 from .sortedarray import SANode, SortedArrayMap
 from .stats import StoreStats
-from .values import NODE_OVERHEAD, Value, acquire_value, release_value
+from .values import NODE_OVERHEAD, Value, value_bytes
 
 #: Bytes charged for each subtable's bookkeeping (tree object, hash
 #: entry, order-tree node).  This is what buys the O(1) jumps.
@@ -44,6 +44,10 @@ class Table:
     hosts the updater index (:class:`RangeIndex`) used by incremental
     maintenance — the paper attaches bookkeeping to tables so unrelated
     ranges don't slow each other down.
+
+    ``copy_output`` is set (by :meth:`mark_copy_output`) once a copy
+    join writes into the table: its strings are then charged a pointer,
+    not their payload (§4.3; see :mod:`repro.store.values`).
     """
 
     __slots__ = (
@@ -57,6 +61,7 @@ class Table:
         "updaters",
         "key_count",
         "memory_bytes",
+        "copy_output",
     )
 
     def __init__(
@@ -75,6 +80,7 @@ class Table:
         self.updaters = RangeIndex()
         self.key_count = 0
         self.memory_bytes = 0
+        self.copy_output = False
 
     # ------------------------------------------------------------------
     # Tree selection
@@ -136,14 +142,14 @@ class Table:
         tree = self._tree_for(key, create=True)
         assert tree is not None
         node, created = tree.insert_absent(key, value)
+        ptr = self.copy_output
         if created:
             self.key_count += 1
-            self.memory_bytes += len(key) + NODE_OVERHEAD + acquire_value(value)
+            self.memory_bytes += len(key) + NODE_OVERHEAD + value_bytes(value, ptr)
             return None
         old = node.value
         node.value = value
-        self.memory_bytes -= release_value(old)
-        self.memory_bytes += acquire_value(value)
+        self.memory_bytes += value_bytes(value, ptr) - value_bytes(old, ptr)
         return old
 
     def install_many(
@@ -184,6 +190,7 @@ class Table:
                 return results
         results = []
         cost = 0.0
+        ptr = self.copy_output
         for key, value in pairs:
             if not key < tree_hi:
                 tree = self._locate_tree(key, create=True)
@@ -195,14 +202,13 @@ class Table:
             if created:
                 self.key_count += 1
                 self.memory_bytes += (
-                    len(key) + NODE_OVERHEAD + acquire_value(value)
+                    len(key) + NODE_OVERHEAD + value_bytes(value, ptr)
                 )
                 results.append((key, None))
             else:
                 old = node.value
                 node.value = value
-                self.memory_bytes -= release_value(old)
-                self.memory_bytes += acquire_value(value)
+                self.memory_bytes += value_bytes(value, ptr) - value_bytes(old, ptr)
                 results.append((key, old))
         counters["tree_descent_cost"] += cost
         return results
@@ -224,7 +230,9 @@ class Table:
         n = len(keys)
         self.key_count += n
         self.memory_bytes += (
-            sum(map(len, keys)) + n * NODE_OVERHEAD + sum(map(acquire_value, values))
+            sum(map(len, keys))
+            + n * NODE_OVERHEAD
+            + sum(map(value_bytes, values, repeat(self.copy_output)))
         )
         self.stats.counters["tree_descent_cost"] += reduce(
             add, map(log2, range(size + 2, size + 2 + n)), 0.0
@@ -241,18 +249,16 @@ class Table:
             return key_successor(key)
         return sub_id[:-1] + SEP_SUCCESSOR  # sub_id ends with SEP
 
-    def replace_node_value(self, node, value: Value) -> Value:
-        """Swap a stored node's value in place, keeping accounting exact.
-
-        Used by the value-sharing optimization (§4.3) to promote a
-        plain string into a :class:`SharedValue` without a tree
-        descent.  Returns the previous value.
-        """
-        old = node.value
-        self.memory_bytes -= release_value(old)
-        self.memory_bytes += acquire_value(value)
-        node.value = value
-        return old
+    def mark_copy_output(self) -> None:
+        """Charge this table's strings as copies from now on: one
+        pointer each (§4.3).  Rows already stored are recharged once,
+        so each is released for what it is now charged."""
+        if self.copy_output:
+            return
+        nodes = list(self.iter_nodes(self.name, prefix_upper_bound(self.name)))
+        self.memory_bytes -= sum(value_bytes(node.value) for node in nodes)
+        self.copy_output = True
+        self.memory_bytes += sum(value_bytes(node.value, True) for node in nodes)
 
     def remove(self, key: str) -> Optional[Value]:
         """Remove ``key``; returns the removed value or None."""
@@ -266,7 +272,9 @@ class Table:
         value = node.value
         tree.remove_node(node)
         self.key_count -= 1
-        self.memory_bytes -= len(key) + NODE_OVERHEAD + release_value(value)
+        self.memory_bytes -= (
+            len(key) + NODE_OVERHEAD + value_bytes(value, self.copy_output)
+        )
         self._drop_if_empty(tree, key)
         return value
 
@@ -276,11 +284,9 @@ class Table:
 
         Each tree the range touches removes its run in one call (the
         ordered map's ``remove_range``), and the run is accounted in
-        bulk —
-        ``key_count``, ``memory_bytes`` (shared values
-        released per key) and the ``removes`` counter end exactly where
-        per-key :meth:`remove` calls would leave them.  Emptied
-        subtables are dropped.
+        bulk — ``key_count``, ``memory_bytes`` and the ``removes``
+        counter end exactly where per-key :meth:`remove` calls would
+        leave them.  Emptied subtables are dropped.
         """
         if not lo < hi:
             return []
@@ -298,8 +304,9 @@ class Table:
         if residual:  # the residual tree's keys interleave the subtables'
             removed.sort(key=lambda node: node.key)
         freed = 0
+        ptr = self.copy_output
         for node in removed:
-            freed += len(node.key) + NODE_OVERHEAD + release_value(node.value)
+            freed += len(node.key) + NODE_OVERHEAD + value_bytes(node.value, ptr)
         self.key_count -= len(removed)
         self.memory_bytes -= freed
         self.stats.add("removes", len(removed))

@@ -1,17 +1,31 @@
-"""Value representation and the value-sharing optimization.
+"""Stored values and what a table charges for them.
 
 Pequod's ``copy`` operator often installs the same value under many
 output keys — a popular user's tweet is copied into every follower's
 timeline.  Paper §4.3 describes *value sharing*: output ranges share one
-underlying value buffer, reducing memory by ~1.14x on the Twip
-benchmark.
+underlying value buffer instead of each holding its own.
 
-In Python all strings are references already, so sharing is about
-*accounting*, and about keeping the semantics honest: a
-:class:`SharedValue` is charged its payload size once, and each
-additional holder is charged only a pointer.  The store acquires and
-releases shared values as pairs are inserted and removed so the memory
-model tracks live references exactly.
+In Python every string is a reference already: a copy output stores
+the source row's ``str`` object itself, so the buffer is shared for
+free.  What remains is *accounting*, and the table decides it, not the
+value:
+
+* a string in a table that is the output of an installed copy join is
+  charged one pointer (:data:`POINTER_SIZE`) — the payload lives with
+  its source row;
+* every other string is charged its length;
+* an aggregate accumulator is charged its ``memory_size()``.
+
+A source with n copies therefore costs its payload + 8n bytes, on top
+of each row's key and :data:`NODE_OVERHEAD`.  A table's flag is set
+when a copy join writing into it is installed (``JoinEngine.add_join``); rows
+it already held are recharged then, so a row is released for exactly
+what it was acquired for.
+
+When a source row is removed while a copy survives — say in a range
+whose pending log has not been applied yet, or one invalidated but not
+yet recomputed — the payload's charge leaves with the source, and the
+copy keeps its pointer charge until maintenance removes it.
 """
 
 from __future__ import annotations
@@ -20,37 +34,14 @@ from typing import Union
 
 #: Bytes charged per stored key-value node (tree node, pointers, color).
 NODE_OVERHEAD = 64
-#: Bytes charged for one extra reference to a shared value.
+#: Bytes charged for a copy output's reference to its source's value.
 POINTER_SIZE = 8
 
 
-class SharedValue:
-    """A reference-counted value buffer shared by many output keys."""
-
-    __slots__ = ("payload", "refs")
-
-    def __init__(self, payload: str) -> None:
-        self.payload = payload
-        self.refs = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SharedValue {self.payload!r} refs={self.refs}>"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SharedValue):
-            return self.payload == other.payload
-        if isinstance(other, str):
-            return self.payload == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.payload)
-
-
-#: A stored value: a plain string, a SharedValue, or any object exposing
-#: ``payload`` (client-visible string) and ``memory_size()`` — aggregate
+#: A stored value: a plain string, or any object exposing ``payload``
+#: (client-visible string) and ``memory_size()`` — aggregate
 #: accumulators in ``repro.core.operators`` use the latter form.
-Value = Union[str, SharedValue, object]
+Value = Union[str, object]
 
 
 def materialize(value: Value) -> str:
@@ -60,25 +51,9 @@ def materialize(value: Value) -> str:
     return value.payload  # type: ignore[union-attr]
 
 
-def acquire_value(value: Value) -> int:
-    """Account for storing one reference to ``value``; returns bytes charged."""
+def value_bytes(value: Value, copy_output: bool = False) -> int:
+    """Bytes charged for storing ``value`` in a table; ``copy_output``
+    is the table's flag (a copy join's output pays a pointer)."""
     if isinstance(value, str):
-        return len(value)
-    if isinstance(value, SharedValue):
-        value.refs += 1
-        if value.refs == 1:
-            return len(value.payload) + POINTER_SIZE
-        return POINTER_SIZE
-    return value.memory_size()  # type: ignore[union-attr]
-
-
-def release_value(value: Value) -> int:
-    """Account for dropping one reference to ``value``; returns bytes freed."""
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, SharedValue):
-        value.refs -= 1
-        if value.refs == 0:
-            return len(value.payload) + POINTER_SIZE
-        return POINTER_SIZE
+        return POINTER_SIZE if copy_output else len(value)
     return value.memory_size()  # type: ignore[union-attr]

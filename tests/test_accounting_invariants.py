@@ -1,8 +1,8 @@
 """Global invariants: memory accounting is exact, grammar roundtrips.
 
 The memory model drives eviction decisions and two paper measurements
-(§4.1's 1.17x, §4.3's 1.14x), so it must match a from-scratch recount
-after any workload — including shared-value refcounts.
+(§4.1's 1.17x, §4.3's value sharing), so it must match a from-scratch
+recount after any workload — including the pointer charge of copies.
 """
 
 import random
@@ -16,40 +16,42 @@ from repro.apps.twip import TIMELINE_JOIN
 from repro.core.grammar import parse_join
 from repro.store.store import OrderedStore
 from repro.store.table import SUBTABLE_OVERHEAD
-from repro.store.values import NODE_OVERHEAD, POINTER_SIZE, SharedValue
+from repro.store.values import NODE_OVERHEAD, POINTER_SIZE
 
 
 def recount_memory(server: PequodServer) -> int:
     """Recompute the store's memory footprint from scratch.
 
-    Uses the non-counting iteration: recounting is introspection and
-    must not disturb the work counters it runs alongside.
+    A string in the output table of an installed (stored) copy join is
+    charged a pointer, every other string its length (§4.3).  Uses the
+    non-counting iteration: recounting is introspection and must not
+    disturb the work counters it runs alongside.
     """
+    copy_outputs = {
+        join.output.table
+        for join in server.joins
+        if not join.is_pull and not join.is_aggregate
+    }
     total = 0
-    seen_shared = set()
     for table in server.store.tables.values():
         total += SUBTABLE_OVERHEAD * table.subtable_count()
         for node in table.iter_nodes(table.name, table.name + "\U0010ffff"):
             total += len(node.key) + NODE_OVERHEAD
             value = node.value
-            if isinstance(value, str):
-                total += len(value)
-            elif isinstance(value, SharedValue):
-                total += POINTER_SIZE
-                if id(value) not in seen_shared:
-                    seen_shared.add(id(value))
-                    total += len(value.payload)
-            else:
+            if not isinstance(value, str):
                 total += value.memory_size()
+            elif table.name in copy_outputs:
+                total += POINTER_SIZE
+            else:
+                total += len(value)
     return total
 
 
 class TestMemoryAccountingExact:
-    def run_random_workload(self, seed, sharing, subtables):
+    def run_random_workload(self, seed, subtables):
         rng = random.Random(seed)
         srv = PequodServer(
             subtable_config={"t": 2, "p": 2} if subtables else None,
-            enable_sharing=sharing,
         )
         srv.add_join(TIMELINE_JOIN)
         srv.add_join("karma|<poster> = count s|<user>|<poster>")
@@ -73,21 +75,66 @@ class TestMemoryAccountingExact:
         return srv
 
     def test_accounting_matches_recount_default(self):
-        srv = self.run_random_workload(1, sharing=True, subtables=True)
+        srv = self.run_random_workload(1, subtables=True)
         assert srv.store.memory_bytes() == recount_memory(srv)
 
-    def test_accounting_matches_recount_no_sharing(self):
-        srv = self.run_random_workload(2, sharing=False, subtables=False)
+    def test_accounting_matches_recount_no_subtables(self):
+        srv = self.run_random_workload(2, subtables=False)
+        assert srv.store.memory_bytes() == recount_memory(srv)
+
+    def test_join_added_over_stored_rows_recharges_them(self):
+        """Rows a table held before a copy join writes into it are
+        recharged once, as pointers, when the join is installed."""
+        srv = PequodServer(subtable_config={"t": 2})
+        srv.put("t|ann|0001|bob", "written before the join")
+        srv.put("p|bob|0001", "a tweet")
+        before = srv.store.tables["t"].memory_bytes
+        srv.add_join(TIMELINE_JOIN)
+        after = srv.store.tables["t"].memory_bytes
+        assert before - after == len("written before the join") - POINTER_SIZE
+        assert srv.store.memory_bytes() == recount_memory(srv)
+        srv.remove("t|ann|0001|bob")  # released for what it is charged
+        assert srv.store.memory_bytes() == recount_memory(srv)
+
+    def test_client_put_into_a_copy_output_is_a_pointer(self):
+        srv = PequodServer()
+        srv.add_join(TIMELINE_JOIN)
+        srv.put("t|ann|0001|bob", "x" * 300)
+        assert srv.store.tables["t"].memory_bytes == (
+            len("t|ann|0001|bob") + NODE_OVERHEAD + POINTER_SIZE
+        )
+        srv.put("t|ann|0001|bob", "y")
+        assert srv.store.memory_bytes() == recount_memory(srv)
+
+    def test_source_removed_while_its_copy_survives(self):
+        """A source removed under a pending range retracts its copy;
+        under an invalid one the copy stays until the recompute and
+        keeps its pointer charge, while the payload left with the
+        source (store/values.py)."""
+        srv = PequodServer()
+        srv.add_join(TIMELINE_JOIN)
+        for key in ("s|ann|bob", "s|ann|liz", "p|bob|0001", "p|liz|0002"):
+            srv.put(key, "payload of " + key)
+        srv.scan("t|ann|", "t|ann}")
+        srv.put("s|ann|zed", "1")  # pending on ann's timeline
+        srv.remove("p|bob|0001")
+        assert srv.store.get("t|ann|0001|bob") is None
+        assert srv.store.memory_bytes() == recount_memory(srv)
+        srv.remove("s|ann|bob")  # invalidates ann's timeline
+        srv.remove("p|liz|0002")
+        assert srv.store.get("t|ann|0002|liz") == "payload of p|liz|0002"
+        assert srv.store.memory_bytes() == recount_memory(srv)
+        assert srv.scan("t|ann|", "t|ann}") == []  # recomputed: gone
         assert srv.store.memory_bytes() == recount_memory(srv)
 
     def test_accounting_after_eviction(self):
-        srv = self.run_random_workload(3, sharing=True, subtables=True)
+        srv = self.run_random_workload(3, subtables=True)
         while srv.eviction.evict_one():
             pass
         assert srv.store.memory_bytes() == recount_memory(srv)
 
     def test_accounting_never_negative(self):
-        srv = self.run_random_workload(4, sharing=True, subtables=True)
+        srv = self.run_random_workload(4, subtables=True)
         for table in srv.store.tables.values():
             assert table.memory_bytes >= 0
         # Remove absolutely everything; accounting must return to the
@@ -130,9 +177,7 @@ class TestUpdaterAccounting:
         assert updater.memory_size() == expected
 
     def test_engine_updater_bytes_matches_recount(self):
-        srv = TestMemoryAccountingExact().run_random_workload(
-            5, sharing=True, subtables=True
-        )
+        srv = TestMemoryAccountingExact().run_random_workload(5, subtables=True)
         assert srv.engine.updater_bytes == recount_updater_bytes(srv)
         assert srv.engine.updater_bytes > 0
 
@@ -237,7 +282,7 @@ class TestUpdaterOwnership:
     @pytest.mark.parametrize("seed", [3, 6])
     def test_random_workload_under_eviction(self, seed):
         srv = TestMemoryAccountingExact().run_random_workload(
-            seed, sharing=True, subtables=True
+            seed, subtables=True
         )
         check_updater_ownership(srv)
         for _ in range(len(srv.engine.lru) // 2):

@@ -383,28 +383,35 @@ class TestBackendReporting:
 
 
 class TestDiskCloseFlushes:
-    """Closing a client closes the server it built: under the default
-    ``wal_fsync="batch"`` the buffered WAL tail reaches disk, so every
-    acknowledged write is readable after a reopen."""
+    """Closing a client closes the servers it built — one, or every
+    node of a cluster: under the default ``wal_fsync="batch"`` the
+    buffered WAL tail reaches disk, so every acknowledged write is
+    readable after a reopen."""
 
     WRITES = [(f"p|bob|{i:04d}", f"post {i}") for i in range(37)]
 
-    def test_sync_close_then_reopen(self, tmp_path):
+    @pytest.mark.parametrize("backend", ("local", "rpc", "cluster"))
+    def test_sync_close_then_reopen(self, backend, tmp_path):
         data_dir = str(tmp_path)
-        c = make_client("local", data_dir=data_dir)
+        c = make_client(backend, base_tables=BASE_TABLES, data_dir=data_dir)
         for key, value in self.WRITES:
             c.put(key, value)
         c.close()
-        with make_client("local", data_dir=data_dir) as again:
+        with make_client(
+            backend, base_tables=BASE_TABLES, data_dir=data_dir
+        ) as again:
             assert again.scan_prefix("p|") == self.WRITES
 
-    async def test_async_aclose_then_reopen(self, tmp_path):
+    @pytest.mark.parametrize("backend", ("local", "rpc", "cluster"))
+    async def test_async_aclose_then_reopen(self, backend, tmp_path):
         data_dir = str(tmp_path)
-        async with await make_async_client("local", data_dir=data_dir) as c:
+        async with await make_async_client(
+            backend, base_tables=BASE_TABLES, data_dir=data_dir
+        ) as c:
             for key, value in self.WRITES:
                 await c.put(key, value)
         async with await make_async_client(
-            "local", data_dir=data_dir
+            backend, base_tables=BASE_TABLES, data_dir=data_dir
         ) as again:
             assert await again.scan_prefix("p|") == self.WRITES
 
@@ -418,6 +425,23 @@ class TestDiskCloseFlushes:
         server.close()
         with make_client("local", data_dir=str(tmp_path)) as again:
             assert len(again.scan_prefix("p|")) == 2
+
+    def test_a_cluster_passed_in_stays_open(self, tmp_path):
+        from repro import PequodServer
+        from repro.client.cluster import ClusterClient
+        from repro.distrib import Cluster
+
+        cluster = Cluster(
+            1, 1, ("p",),
+            server_factory=lambda name: PequodServer(
+                name=name, data_dir=str(tmp_path / name)
+            ),
+        )
+        with ClusterClient(cluster) as c:
+            c.put("p|bob|0001", "x")
+        cluster.put("p|bob|0002", "y")  # still writable: the caller owns it
+        for node in cluster.nodes:
+            node.server.close()
 
 
 # ======================================================================
@@ -994,10 +1018,4 @@ class TestDurabilityConformance:
             assert c.get("p|a|1") == "acked"
         finally:
             monkeypatch.undo()
-            c.close()
-            # The rpc and cluster clients leave the servers they built open.
-            if backend == "rpc":
-                c._service.rpc.server.close()
-            elif backend == "cluster":
-                for node in c.cluster.base_nodes + c.cluster.compute_nodes:
-                    node.server.close()
+            c.close()  # closes the servers it built, logs and all

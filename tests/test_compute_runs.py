@@ -17,7 +17,7 @@ from repro.store import sortedarray
 from repro.store.keys import subtable_prefix
 from repro.store.store import OrderedStore
 from repro.store.table import SUBTABLE_OVERHEAD
-from repro.store.values import NODE_OVERHEAD, POINTER_SIZE, SharedValue
+from repro.store.values import NODE_OVERHEAD, POINTER_SIZE
 
 TIMELINE = (
     "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
@@ -228,17 +228,13 @@ class TestRunNotifications:
 # ----------------------------------------------------------------------
 # The run primitives against a dict model
 # ----------------------------------------------------------------------
-SHARED = (SharedValue("shared-" * 3), SharedValue("s"))
 run_keys = st.one_of(
     st.tuples(st.sampled_from("abc"), st.sampled_from("0123456789")).map(
         lambda ab: f"k|{ab[0]}|{ab[1]}"
     ),
     st.sampled_from("abc").map(lambda a: f"k|{a}"),  # residual at depth 2
 )
-run_values = st.one_of(
-    st.sampled_from(["", "x", "payload"]),
-    st.sampled_from(range(len(SHARED))).map(lambda i: SHARED[i]),
-)
+run_values = st.sampled_from(["", "x", "payload"])
 bounds = st.sampled_from(
     ["k", "k|", "k|a", "k|a|", "k|a|3", "k|b", "k|b|5", "k|c|", "k|c}", "k}"]
 )
@@ -253,19 +249,12 @@ run_ops = st.lists(
 
 
 def _recount(table, model):
-    """``memory_bytes`` from scratch: nodes, values (a shared payload
-    once, a pointer per holder) and one overhead per subtable."""
+    """``memory_bytes`` from scratch: nodes, values (a pointer each in
+    a copy output) and one overhead per subtable."""
     total = SUBTABLE_OVERHEAD * table.subtable_count()
-    seen = set()
     for key, value in model.items():
         total += len(key) + NODE_OVERHEAD
-        if isinstance(value, SharedValue):
-            total += POINTER_SIZE
-            if id(value) not in seen:
-                seen.add(id(value))
-                total += len(value.payload)
-        else:
-            total += len(value)
+        total += POINTER_SIZE if table.copy_output else len(value)
     return total
 
 
@@ -286,14 +275,14 @@ class TestRunPrimitives:
         max_examples=40, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(ops=run_ops)
-    def test_runs_match_a_dict_model(self, depth, ops):
-        for value in SHARED:
-            value.refs = 0
+    @given(ops=run_ops, copy_output=st.booleans())
+    def test_runs_match_a_dict_model(self, depth, ops, copy_output):
         # Four-key blocks, so runs cross block boundaries.
         with mock.patch.object(sortedarray, "LOAD", 2):
             store = OrderedStore(subtable_config={"k": depth})
             table = store.table("k")
+            if copy_output:
+                table.mark_copy_output()
             model = {}
             for kind, arg in ops:
                 if kind == "install":
@@ -333,8 +322,6 @@ class TestRunPrimitives:
         assert table.key_count == len(model)
         assert table.subtable_count() == _subtables(model, depth)
         assert table.memory_bytes == _recount(table, model)
-        for value in SHARED:
-            assert value.refs == sum(1 for v in model.values() if v is value)
 
     def test_remove_range_spans_blocks_and_subtables(self):
         with mock.patch.object(sortedarray, "LOAD", 2):

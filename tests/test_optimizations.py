@@ -1,6 +1,9 @@
 """Tests for the §4 optimizations: subtables and value sharing."""
 
-from repro import PequodServer, SharedValue
+from repro import PequodServer
+from repro.apps.twip import PequodTwipBackend
+from repro.baselines.client_pequod import ClientPequodBackend
+from repro.store.values import POINTER_SIZE
 
 TIMELINE = (
     "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
@@ -23,42 +26,36 @@ def run_twip_workload(srv, followers=8, posts=12):
 
 
 class TestValueSharing:
-    def test_copies_share_one_buffer(self):
-        """§4.3: timeline copies of one tweet share the value."""
-        srv = run_twip_workload(PequodServer(enable_sharing=True))
-        raw = srv.store.get_raw("t|u00|0000|star")
-        assert isinstance(raw, SharedValue)
-        assert raw.refs >= 8  # one per follower, plus the source
+    """§4.3: a tweet copied into many timelines is stored once."""
 
-    def test_sharing_disabled_stores_strings(self):
-        srv = run_twip_workload(PequodServer(enable_sharing=False))
-        raw = srv.store.get_raw("t|u00|0000|star")
-        assert isinstance(raw, str)
+    def test_copy_output_holds_the_source_string(self):
+        srv = run_twip_workload(PequodServer())
+        source = srv.store.tables["p"].get("p|star|0000")
+        assert srv.store.tables["t"].get("t|u00|0000|star") is source
+        assert srv.store.tables["t"].get("t|u07|0000|star") is source
 
     def test_sharing_reduces_memory(self):
-        """The paper reports a 1.14x reduction on Twip."""
-        shared = run_twip_workload(PequodServer(enable_sharing=True))
-        unshared = run_twip_workload(PequodServer(enable_sharing=False))
-        assert shared.memory_bytes() < unshared.memory_bytes()
-
-    def test_same_results_with_and_without_sharing(self):
-        a = run_twip_workload(PequodServer(enable_sharing=True))
-        b = run_twip_workload(PequodServer(enable_sharing=False))
-        assert a.scan("t|", "t}") == b.scan("t|", "t}")
-
-    def test_shared_value_released_on_removal(self):
-        srv = PequodServer(enable_sharing=True)
-        srv.add_join(TIMELINE)
-        srv.put("s|ann|star", "1")
-        srv.put("s|bob|star", "1")
-        srv.scan("t|ann|", "t|ann}")
-        srv.scan("t|bob|", "t|bob}")
-        srv.put("p|star|0001", "shared tweet")
-        raw = srv.store.get_raw("p|star|0001")
-        assert isinstance(raw, SharedValue)
-        assert raw.refs == 3
-        srv.remove("p|star|0001")  # eager removal retracts both copies
-        assert raw.refs == 0
+        """The server's copied timelines cost less than the same
+        timelines written by a client as plain puts (client Pequod,
+        §5.2): each copy is charged a pointer, not the tweet."""
+        server = PequodTwipBackend(subtables=False)
+        client = ClientPequodBackend()
+        for backend in (server, client):
+            for i in range(8):
+                backend.subscribe(f"u{i:02d}", "star")
+            for t in range(12):
+                backend.post("star", f"{t:04d}", f"tweet number {t}")
+        for i in range(8):
+            assert server.timeline(f"u{i:02d}", "") == client.timeline(
+                f"u{i:02d}", ""
+            )
+        copied = server.app.client.server.store.tables["t"]
+        written = client.client.server.store.tables["t"]
+        assert len(copied) == len(written) == 8 * 12
+        payload = sum(len(f"tweet number {t}") for t in range(12))
+        assert written.memory_bytes - copied.memory_bytes == 8 * (
+            payload - 12 * POINTER_SIZE
+        )
 
 
 class TestSubtables:

@@ -13,6 +13,7 @@ subprocess deployment, minus fork overhead); one end-to-end test
 spawns real OS processes and kills one with SIGKILL.
 """
 
+import asyncio
 import hashlib
 
 import pytest
@@ -22,6 +23,7 @@ from repro.chaos import kill_node_process
 from repro.client import LocalClient
 from repro.client.procs import ProcClusterClient
 from repro.core.status import RangeState
+from repro.distrib.procnode import ClusterNodeRuntime
 from repro.distrib.procs import ProcCluster
 
 TABLES = ("p", "s", "t", "vote")
@@ -228,6 +230,36 @@ def test_failover_invalidates_only_ranges_built_on_the_dead_mirrors():
         ]
         assert [v for _, v in client.scan_prefix("t|bob|")] == ["from mike"]
         client.close()
+
+
+def test_closing_peer_conns_survives_a_connection_opened_meanwhile():
+    """Shutdown closes every cached peer connection, including one a
+    peer call caches while an earlier connection is closing."""
+    runtime = ClusterNodeRuntime("node0")
+    closed = []
+
+    async def shutdown():
+        late = asyncio.ensure_future(asyncio.Event().wait())  # connecting
+
+        class Conn:
+            async def close(self):
+                closed.append(self)
+                runtime._peer_conns["node2"] = late
+
+        async def connect():
+            return Conn()
+
+        first = asyncio.ensure_future(connect())
+        await first
+        runtime._peer_conns["node1"] = first
+        await runtime._close_peer_conns()
+        assert runtime._peer_conns == {}
+        assert len(closed) == 1
+        await asyncio.sleep(0)
+        assert late.cancelled()
+
+    asyncio.run(shutdown())
+    runtime.server.close()
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.store import OrderedStore, SharedValue
+from repro.store import OrderedStore
 
 
 class TestBasicOps:
@@ -100,44 +100,12 @@ class TestSubtableConfig:
         store.configure_subtables("t", 2)
         assert store.get("t|ann|0100|bob") == "x"
 
-
-class TestSharedValues:
-    def test_shared_value_materializes_to_string(self):
+    def test_reconfigure_keeps_copy_output_charging(self):
         store = OrderedStore()
-        shared = SharedValue("tweet text")
-        store.put("t|ann|0100|bob", shared)
-        store.put("t|liz|0100|bob", shared)
-        assert store.get("t|ann|0100|bob") == "tweet text"
-        assert store.scan("t|ann|", "t|ann}") == [("t|ann|0100|bob", "tweet text")]
-
-    def test_sharing_reduces_memory(self):
-        payload = "x" * 1000
-        unshared = OrderedStore()
-        for i in range(20):
-            unshared.put(f"t|u{i:02d}|0001|b", payload)
-        shared_store = OrderedStore()
-        shared = SharedValue(payload)
-        for i in range(20):
-            shared_store.put(f"t|u{i:02d}|0001|b", shared)
-        assert shared_store.memory_bytes() < unshared.memory_bytes() / 5
-
-    def test_shared_refcount_released_on_remove(self):
-        store = OrderedStore()
-        shared = SharedValue("payload")
-        store.put("t|a|1", shared)
-        store.put("t|b|1", shared)
-        assert shared.refs == 2
-        store.remove("t|a|1")
-        assert shared.refs == 1
-        store.put("t|b|1", "plain")  # overwrite releases too
-        assert shared.refs == 0
-
-    def test_get_raw_exposes_shared_value(self):
-        store = OrderedStore()
-        shared = SharedValue("p")
-        store.put("t|a|1", shared)
-        assert store.get_raw("t|a|1") is shared
-        assert store.get_raw("missing") is None
+        store.table("t").mark_copy_output()  # a copy join writes "t"
+        store.configure_subtables("t", 2)
+        assert store.tables["t"].subtable_depth == 2
+        assert store.tables["t"].copy_output
 
 
 class TestMemory:

@@ -9,7 +9,7 @@ from repro.store import sortedarray
 from repro.store.sortedarray import SortedArrayMap
 from repro.store.stats import StoreStats
 from repro.store.table import SUBTABLE_OVERHEAD, Table
-from repro.store.values import NODE_OVERHEAD, SharedValue
+from repro.store.values import NODE_OVERHEAD, POINTER_SIZE
 
 
 class TestFlatTable:
@@ -76,6 +76,23 @@ class TestMemoryAccounting:
         assert tbl.memory_bytes >= SUBTABLE_OVERHEAD
         tbl.remove("t|ann|0100|bob")
         assert tbl.memory_bytes == 0  # empty subtable dropped
+
+    def test_copy_output_charges_a_pointer(self):
+        """A copy join's output pays a pointer per string; the payload
+        is charged to the source (§4.3)."""
+        tbl = Table("t", subtable_depth=2)
+        tbl.put("t|ann|0100|bob", "a tweet")
+        tbl.put("t|ann|0200|bob", "another tweet")
+        tbl.mark_copy_output()  # rows already stored are recharged
+        per_row = NODE_OVERHEAD + POINTER_SIZE
+        assert tbl.memory_bytes == SUBTABLE_OVERHEAD + 2 * (14 + per_row)
+        tbl.mark_copy_output()  # once
+        tbl.put("t|ann|0100|bob", "an edit")  # same charge either way
+        tbl.put("t|liz|0100|bob", "x" * 500)
+        assert tbl.memory_bytes == 2 * SUBTABLE_OVERHEAD + 3 * (14 + per_row)
+        tbl.remove("t|liz|0100|bob")
+        tbl.remove_range("t|", "t}")
+        assert tbl.memory_bytes == 0
 
 
 class TestSubtables:
@@ -178,19 +195,22 @@ class TestStats:
 
 
 class TestSplicedInstall:
+    @pytest.mark.parametrize("copy_output", [False, True])
     @pytest.mark.parametrize("depth", [0, 2])
-    def test_splice_matches_the_per_key_loop(self, depth):
+    def test_splice_matches_the_per_key_loop(self, depth, copy_output):
         """A run into a gap is spliced in whole; the per-key loop
         (splices refused) leaves the same rows, results, accounting and
-        counters, ``tree_descent_cost`` to the last bit."""
+        counters, ``tree_descent_cost`` to the last bit — with strings
+        charged their length, or (a copy output) a pointer."""
 
         def install(splice):
-            shared = SharedValue("post")
             stats = StoreStats()
             tbl = Table("t", subtable_depth=depth, stats=stats)
+            if copy_output:
+                tbl.mark_copy_output()
             for i in (0, 40):
                 tbl.put(f"t|ann|{i:03d}", "x")
-            run = [(f"t|ann|{i:03d}", shared if i % 2 else "v") for i in range(1, 40)]
+            run = [(f"t|ann|{i:03d}", "post" if i % 2 else "v") for i in range(1, 40)]
             calls = []
             real = SortedArrayMap.insert_run
 
@@ -206,10 +226,7 @@ class TestSplicedInstall:
                     if tree is not None:
                         tree.check_invariants()  # the splice cut its block
             assert calls == [len(run)]
-            rows = [
-                (k, v if type(v) is str else (v.payload, v.refs))
-                for k, v in tbl.scan("t|", "t}")
-            ]
+            rows = list(tbl.scan("t|", "t}"))
             return results, rows, tbl.key_count, tbl.memory_bytes, dict(stats.counters)
 
         spliced, looped = install(splice=True), install(splice=False)

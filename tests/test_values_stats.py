@@ -2,21 +2,12 @@
 
 from repro.core.operators import AggValue
 from repro.store.stats import StoreStats
-from repro.store.values import (
-    POINTER_SIZE,
-    SharedValue,
-    acquire_value,
-    materialize,
-    release_value,
-)
+from repro.store.values import POINTER_SIZE, materialize, value_bytes
 
 
 class TestValueProtocol:
     def test_materialize_str(self):
         assert materialize("plain") == "plain"
-
-    def test_materialize_shared(self):
-        assert materialize(SharedValue("buf")) == "buf"
 
     def test_materialize_agg(self):
         acc = AggValue("count")
@@ -24,33 +15,15 @@ class TestValueProtocol:
         assert materialize(acc) == "1"
 
     def test_str_accounting_is_length(self):
-        assert acquire_value("abcd") == 4
-        assert release_value("abcd") == 4
+        assert value_bytes("abcd") == 4
 
-    def test_shared_first_ref_charges_payload(self):
-        shared = SharedValue("x" * 100)
-        assert acquire_value(shared) == 100 + POINTER_SIZE
-        assert acquire_value(shared) == POINTER_SIZE
-        assert shared.refs == 2
-
-    def test_shared_last_release_refunds_payload(self):
-        shared = SharedValue("x" * 100)
-        acquire_value(shared)
-        acquire_value(shared)
-        assert release_value(shared) == POINTER_SIZE
-        assert release_value(shared) == 100 + POINTER_SIZE
-        assert shared.refs == 0
+    def test_copy_output_str_accounting_is_a_pointer(self):
+        assert value_bytes("x" * 100, copy_output=True) == POINTER_SIZE
 
     def test_agg_accounting_fixed(self):
         acc = AggValue("sum")
-        assert acquire_value(acc) == acc.memory_size()
-        assert release_value(acc) == acc.memory_size()
-
-    def test_shared_equality(self):
-        assert SharedValue("a") == SharedValue("a")
-        assert SharedValue("a") == "a"
-        assert SharedValue("a") != SharedValue("b")
-        assert len({SharedValue("a"), SharedValue("a")}) == 1
+        assert value_bytes(acc) == acc.memory_size()
+        assert value_bytes(acc, copy_output=True) == acc.memory_size()
 
 
 class TestStoreStats:
