@@ -53,7 +53,6 @@ REQUIRED_FAMILIES = (
     "repro_write_plan_compiles_total",
     "repro_write_plan_fires_total",
     "repro_write_batched_installs_total",
-    "repro_write_whole_table_fastpath_hits_total",
     "repro_write_fanout_max",
     # The persistence tier (the server below runs with a data dir, so
     # every family must be present).

@@ -39,9 +39,6 @@ class SocialGraph:
     def follower_count(self, user: str) -> int:
         return len(self.followers.get(user, ()))
 
-    def out_degree(self, user: str) -> int:
-        return len(self.following.get(user, ()))
-
     def celebrities(self, threshold: int) -> List[str]:
         """Users with more followers than ``threshold`` (§2.3)."""
         return [u for u in self.users if self.follower_count(u) > threshold]

@@ -28,13 +28,7 @@ from .mirror import MirroredRange, MirrorResolver
 from .pattern import Pattern, PatternError, Segment
 from .ranges import SlotConstraints
 from .server import PequodServer
-from .status import (
-    PendingEntry,
-    RangeState,
-    StatusRange,
-    StatusTable,
-    compact_pending,
-)
+from .status import PendingEntry, RangeState, StatusRange, StatusTable
 from .updaters import Updater, install_updater
 
 __all__ = [
@@ -76,7 +70,6 @@ __all__ = [
     "UpdateOutcome",
     "Updater",
     "WatchHandle",
-    "compact_pending",
     "install_updater",
     "parse_join",
     "parse_joins",

@@ -35,12 +35,6 @@ class EvictionManager:
     ) -> None:
         self.engine = engine
         self.limit_bytes = limit_bytes
-        if limit_bytes is not None:
-            # The whole-table validity fast path skips the per-range
-            # validation walk — including its LRU recency touches, which
-            # this manager's coldest-first choice depends on.  A
-            # memory-limited engine keeps the walk.
-            engine.enable_whole_table_fastpath = False
         self.evictions = 0
 
     def over_limit(self) -> bool:

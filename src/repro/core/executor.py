@@ -78,14 +78,7 @@ from .operators import AggValue, ChangeKind, UpdateOutcome
 from .pattern import PatternError
 from .plan import ComputeLevel, ComputePlan, FirePin
 from .ranges import SlotConstraints
-from .status import (
-    Build,
-    PendingEntry,
-    RangeState,
-    StatusRange,
-    StatusTable,
-    compact_pending,
-)
+from .status import Build, PendingEntry, RangeState, StatusRange, StatusTable
 from .updaters import Updater, install_updater
 
 #: A net batch change: ``(key, old_value, new_value, kind)``.
@@ -198,11 +191,6 @@ class JoinEngine:
         #: Compiled plans per join (``id(join)``): every compute and
         #: every updater fire runs through one.
         self._compute_plans: Dict[int, ComputePlan] = {}
-        #: Whole-table validity fast path (quiescent covers skip
-        #: per-range validation).  Disabled by the eviction manager:
-        #: skipping the per-range walk also skips LRU recency touches,
-        #: which a memory-limited engine relies on.
-        self.enable_whole_table_fastpath = True
 
     # ==================================================================
     # Join installation
@@ -273,9 +261,6 @@ class JoinEngine:
         self.status.setdefault(join.output.table, StatusTable())
         self.stats.add("joins_installed")
         return join
-
-    def joins_for_table(self, table: str) -> List[CacheJoin]:
-        return self._output_joins.get(table, [])
 
     @staticmethod
     def _has_cycle(deps: Dict[str, set]) -> bool:
@@ -388,16 +373,6 @@ class JoinEngine:
                 # the cap clears; drop it now.
                 del memo[hi]
         stable = self.status[tbl_name]
-        if self.enable_whole_table_fastpath and stable.all_valid_over(lo, hi):
-            # Whole-table fast path: the cover is quiescent (every
-            # range VALID, no pending logs, no expiries, no gaps) and
-            # spans the request, so per-range validation has nothing to
-            # do.  The answer is O(1) off the stamped summary; any
-            # invalidation, split, eviction, or pending-log growth
-            # bumps the stamp and re-opens the walk.
-            self.stats.counters["write_whole_table_fastpath_hits"] += 1
-            tm.fresh_hits += 1
-            return
         now = self.clock.now()
         bound = self.staleness_bound
         # pieces() snapshots the cover; computation below may split it.
@@ -406,7 +381,7 @@ class JoinEngine:
             # Undo what earlier partial reads cut before walking it:
             # adjacent compatible ranges under the request fold back
             # into one, logs united, so a login over k fragments
-            # applies one compacted log once instead of k copies of it
+            # applies one log once instead of k copies of it
             # (§3.2 keeps one status range per computed output range).
             pieces = stable.pieces(lo, hi)
         for piece_lo, piece_hi, sr in pieces:
@@ -434,12 +409,12 @@ class JoinEngine:
                 tm.recomputes += 1
                 for part in stable.isolate(piece_lo, piece_hi):
                     self._ensure_tracked(tbl_name, part)
-                    self._recompute_range(tbl_name, stable, joins, part)
+                    self._recompute_range(tbl_name, joins, part)
             elif sr.pending:
                 tm.pending_applies += 1
                 for part in stable.isolate(piece_lo, piece_hi):
                     self._ensure_tracked(tbl_name, part)
-                    self._apply_pending(tbl_name, stable, part)
+                    self._apply_pending(tbl_name, part)
                     part.validated_at = now
                     self._touch(part)
             else:
@@ -517,11 +492,7 @@ class JoinEngine:
         sr.validated_at = self.clock.now()
 
     def _recompute_range(
-        self,
-        tbl_name: str,
-        stable: StatusTable,
-        joins: List[CacheJoin],
-        sr: StatusRange,
+        self, tbl_name: str, joins: List[CacheJoin], sr: StatusRange
     ) -> None:
         """Recompute an invalid or expired range from scratch.  A
         recompute that raises leaves the range INVALID (and empty), so
@@ -538,10 +509,6 @@ class JoinEngine:
             sr.invalidate()
             raise
         sr.validated_at = self.clock.now()
-        # The range just turned quiescent; let the whole-table summary
-        # notice (validity-improving changes need the stamp bump too,
-        # or the cached "not quiescent" answer would stick forever).
-        stable.note_mutation()
 
     def _fill_range(
         self, tbl_name: str, joins: List[CacheJoin], sr: StatusRange
@@ -1218,7 +1185,7 @@ class JoinEngine:
         covered: List[Change],
     ) -> None:
         """Lazy maintenance, change by change: a matching insert is a
-        partial invalidation, logged (compacted on arrival) on every
+        partial invalidation, logged (once per key) on every
         VALID range that owns the updater; a matching removal
         invalidates them completely, because eager updaters derived
         from the removed check tuple must be retired — recomputation
@@ -1226,7 +1193,7 @@ class JoinEngine:
         Invalidation clears the logs and later inserts find no VALID
         range, so the rest of the group has nothing left to do.
         """
-        for key, old, new, kind in covered:
+        for key, _, _, kind in covered:
             if kind is ChangeKind.UPDATE:
                 continue  # check sources: values are uninteresting
             if not pin.bind(key, vec):
@@ -1235,9 +1202,7 @@ class JoinEngine:
                 self._invalidate_owning(stable, updater)
                 return
             self.stats.add("partial_invalidations")
-            pending = PendingEntry(
-                updater.join, updater.source_index, key, old, new, kind
-            )
+            pending = PendingEntry(updater.join, updater.source_index, key, kind)
             for sr in self._owning_ranges(stable, updater):
                 if sr.state is RangeState.VALID and not sr.log_pending(pending):
                     self.stats.add("pending_compacted")
@@ -1332,27 +1297,21 @@ class JoinEngine:
             if build in sr.builds
         ]
 
-    def _apply_pending(
-        self, tbl_name: str, stable: StatusTable, sr: StatusRange
-    ) -> None:
+    def _apply_pending(self, tbl_name: str, sr: StatusRange) -> None:
         """Apply this range's pending log before serving a read (§3.2).
 
-        The log is compacted first — entries superseded by a later
-        write of the same source key collapse to one.  Surviving
-        entries apply in log order, each one re-executing the join with
+        Entries apply in log order, each one re-executing the join with
         its source key pinned, restricted to this (already isolated)
         output range; an entry that forces a wholesale recompute
         supersedes the rest of the log.
         """
-        pending, sr.pending = compact_pending(sr.pending), []
-        stable.note_mutation()  # drained log may re-open the fast path
+        pending, sr.pending = sr.pending, {}
         for entry in pending:
-            if self._apply_pending_entry(tbl_name, stable, sr, entry):
+            if self._apply_pending_entry(tbl_name, sr, entry):
                 return  # recomputed wholesale; the rest is superseded
 
     def _apply_pending_entry(
-        self, tbl_name: str, stable: StatusTable, sr: StatusRange,
-        entry: PendingEntry,
+        self, tbl_name: str, sr: StatusRange, entry: PendingEntry
     ) -> bool:
         """Apply ONE pending entry.
 
@@ -1377,7 +1336,7 @@ class JoinEngine:
             if tm is not None:
                 tm.recomputes += 1
             joins = self._materialized_joins.get(tbl_name, [])
-            self._recompute_range(tbl_name, stable, joins, sr)
+            self._recompute_range(tbl_name, joins, sr)
             return True
         self._exec_source(
             entry.join, 0, child, sr.lo, sr.hi, None, sr,
@@ -1457,8 +1416,5 @@ class JoinEngine:
     # ==================================================================
     # Introspection
     # ==================================================================
-    def status_for(self, tbl_name: str) -> StatusTable:
-        return self.status.setdefault(tbl_name, StatusTable())
-
     def memory_bytes(self) -> int:
         return self.store.memory_bytes() + self.updater_bytes

@@ -46,7 +46,7 @@ live with the tests, in ``tests/pattern_oracle.py``.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..store.keys import SEP, key_successor, prefix_upper_bound
 
@@ -392,32 +392,7 @@ class Pattern:
         key = SEP.join(parts)
         return key, key_successor(key)
 
-    # ------------------------------------------------------------------
-    def slot_positions(self, name: str) -> List[int]:
-        """Segment indexes where slot ``name`` appears."""
-        return [i for i, seg in enumerate(self.segments) if seg.slot == name]
-
-    def shared_slots(self, other: "Pattern") -> List[str]:
-        """Slot names appearing in both patterns, in this pattern's order."""
-        theirs = set(other.slots)
-        return [s for s in self.slots if s in theirs]
-
 
 def pattern_from(obj: "Pattern | str") -> Pattern:
     """Coerce a string or Pattern into a Pattern."""
     return obj if isinstance(obj, Pattern) else Pattern(obj)
-
-
-def common_prefix_segments(patterns: Sequence[Pattern]) -> int:
-    """How many leading segments all ``patterns`` share literally."""
-    if not patterns:
-        return 0
-    count = 0
-    for segs in zip(*(p.segments for p in patterns)):
-        first = segs[0]
-        if first.is_slot or any(
-            s.is_slot or s.text != first.text for s in segs[1:]
-        ):
-            break
-        count += 1
-    return count

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..store.batch import WriteBatch, as_ops
-from ..store.keys import key_successor, prefix_upper_bound
+from ..store.keys import prefix_upper_bound
 from ..store.stats import StoreStats
 from ..store.store import OrderedStore
 from .clock import Clock, SystemClock
@@ -290,9 +290,6 @@ class PequodServer:
 
     def exists(self, key: str) -> bool:
         return self.get(key) is not None
-
-    def get_range(self, key: str) -> List[Tuple[str, str]]:
-        return self.scan(key, key_successor(key))
 
     # ------------------------------------------------------------------
     # Integration points

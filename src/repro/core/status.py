@@ -11,7 +11,9 @@ Each range carries:
   joins, an expiry time;
 * a *pending log* of partially-invalidating source modifications that
   will be applied lazily when the range is next read (§3.2's partial
-  invalidation, after [29]);
+  invalidation, after [29]).  The log is an insertion-ordered set of
+  :class:`PendingEntry` tuples: a source key written N times between
+  reads is logged once, at its first position;
 * an LRU entry so eviction can drop cold computed ranges (§2.5);
 * the builds it holds, which own the updaters installed on its
   behalf (:class:`Build`).
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..store.lru import LRUEntry
@@ -41,69 +43,20 @@ class RangeState(enum.Enum):
     INVALID = "invalid"
 
 
-class PendingEntry:
+class PendingEntry(NamedTuple):
     """A logged source modification awaiting lazy application.
 
     Records enough to re-derive the affected output tuples: the join,
     which source changed, the source key, and the change kind.
+    Application re-executes the join with ``key`` pinned against the
+    *current* store state, so two equal entries repeat identical work
+    and a pending log holds each at most once.
     """
 
-    __slots__ = ("join", "source_index", "key", "old_value", "new_value", "kind")
-
-    def __init__(
-        self,
-        join: "CacheJoin",
-        source_index: int,
-        key: str,
-        old_value: Optional[str],
-        new_value: Optional[str],
-        kind: "ChangeKind",
-    ) -> None:
-        self.join = join
-        self.source_index = source_index
-        self.key = key
-        self.old_value = old_value
-        self.new_value = new_value
-        self.kind = kind
-
-    def identity(self) -> tuple:
-        """The compaction key: entries sharing it repeat identical work.
-
-        Application re-executes the join with ``key`` pinned against
-        the *current* store state, so two entries for the same (join,
-        source, key, kind) are interchangeable — the values logged at
-        write time do not feed the re-execution (aggregates recompute
-        wholesale instead).  This is what makes pending-log compaction
-        safe.
-        """
-        return (id(self.join), self.source_index, self.key, self.kind)
-
-    def same_as(self, other: "PendingEntry") -> bool:
-        """True when applying both entries would repeat identical work."""
-        return self.identity() == other.identity()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Pending {self.kind.value} {self.key!r}>"
-
-
-def compact_pending(entries: List["PendingEntry"]) -> List["PendingEntry"]:
-    """Drop superseded pending entries, keeping the latest of each kind.
-
-    Entries that would re-derive the same output tuples (see
-    :meth:`PendingEntry.same_as`) collapse to one, at the position of
-    the first occurrence with the payload of the last — a hot source
-    key written N times between reads costs one re-execution, not N.
-    """
-    out: List[PendingEntry] = []
-    slots: dict = {}
-    for entry in entries:
-        slot = slots.get(entry.identity())
-        if slot is None:
-            slots[entry.identity()] = len(out)
-            out.append(entry)
-        else:
-            out[slot] = entry
-    return out
+    join: "CacheJoin"
+    source_index: int
+    key: str
+    kind: "ChangeKind"
 
 
 class Build:
@@ -143,8 +96,6 @@ class StatusRange:
         "builds",
         "attached",
         "validated_at",
-        "owner",
-        "_pending_index",
     )
 
     def __init__(self, lo: str, hi: str, state: RangeState = RangeState.VALID) -> None:
@@ -154,13 +105,8 @@ class StatusRange:
         self.hi = hi
         self.state = state
         self.expires_at: Optional[float] = None
-        self.pending: List[PendingEntry] = []
-        #: Identity -> position index over ``pending``, maintained by
-        #: :meth:`log_pending` for O(1) supersede-in-place.  Rebuilt
-        #: whenever its size disagrees with the log (every other
-        #: mutation path — invalidate, split, apply — empties or
-        #: replaces the list, so the sizes diverge).
-        self._pending_index: dict = {}
+        #: The pending log: an insertion-ordered set (dict keys).
+        self.pending: Dict[PendingEntry, None] = {}
         self.lru_entry: Optional["LRUEntry"] = None
         #: The builds this range holds; it owns their updaters.
         self.builds: Tuple[Build, ...] = ()
@@ -177,11 +123,6 @@ class StatusRange:
         #: younger than the staleness bound without re-validation; None
         #: (never validated) always re-validates.
         self.validated_at: Optional[float] = None
-        #: The :class:`StatusTable` this range is attached to, if any.
-        #: Lets validity mutations (invalidate, pending-log growth)
-        #: bump the table's whole-table stamp without the caller
-        #: knowing which table the range lives in.
-        self.owner: Optional["StatusTable"] = None
 
     def is_valid_at(self, now: float) -> bool:
         if self.state is not RangeState.VALID:
@@ -192,28 +133,14 @@ class StatusRange:
         return not self.is_valid_at(now) or bool(self.pending)
 
     def log_pending(self, entry: PendingEntry) -> bool:
-        """Append ``entry`` to the pending log, compacting on arrival.
-
-        An equivalent entry already logged (same join, source, key, and
-        kind — see :meth:`PendingEntry.same_as`) is superseded in place
-        instead of duplicated, in O(1) via the identity index, so a hot
-        source key written N times between reads holds one log slot.
-        Returns True when the log grew.
-        """
-        index = self._pending_index
-        if len(index) != len(self.pending):
-            index = self._pending_index = {
-                e.identity(): i for i, e in enumerate(self.pending)
-            }
-        slot = index.get(entry.identity())
-        if slot is None:
-            index[entry.identity()] = len(self.pending)
-            self.pending.append(entry)
-            if self.owner is not None:
-                self.owner.note_mutation()
-            return True
-        self.pending[slot] = entry
-        return False
+        """Add ``entry`` to the pending log; an equal entry already
+        logged keeps its place, so a hot source key written N times
+        between reads costs one re-execution.  Returns True when the
+        log grew."""
+        if entry in self.pending:
+            return False
+        self.pending[entry] = None
+        return True
 
     def mergeable_with(self, right: "StatusRange") -> bool:
         """May ``right`` be folded into this range (its left neighbour)?
@@ -238,7 +165,7 @@ class StatusRange:
     def absorb(self, right: "StatusRange") -> None:
         """Extend this range over ``right`` — the inverse of a split.
 
-        The logs are concatenated (the caller compacts once per run):
+        The logs are united, each entry at its first position:
         application re-executes against the current store, so an entry
         one piece had already applied is harmless over the whole.  The
         merged range holds both halves' builds and is as old as its
@@ -251,22 +178,18 @@ class StatusRange:
             else:
                 self.builds += (b,)
         right.builds = ()
-        if right.pending:
-            self.pending.extend(right.pending)
-            self._pending_index = {}
+        self.pending.update(right.pending)
         if self.validated_at is None or right.validated_at is None:
             self.validated_at = None
         elif right.validated_at < self.validated_at:
             self.validated_at = right.validated_at
-        right.pending = []
+        right.pending = {}
 
     def invalidate(self) -> None:
         """Complete invalidation: recompute from scratch on next read."""
         self.state = RangeState.INVALID
         self.pending.clear()
         self.expires_at = None
-        if self.owner is not None:
-            self.owner.note_mutation()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.state.value
@@ -282,43 +205,24 @@ class StatusTable:
     ranges themselves in ``_ranges`` — so the hot-path lookups
     (``find``, ``pieces``) are one ``bisect`` plus a
     contiguous array walk instead of a pointer-chasing tree descent.
-    Gaps between ranges mean "never computed".
-
-    The table also keeps a *stamp*, bumped on every mutation
-    that could change whole-table validity (add/remove/split/merge
-    here, invalidation and pending-log growth via ``StatusRange.owner``,
-    and engine-side recompute/expiry/drain via :meth:`note_mutation`).
-    The stamp keys a cached whole-table summary behind
-    :meth:`all_valid_over`: when the cover is quiescent — every range
-    VALID, no pending work, no expiries, no gaps — cross-timeline scans
-    and updater validity checks skip per-range validation entirely.
+    Gaps between ranges mean "never computed".  The table holds no
+    validity state of its own: each range carries its state, pending
+    log and builds, and every read validates the pieces it touches.
     """
 
-    __slots__ = ("_los", "_ranges", "_stamp", "_summary", "merges")
+    __slots__ = ("_los", "_ranges", "merges")
 
     def __init__(self) -> None:
         self._los: List[str] = []
         self._ranges: List[StatusRange] = []
-        self._stamp = 0
         #: Ranges ever absorbed into a neighbour by :meth:`merge_over`.
         self.merges = 0
-        #: Cached (stamp, all_quiescent, cover_lo, cover_hi); rebuilt
-        #: lazily whenever the stamp has moved past it.
-        self._summary: Optional[Tuple[int, bool, str, str]] = None
 
     def __len__(self) -> int:
         return len(self._ranges)
 
     def ranges(self) -> List[StatusRange]:
         return list(self._ranges)
-
-    def note_mutation(self) -> None:
-        """Record a validity-affecting mutation (bumps the stamp)."""
-        self._stamp += 1
-
-    @property
-    def stamp(self) -> int:
-        return self._stamp
 
     # ------------------------------------------------------------------
     def find(self, key: str) -> Optional[StatusRange]:
@@ -366,37 +270,17 @@ class StatusTable:
 
     # ------------------------------------------------------------------
     def all_valid_over(self, lo: str, hi: str) -> bool:
-        """Whole-table fast path: is ``[lo, hi)`` covered by a fully
-        quiescent cover (every range VALID, no pending logs, no
-        expiries, no gaps)?
-
-        The answer is derived from a summary cached against the
-        stamp, so quiescent steady-state scans answer in
-        O(1) without walking pieces.  Any invalidation, split,
-        eviction, expiry, or pending-log growth bumps the stamp and
-        forces a re-summary on the next call.
-        """
-        summary = self._summary
-        if summary is None or summary[0] != self._stamp:
-            summary = self._summary = self._compute_summary()
-        _, quiescent, cover_lo, cover_hi = summary
-        return quiescent and cover_lo <= lo and hi <= cover_hi
-
-    def _compute_summary(self) -> Tuple[int, bool, str, str]:
-        ranges = self._ranges
-        if not ranges:
-            return (self._stamp, False, "", "")
-        prev_hi: Optional[str] = None
-        for sr in ranges:
-            if (
-                sr.state is not RangeState.VALID
-                or sr.pending
-                or sr.expires_at is not None
-                or (prev_hi is not None and prev_hi != sr.lo)
-            ):
-                return (self._stamp, False, "", "")
-            prev_hi = sr.hi
-        return (self._stamp, True, ranges[0].lo, prev_hi)
+        """Is ``[lo, hi)`` fully covered by quiescent ranges (VALID, no
+        pending log, no expiry, no gaps)?  An uncached walk over
+        :meth:`pieces`; the engine does not call it — the ledger's
+        tracer wraps it by name, so it stays as a cover predicate."""
+        return all(
+            sr is not None
+            and sr.state is RangeState.VALID
+            and not sr.pending
+            and sr.expires_at is None
+            for _, _, sr in self.pieces(lo, hi)
+        )
 
     # ------------------------------------------------------------------
     def add(self, sr: StatusRange) -> StatusRange:
@@ -411,8 +295,6 @@ class StatusTable:
         self._los.insert(i, sr.lo)
         self._ranges.insert(i, sr)
         sr.attached = True
-        sr.owner = self
-        self._stamp += 1
         return sr
 
     def remove(self, sr: StatusRange) -> None:
@@ -421,21 +303,19 @@ class StatusTable:
             del self._los[i]
             del self._ranges[i]
             sr.attached = False
-            sr.owner = None
-            self._stamp += 1
 
     def split(self, sr: StatusRange, at: str) -> StatusRange:
         """Split ``sr`` at ``at``; returns the new right-hand range.
 
-        Both halves keep the state, expiry, and a copy of the pending
-        log (each half will apply or drop entries independently), and
-        both hold its builds.
+        Both halves keep the state, expiry, and their own copy of the
+        pending log (each half will apply or drop entries
+        independently), and both hold its builds.
         """
         if not (sr.lo < at < sr.hi):
             raise ValueError(f"split point {at!r} outside ({sr.lo!r},{sr.hi!r})")
         right = StatusRange(at, sr.hi, sr.state)
         right.expires_at = sr.expires_at
-        right.pending = list(sr.pending)
+        right.pending = dict(sr.pending)
         right.builds = sr.builds
         for b in sr.builds:
             b.holders += 1
@@ -445,8 +325,6 @@ class StatusTable:
         self._los.insert(i, right.lo)
         self._ranges.insert(i, right)
         right.attached = True
-        right.owner = self
-        self._stamp += 1
         return right
 
     def isolate(self, lo: str, hi: str) -> List[StatusRange]:
@@ -469,12 +347,11 @@ class StatusTable:
         ranges overlapping ``[lo, hi)`` into the run's leftmost range.
 
         Compatibility is :meth:`StatusRange.mergeable_with`; a run's
-        pending logs are united and compacted once.  Returns
-        ``(survivor, absorbed)`` pairs so the engine can retire what it
-        keeps per range (the LRU entry).  Absorbed ranges end detached
-        — a validation memo still pointing at one misses structurally,
-        exactly as after eviction — and the stamp is bumped so the
-        whole-table summary is rebuilt.
+        pending logs are united.  Returns ``(survivor, absorbed)`` pairs
+        so the engine can retire what it keeps per range (the LRU
+        entry).  Absorbed ranges end detached — a validation memo still
+        pointing at one misses structurally, exactly as after
+        eviction.
         """
         ranges = self._ranges
         start = bisect_right(self._los, lo) - 1
@@ -485,26 +362,19 @@ class StatusTable:
             return []
         merged: List[Tuple[StatusRange, StatusRange]] = []
         kept = [ranges[start]]
-        grown: List[StatusRange] = []  # survivors whose log was extended
         for sr in ranges[start + 1:stop]:
             survivor = kept[-1]
             if not survivor.mergeable_with(sr):
                 kept.append(sr)
                 continue
-            if sr.pending and (not grown or grown[-1] is not survivor):
-                grown.append(survivor)
             survivor.absorb(sr)
             sr.attached = False
-            sr.owner = None
             merged.append((survivor, sr))
         if not merged:
             return merged
-        for survivor in grown:
-            survivor.pending = compact_pending(survivor.pending)
         ranges[start:stop] = kept
         self._los[start:stop] = [sr.lo for sr in kept]
         self.merges += len(merged)
-        self._stamp += 1
         return merged
 
     def check_disjoint_cover(self) -> None:

@@ -254,15 +254,6 @@ class Cluster:
             self._rows_reply,
         )
 
-    def scan_homes(self, first: str, last: str) -> List[Tuple[str, str]]:
-        """Scan base data across its home server(s), merged in key
-        order."""
-        rows: List[Tuple[str, str]] = []
-        for node in self.home_nodes_for_range(first, last):
-            rows.extend(self.scan_home_at(node, first, last))
-        rows.sort()
-        return rows
-
     def session(self, affinity: str) -> "Session":
         return Session(self, affinity)
 

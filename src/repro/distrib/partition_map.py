@@ -306,21 +306,6 @@ class PartitionMap:
         )
 
 
-def uniform_segment_splits(
-    prefix: str, width: int, count: int, parts: int
-) -> List[str]:
-    """``parts - 1`` split points dividing ``count`` zero-padded
-    segments (``u0000`` … style, ``prefix`` + ``width`` digits) into
-    ``parts`` near-equal slices — the builder benches and the CLI use
-    to spread a synthetic user population."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    return [
-        f"{prefix}{(count * i) // parts:0{width}d}"
-        for i in range(1, parts)
-    ]
-
-
 class HashPartitionMap:
     """The hash partitioner behind the map-consult interface.
 

@@ -297,18 +297,15 @@ class ServerMetrics:
             yield sample_key("table_memory_bytes", table=name), float(tbl.memory_bytes)
         yield "memory_bytes", float(engine.memory_bytes())
         yield "updater_memory_bytes", float(engine.updater_bytes)
-        # The compiled write path (fire pins, batched fan-out installs,
-        # whole-table validity): how many fire pins compiled, how many
-        # value-last fires rendered an output key, how installs batch,
-        # and the worst fan-out one write has faced.
+        # The compiled write path (fire pins, batched fan-out installs):
+        # how many fire pins compiled, how many value-last fires
+        # rendered an output key, how installs batch, and the worst
+        # fan-out one write has faced.
         stats = engine.stats
         yield "write_plan_compiles_total", stats.get("write_plan_compiles")
         yield "write_plan_fires_total", stats.get("write_plan_fires")
         yield "write_batched_installs_total", stats.get(
             "write_batched_installs"
-        )
-        yield "write_whole_table_fastpath_hits_total", stats.get(
-            "write_whole_table_fastpath_hits"
         )
         yield "write_fanout_max", stats.get("write_fanout_max")
         yield "eviction_memory_limit_bytes", float(server.eviction.limit_bytes or 0)

@@ -34,9 +34,9 @@ Change = Tuple[str, Optional[str], Optional[str]]
 class OrderedStore:
     """A single ordered string key space backed by tables and subtables.
 
-    ``subtable_config`` maps table names to subtable depths; it may also
-    be amended later with :meth:`configure_subtables` (before the table
-    first receives data).  All tables share one :class:`StoreStats`.
+    ``subtable_config`` maps table names to subtable depths (§4.1); a
+    table's depth is fixed when the table is first created.  All tables
+    share one :class:`StoreStats`.
     """
 
     __slots__ = (
@@ -57,25 +57,6 @@ class OrderedStore:
     # ------------------------------------------------------------------
     # Table management
     # ------------------------------------------------------------------
-    def configure_subtables(self, table_name: str, depth: int) -> None:
-        """Mark a subtable boundary ``depth`` segments into ``table_name``.
-
-        This is the developer marking natural key boundaries (§4.1).
-        Must be configured before the table holds data.
-        """
-        existing = self.tables.get(table_name)
-        if existing is not None:
-            if len(existing) > 0 and existing.subtable_depth != depth:
-                raise ValueError(
-                    f"table {table_name!r} already holds data; cannot change "
-                    "its subtable boundary"
-                )
-            if existing.subtable_depth != depth:
-                del self.tables[table_name]
-        self._subtable_config[table_name] = depth
-        if existing is not None and existing.copy_output:
-            self.table(table_name).mark_copy_output()  # a rebuilt table too
-
     def table(self, name: str) -> Table:
         """The table called ``name``, created on first use."""
         tbl = self.tables.get(name)

@@ -227,7 +227,6 @@ class TestUpdaterOwnership:
     def timelines(self, **kwargs):
         srv = PequodServer(**kwargs)
         srv.add_join(TIMELINE_JOIN)
-        srv.engine.enable_whole_table_fastpath = False
         for u in ("ann", "bob", "liz"):
             for p in ("bob", "liz", "zed"):
                 if u != p:

@@ -229,7 +229,6 @@ class TestServerMetrics:
         assert snap["write_plan_fires_total"] >= 1
         assert snap["write_fanout_max"] >= 1
         assert "write_batched_installs_total" in snap
-        assert "write_whole_table_fastpath_hits_total" in snap
         with server.write_batch() as batch:
             batch.put("p|bob|0300", "3")
             batch.put("p|bob|0400", "4")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pattern_oracle import expand_reference, match_reference
-from repro.core.pattern import Pattern, PatternError, common_prefix_segments
+from repro.core.pattern import Pattern, PatternError
 
 pytestmark = pytest.mark.usefixtures("pattern_mode")
 
@@ -115,28 +115,26 @@ class TestExpansion:
         assert prefix == "s|a|b"
         assert complete
 
+    def test_expand_prefix_stops_at_the_first_unknown_slot(self):
+        p = Pattern("t|<user>|<time>|<poster>")
+        assert p.expand_prefix({"user": "ann", "poster": "bob"}) == ("t|ann|", False)
+        assert p.expand_prefix({}) == ("t|", False)
+
+    def test_repeated_slot_expands_everywhere(self):
+        p = Pattern("x|<a>|<b>|<a>")
+        assert p.expand({"a": "1", "b": "2"}) == "x|1|2|1"
+        assert p.expand(p.match("x|1|2|1")) == "x|1|2|1"
+
+    def test_shared_slots_carry_across_patterns(self):
+        """A join's output match pins the source slots it shares."""
+        out = Pattern("t|<user>|<time>|<poster>")
+        src = Pattern("s|<user>|<poster>")
+        assert src.expand(out.match("t|ann|0100|bob")) == "s|ann|bob"
+
     def test_roundtrip_match_expand(self):
         p = Pattern("page|<author>|<id>|k|<cid>|<commenter>")
         key = "page|bob|101|k|c5|liz"
         assert p.expand(p.match(key)) == key
-
-
-class TestHelpers:
-    def test_slot_positions(self):
-        p = Pattern("x|<a>|<b>|<a>")
-        assert p.slot_positions("a") == [1, 3]
-        assert p.slot_positions("b") == [2]
-        assert p.slot_positions("missing") == []
-
-    def test_shared_slots(self):
-        a = Pattern("t|<user>|<time>|<poster>")
-        b = Pattern("s|<user>|<poster>")
-        assert a.shared_slots(b) == ["user", "poster"]
-
-    def test_common_prefix_segments(self):
-        pats = [Pattern("page|<a>|x"), Pattern("page|<b>|y")]
-        assert common_prefix_segments(pats) == 1
-        assert common_prefix_segments([]) == 0
 
 
 class TestCompiledEquivalence:

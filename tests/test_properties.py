@@ -412,13 +412,6 @@ def _span(kind, user, tick):
     return f"t|{user}|{tick if kind == 'check' else '0000'}", f"t|{user}}}"
 
 
-def _slow_path_only(srv):
-    """Five users' pieces can tile a gap-free quiescent cover, which
-    the whole-table shortcut answers before the merge is reached."""
-    srv.engine.enable_whole_table_fastpath = False
-    return srv
-
-
 def _uncovered(spans, lo, hi):
     """The parts of ``[lo, hi)`` no span in ``spans`` covers."""
     gaps = []
@@ -441,11 +434,9 @@ class TestStatusMergeProperties:
         max_examples=80, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(merge_ops, st.booleans())
-    def test_twip_reads_equal_a_naive_recompute(self, ops, slow_path_only):
+    @given(merge_ops)
+    def test_twip_reads_equal_a_naive_recompute(self, ops):
         srv = PequodServer()
-        if slow_path_only:
-            _slow_path_only(srv)
         srv.add_join(
             "t|<user>|<time>|<poster> = check s|<user>|<poster> "
             "copy p|<poster>|<time>"
@@ -478,7 +469,7 @@ class TestStatusMergeProperties:
         the run.  (The merge runs before the walk, so a tile the login
         itself computes — a first login after a check — joins its
         neighbour on the next one.)"""
-        srv = _slow_path_only(PequodServer())
+        srv = PequodServer()
         srv.add_join(
             "t|<user>|<time>|<poster> = check s|<user>|<poster> "
             "copy p|<poster>|<time>"
@@ -520,7 +511,7 @@ class TestStatusMergeProperties:
         from repro.core.clock import SimClock
 
         clock = SimClock()
-        srv = _slow_path_only(PequodServer(clock=clock))
+        srv = PequodServer(clock=clock)
         srv.add_join(
             "t|<user>|<time>|<poster> = snapshot 30 "
             "check s|<user>|<poster> copy p|<poster>|<time>"
@@ -575,7 +566,7 @@ class TestStatusMergeProperties:
     def test_aggregate_reads_equal_a_naive_recompute(self, ops):
         """``n|user|poster`` counts the posts of each poster a user
         follows; a check reads the tail of the user's posters."""
-        srv = _slow_path_only(PequodServer())
+        srv = PequodServer()
         srv.add_join(
             "n|<user>|<poster> = check s|<user>|<poster> count p|<poster>|<time>"
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.operators import ChangeKind
 from repro.core.status import (
     Build,
     PendingEntry,
@@ -16,6 +17,10 @@ def _built(sr, lo=None, hi=None):
     build = Build(lo or sr.lo, hi or sr.hi)
     sr.builds += (build,)
     return build
+
+
+def _pending(key, join=None):
+    return PendingEntry(join, 0, key, ChangeKind.INSERT)
 
 
 class TestStatusRange:
@@ -34,17 +39,17 @@ class TestStatusRange:
 
     def test_invalidate_clears_bookkeeping(self):
         sr = StatusRange("a", "b")
-        sr.pending.append(object())
+        sr.log_pending(_pending("s|ann|bob"))
         sr.expires_at = 10.0
         sr.invalidate()
         assert sr.state is RangeState.INVALID
-        assert sr.pending == []
+        assert sr.pending == {}
         assert sr.expires_at is None
 
     def test_needs_work(self):
         sr = StatusRange("a", "b")
         assert not sr.needs_work(0.0)
-        sr.pending.append(object())
+        sr.log_pending(_pending("s|ann|bob"))
         assert sr.needs_work(0.0)
 
 
@@ -114,20 +119,22 @@ class TestSplitAndIsolate:
     def test_split_copies_state_and_pending(self):
         st = StatusTable()
         sr = st.add(StatusRange("a", "z", RangeState.INVALID))
-        entry = object()
-        sr.pending.append(entry)
+        entry = _pending("s|ann|bob")
+        sr.log_pending(entry)
         build = _built(sr)
         sr.expires_at = 42.0
         right = st.split(sr, "m")
         assert right.state is RangeState.INVALID
-        assert right.pending == [entry]
+        assert list(right.pending) == [entry]
         assert right.expires_at == 42.0
         # Both halves hold the build, and so own its updaters.
         assert sr.builds == right.builds == (build,)
         assert build.holders == 2
-        # pending lists are independent afterwards
+        # The pending logs are independent afterwards.
         right.pending.clear()
-        assert sr.pending == [entry]
+        assert list(sr.pending) == [entry]
+        sr.log_pending(_pending("s|ann|liz"))
+        assert right.pending == {}
 
     def test_split_point_must_be_interior(self):
         st = StatusTable()
@@ -170,12 +177,6 @@ class TestSplitAndIsolate:
         assert st.pieces("a", "c") == [("a", "c", None)]
 
 
-def _pending(key, join=None):
-    from repro.core.operators import ChangeKind
-
-    return PendingEntry(join, 0, key, None, "1", ChangeKind.INSERT)
-
-
 def _cover(st):
     return [(sr.lo, sr.hi) for sr in st.ranges()]
 
@@ -195,12 +196,10 @@ class TestMergeOver:
         st = StatusTable()
         sr = st.add(StatusRange("a", "z"))
         right = st.split(sr, "m")
-        stamp = st.stamp
         assert st.merge_over("a", "z") == [(sr, right)]
         assert _cover(st) == [("a", "z")]
-        assert sr.attached and sr.owner is st
-        assert not right.attached and right.owner is None
-        assert st.stamp > stamp
+        assert sr.attached
+        assert not right.attached
         assert st.merges == 1
         assert st.find("q") is sr
         st.check_disjoint_cover()
@@ -281,18 +280,19 @@ class TestMergeOver:
         assert [sr.expires_at for sr in st.ranges()] == [None, 3.0]
         st.check_disjoint_cover()
 
-    def test_logs_are_united_and_compacted(self):
+    def test_logs_are_united_first_position_kept(self):
         st = StatusTable()
         sr = st.add(StatusRange("a", "z"))
         sr.log_pending(_pending("s|ann|bob"))
         right = st.split(sr, "m")  # both halves hold bob
         right.pending.clear()  # the right half applied it...
         right.log_pending(_pending("s|ann|liz"))  # ...then both saw liz
+        right.log_pending(_pending("s|ann|bob"))  # ...and bob again
         sr.log_pending(_pending("s|ann|liz"))
         st.merge_over("a", "z")
         assert [e.key for e in sr.pending] == ["s|ann|bob", "s|ann|liz"]
-        assert right.pending == []
-        # The supersede-in-place index follows the united log.
+        assert right.pending == {}
+        # The united log is still a set.
         assert not sr.log_pending(_pending("s|ann|liz"))
         assert sr.log_pending(_pending("s|ann|zed"))
         assert [e.key for e in sr.pending] == [
@@ -321,11 +321,17 @@ class TestMergeOver:
         st.merge_over("a", "z")
         assert left.validated_at is None
 
-    def test_summary_is_rebuilt(self):
+    def test_all_valid_over_reads_the_cover_each_call(self):
         st, left, right = self.two()
+        assert st.all_valid_over("a", "z")
         left.log_pending(_pending("s|ann|bob"))
         assert not st.all_valid_over("a", "z")
+        assert st.all_valid_over("m", "z")
         left.pending.clear()  # drained behind the table's back
-        assert not st.all_valid_over("a", "z")  # cached summary
-        st.merge_over("a", "z")
-        assert st.all_valid_over("a", "z")
+        assert st.all_valid_over("a", "z")  # nothing cached
+        right.expires_at = 5.0
+        assert not st.all_valid_over("a", "z")
+        right.expires_at = None
+        right.invalidate()
+        assert not st.all_valid_over("a", "z")
+        assert not st.all_valid_over("0", "m")  # a gap below "a"

@@ -3,7 +3,7 @@
 A partial read with pending work cuts a status range (§3.2's lazy
 partial invalidation applied to the part that was asked for); the next
 read that spans the pieces folds them back into one range with one
-compacted log (``StatusTable.merge_over``).  These tests pin what the
+united log (``StatusTable.merge_over``).  These tests pin what the
 merge must keep: updaters stay live, re-application is silent, LRU /
 memo / degrade-mode bookkeeping follows the survivor, and accounting
 still recounts exactly.
@@ -26,10 +26,6 @@ def tick(n: int) -> str:
 def timeline_server(**kwargs) -> PequodServer:
     srv = PequodServer(**kwargs)
     srv.add_join(TIMELINE_JOIN)
-    # One user's pieces tile a gap-free cover, which the whole-table
-    # shortcut answers before the slow path (and its merge) is reached.
-    # Real covers have gaps between users; stand in for them here.
-    srv.engine.enable_whole_table_fastpath = False
     return srv
 
 
@@ -152,9 +148,9 @@ class TestBookkeepingFollowsTheSurvivor:
         survivor = srv.engine.status["t"].ranges()[0]
         assert survivor is pieces[0]
         for dead in pieces[1:]:
-            assert not dead.attached and dead.owner is None
+            assert not dead.attached
             assert dead.lru_entry is None
-            assert dead.pending == []
+            assert dead.pending == {}
         tracked = [entry.payload[1] for entry in srv.engine.lru]
         assert tracked == [survivor]
         assert survivor.lru_entry.linked()
@@ -272,7 +268,6 @@ class TestRefusalsInTheEngine:
         srv.add_join(
             "n|<user>|<poster> = check s|<user>|<poster> count p|<poster>|<time>"
         )
-        srv.engine.enable_whole_table_fastpath = False
         srv.put("s|ann|jim", "1")
         srv.put("p|jim|0001", "x")
         srv.scan("n|ann|", "n|ann}")
@@ -291,7 +286,6 @@ class TestRefusalsInTheEngine:
             "t|<user>|<time>|<poster> = snapshot 30 "
             "check s|<user>|<poster> copy p|<poster>|<time>"
         )
-        srv.engine.enable_whole_table_fastpath = False
         srv.put("s|ann|bob", "1")
         srv.put(f"p|bob|{tick(1)}", "old")
         srv.put(f"p|bob|{tick(60)}", "new")
@@ -372,26 +366,20 @@ class TestSilentReinstall:
 
 
 class TestSiblingFindings:
-    """ROADMAP item A's two siblings.  The second scan executes no join
-    either way; whether it also leaves one range depends on who answers
-    it: the whole-table shortcut (gap-free quiescent cover, no memory
-    limit) returns before the slow path and leaves the tiles alone —
-    it never walks them, so they cost nothing — and everywhere else
-    the slow path merges them."""
+    """ROADMAP item A's two siblings: a second scan over tiles an
+    earlier scan cut executes no join and leaves one range."""
 
-    def test_the_shortcut_answers_first_when_it_can(self):
-        srv = PequodServer()
-        srv.add_join(TIMELINE_JOIN)
+    def test_a_quiescent_rescan_does_no_work(self):
+        srv = timeline_server()
         srv.put("s|ann|bob", "1")
         srv.put(f"p|bob|{tick(1)}", "x")
         srv.scan(*LOGIN)
         first = srv.scan("t|ann|", "t|ann}")
-        joins = srv.stats.get("joins_executed")
-        hits = srv.stats.get("write_whole_table_fastpath_hits")
+        work = [srv.stats.get(k) for k in
+                ("joins_executed", "recomputations", "pending_applied")]
         assert srv.scan("t|ann|", "t|ann}") == first
-        assert srv.stats.get("joins_executed") == joins
-        assert srv.stats.get("write_whole_table_fastpath_hits") == hits + 1
-        assert len(cover(srv)) == 2
+        assert [srv.stats.get(k) for k in
+                ("joins_executed", "recomputations", "pending_applied")] == work
 
     def test_scan_from_below_the_computed_range(self):
         srv = timeline_server()

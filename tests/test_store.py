@@ -81,31 +81,43 @@ class TestSubtableConfig:
         assert store.tables["t"].subtable_depth == 2
         assert store.tables["t"].subtable_count() == 1
 
-    def test_configure_after_creation_empty_table_ok(self):
-        store = OrderedStore()
-        store.table("t")
-        store.configure_subtables("t", 2)
-        store.put("t|ann|0100|bob", "x")
-        assert store.tables["t"].subtable_depth == 2
-
-    def test_configure_nonempty_table_rejected(self):
-        store = OrderedStore()
-        store.put("t|ann|0100|bob", "x")
-        with pytest.raises(ValueError):
-            store.configure_subtables("t", 2)
-
-    def test_reconfigure_same_depth_is_noop(self):
+    def test_unconfigured_table_is_flat(self):
         store = OrderedStore(subtable_config={"t": 2})
-        store.put("t|ann|0100|bob", "x")
-        store.configure_subtables("t", 2)
-        assert store.get("t|ann|0100|bob") == "x"
+        store.put("p|bob|0100", "x")
+        assert store.tables["p"].subtable_depth == 0
 
-    def test_reconfigure_keeps_copy_output_charging(self):
-        store = OrderedStore()
+    def test_subtables_keep_one_key_order(self):
+        store = OrderedStore(subtable_config={"t": 2})
+        keys = ["t|bob|0100|ann", "t|ann|0200|liz", "t|ann|0100|bob"]
+        for k in keys:
+            store.put(k, "x")
+        assert store.tables["t"].subtable_count() == 2
+        assert [k for k, _ in store.scan("t|", "t}")] == sorted(keys)
+
+    def test_copy_output_charging_keeps_the_configured_depth(self):
+        store = OrderedStore(subtable_config={"t": 2})
         store.table("t").mark_copy_output()  # a copy join writes "t"
-        store.configure_subtables("t", 2)
+        store.put("t|ann|0100|bob", "x")
         assert store.tables["t"].subtable_depth == 2
         assert store.tables["t"].copy_output
+
+    def test_a_subtabled_output_stays_maintained(self):
+        """Depth is fixed before any join installs an updater, so a
+        configured timeline keeps taking fan-out writes."""
+        from repro import PequodServer
+        from repro.apps.twip import TIMELINE_JOIN
+
+        srv = PequodServer(subtable_config={"t": 2})
+        srv.add_join(TIMELINE_JOIN)
+        srv.put("s|ann|bob", "1")
+        srv.put("p|bob|0100", "first")
+        assert srv.scan("t|ann|", "t|ann}") == [("t|ann|0100|bob", "first")]
+        srv.put("p|bob|0200", "second")
+        assert srv.scan("t|ann|", "t|ann}") == [
+            ("t|ann|0100|bob", "first"),
+            ("t|ann|0200|bob", "second"),
+        ]
+        assert srv.store.tables["t"].subtable_depth == 2
 
 
 class TestMemory:

@@ -3,9 +3,9 @@
 Covers the WriteBatch buffer's coalescing semantics, raw store batch
 application, the engine's grouped maintenance pass (the property:
 batched application is indistinguishable from per-key application,
-across eager, lazy, echeck, and aggregate maintenance), pending-log
-compaction, the batch RPC round-trip over TCP, and coalesced
-subscription propagation through the simulated network.
+across eager, lazy, echeck, and aggregate maintenance), the pending
+log's one entry per source key, the batch RPC round-trip over TCP,
+and coalesced subscription propagation through the simulated network.
 """
 
 import asyncio
@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import PequodServer
-from repro.core.status import PendingEntry, compact_pending
+from repro.core.status import PendingEntry, StatusRange
 from repro.core.operators import ChangeKind
 from repro.distrib import Cluster
 from repro.distrib.node import MSG_UPDATE_BATCH
@@ -255,30 +255,33 @@ class TestEngineBatchSemantics:
 
 
 # ======================================================================
-# Pending-log compaction
+# The pending log is a set
 # ======================================================================
 class TestPendingCompaction:
-    def test_compact_pending_keeps_latest(self):
-        class FakeJoin:
-            pass
+    def test_one_entry_per_join_source_key_and_kind(self):
+        sr = StatusRange("t|a", "t|b")
+        join, other_join = object(), object()
+        entry = PendingEntry(join, 0, "s|a|b", ChangeKind.INSERT)
+        distinct = [
+            PendingEntry(join, 0, "s|a|c", ChangeKind.INSERT),
+            PendingEntry(join, 1, "s|a|b", ChangeKind.INSERT),
+            PendingEntry(join, 0, "s|a|b", ChangeKind.UPDATE),
+            PendingEntry(other_join, 0, "s|a|b", ChangeKind.INSERT),
+        ]
+        assert sr.log_pending(entry) is True
+        for e in distinct:
+            assert sr.log_pending(e) is True
+        assert sr.log_pending(PendingEntry(join, 0, "s|a|b", ChangeKind.INSERT)) is False
+        assert list(sr.pending) == [entry] + distinct
 
-        join = FakeJoin()
-        first = PendingEntry(join, 0, "s|a|b", None, "1", ChangeKind.INSERT)
-        second = PendingEntry(join, 0, "s|a|b", "1", "2", ChangeKind.INSERT)
-        other = PendingEntry(join, 0, "s|a|c", None, "1", ChangeKind.INSERT)
-        compacted = compact_pending([first, other, second])
-        assert compacted == [second, other]
-
-    def test_log_pending_supersedes_in_place(self):
-        from repro.core.status import StatusRange
-
+    def test_a_repeated_entry_keeps_its_first_position(self):
         sr = StatusRange("t|a", "t|b")
         join = object()
-        first = PendingEntry(join, 0, "s|a|b", None, "1", ChangeKind.INSERT)
-        second = PendingEntry(join, 0, "s|a|b", "1", "2", ChangeKind.INSERT)
-        assert sr.log_pending(first) is True
-        assert sr.log_pending(second) is False
-        assert sr.pending == [second]
+        first = PendingEntry(join, 0, "s|a|b", ChangeKind.INSERT)
+        second = PendingEntry(join, 0, "s|a|c", ChangeKind.INSERT)
+        for e in (first, second, first):
+            sr.log_pending(e)
+        assert list(sr.pending) == [first, second]
 
     def test_stale_and_fresh_updaters_log_one_entry(self):
         """After a split + recompute, the stale full-range lazy updater

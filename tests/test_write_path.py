@@ -4,9 +4,9 @@ Mirrors ``test_read_path.py``: the write-side slot plan
 (``Pattern.slot_tuple``) is property-tested against its reference, the
 fire pins of ``core.plan`` are unit-tested, and an end-to-end celebrity
 workload fanned out through compiled fires must leave byte-identical
-store state to a server that computed everything from scratch.  The
-whole-table validity fast path is exercised through the situations that must defeat it:
-invalidation, pending logs, gaps in the cover, and memory limits.
+store state to a server that computed everything from scratch.
+Whole-table scans validate every range they touch: a quiescent rescan
+does no work, and pending logs and invalidations are drained.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from pattern_oracle import slot_tuple_reference
 from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
+from repro.core.clock import SimClock
 from repro.core.grammar import parse_join
 from repro.core.pattern import Pattern
 from repro.core.plan import ComputePlan
@@ -241,9 +242,8 @@ class TestWritePathParity:
 
     FAN_OUT = 1000
 
-    def drive(self, reads: bool, fastpath: bool = False) -> str:
+    def drive(self, reads: bool) -> str:
         srv = timeline_server()
-        srv.engine.enable_whole_table_fastpath = fastpath
 
         def scan(lo, hi):
             if reads:
@@ -279,7 +279,6 @@ class TestWritePathParity:
     def test_compiled_matches_reference(self):
         reference = self.drive(reads=False)
         assert self.drive(reads=True) == reference
-        assert self.drive(reads=True, fastpath=True) == reference
 
     def test_compiled_path_actually_fires(self):
         srv = timeline_server()
@@ -300,11 +299,11 @@ class TestWritePathParity:
 
 
 # ----------------------------------------------------------------------
-# Whole-table validity fast path.
+# Whole-table scans: every read validates the ranges it touches.
 # ----------------------------------------------------------------------
-class TestWholeTableFastpath:
-    def quiescent_server(self) -> PequodServer:
-        srv = timeline_server()
+class TestWholeTableScan:
+    def quiescent_server(self, **kwargs) -> PequodServer:
+        srv = timeline_server(**kwargs)
         for u in ("ann", "bob", "liz"):
             srv.put(f"s|{u}|celeb", "1")
         srv.put("p|celeb|0000000001", "x")
@@ -313,70 +312,99 @@ class TestWholeTableFastpath:
         srv.scan("t|", "t}")  # tile gaps -> contiguous, all-valid cover
         return srv
 
-    def test_quiescent_cross_scan_hits(self):
+    @staticmethod
+    def work(srv: PequodServer):
+        return (
+            srv.stats.get("joins_executed"),
+            srv.stats.get("recomputations"),
+            srv.stats.get("pending_applied"),
+        )
+
+    def test_quiescent_cross_scan_does_no_work(self):
         srv = self.quiescent_server()
         before = srv.scan("t|", "t}")
-        hits = srv.stats.get("write_whole_table_fastpath_hits")
+        work = self.work(srv)
         assert srv.scan("t|", "t}") == before
-        assert srv.stats.get("write_whole_table_fastpath_hits") > hits
+        assert self.work(srv) == work
 
-    def test_pending_log_defeats_it_until_drained(self):
+    def test_pending_log_is_drained(self):
         srv = self.quiescent_server()
         srv.scan("t|", "t}")
-        assert srv.stats.get("write_whole_table_fastpath_hits") > 0
         srv.put("s|ann|dave", "1")  # partial invalidation: pending entry
         srv.put("p|dave|0000000002", "from dave")
-
-        def shortcuts() -> float:
-            # Either O(1) answer will do: the validation memo (one
-            # merged range now covers the scan) or the quiescent-cover
-            # fast path.  What matters is that no per-range walk ran.
-            return srv.stats.get("write_whole_table_fastpath_hits") + srv.stats.get(
-                "validation_memo_hits"
-            )
-
-        hits = shortcuts()
-        got = srv.scan("t|", "t}")  # must walk, drain, and stay correct
+        applied = srv.stats.get("pending_applied")
+        got = srv.scan("t|", "t}")
         assert ("t|ann|0000000002|dave", "from dave") in got
-        assert shortcuts() == hits
-        # Drained and revalidated: the next scan is answered in O(1).
-        pending_applies = srv.engine.table_metrics["t"].pending_applies
+        assert srv.stats.get("pending_applied") > applied
+        # Drained: the next scan has nothing left to do.
+        work = self.work(srv)
         assert srv.scan("t|", "t}") == got
-        assert shortcuts() == hits + 1
-        assert srv.engine.table_metrics["t"].pending_applies == pending_applies
+        assert self.work(srv) == work
 
-    def test_invalidation_defeats_it(self):
+    def test_invalidation_is_recomputed(self):
         srv = self.quiescent_server()
         srv.scan("t|", "t}")
+        recomputed = srv.stats.get("recomputations")
         srv.remove("s|bob|celeb")  # complete invalidation
         got = srv.scan("t|", "t}")
         assert not any(k.startswith("t|bob|") for k, _ in got)
+        assert ("t|ann|0000000001|celeb", "x") in got
+        assert srv.stats.get("recomputations") > recomputed
 
-    def test_gap_in_cover_defeats_it(self):
+    def test_gap_in_cover_is_computed(self):
         srv = timeline_server()
         srv.put("s|ann|celeb", "1")
+        srv.put("s|bob|celeb", "1")
         srv.put("s|liz|celeb", "1")
         srv.put("p|celeb|0000000001", "x")
         srv.scan("t|ann|", prefix_upper_bound("t|ann|"))
         srv.scan("t|liz|", prefix_upper_bound("t|liz|"))
-        # No tiling cross-scan: the cover has gaps.
-        srv.scan("t|ann|", prefix_upper_bound("t|ann|"))
-        assert srv.stats.get("write_whole_table_fastpath_hits") == 0
+        joins = srv.stats.get("joins_executed")
+        got = srv.scan("t|", "t}")  # bob's part of the cover is missing
+        assert [k for k, _ in got] == [
+            f"t|{u}|0000000001|celeb" for u in ("ann", "bob", "liz")
+        ]
+        assert srv.stats.get("joins_executed") > joins
+        srv.engine.status["t"].check_disjoint_cover()
 
-    def test_memory_limit_disables_it(self):
-        srv = timeline_server(memory_limit=10_000_000)
-        assert not srv.engine.enable_whole_table_fastpath
-        unlimited = timeline_server()
-        assert unlimited.engine.enable_whole_table_fastpath
+    def test_memory_limited_scan_matches_unlimited(self):
+        limited = self.quiescent_server(memory_limit=10_000_000)
+        unlimited = self.quiescent_server()
+        for srv in (limited, unlimited):
+            srv.put("s|ann|dave", "1")
+            srv.put("p|dave|0000000002", "from dave")
+            srv.remove("s|bob|celeb")
+        got = limited.scan("t|", "t}")
+        assert got == unlimited.scan("t|", "t}")
+        assert ("t|ann|0000000002|dave", "from dave") in got
+        assert not any(k.startswith("t|bob|") for k, _ in got)
 
-    def test_eager_writes_keep_it_engaged(self):
-        """Copy-join maintenance keeps ranges valid, so a quiescent
-        scan after fan-out writes still takes the fast path — and sees
-        the new values."""
+    def test_quiescent_scan_refreshes_validated_at(self):
+        """A whole-table scan over a quiescent cover is a full
+        validation of every range it covers, so degrade mode may serve
+        them for a staleness bound from then on."""
+        clock = SimClock()
+        srv = self.quiescent_server(clock=clock)
+        clock.advance(100.0)
+        srv.scan("t|", "t}")
+        stable = srv.engine.status["t"]
+        assert [sr.validated_at for sr in stable.ranges()] == [100.0] * len(stable)
+        srv.engine.staleness_bound = 10.0
+        srv.put("s|ann|dave", "1")
+        srv.put("p|dave|0000000002", "from dave")
+        clock.advance(5.0)
+        served = srv.stats.get("stale_reads_served")
+        got = srv.scan("t|ann|", "t|ann}")
+        assert got == [("t|ann|0000000001|celeb", "x")]  # stale, in bound
+        assert srv.stats.get("stale_reads_served") == served + 1
+
+    def test_eager_writes_show_without_work(self):
+        """Copy-join maintenance keeps ranges valid, so a scan after
+        fan-out writes sees the new values without executing a join."""
         srv = self.quiescent_server()
         srv.scan("t|", "t}")
         srv.put("p|celeb|0000000009", "fresh")
-        hits = srv.stats.get("write_whole_table_fastpath_hits")
+        work = self.work(srv)
         got = srv.scan("t|", "t}")
         assert ("t|ann|0000000009|celeb", "fresh") in got
-        assert srv.stats.get("write_whole_table_fastpath_hits") > hits
+        assert self.work(srv) == work
