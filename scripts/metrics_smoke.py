@@ -23,7 +23,6 @@ import urllib.request
 
 from repro.apps.twip import TIMELINE_JOIN
 from repro.client import make_client
-from repro.core.load import OverloadPolicy
 from repro.core.server import PequodServer
 from repro.metrics import MetricsHttpServer
 from repro.net.rpc_server import ThreadedRpcService
@@ -46,7 +45,6 @@ REQUIRED_FAMILIES = (
     "repro_memory_bytes",
     "repro_rpc_frame_latency_seconds_bucket",
     "repro_rpc_window_occupancy_bucket",
-    "repro_overloaded",
     "repro_stat",
     # The compiled write path (the server drives a materialize-then-post
     # sequence, so the plan counters must be live, not just present).
@@ -181,13 +179,8 @@ def scrape_cdc(loop) -> int:
 
 
 def main() -> int:
-    policy = OverloadPolicy(mode="degrade", max_staleness=5.0)
     data_dir = tempfile.mkdtemp(prefix="pequod-metrics-smoke-")
-    server = PequodServer(
-        overload_policy=policy,
-        data_dir=data_dir,
-        wal_fsync="batch",
-    )
+    server = PequodServer(data_dir=data_dir, wal_fsync="batch")
     server.add_join(TIMELINE_JOIN)
     service = ThreadedRpcService(server)
     metrics = MetricsHttpServer(server.metrics_text)

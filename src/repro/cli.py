@@ -77,23 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="also serve Prometheus text on http://HOST:PORT/metrics",
     )
-    serve.add_argument(
-        "--overload-mode", choices=["shed", "degrade"], default=None,
-        help="admission control: shed overloaded work with a typed "
-        "error, or degrade reads to bounded staleness",
-    )
-    serve.add_argument(
-        "--max-staleness", type=float, default=None, metavar="SECONDS",
-        help="staleness bound for --overload-mode degrade",
-    )
-    serve.add_argument(
-        "--overload-queue-depth", type=int, default=None, metavar="N",
-        help="pipelined request depth above which the server is overloaded",
-    )
-    serve.add_argument(
-        "--overload-memory-limit", type=int, default=None, metavar="BYTES",
-        help="soft memory ceiling above which the server is overloaded",
-    )
 
     cluster = sub.add_parser(
         "cluster",
@@ -271,28 +254,6 @@ def _scaled(size: int, scale: float, floor: int) -> int:
     return max(floor, int(size * scale))
 
 
-def _overload_policy_from(args):
-    """Build an OverloadPolicy from serve flags, or None."""
-    if args.overload_mode is None:
-        if args.max_staleness is not None or args.overload_queue_depth is not None \
-                or args.overload_memory_limit is not None:
-            print("overload flags require --overload-mode", file=sys.stderr)
-            raise SystemExit(2)
-        return None
-    from .core.load import OverloadPolicy
-
-    try:
-        return OverloadPolicy(
-            mode=args.overload_mode,
-            max_staleness=args.max_staleness,
-            soft_memory_limit=args.overload_memory_limit,
-            max_queue_depth=args.overload_queue_depth,
-        )
-    except ValueError as exc:
-        print(f"bad overload policy: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-
-
 def _cmd_serve(args) -> int:
     from .net.rpc_server import RpcServer
 
@@ -307,7 +268,6 @@ def _cmd_serve(args) -> int:
     server = PequodServer(
         subtable_config=config or None,
         memory_limit=args.memory_limit,
-        overload_policy=_overload_policy_from(args),
         data_dir=args.data_dir,
         wal_fsync=args.wal_fsync,
         mode=args.mode,

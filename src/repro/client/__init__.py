@@ -65,7 +65,6 @@ from .errors import (
     DurabilityError,
     JoinSpecError,
     NotFoundError,
-    OverloadError,
     ServerError,
     TransportError,
     error_for_code,
@@ -94,7 +93,6 @@ __all__ = [
     "JoinSpecError",
     "LocalClient",
     "NotFoundError",
-    "OverloadError",
     "PequodClient",
     "ProcClusterClient",
     "RemoteClient",

@@ -52,7 +52,6 @@ from typing import (
 
 from ..core.hub import ChangeEvent
 from ..core.joins import JoinError
-from ..core.load import OverloadError as CoreOverloadError
 from ..core.pattern import PatternError
 from ..core.server import PequodServer
 from ..distrib.cluster import Cluster, Session
@@ -66,26 +65,13 @@ from ..store.keys import prefix_upper_bound
 from .base import BatchLike, JoinLike, check_value, checked_ops, join_text
 from .errors import (
     BadRequestError,
-    ClientError,
     DurabilityError,
     JoinSpecError,
     NotFoundError,
-    OverloadError,
     TransportError,
     error_for_code,
 )
 
-
-#: Server-side failures the in-process backends re-raise as client types.
-_TYPED = (CoreOverloadError, LogDurabilityError)
-
-
-def _typed(exc: Exception) -> ClientError:
-    """Re-raise an engine-level shed or a failed durable log as the
-    unified client type."""
-    if isinstance(exc, CoreOverloadError):
-        return OverloadError(str(exc), reason=exc.reason)
-    return DurabilityError(str(exc))
 
 #: Sentinel queued into a Watch when its stream has ended.
 _STREAM_END = object()
@@ -352,27 +338,27 @@ class AsyncLocalClient(AsyncPequodClient):
     async def get(self, key: str) -> Optional[str]:
         try:
             return self.server.get(key)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def put(self, key: str, value: str) -> None:
         check_value(value)
         try:
             self.server.put(key, value)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def remove(self, key: str) -> bool:
         try:
             return self.server.remove(key)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
         try:
             return self.server.scan(first, last)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def add_join(self, join: JoinLike) -> List[str]:
         try:
@@ -385,8 +371,8 @@ class AsyncLocalClient(AsyncPequodClient):
     async def apply_batch(self, batch: BatchLike) -> int:
         try:
             return self.server.apply_batch(checked_ops(batch))
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def stats(self) -> Dict[str, float]:
         return self.server.metrics_snapshot()
@@ -394,8 +380,8 @@ class AsyncLocalClient(AsyncPequodClient):
     async def settle_cdc(self) -> int:
         try:
             return self.server.settle_cdc()
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def watch(self, lo: str, hi: str) -> Watch:
         if not lo < hi:
@@ -627,8 +613,8 @@ class AsyncClusterClient(AsyncPequodClient):
                 return self.cluster.get(self.affinity_of(key), key)
             # Base / plain data: read the home server directly.
             return self.cluster.get_home(key)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def put(self, key: str, value: str) -> None:
         check_value(value)
@@ -640,16 +626,16 @@ class AsyncClusterClient(AsyncPequodClient):
                 self.cluster.put_at(self._compute_node_of(key), key, value)
                 return
             self.cluster.put(key, value)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def remove(self, key: str) -> bool:
         try:
             if self._is_computed(self._table_of(key)):
                 return self.cluster.remove_at(self._compute_node_of(key), key)
             return self.cluster.remove(key)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def _scan_homes(self, first: str, last: str) -> List[Tuple[str, str]]:
         """Fan-out: every involved home server's slice is requested as
@@ -668,8 +654,8 @@ class AsyncClusterClient(AsyncPequodClient):
     async def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
         try:
             return await self._scan_routed(first, last)
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
 
     async def _scan_routed(self, first: str, last: str) -> List[Tuple[str, str]]:
         table = self._table_of(first)
@@ -768,13 +754,13 @@ class AsyncClusterClient(AsyncPequodClient):
             applied = await asyncio.gather(
                 *(ship(node, pairs) for node, pairs in shipments)
             )
-        except _TYPED as exc:
-            raise _typed(exc) from exc
+        except LogDurabilityError as exc:
+            raise DurabilityError(str(exc)) from exc
         return sum(applied)
 
     async def stats(self) -> Dict[str, float]:
         # Per-node stats supersets merged cluster-wide: counters and
-        # depths sum, staleness high-water marks take the max.  Dead
+        # depths sum, ``*_max`` gauges take the max.  Dead
         # nodes are excluded — their counters describe state nobody can
         # reach anymore.
         return merge_snapshots(

@@ -17,9 +17,6 @@ its transport's native faults onto these types:
   malformed"; also a :class:`KeyError` for idiomatic handling.
 * :class:`ServerError` — the server faulted while executing a
   well-formed request.
-* :class:`OverloadError` — admission control shed the request (load
-  control; see ``repro.core.load``).  Also a subclass of the core
-  ``OverloadError`` so engine-level handlers catch it unchanged.
 * :class:`DurabilityError` — the server's durable log failed (an I/O
   error on append, fsync or checkpoint) and takes no more writes until
   a restart; the failed write's outcome is unknown, reads still work.
@@ -34,7 +31,6 @@ server attaches to failure responses (``repro.net.protocol``), so
 
 from __future__ import annotations
 
-from ..core.load import OverloadError as CoreOverloadError
 from ..net import protocol
 from ..persist import DurabilityError as LogDurabilityError
 
@@ -61,17 +57,6 @@ class NotFoundError(ClientError, KeyError):
 
 class ServerError(ClientError):
     """The server faulted while executing the request."""
-
-
-class OverloadError(ServerError, CoreOverloadError):
-    """Admission control refused the request: the server is overloaded.
-
-    Multiple inheritance keeps both ``except`` spellings working: code
-    written against the client API catches :class:`ClientError` /
-    :class:`ServerError`, code written against the core server catches
-    ``repro.core.load.OverloadError`` — local backends re-raise the
-    engine's exception as this type.
-    """
 
 
 class DurabilityError(ServerError, LogDurabilityError):
@@ -103,7 +88,6 @@ _CODE_TYPES = {
     protocol.ERR_CODE_BAD_REQUEST: BadRequestError,
     protocol.ERR_CODE_NOT_FOUND: NotFoundError,
     protocol.ERR_CODE_SERVER: ServerError,
-    protocol.ERR_CODE_OVERLOAD: OverloadError,
     protocol.ERR_CODE_WRONG_OWNER: WrongOwnerError,
     protocol.ERR_CODE_DURABILITY: DurabilityError,
 }

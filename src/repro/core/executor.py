@@ -118,8 +118,6 @@ class JoinTableMetrics:
         "computes",
         "recomputes",
         "pending_applies",
-        "stale_served",
-        "stale_age_max",
     )
 
     def __init__(self) -> None:
@@ -129,8 +127,6 @@ class JoinTableMetrics:
         self.computes = 0         # never-computed gaps filled
         self.recomputes = 0       # invalid/expired ranges rebuilt
         self.pending_applies = 0  # pending logs drained before a read
-        self.stale_served = 0     # served under a staleness bound
-        self.stale_age_max = 0.0  # oldest staleness ever served (s)
 
 
 class JoinEngine:
@@ -175,11 +171,6 @@ class JoinEngine:
         self.status: Dict[str, StatusTable] = {}
         #: Per-output-table validation outcome counters (metrics layer).
         self.table_metrics: Dict[str, JoinTableMetrics] = {}
-        #: Degrade-mode staleness bound, in seconds.  Set by the
-        #: admission controller while the server is overloaded; while
-        #: set, ranges validated within the bound are served without
-        #: re-validation (stale-with-a-bound, §"load control").
-        self.staleness_bound: Optional[float] = None
         #: Chaos hook: called as ``fault_hook(site)`` at maintenance
         #: entry points when installed (``repro.chaos``); None costs one
         #: attribute check per notification.
@@ -374,7 +365,6 @@ class JoinEngine:
                 del memo[hi]
         stable = self.status[tbl_name]
         now = self.clock.now()
-        bound = self.staleness_bound
         # pieces() snapshots the cover; computation below may split it.
         pieces = stable.pieces(lo, hi)
         if len(pieces) > 1 and self._merge_ranges(tbl_name, stable, lo, hi):
@@ -388,23 +378,6 @@ class JoinEngine:
             if sr is None:
                 tm.computes += 1
                 self._compute_piece(tbl_name, stable, joins, piece_lo, piece_hi)
-            elif (
-                bound is not None
-                and sr.validated_at is not None
-                and now - sr.validated_at <= bound
-                and sr.needs_work(now)
-            ):
-                # Degrade mode: the range needs work, but its last full
-                # validation is within the staleness bound — serve the
-                # stored content as-is.  Gaps (sr is None) still compute:
-                # there is nothing stale to serve for never-computed key
-                # space.
-                tm.stale_served += 1
-                age = now - sr.validated_at
-                if age > tm.stale_age_max:
-                    tm.stale_age_max = age
-                self.stats.counters["stale_reads_served"] += 1
-                self._touch(sr)
             elif not sr.is_valid_at(now):
                 tm.recomputes += 1
                 for part in stable.isolate(piece_lo, piece_hi):
@@ -415,11 +388,9 @@ class JoinEngine:
                 for part in stable.isolate(piece_lo, piece_hi):
                     self._ensure_tracked(tbl_name, part)
                     self._apply_pending(tbl_name, part)
-                    part.validated_at = now
                     self._touch(part)
             else:
                 tm.fresh_hits += 1
-                sr.validated_at = now
                 self._touch(sr)
         if len(pieces) != 1:
             return
@@ -489,7 +460,6 @@ class JoinEngine:
         except BaseException:
             self.retire_range(tbl_name, sr)
             raise
-        sr.validated_at = self.clock.now()
 
     def _recompute_range(
         self, tbl_name: str, joins: List[CacheJoin], sr: StatusRange
@@ -508,7 +478,6 @@ class JoinEngine:
         except BaseException:
             sr.invalidate()
             raise
-        sr.validated_at = self.clock.now()
 
     def _fill_range(
         self, tbl_name: str, joins: List[CacheJoin], sr: StatusRange
@@ -1202,7 +1171,7 @@ class JoinEngine:
                 self._invalidate_owning(stable, updater)
                 return
             self.stats.add("partial_invalidations")
-            pending = PendingEntry(updater.join, updater.source_index, key, kind)
+            pending = PendingEntry(updater.join, updater.source_index, key)
             for sr in self._owning_ranges(stable, updater):
                 if sr.state is RangeState.VALID and not sr.log_pending(pending):
                     self.stats.add("pending_compacted")

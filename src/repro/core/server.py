@@ -30,7 +30,6 @@ from .executor import ChangeListener, DataResolver, JoinEngine
 from .grammar import parse_joins
 from .hub import ChangeHub, EventSink, WatchHandle
 from .joins import CacheJoin
-from .load import AdmissionController, OverloadPolicy
 
 
 class PequodServer:
@@ -48,9 +47,6 @@ class PequodServer:
     * ``memory_limit`` — optional byte budget; exceeding it evicts
       least-recently-used ranges (§2.5).
     * ``clock`` — injectable time source for snapshot joins.
-    * ``overload_policy`` — optional :class:`OverloadPolicy`; when set,
-      every operation passes admission control (shed with
-      ``OverloadError``, or degrade to bounded-staleness reads).
     * ``data_dir`` — when set, client writes are journaled to a WAL,
       which checkpoints seal as segment files under this directory, and the
       server recovers prior durable state on startup.  Joins installed
@@ -79,7 +75,6 @@ class PequodServer:
         memory_limit: Optional[int] = None,
         stats: Optional[StoreStats] = None,
         name: str = "pequod",
-        overload_policy: Optional[OverloadPolicy] = None,
         data_dir: Optional[str] = None,
         wal_fsync: str = "batch",
         mode: str = "write-through",
@@ -97,11 +92,6 @@ class PequodServer:
         self.store = OrderedStore(subtable_config, stats=self.stats)
         self.engine = JoinEngine(self.store, clock=self.clock, stats=self.stats)
         self.eviction = EvictionManager(self.engine, memory_limit)
-        self.load: Optional[AdmissionController] = (
-            AdmissionController(self.engine, overload_policy)
-            if overload_policy is not None
-            else None
-        )
         self.persist = None
         self.backing = None
         self.cdc = None
@@ -192,8 +182,6 @@ class PequodServer:
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[str]:
         """The value for ``key``, computing overlapping joins on demand."""
-        if self.load is not None:
-            self.load.admit_read()
         self.stats.add("op_get")
         value = self.engine.get(key)
         self.eviction.maybe_evict()
@@ -205,8 +193,6 @@ class PequodServer:
         (write-around, where the write goes to the backing DB only)."""
         if not isinstance(value, str):
             raise TypeError("Pequod values are strings")
-        if self.load is not None:
-            self.load.admit_write()
         self.stats.add("op_put")
         if self.backing is not None:
             self.backing.put(key, value)
@@ -219,8 +205,6 @@ class PequodServer:
 
     def remove(self, key: str) -> bool:
         """Remove ``key``; returns True if it was present."""
-        if self.load is not None:
-            self.load.admit_write()
         self.stats.add("op_remove")
         if self.backing is not None:
             present = self.backing.remove(key)
@@ -250,8 +234,6 @@ class PequodServer:
         Incremental maintenance runs once per affected updater range
         instead of once per write; returns the number of net changes.
         """
-        if self.load is not None:
-            self.load.admit_write()
         self.stats.add("op_batch")
         if self.backing is not None:
             ops = as_ops(batch)
@@ -271,8 +253,6 @@ class PequodServer:
 
     def scan(self, first: str, last: str) -> List[Tuple[str, str]]:
         """Ordered pairs with ``first <= key < last`` (§2's scan)."""
-        if self.load is not None:
-            self.load.admit_read()
         self.stats.add("op_scan")
         results = self.engine.scan(first, last)
         self.eviction.maybe_evict()
@@ -417,7 +397,7 @@ class PequodServer:
 
     def metrics_snapshot(self) -> Dict[str, float]:
         """Flat stats superset: every raw counter plus the derived
-        per-join / per-table / backlog / overload series."""
+        per-join / per-table / backlog series."""
         return self.metrics.snapshot()
 
     def metrics_text(self) -> str:

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..store.lru import LRUEntry
     from .joins import CacheJoin
-    from .operators import ChangeKind
     from .updaters import Updater
 
 
@@ -47,16 +46,17 @@ class PendingEntry(NamedTuple):
     """A logged source modification awaiting lazy application.
 
     Records enough to re-derive the affected output tuples: the join,
-    which source changed, the source key, and the change kind.
-    Application re-executes the join with ``key`` pinned against the
-    *current* store state, so two equal entries repeat identical work
-    and a pending log holds each at most once.
+    which source changed and the source key.  Only inserts are logged
+    (an update to a check source is uninteresting, a removal
+    invalidates completely).  Application re-executes the join with
+    ``key`` pinned against the *current* store state, so two equal
+    entries repeat identical work and a pending log holds each at most
+    once.
     """
 
     join: "CacheJoin"
     source_index: int
     key: str
-    kind: "ChangeKind"
 
 
 class Build:
@@ -95,7 +95,6 @@ class StatusRange:
         "lru_entry",
         "builds",
         "attached",
-        "validated_at",
     )
 
     def __init__(self, lo: str, hi: str, state: RangeState = RangeState.VALID) -> None:
@@ -117,20 +116,11 @@ class StatusRange:
         #: eviction flips this off, so stale hints structurally miss
         #: instead of requiring eager memo invalidation.
         self.attached = False
-        #: Engine-clock time this range last served a fully validated
-        #: read (stamped on compute, recompute, pending application, and
-        #: valid touch).  Degrade-mode admission control serves ranges
-        #: younger than the staleness bound without re-validation; None
-        #: (never validated) always re-validates.
-        self.validated_at: Optional[float] = None
 
     def is_valid_at(self, now: float) -> bool:
         if self.state is not RangeState.VALID:
             return False
         return self.expires_at is None or now < self.expires_at
-
-    def needs_work(self, now: float) -> bool:
-        return not self.is_valid_at(now) or bool(self.pending)
 
     def log_pending(self, entry: PendingEntry) -> bool:
         """Add ``entry`` to the pending log; an equal entry already
@@ -168,8 +158,7 @@ class StatusRange:
         The logs are united, each entry at its first position:
         application re-executes against the current store, so an entry
         one piece had already applied is harmless over the whole.  The
-        merged range holds both halves' builds and is as old as its
-        oldest part (``None`` = never validated wins).
+        merged range holds both halves' builds.
         """
         self.hi = right.hi
         for b in right.builds:
@@ -179,10 +168,6 @@ class StatusRange:
                 self.builds += (b,)
         right.builds = ()
         self.pending.update(right.pending)
-        if self.validated_at is None or right.validated_at is None:
-            self.validated_at = None
-        elif right.validated_at < self.validated_at:
-            self.validated_at = right.validated_at
         right.pending = {}
 
     def invalidate(self) -> None:
@@ -319,7 +304,6 @@ class StatusTable:
         right.builds = sr.builds
         for b in sr.builds:
             b.holders += 1
-        right.validated_at = sr.validated_at
         sr.hi = at
         i = bisect_right(self._los, right.lo)
         self._los.insert(i, right.lo)

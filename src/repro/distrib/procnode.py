@@ -219,8 +219,8 @@ class ClusterNodeRuntime:
 
     def replica_batch(self, pairs: List[Tuple[str, Optional[str]]]) -> int:
         """Apply a replicated write shipment.  Ownership-exempt — this
-        node is a replica, not the primary — but a FULL apply (WAL,
-        admission, join maintenance), so computed ranges here that
+        node is a replica, not the primary — but a FULL apply (WAL and
+        join maintenance), so computed ranges here that
         depend on the replicated base stay fresh without a mirror
         subscription.  In write-around mode the apply routes to the
         replica's own backing DB + change feed, exactly like the

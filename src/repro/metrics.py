@@ -8,7 +8,7 @@ export layer without taxing the hot paths:
 * Raw ``StoreStats`` counters pass through untouched — instrumented
   code keeps bumping a ``defaultdict`` and pays nothing new.
 * Derived series (per-join hit/validation rates, pending-log and
-  watch-backlog depth, per-table memory, overload state) are computed
+  watch-backlog depth, per-table memory) are computed
   **at scrape time** by :class:`ServerMetrics`, by walking structures
   the server already maintains.  An unscraped server never computes
   them.
@@ -127,15 +127,15 @@ def split_key(key: str) -> Tuple[str, str]:
 def merge_snapshots(snapshots: Iterable[Dict[str, float]]) -> Dict[str, float]:
     """Combine per-node flat snapshots into one cluster view.
 
-    Counters and depths sum; ``*_max`` series (staleness high-water
-    marks) take the maximum, which is the only sound cluster-wide
-    reading of a bound.
+    Counters and depths sum; ``*_max`` gauges (``write_fanout_max``)
+    take the maximum, which is the only sound cluster-wide reading of
+    a high-water mark.
     """
     out: Dict[str, float] = {}
     for snap in snapshots:
         for key, value in snap.items():
             name, _ = split_key(key)
-            if name.endswith("_max") or name.endswith("_max_seconds"):
+            if name.endswith("_max"):
                 prev = out.get(key)
                 out[key] = value if prev is None else max(prev, value)
             else:
@@ -149,7 +149,7 @@ def label_by_node(per_node: Dict[str, Dict[str, float]]) -> Dict[str, float]:
     The per-node complement to :func:`merge_snapshots`: instead of
     collapsing the cluster into one aggregate, each node's series stay
     distinct — ``stat{node="node0",...}`` — so a scrape of a
-    multi-process cluster can attribute load and staleness per node.
+    multi-process cluster can attribute every series per node.
     """
     out: Dict[str, float] = {}
     for node, snap in sorted(per_node.items()):
@@ -164,13 +164,11 @@ def label_by_node(per_node: Dict[str, Dict[str, float]]) -> Dict[str, float]:
 
 
 #: Unlabeled, unsuffixed derived gauges that must render as their own
-#: families (not fold into the generic ``stat`` family): the load and
-#: watch state the README's catalog documents by name, plus the
+#: families (not fold into the generic ``stat`` family): the watch and
+#: fan-out state the README's catalog documents by name, plus the
 #: persistence tier's gauges.
 _STANDALONE_GAUGES = frozenset(
     {
-        "overloaded",
-        "overload_queue_depth",
         "watch_watchers",
         "write_fanout_max",
         "persist_segments",
@@ -255,8 +253,8 @@ class ServerMetrics:
     """Scrape-time metric derivation for one ``PequodServer``.
 
     Holds no per-operation state of its own: :meth:`samples` walks the
-    engine's status tables, the store's tables, the change hub, and the
-    admission controller — structures the server maintains anyway — so
+    engine's status tables, the store's tables and the change hub —
+    structures the server maintains anyway — so
     the instrumented paths pay nothing until someone actually scrapes.
     Extra sources (the RPC layer's histograms, say) register through
     :meth:`add_source`.
@@ -281,8 +279,6 @@ class ServerMetrics:
             yield sample_key("join_computes_total", table=table), float(tm.computes)
             yield sample_key("join_recomputes_total", table=table), float(tm.recomputes)
             yield sample_key("join_pending_applies_total", table=table), float(tm.pending_applies)
-            yield sample_key("join_stale_served_total", table=table), float(tm.stale_served)
-            yield sample_key("join_stale_age_max_seconds", table=table), float(tm.stale_age_max)
         for table, stable in sorted(engine.status.items()):
             depth = 0
             count = 0
@@ -314,10 +310,6 @@ class ServerMetrics:
             yield "watch_watchers", float(hub.watcher_count())
             yield "watch_published_total", float(hub.published)
             yield "watch_delivered_total", float(hub.delivered)
-        load = getattr(server, "load", None)
-        if load is not None:
-            yield "overloaded", 1.0 if load.overloaded else 0.0
-            yield "overload_queue_depth", float(load.queue_depth)
         # Persistence: always-present families (zeros before first use)
         # whenever the server has a durable tier, so dashboards need no
         # existence checks.

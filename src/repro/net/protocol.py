@@ -54,12 +54,11 @@ ERR_CODE_JOIN = "join"  # join failed parse or add-join validation
 ERR_CODE_BAD_REQUEST = "bad_request"  # invalid arguments / unknown method
 ERR_CODE_NOT_FOUND = "not_found"  # the named thing does not exist
 ERR_CODE_SERVER = "server"  # server fault executing a valid request
-ERR_CODE_OVERLOAD = "overload"  # admission control shed the request
 ERR_CODE_WRONG_OWNER = "wrong_owner"  # key's range moved; refresh the map
 ERR_CODE_DURABILITY = "durability"  # the durable log failed; restart to recover
 ERR_CODES = (
     ERR_CODE_JOIN, ERR_CODE_BAD_REQUEST, ERR_CODE_NOT_FOUND, ERR_CODE_SERVER,
-    ERR_CODE_OVERLOAD, ERR_CODE_WRONG_OWNER, ERR_CODE_DURABILITY,
+    ERR_CODE_WRONG_OWNER, ERR_CODE_DURABILITY,
 )
 
 #: Methods a Pequod RPC server accepts, mapped to server attributes.

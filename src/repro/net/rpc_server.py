@@ -33,7 +33,6 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Set
 
 from ..core.hub import WatchHandle
 from ..core.joins import JoinError
-from ..core.load import OverloadError
 from ..core.pattern import PatternError
 from ..core.server import PequodServer
 from ..distrib.partition_map import WrongOwnerError
@@ -48,17 +47,14 @@ log = logging.getLogger(__name__)
 def classify_error(exc: BaseException) -> str:
     """The protocol error code for one server-side exception.
 
-    ``OverloadError`` classifies first — it subclasses RuntimeError but
-    carries load-control semantics every backend must surface as the
-    typed client error, not a generic server fault — and so does a
-    failed durable log's ``DurabilityError``.  ``KeyError``
+    A failed durable log's ``DurabilityError`` classifies first: every
+    backend must surface it as the typed client error, not a generic
+    server fault.  ``KeyError``
     classifies before the generic bad-request bucket: the engine (and
     the subscription table) raise it for *missing things*, which a
     client must be able to distinguish from a malformed request — see
     ``repro.client.errors.NotFoundError``.
     """
-    if isinstance(exc, OverloadError):
-        return protocol.ERR_CODE_OVERLOAD
     if isinstance(exc, DurabilityError):
         return protocol.ERR_CODE_DURABILITY
     if isinstance(exc, WrongOwnerError):
@@ -114,13 +110,6 @@ class _Connection(asyncio.Protocol):
         if not payloads:
             return
         rpc.window_occupancy.observe(len(payloads))
-        load = rpc.server.load
-        if load is not None:
-            # The pipelined chunk depth is the admission controller's
-            # queue signal: a client windowing hundreds of requests per
-            # read is the unbounded-queueing shape overload policies
-            # exist for.
-            load.report_queue_depth(len(payloads))
         dispatch = rpc._dispatch
         responses = []
         rest = iter(payloads)

@@ -2,9 +2,7 @@
 
 Every test here injects a failure through :mod:`repro.chaos` and
 asserts two things: the fault demonstrably fired (the injectors count),
-and the system *recovered* — output converges to the no-fault oracle,
-and any staleness served along the way stayed within the configured
-bound."""
+and the system *recovered* — output converges to the no-fault oracle."""
 
 import asyncio
 import time
@@ -19,9 +17,7 @@ from repro.chaos import (
     net_drop_filter,
     net_latency,
 )
-from repro.core.load import MODE_DEGRADE, OverloadPolicy
 from repro.distrib.cluster import Cluster
-from repro.metrics import merge_snapshots, split_key
 from repro.net.rpc_client import RpcClient
 from repro.net.rpc_server import RpcServer
 from repro.net.simnet import SimError, SimHost, SimNetwork
@@ -32,7 +28,6 @@ TIMELINE = (
     "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
 )
 BASE_TABLES = ("p", "s")
-STALENESS_BOUND = 5.0
 
 
 # ======================================================================
@@ -42,15 +37,7 @@ class TestKillComputeNode:
     USERS = [f"u{i}" for i in range(8)]
 
     def _build(self):
-        policy = OverloadPolicy(
-            mode=MODE_DEGRADE, max_staleness=STALENESS_BOUND
-        )
-        cluster = Cluster(
-            2, 3, BASE_TABLES, joins=TIMELINE,
-            server_factory=lambda name: PequodServer(
-                name=name, overload_policy=policy
-            ),
-        )
+        cluster = Cluster(2, 3, BASE_TABLES, joins=TIMELINE)
         oracle = PequodServer()
         oracle.add_join(TIMELINE)
         return cluster, oracle
@@ -65,7 +52,7 @@ class TestKillComputeNode:
     def _cluster_timeline(self, cluster, user):
         return cluster.scan(user, f"t|{user}|", "t|" + user + "}")
 
-    def test_kill_mid_workload_recovers_with_bounded_staleness(self):
+    def test_kill_mid_workload_recovers_and_converges(self):
         cluster, oracle = self._build()
         users = self.USERS
         for i, user in enumerate(users):
@@ -89,14 +76,8 @@ class TestKillComputeNode:
         for i, user in enumerate(users):
             self._apply(cluster, oracle, f"p|{user}|{2000 + i:04d}", f"late {i}")
         self._apply(cluster, oracle, "s|u0|u5", "1")
-        survivors = cluster.live_compute_nodes
-        for node in survivors:
-            node.server.load.force("post-kill burst")
         for user in users:
-            rows = self._cluster_timeline(cluster, user)
-            assert rows  # degraded reads still answer
-        for node in survivors:
-            node.server.load.force(None)
+            assert self._cluster_timeline(cluster, user)
 
         # --- recovery: converge and match the never-failed oracle ----
         cluster.settle()
@@ -104,21 +85,6 @@ class TestKillComputeNode:
             assert self._cluster_timeline(cluster, user) == self._timeline(
                 oracle, user
             ), f"timeline {user} diverged after node kill"
-
-        # --- staleness stayed within the configured bound -------------
-        merged = merge_snapshots(
-            node.server.metrics_snapshot()
-            for node in cluster.nodes
-            if node.name not in cluster.dead
-        )
-        ages = {
-            key: value
-            for key, value in merged.items()
-            if split_key(key)[0] == "join_stale_age_max_seconds"
-        }
-        assert ages, "expected stale-age series on the surviving computes"
-        for key, age in ages.items():
-            assert age <= STALENESS_BOUND, f"{key} = {age}"
 
     def test_routing_rehashes_onto_survivors(self):
         cluster, _ = self._build()

@@ -46,18 +46,16 @@ BASE_TABLES = ("p", "s", "vote", "article", "comment")
 BACKENDS = ("local", "rpc", "cluster", "durable")
 
 
-def _sync_client(backend, **extra):
+def _sync_client(backend):
     """make_client for one conformance backend; "durable" maps to the
     local backend with a WAL, rooted in a throwaway data dir that
     outlives the client and is reaped behind it."""
     if backend == "durable":
         data_dir = tempfile.mkdtemp(prefix="pequod-durable-")
-        c = make_client(
-            "local", base_tables=BASE_TABLES, data_dir=data_dir, **extra
-        )
+        c = make_client("local", base_tables=BASE_TABLES, data_dir=data_dir)
         weakref.finalize(c, shutil.rmtree, data_dir, ignore_errors=True)
         return c
-    return make_client(backend, base_tables=BASE_TABLES, **extra)
+    return make_client(backend, base_tables=BASE_TABLES)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -897,26 +895,8 @@ class TestNotFoundHierarchy:
 
 
 # ----------------------------------------------------------------------
-# Observability & load control: identical surface on every backend
+# Observability: identical surface on every backend
 # ----------------------------------------------------------------------
-from repro.client import OverloadError  # noqa: E402
-from repro.core.load import (  # noqa: E402
-    OverloadError as CoreOverloadError,
-    OverloadPolicy,
-)
-
-
-@pytest.fixture(params=BACKENDS)
-def shed_client(request):
-    """Every backend with a shed policy whose soft memory limit (one
-    byte) trips on the first stored value — deterministic overload
-    without reaching into server internals."""
-    c = _sync_client(
-        request.param,
-        overload_policy=OverloadPolicy(mode="shed", soft_memory_limit=1),
-    )
-    yield c
-    c.close()
 
 
 class TestStatsSuperset:
@@ -949,33 +929,6 @@ class TestStatsSuperset:
         # The RPC backend serves over TCP and must expose its frame
         # accounting; local and cluster have no RPC layer to account.
         assert has_rpc_series == isinstance(client, RemoteClient)
-
-
-class TestOverloadConformance:
-    """OverloadError classification is uniform: every backend raises
-    the client-layer OverloadError, catchable both as a client-side
-    ServerError and as the core OverloadError."""
-
-    def test_shed_write_raises_typed_overload_error(self, shed_client):
-        shed_client.put("p|a|1", "x")  # admitted: memory starts at zero
-        with pytest.raises(OverloadError) as ei:
-            shed_client.put("p|a|1", "now the server is over its limit")
-        assert isinstance(ei.value, ServerError)
-        assert isinstance(ei.value, CoreOverloadError)
-        assert isinstance(ei.value, ClientError)
-
-    def test_overload_is_not_a_bad_request(self, shed_client):
-        shed_client.put("p|a|1", "x")
-        with pytest.raises(OverloadError) as ei:
-            shed_client.put("p|a|1", "y")
-        assert not isinstance(ei.value, BadRequestError)
-        assert not isinstance(ei.value, NotFoundError)
-
-    def test_overload_gauge_reflects_state(self, shed_client):
-        shed_client.put("p|a|1", "x")
-        with pytest.raises(OverloadError):
-            shed_client.put("p|a|1", "y")
-        assert shed_client.stats().get("overloaded", 0) >= 1.0
 
 
 # ----------------------------------------------------------------------

@@ -103,10 +103,10 @@ class TestMergeSnapshots:
         assert merged["op_get"] == 5.0
 
     def test_max_series_take_max(self):
-        a = {'join_stale_age_max_seconds{table="t"}': 0.5}
-        b = {'join_stale_age_max_seconds{table="t"}': 2.0}
+        a = {"write_fanout_max": 5.0}
+        b = {"write_fanout_max": 12.0}
         merged = merge_snapshots([a, b])
-        assert merged['join_stale_age_max_seconds{table="t"}'] == 2.0
+        assert merged["write_fanout_max"] == 12.0
 
     def test_disjoint_keys_union(self):
         merged = merge_snapshots([{"a": 1.0}, {"b": 2.0}])
@@ -125,9 +125,9 @@ class TestRenderPrometheus:
         assert "# TYPE repro_join_memo_hits_total counter" in text
 
     def test_standalone_gauges_not_folded(self):
-        text = render_prometheus({"overloaded": 1.0, "memory_bytes": 640.0})
-        assert "repro_overloaded 1" in text
-        assert "# TYPE repro_overloaded gauge" in text
+        text = render_prometheus({"watch_watchers": 1.0, "memory_bytes": 640.0})
+        assert "repro_watch_watchers 1" in text
+        assert "# TYPE repro_watch_watchers gauge" in text
         assert "repro_memory_bytes 640" in text
         assert "# TYPE repro_memory_bytes gauge" in text
 
@@ -191,7 +191,6 @@ class TestServerMetrics:
         assert snap['join_validations_total{table="t"}'] >= 2
         assert snap['join_computes_total{table="t"}'] >= 1
         assert 'join_memo_hits_total{table="t"}' in snap
-        assert 'join_stale_served_total{table="t"}' in snap
 
     def test_backlog_and_memory_series_present(self):
         snap = _traffic_server().metrics_snapshot()

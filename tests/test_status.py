@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.operators import ChangeKind
 from repro.core.status import (
     Build,
     PendingEntry,
@@ -20,7 +19,7 @@ def _built(sr, lo=None, hi=None):
 
 
 def _pending(key, join=None):
-    return PendingEntry(join, 0, key, ChangeKind.INSERT)
+    return PendingEntry(join, 0, key)
 
 
 class TestStatusRange:
@@ -45,12 +44,6 @@ class TestStatusRange:
         assert sr.state is RangeState.INVALID
         assert sr.pending == {}
         assert sr.expires_at is None
-
-    def test_needs_work(self):
-        sr = StatusRange("a", "b")
-        assert not sr.needs_work(0.0)
-        sr.log_pending(_pending("s|ann|bob"))
-        assert sr.needs_work(0.0)
 
 
 class TestPieces:
@@ -305,21 +298,6 @@ class TestMergeOver:
         right.log_pending(_pending("s|ann|bob"))
         st.merge_over("a", "z")
         assert [e.key for e in left.pending] == ["s|ann|bob"]
-        assert left.needs_work(0.0)
-
-    def test_never_younger_than_its_oldest_part(self):
-        st, left, right = self.two()
-        left.validated_at, right.validated_at = 7.0, 3.0
-        st.merge_over("a", "z")
-        assert left.validated_at == 3.0
-        st, left, right = self.two()
-        left.validated_at, right.validated_at = 7.0, None
-        st.merge_over("a", "z")
-        assert left.validated_at is None
-        st, left, right = self.two()
-        left.validated_at, right.validated_at = None, 7.0
-        st.merge_over("a", "z")
-        assert left.validated_at is None
 
     def test_all_valid_over_reads_the_cover_each_call(self):
         st, left, right = self.two()

@@ -5,7 +5,7 @@ partial invalidation applied to the part that was asked for); the next
 read that spans the pieces folds them back into one range with one
 united log (``StatusTable.merge_over``).  These tests pin what the
 merge must keep: updaters stay live, re-application is silent, LRU /
-memo / degrade-mode bookkeeping follows the survivor, and accounting
+memo bookkeeping follows the survivor, and accounting
 still recounts exactly.
 """
 
@@ -191,29 +191,6 @@ class TestBookkeepingFollowsTheSurvivor:
         srv.put(f"p|u3|{tick(96)}", "y")
         assert srv.store.memory_bytes() == recount_memory(srv)
         assert srv.engine.updater_bytes == recount_updater_bytes(srv)
-
-
-class TestDegradeModeAge:
-    def test_merged_range_is_as_old_as_its_oldest_part(self):
-        clock = SimClock()
-        srv = timeline_server(clock=clock)
-        srv.put("s|ann|bob", "1")
-        srv.put(f"p|bob|{tick(1)}", "bob 1")
-        srv.scan(*LOGIN)  # validated at t=0
-        clock.advance(100.0)
-        srv.put("s|ann|liz", "1")
-        srv.put(f"p|liz|{tick(2)}", "liz 2")
-        srv.scan(f"t|ann|{tick(50)}", "t|ann}")  # tail validated at t=100
-        head, tail = srv.engine.status["t"].ranges()
-        assert (head.validated_at, tail.validated_at) == (0.0, 100.0)
-        clock.advance(1.0)
-        # Overloaded: serve anything validated in the last 10 s as-is.
-        srv.engine.staleness_bound = 10.0
-        got = srv.scan(*LOGIN)
-        # The head is 101 s old: the merged range must not pass for the
-        # 1 s old tail, so liz's back-fill is applied, not skipped.
-        assert (f"t|ann|{tick(2)}|liz", "liz 2") in got
-        assert srv.engine.table_metrics["t"].stale_served == 0
 
 
 class TestRefusalsInTheEngine:

@@ -258,27 +258,26 @@ class TestEngineBatchSemantics:
 # The pending log is a set
 # ======================================================================
 class TestPendingCompaction:
-    def test_one_entry_per_join_source_key_and_kind(self):
+    def test_one_entry_per_join_source_and_key(self):
         sr = StatusRange("t|a", "t|b")
         join, other_join = object(), object()
-        entry = PendingEntry(join, 0, "s|a|b", ChangeKind.INSERT)
+        entry = PendingEntry(join, 0, "s|a|b")
         distinct = [
-            PendingEntry(join, 0, "s|a|c", ChangeKind.INSERT),
-            PendingEntry(join, 1, "s|a|b", ChangeKind.INSERT),
-            PendingEntry(join, 0, "s|a|b", ChangeKind.UPDATE),
-            PendingEntry(other_join, 0, "s|a|b", ChangeKind.INSERT),
+            PendingEntry(join, 0, "s|a|c"),
+            PendingEntry(join, 1, "s|a|b"),
+            PendingEntry(other_join, 0, "s|a|b"),
         ]
         assert sr.log_pending(entry) is True
         for e in distinct:
             assert sr.log_pending(e) is True
-        assert sr.log_pending(PendingEntry(join, 0, "s|a|b", ChangeKind.INSERT)) is False
+        assert sr.log_pending(PendingEntry(join, 0, "s|a|b")) is False
         assert list(sr.pending) == [entry] + distinct
 
     def test_a_repeated_entry_keeps_its_first_position(self):
         sr = StatusRange("t|a", "t|b")
         join = object()
-        first = PendingEntry(join, 0, "s|a|b", ChangeKind.INSERT)
-        second = PendingEntry(join, 0, "s|a|c", ChangeKind.INSERT)
+        first = PendingEntry(join, 0, "s|a|b")
+        second = PendingEntry(join, 0, "s|a|c")
         for e in (first, second, first):
             sr.log_pending(e)
         assert list(sr.pending) == [first, second]

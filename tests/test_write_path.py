@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from pattern_oracle import slot_tuple_reference
 from repro import PequodServer
 from repro.apps.twip import TIMELINE_JOIN
-from repro.core.clock import SimClock
 from repro.core.grammar import parse_join
 from repro.core.pattern import Pattern
 from repro.core.plan import ComputePlan
@@ -378,25 +377,6 @@ class TestWholeTableScan:
         assert got == unlimited.scan("t|", "t}")
         assert ("t|ann|0000000002|dave", "from dave") in got
         assert not any(k.startswith("t|bob|") for k, _ in got)
-
-    def test_quiescent_scan_refreshes_validated_at(self):
-        """A whole-table scan over a quiescent cover is a full
-        validation of every range it covers, so degrade mode may serve
-        them for a staleness bound from then on."""
-        clock = SimClock()
-        srv = self.quiescent_server(clock=clock)
-        clock.advance(100.0)
-        srv.scan("t|", "t}")
-        stable = srv.engine.status["t"]
-        assert [sr.validated_at for sr in stable.ranges()] == [100.0] * len(stable)
-        srv.engine.staleness_bound = 10.0
-        srv.put("s|ann|dave", "1")
-        srv.put("p|dave|0000000002", "from dave")
-        clock.advance(5.0)
-        served = srv.stats.get("stale_reads_served")
-        got = srv.scan("t|ann|", "t|ann}")
-        assert got == [("t|ann|0000000001|celeb", "x")]  # stale, in bound
-        assert srv.stats.get("stale_reads_served") == served + 1
 
     def test_eager_writes_show_without_work(self):
         """Copy-join maintenance keeps ranges valid, so a scan after
