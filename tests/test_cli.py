@@ -107,6 +107,21 @@ class TestServeCommand:
         assert exc.value.code == 2
         assert "--store-impl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--overload-mode", "shed"),
+        ("--max-staleness", "1"),
+        ("--overload-queue-depth", "4"),
+        ("--overload-memory-limit", "1024"),
+    ])
+    def test_retired_overload_flags_rejected(self, flag, value, capsys):
+        """A server has no admission control and serves no stale read:
+        an old launch line fails loudly instead of quietly losing the
+        policy it asked for.  --memory-limit (eviction) is the knob."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_serve_over_subprocess(self, tmp_path):
         """Start a real server process, drive it over TCP, kill it."""
         joins = tmp_path / "twip.pql"

@@ -46,16 +46,19 @@ BASE_TABLES = ("p", "s", "vote", "article", "comment")
 BACKENDS = ("local", "rpc", "cluster", "durable")
 
 
-def _sync_client(backend):
+def _sync_client(backend, **extra):
     """make_client for one conformance backend; "durable" maps to the
     local backend with a WAL, rooted in a throwaway data dir that
-    outlives the client and is reaped behind it."""
+    outlives the client and is reaped behind it.  ``extra`` reaches
+    every server the backend builds."""
     if backend == "durable":
         data_dir = tempfile.mkdtemp(prefix="pequod-durable-")
-        c = make_client("local", base_tables=BASE_TABLES, data_dir=data_dir)
+        c = make_client(
+            "local", base_tables=BASE_TABLES, data_dir=data_dir, **extra
+        )
         weakref.finalize(c, shutil.rmtree, data_dir, ignore_errors=True)
         return c
-    return make_client(backend, base_tables=BASE_TABLES)
+    return make_client(backend, base_tables=BASE_TABLES, **extra)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -445,16 +448,16 @@ class TestDiskCloseFlushes:
 # ======================================================================
 # Async conformance: the same semantics through the async-native API
 # ======================================================================
-async def _async_client(backend):
+async def _async_client(backend, **extra):
     """Build an async client for one backend (awaitable)."""
     if backend == "durable":
         data_dir = tempfile.mkdtemp(prefix="pequod-durable-")
         client = await make_async_client(
-            "local", base_tables=BASE_TABLES, data_dir=data_dir
+            "local", base_tables=BASE_TABLES, data_dir=data_dir, **extra
         )
         weakref.finalize(client, shutil.rmtree, data_dir, ignore_errors=True)
         return client
-    return await make_async_client(backend, base_tables=BASE_TABLES)
+    return await make_async_client(backend, base_tables=BASE_TABLES, **extra)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -929,6 +932,176 @@ class TestStatsSuperset:
         # The RPC backend serves over TCP and must expose its frame
         # accounting; local and cluster have no RPC layer to account.
         assert has_rpc_series == isinstance(client, RemoteClient)
+
+
+# ----------------------------------------------------------------------
+# Memory pressure: eviction is the one answer, on every backend
+# ----------------------------------------------------------------------
+USERS = [f"u{i:02d}" for i in range(8)]
+
+
+@pytest.fixture(params=BACKENDS)
+def tight_client(request):
+    """Every backend with a one-byte memory limit: the server is over
+    its limit after every operation, so every evictable range — computed
+    timelines, and on the cluster the compute servers' copies of base
+    data — goes as soon as it is cold."""
+    c = _sync_client(request.param, memory_limit=1)
+    yield c
+    c.close()
+
+
+def _follow_ring(client, hops=(1, 2)):
+    """Each user follows the users ``hops`` places after it."""
+    for i, user in enumerate(USERS):
+        for hop in hops:
+            client.put(f"s|{user}|{USERS[(i + hop) % len(USERS)]}", "1")
+
+
+def _expected_timeline(client, user):
+    """The timeline recomputed by hand from the base tables."""
+    followed = [k.split("|")[2] for k, _ in client.scan_prefix(f"s|{user}|")]
+    rows = []
+    for poster in followed:
+        for key, value in client.scan_prefix(f"p|{poster}|"):
+            rows.append((f"t|{user}|{key.split('|')[2]}|{poster}", value))
+    return sorted(rows)
+
+
+def _assert_all_timelines_fresh(client):
+    for user in USERS:
+        assert client.scan_prefix(f"t|{user}|") == _expected_timeline(
+            client, user
+        ), user
+
+
+class TestFreshUnderMemoryPressure:
+    """Past its memory limit a server evicts cold ranges and goes on
+    serving: no write is refused and no read is stale.  An evicted
+    range is recomputed on its next read, from data that is itself
+    refetched if it was evicted too (§2.5)."""
+
+    def test_every_timeline_matches_its_base_data(self, tight_client):
+        c = tight_client
+        c.add_join(TIMELINE)
+        _follow_ring(c)
+        for tick in range(24):
+            c.put(f"p|{USERS[tick % len(USERS)]}|{tick:04d}", f"tweet {tick}")
+            if tick % 6 == 5:
+                c.settle()
+                _assert_all_timelines_fresh(c)
+        assert c.stats().get("evictions", 0) > 0
+
+    def test_post_after_eviction_shows_on_the_next_read(self, tight_client):
+        c = tight_client
+        c.add_join(TIMELINE)
+        _follow_ring(c, hops=(1,))
+        c.put("p|u01|0001", "first")
+        c.settle()
+        assert c.scan_prefix("t|u00|") == [("t|u00|0001|u01", "first")]
+        for user in USERS[1:]:
+            c.scan_prefix(f"t|{user}|")  # colder than u00's by now
+        evicted = c.stats().get("evictions", 0)
+        assert evicted > 0
+        c.put("p|u01|0002", "second")
+        c.settle()
+        assert c.scan_prefix("t|u00|") == [
+            ("t|u00|0001|u01", "first"),
+            ("t|u00|0002|u01", "second"),
+        ]
+
+    def test_subscription_after_eviction_backfills(self, tight_client):
+        c = tight_client
+        c.add_join(TIMELINE)
+        c.put("s|ann|bob", "1")
+        c.put("p|bob|0100", "bob's")
+        c.put("p|liz|0050", "liz's old")
+        c.settle()
+        assert c.scan_prefix("t|ann|") == [("t|ann|0100|bob", "bob's")]
+        c.scan_prefix("t|zed|")  # another range; ann's is evicted
+        c.put("s|ann|liz", "1")
+        c.settle()
+        assert c.scan_prefix("t|ann|") == [
+            ("t|ann|0050|liz", "liz's old"),
+            ("t|ann|0100|bob", "bob's"),
+        ]
+
+    def test_unsubscribe_after_eviction_retracts(self, tight_client):
+        c = tight_client
+        c.add_join(TIMELINE)
+        c.put("s|ann|bob", "1")
+        c.put("s|ann|liz", "1")
+        c.put("p|bob|0100", "bob's")
+        c.put("p|liz|0200", "liz's")
+        c.settle()
+        assert len(c.scan_prefix("t|ann|")) == 2
+        c.scan_prefix("t|zed|")
+        assert c.remove("s|ann|liz") is True
+        c.settle()
+        assert c.scan_prefix("t|ann|") == [("t|ann|0100|bob", "bob's")]
+
+    def test_aggregate_recounts_after_eviction(self, tight_client):
+        c = tight_client
+        c.add_join(KARMA)
+        for voter in ("ann", "liz", "zed"):
+            c.put(f"vote|bob|001|{voter}", "1")
+        c.settle()
+        assert c.get("karma|bob") == "3"
+        c.put("vote|cid|002|ann", "1")
+        c.settle()
+        assert c.get("karma|cid") == "1"  # bob's count is now the colder
+        assert c.remove("vote|bob|001|zed") is True
+        c.put("vote|bob|003|cid", "1")
+        c.put("vote|bob|004|cid", "1")
+        c.settle()
+        assert c.get("karma|bob") == "4"
+        assert c.stats().get("evictions", 0) > 0
+
+    def test_writes_past_the_limit_are_all_accepted(self, tight_client):
+        c = tight_client
+        rows = [(f"p|bob|{i:04d}", f"tweet {i}") for i in range(64)]
+        for key, value in rows[:32]:
+            c.put(key, value)
+        c.apply_batch(rows[32:])
+        c.settle()
+        # Base data a client wrote is never evicted, limit or not.
+        assert c.scan_prefix("p|bob|") == rows
+        stats = c.stats()
+        assert stats.get("memory_bytes", 0) > 1
+        assert "overloaded" not in stats
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestAsyncFreshUnderMemoryPressure:
+    async def test_pipelined_ops_are_all_answered_fresh(self, backend):
+        """Many operations outstanding at once on a server past its
+        limit: every one is answered, none refused, and the reads that
+        follow the writes see all of them."""
+        import asyncio
+
+        async with await _async_client(backend, memory_limit=1) as c:
+            await c.add_join(TIMELINE)
+            await asyncio.gather(*(
+                c.put(f"s|{user}|{USERS[(i + 1) % len(USERS)]}", "1")
+                for i, user in enumerate(USERS)
+            ))
+            posts = [
+                (f"p|{USERS[t % len(USERS)]}|{t:04d}", f"tweet {t}")
+                for t in range(48)
+            ]
+            acks = await asyncio.gather(*(c.put(k, v) for k, v in posts))
+            assert len(acks) == len(posts)
+            await c.settle()
+            timelines = await asyncio.gather(*(
+                c.scan_prefix(f"t|{user}|") for user in USERS
+            ))
+            for i, (user, got) in enumerate(zip(USERS, timelines)):
+                poster = USERS[(i + 1) % len(USERS)]
+                assert got == [
+                    (f"t|{user}|{k.split('|')[2]}|{poster}", v)
+                    for k, v in posts if k.startswith(f"p|{poster}|")
+                ], user
+            assert (await c.stats()).get("evictions", 0) > 0
 
 
 # ----------------------------------------------------------------------

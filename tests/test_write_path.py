@@ -378,6 +378,25 @@ class TestWholeTableScan:
         assert ("t|ann|0000000002|dave", "from dave") in got
         assert not any(k.startswith("t|bob|") for k, _ in got)
 
+    def test_scan_past_the_limit_matches_unlimited(self):
+        """With a one-byte limit every range is evicted once cold: each
+        whole-table scan recomputes, and still owes nothing — the
+        pending subscription and the invalidation both show."""
+        limited = self.quiescent_server(memory_limit=1)
+        unlimited = self.quiescent_server()
+        assert limited.eviction.evictions > 0
+        for srv in (limited, unlimited):
+            srv.put("s|ann|dave", "1")
+            srv.put("p|dave|0000000002", "from dave")
+            srv.remove("s|bob|celeb")
+        got = limited.scan("t|", "t}")
+        assert got == unlimited.scan("t|", "t}")
+        assert ("t|ann|0000000002|dave", "from dave") in got
+        assert not any(k.startswith("t|bob|") for k, _ in got)
+        limited.put("p|celeb|0000000003", "y")
+        unlimited.put("p|celeb|0000000003", "y")
+        assert limited.scan("t|", "t}") == unlimited.scan("t|", "t}")
+
     def test_eager_writes_show_without_work(self):
         """Copy-join maintenance keeps ranges valid, so a scan after
         fan-out writes sees the new values without executing a join."""
