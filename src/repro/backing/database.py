@@ -101,18 +101,16 @@ class BackingDatabase:
         """Apply one logged write (None removes); False if it changed
         nothing."""
         self.write_count += 1
-        node = self._tree.find_node(key)
         if value is None:
-            if node is None:
+            old = self._tree.remove(key)
+            if old is None:
                 return False
-            old = node.value
-            self._tree.remove_node(node)
             self.feed.record(key, old, None, ChangeKind.REMOVE)
-        elif node is None:
-            self._tree.insert(key, value)
+            return True
+        old = self._tree.insert(key, value)
+        if old is None:
             self.feed.record(key, None, value, ChangeKind.INSERT)
         else:
-            old, node.value = node.value, value
             self.feed.record(key, old, value, ChangeKind.UPDATE)
         return True
 
@@ -129,7 +127,7 @@ class BackingDatabase:
     def query(self, lo: str, hi: str) -> List[Tuple[str, str]]:
         """All pairs with ``lo <= key < hi`` in order."""
         self.query_count += 1
-        rows = list(self._tree.items(lo, hi))
+        rows = self._tree.items(lo, hi)
         self.rows_returned += len(rows)
         return rows
 
@@ -137,10 +135,6 @@ class BackingDatabase:
         """Up to ``limit`` pairs with ``key >= lo``, in order — the
         chunked scan the CDC pump's fenced backfill walks."""
         self.query_count += 1
-        rows: List[Tuple[str, str]] = []
-        for key, value in self._tree.items(lo, None):
-            rows.append((key, value))
-            if len(rows) >= limit:
-                break
+        rows = self._tree.items(lo, None)[:limit]
         self.rows_returned += len(rows)
         return rows

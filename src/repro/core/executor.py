@@ -599,20 +599,18 @@ class JoinEngine:
             self._ensure_source_data(level.table, lo, hi)
             if install:
                 self._install_updater_for(
-                    join, k, {name: vec[i] for name, i in level.context},
+                    join, k, level.context_names,
+                    tuple([vec[i] for i in level.context_slots]),
                     out_lo, out_hi, lo, hi, sr,
                 )
-            table = self.store.table(level.table)
-            nodes = table.scan_nodes(lo, hi)
-            if type(nodes) is not list:
-                nodes = list(nodes)
-            counters["source_keys_examined"] += len(nodes)
+            rows = self.store.table(level.table).scan(lo, hi)
+            counters["source_keys_examined"] += len(rows)
             slot_tuple = level.pattern.slot_tuple
             checks, assigns, frontier = level.checks, level.assigns, level.frontier
             is_value = level.is_value
             inner = k < last
-            for node in nodes:
-                t = slot_tuple(node.key)
+            for row_key, row_value in rows:
+                t = slot_tuple(row_key)
                 if t is None:
                     continue
                 if checks and not all(t[ti] == vec[vi] for ti, vi in checks):
@@ -627,7 +625,7 @@ class JoinEngine:
                     vec[vi] = t[ti]
                 v = value
                 if is_value:
-                    v = node.value
+                    v = row_value
                     if type(v) is not str:  # an aggregate's accumulator
                         v = v.payload
                 if inner:
@@ -771,24 +769,28 @@ class JoinEngine:
             return
         self._ensure_source_data(src.pattern.table, lo, hi)
         if join.is_push:
-            # Every bound slot the range's prefix does not fix (see
-            # ``ComputeLevel.context``).
+            # Every bound slot the range's prefix does not fix, in vec
+            # order, as ``ComputeLevel.context_names`` has it: one
+            # context, one identity key, whichever path installs it.
             slots = [seg.slot for seg in src.pattern.segments if seg.is_slot]
             fixed = list(takewhile(cs.exact.__contains__, slots))
-            context = {n: v for n, v in cs.exact.items() if n not in fixed}
+            names = tuple(sorted(
+                (n for n in cs.exact if n not in fixed),
+                key=self._plan(join).index.__getitem__,
+            ))
             self._install_updater_for(
-                join, idx, context, out_lo, out_hi, lo, hi, sr
+                join, idx, names, tuple([cs.exact[n] for n in names]),
+                out_lo, out_hi, lo, hi, sr,
             )
-        table = self.store.table(src.pattern.table)
-        for node in list(table.scan_nodes(lo, hi)):
+        for key, stored in self.store.table(src.pattern.table).scan(lo, hi):
             self.stats.add("source_keys_examined")
-            match = src.pattern.match(node.key)
+            match = src.pattern.match(key)
             if match is None:
                 continue
             child = cs.child_with(match)
             if child is None:
                 continue
-            v = materialize(node.value) if idx == join.value_index else value
+            v = materialize(stored) if idx == join.value_index else value
             self._exec_source(
                 join, idx + 1, child, out_lo, out_hi, v, sr, skip_source,
             )
@@ -830,7 +832,8 @@ class JoinEngine:
         self,
         join: CacheJoin,
         idx: int,
-        context: Dict[str, str],
+        names: Tuple[str, ...],
+        values: Tuple[str, ...],
         out_lo: str,
         out_hi: str,
         src_lo: str,
@@ -838,14 +841,15 @@ class JoinEngine:
         sr: StatusRange,
     ) -> None:
         """Install the updater for source ``idx`` over ``[src_lo,
-        src_hi)``.  ``context`` is already compressed: only the slots
-        the source key cannot re-derive (the paper's context
-        compression, §3.2)."""
+        src_hi)``.  The context ``names``/``values`` is already
+        compressed: only the slots the source key cannot re-derive (the
+        paper's context compression, §3.2), in vec order."""
         src = join.sources[idx]
         updater = Updater(
             join,
             idx,
-            context=context,
+            names,
+            values,
             output_lo=out_lo,
             output_hi=out_hi,
             lazy=src.is_check and not src.is_eager_check,
@@ -1057,13 +1061,10 @@ class JoinEngine:
             # The pin for the slots the context binds, and a slot vector
             # holding the context.
             plan = self._plan(join)
-            context = tuple(updater.context)
-            if (updater.source_index, context) not in plan.pins:
+            if (updater.source_index, updater.names) not in plan.pins:
                 counters["write_plan_compiles"] += 1
-            updater.fire = (
-                plan.pin(updater.source_index, context),
-                plan.vector(updater.context),
-            )
+            pin = plan.pin(updater.source_index, updater.names)
+            updater.fire = (pin, pin.vector(updater.values))
         pin, vec = updater.fire
         if updater.lazy:
             self._fire_lazy_group(stable, updater, pin, vec, covered)
@@ -1337,10 +1338,9 @@ class JoinEngine:
             return
         self.stats.add("eager_updates")
         table = self.store.table_for_key(out_key)
-        node = table.get_node(out_key)
-        acc = node.value if node is not None else None
+        acc = table.get(out_key)  # mutated in place: no write-back
         if not isinstance(acc, AggValue):
-            if node is not None:
+            if acc is not None:
                 # An aggregate output was overwritten by something else;
                 # recompute rather than guess.
                 self._invalidate_group(stable, sr, out_key)

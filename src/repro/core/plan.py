@@ -57,11 +57,13 @@ class ComputeLevel:
     * ``frontier`` — tuple index of the frontier slot when this level
       binds it and the range does not already enforce its bounds
       (``child_with``'s test, including ``lo.startswith(value)``), or -1;
-    * ``context`` — (name, vec index) of the updater context: the
+    * ``context_names`` / ``context_slots`` — the updater context's
+      slot names and their vec indexes, aligned, in vec order: the
       bound slots the source range's prefix does not fix (context
       compression, §3.2).  That includes the source's own bound slots
       after its first unbound segment: the range does not enforce
-      them, so a fire's :class:`FirePin` checks them.
+      them, so a fire's :class:`FirePin` checks them.  Every updater
+      the level installs shares ``context_names``.
     """
 
     __slots__ = (
@@ -73,7 +75,8 @@ class ComputeLevel:
         "checks",
         "assigns",
         "frontier",
-        "context",
+        "context_names",
+        "context_slots",
     )
 
     KEY, BOUNDS, PREFIX = 0, 1, 2
@@ -101,6 +104,7 @@ class FirePin:
     (§3.2): what an updater fire runs instead of matching the key into
     a dict and merging it with the updater's context.
 
+    ``slots`` are the vec indexes of the context's names, in order;
     ``checks`` are (tuple index, vec index) equality tests for source
     slots the updater's context already binds — the compiled form of
     ``child_with``'s conflict test; ``assigns`` move the other source
@@ -111,7 +115,7 @@ class FirePin:
     slots once for all its followers.
     """
 
-    __slots__ = ("plan", "pattern", "checks", "assigns", "levels", "_last")
+    __slots__ = ("plan", "pattern", "slots", "checks", "assigns", "levels", "_last")
 
     def __init__(
         self, plan: "ComputePlan", source: int, context: Sequence[str]
@@ -120,6 +124,7 @@ class FirePin:
         self.pattern = pattern = plan.join.sources[source].pattern
         index = plan.index
         own = pattern.slot_index
+        self.slots = tuple(index[n] for n in context)
         self.checks = tuple((i, index[n]) for n, i in own.items() if n in context)
         self.assigns = tuple(
             (i, index[n]) for n, i in own.items() if n not in context
@@ -128,6 +133,13 @@ class FirePin:
             list(context) + [n for n in own if n not in context], None
         )
         self._last: tuple = (None, None)  # (key, its slot tuple)
+
+    def vector(self, values: Sequence[str]) -> List[Optional[str]]:
+        """A fresh slot vector holding an updater's context values."""
+        vec: List[Optional[str]] = [None] * len(self.plan.index)
+        for vi, value in zip(self.slots, values):
+            vec[vi] = value
+        return vec
 
     def bind(self, key: str, vec: List[Optional[str]]) -> bool:
         """Pin ``key`` into ``vec`` (which holds the updater's context);
@@ -228,7 +240,8 @@ class ComputePlan:
 
     def pin(self, source: int, context: Tuple[str, ...]) -> FirePin:
         """The :class:`FirePin` for updaters of source ``source`` whose
-        context binds the slots ``context``, compiled on first use."""
+        context binds the slots ``context`` (in vec order), compiled on
+        first use."""
         pin = self.pins.get((source, context))
         if pin is None:
             pin = self.pins[source, context] = FirePin(self, source, context)
@@ -276,9 +289,11 @@ class ComputePlan:
                 if frontier in fresh and level.closing != ComputeLevel.BOUNDS
                 else -1
             )
-            level.context = tuple(
-                (name, index[name]) for name in bound if name not in in_prefix
+            context = sorted(
+                (index[name], name) for name in bound if name not in in_prefix
             )
+            level.context_slots = tuple(vi for vi, _ in context)
+            level.context_names = tuple(name for _, name in context)
             bound.extend(fresh)
             levels.append(level)
         return tuple(levels)

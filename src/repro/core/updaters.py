@@ -33,7 +33,7 @@ there.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .joins import CacheJoin
@@ -43,20 +43,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Updater:
     """Maintenance record attached to a source key range.
 
-    ``context`` holds the slot assignments fixed at installation time —
-    exactly those the source key cannot re-derive (context compression,
-    §3.2).  ``output_lo``/``output_hi`` delimit the output keys this
-    updater maintains.  ``build`` is the computation of a status range
-    it was installed for (``core.status.Build``): a fire applies only
-    to the attached ranges holding that build, and the last one to let
-    go of it uninstalls the updater (§3.2: complete invalidation
-    removes installed updaters).
+    ``names`` and ``values`` are the context: the slot assignments fixed
+    at installation time — exactly those the source key cannot
+    re-derive (context compression, §3.2) — as two aligned tuples in
+    slot-vector order (``ComputePlan.index``).  ``names`` is shared by
+    every updater one compiled level installs.  ``output_lo``/
+    ``output_hi`` delimit the output keys this updater maintains.
+    ``build`` is the computation of a status range it was installed for
+    (``core.status.Build``): a fire applies only to the attached ranges
+    holding that build, and the last one to let go of it uninstalls the
+    updater (§3.2: complete invalidation removes installed updaters).
+    ``size`` is its byte charge: a fixed 48, the context's names and
+    values, and the four bounds.
     """
 
     __slots__ = (
         "join",
         "source_index",
-        "context",
+        "names",
+        "values",
         "output_lo",
         "output_hi",
         "lazy",
@@ -73,7 +78,8 @@ class Updater:
         self,
         join: "CacheJoin",
         source_index: int,
-        context: Dict[str, str],
+        names: Tuple[str, ...],
+        values: Tuple[str, ...],
         output_lo: str,
         output_hi: str,
         lazy: bool,
@@ -82,7 +88,8 @@ class Updater:
     ) -> None:
         self.join = join
         self.source_index = source_index
-        self.context = context
+        self.names = names
+        self.values = values
         self.output_lo = output_lo
         self.output_hi = output_hi
         self.lazy = lazy
@@ -90,50 +97,32 @@ class Updater:
         self.source_hi = source_hi
         #: ``(pin, vec)``, set on first fire: the join's compiled
         #: ``core.plan.FirePin`` for this source and context, and a slot
-        #: vector holding the context.  Not charged by
-        #: :meth:`memory_size`: pins are shared, the vector is a cache.
+        #: vector holding the context.  Not charged in ``size``: pins
+        #: are shared, the vector is a cache.
         self.fire = None
         self.build = None
         #: Set by :func:`install_updater`: the interval entry holding
-        #: this updater, its key in ``entry.payload_index``, and its
-        #: byte charge — what an uninstall needs, without an index search.
+        #: this updater and its key in ``entry.payload_index`` — what an
+        #: uninstall needs, without an index search.
         self.entry = None
         self.key = None
-        self.size = 0
-
-    def memory_size(self) -> int:
-        """Approximate bytes for accounting/ablation purposes."""
-        return (
+        self.size = (
             48
-            + sum(len(k) + len(v) for k, v in self.context.items())
-            + len(self.source_lo)
-            + len(self.source_hi)
-            + len(self.output_lo)
-            + len(self.output_hi)
+            + sum(map(len, names))
+            + sum(map(len, values))
+            + len(source_lo)
+            + len(source_hi)
+            + len(output_lo)
+            + len(output_hi)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "lazy" if self.lazy else "eager"
         return (
             f"<Updater {kind} src={self.source_index} "
-            f"[{self.source_lo!r},{self.source_hi!r}) ctx={self.context!r}>"
+            f"[{self.source_lo!r},{self.source_hi!r}) "
+            f"ctx={dict(zip(self.names, self.values))!r}>"
         )
-
-
-def _identity_key(updater: Updater):
-    """Two updaters are interchangeable when they would perform
-    identical maintenance: same join, source, flavour, output bounds
-    and context.  As a dict key, one probe replaces an O(payloads)
-    dedup scan when thousands of combined updaters share an interval
-    entry (celebrity fan-out)."""
-    return (
-        id(updater.join),
-        updater.source_index,
-        updater.lazy,
-        updater.output_lo,
-        updater.output_hi,
-        frozenset(updater.context.items()),
-    )
 
 
 def install_updater(table, updater: Updater, sr: "StatusRange") -> Updater:
@@ -144,9 +133,24 @@ def install_updater(table, updater: Updater, sr: "StatusRange") -> Updater:
     equivalent one already installed is shared, moving to ``sr``'s
     build if need be: its output bounds lie inside ``sr`` and the cover
     is disjoint, so no other holder of its old build needs it.
+
+    Two updaters are equivalent when they would perform identical
+    maintenance: same join, source, flavour, output bounds and context.
+    That tuple is the key of ``entry.payload_index``: one probe replaces
+    an O(payloads) dedup scan when thousands of combined updaters share
+    an interval entry (celebrity fan-out).  Every install site orders
+    the context by slot-vector index, so one context has one key.
     """
     build = sr.builds[0]
-    key = _identity_key(updater)
+    key = (
+        id(updater.join),  # an int: the collector untracks the key
+        updater.source_index,
+        updater.lazy,
+        updater.output_lo,
+        updater.output_hi,
+        updater.names,
+        updater.values,
+    )
     entry, _ = table.updaters.entry(updater.source_lo, updater.source_hi)
     existing = entry.payload_index.get(key)
     if existing is not None:
@@ -154,9 +158,10 @@ def install_updater(table, updater: Updater, sr: "StatusRange") -> Updater:
             existing.build.updaters.remove(existing)
             build.adopt(existing)
         return existing
+    # The entry's bound strings are equal: share them, not a copy each.
+    updater.source_lo, updater.source_hi = entry.lo, entry.hi
     entry.payloads.append(updater)
     entry.payload_index[key] = updater
     updater.entry, updater.key = entry, key
-    updater.size = updater.memory_size()
     build.adopt(updater)
     return updater

@@ -15,11 +15,11 @@ renders.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .batch import PUT, WriteBatch, as_ops
 from .keys import SEP, SEP_SUCCESSOR, prefix_upper_bound, table_of
-from .sortedarray import SANode
 from .stats import StoreStats
 from .table import Table
 from .values import Value, materialize
@@ -86,10 +86,10 @@ class OrderedStore:
         tbl = self.existing_table_for_key(key)
         if tbl is None:
             return default
-        node = tbl.get_node(key)
-        if node is None:
+        value = tbl.get(key)
+        if value is None:
             return default
-        return materialize(node.value)
+        return materialize(value)
 
     def remove(self, key: str) -> bool:
         tbl = self.existing_table_for_key(key)
@@ -153,10 +153,12 @@ class OrderedStore:
             if name < hi and prefix_upper_bound(name) > lo
         ]
 
-    def scan_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
-        """Stored nodes with ``lo <= key < hi``, across table boundaries."""
+    def scan_nodes(self, lo: str, hi: str) -> List[Tuple[str, Value]]:
+        """Stored ``(key, value)`` pairs with ``lo <= key < hi``, across
+        table boundaries, as a fresh list.  The values are as stored:
+        an aggregate's accumulator, not its string."""
         if not lo < hi:
-            return iter(())
+            return []
         # Inlined single-table fast path (see _single_table_span): the
         # common prefix scan never sweeps the table dictionary.
         sep_at = lo.find(SEP)
@@ -164,35 +166,26 @@ class OrderedStore:
             name = lo[:sep_at]
             if hi <= name + SEP_SUCCESSOR:
                 tbl = self.tables.get(name)
-                return tbl.scan_nodes(lo, hi) if tbl is not None else iter(())
+                return tbl.scan(lo, hi) if tbl is not None else []
         relevant = self.tables_over(lo, hi)
         if len(relevant) == 1:
-            return relevant[0].scan_nodes(lo, hi)
-        if relevant:
-            streams = [tbl.scan_nodes(lo, hi) for tbl in relevant]
-            return heapq.merge(*streams, key=lambda n: n.key)
-        return iter(())
+            return relevant[0].scan(lo, hi)
+        return list(
+            heapq.merge(*(tbl.scan(lo, hi) for tbl in relevant), key=itemgetter(0))
+        )
 
     def scan(self, lo: str, hi: str) -> List[Tuple[str, str]]:
         """Client-visible ordered list of pairs with ``lo <= key < hi``."""
-        nodes = self.scan_nodes(lo, hi)
-        if type(nodes) is not list:  # the sorted array returns snapshots
-            nodes = list(nodes)
-        if nodes:
-            self.stats.counters["scanned_items"] += len(nodes)
-        # Inline the common plain-string case; materialize() handles
-        # aggregate accumulators.
-        return [
-            (node.key, value)
-            if type(value := node.value) is str
-            else (node.key, materialize(value))
-            for node in nodes
-        ]
-
-    def scan_iter(self, lo: str, hi: str) -> Iterator[Tuple[str, str]]:
-        for node in self.scan_nodes(lo, hi):
-            self.stats.add("scanned_items")
-            yield node.key, materialize(node.value)
+        pairs = self.scan_nodes(lo, hi)
+        if not pairs:
+            return pairs
+        self.stats.counters["scanned_items"] += len(pairs)
+        # The stored pairs are the answer unless an aggregate
+        # accumulator is among them: materialize() renders those.
+        for _, value in pairs:
+            if type(value) is not str:
+                return [(key, materialize(value)) for key, value in pairs]
+        return pairs
 
     def count(self, lo: str, hi: str) -> int:
         """Size of ``[lo, hi)`` without the cost of scanning it.

@@ -22,12 +22,12 @@ import heapq
 from functools import reduce
 from itertools import islice, repeat
 from math import log2
-from operator import add, lt
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from operator import add, itemgetter, lt
+from typing import Any, Dict, List, Optional, Tuple
 
 from .keys import SEP, SEP_SUCCESSOR, key_successor, prefix_upper_bound, subtable_prefix
 from .range_index import RangeIndex
-from .sortedarray import SANode, SortedArrayMap
+from .sortedarray import SortedArrayMap
 from .stats import StoreStats
 from .values import NODE_OVERHEAD, Value, value_bytes
 
@@ -141,14 +141,12 @@ class Table:
         self.stats.add("puts")
         tree = self._tree_for(key, create=True)
         assert tree is not None
-        node, created = tree.insert_absent(key, value)
+        old = tree.insert(key, value)
         ptr = self.copy_output
-        if created:
+        if old is None:
             self.key_count += 1
             self.memory_bytes += len(key) + NODE_OVERHEAD + value_bytes(value, ptr)
             return None
-        old = node.value
-        node.value = value
         self.memory_bytes += value_bytes(value, ptr) - value_bytes(old, ptr)
         return old
 
@@ -160,7 +158,7 @@ class Table:
 
         The run resolves its tree once per subtable it crosses, not
         once per key (one hash jump each), and each key is one
-        ``insert_absent`` search in that tree — on the sorted array two
+        ``insert`` search in that tree — on the sorted array two
         bisects — charged as one descent.  Equal keys install in order,
         so the last one wins, exactly as a sequence of :meth:`put` calls
         would; accounting is per key, as there.
@@ -198,18 +196,15 @@ class Table:
                     counters["hash_jumps"] += 1
                 tree_hi = self._tree_upper_bound(key)
             cost += log2(len(tree) + 2)
-            node, created = tree.insert_absent(key, value)
-            if created:
+            old = tree.insert(key, value)
+            if old is None:
                 self.key_count += 1
                 self.memory_bytes += (
                     len(key) + NODE_OVERHEAD + value_bytes(value, ptr)
                 )
-                results.append((key, None))
             else:
-                old = node.value
-                node.value = value
                 self.memory_bytes += value_bytes(value, ptr) - value_bytes(old, ptr)
-                results.append((key, old))
+            results.append((key, old))
         counters["tree_descent_cost"] += cost
         return results
 
@@ -225,7 +220,7 @@ class Table:
         if not all(map(lt, keys, islice(keys, 1, None))):
             return None
         size = len(tree)
-        if tree.insert_run(keys, values) is None:
+        if not tree.insert_run(keys, values):
             return None
         n = len(keys)
         self.key_count += n
@@ -255,10 +250,10 @@ class Table:
         so each is released for what it is now charged."""
         if self.copy_output:
             return
-        nodes = list(self.iter_nodes(self.name, prefix_upper_bound(self.name)))
-        self.memory_bytes -= sum(value_bytes(node.value) for node in nodes)
+        values = [v for _, v in self.items(self.name, prefix_upper_bound(self.name))]
+        self.memory_bytes -= sum(map(value_bytes, values))
         self.copy_output = True
-        self.memory_bytes += sum(value_bytes(node.value, True) for node in nodes)
+        self.memory_bytes += sum(map(value_bytes, values, repeat(True)))
 
     def remove(self, key: str) -> Optional[Value]:
         """Remove ``key``; returns the removed value or None."""
@@ -266,11 +261,9 @@ class Table:
         tree = self._tree_for(key, create=False)
         if tree is None:
             return None
-        node = tree.find_node(key)
-        if node is None:
+        value = tree.remove(key)
+        if value is None:
             return None
-        value = node.value
-        tree.remove_node(node)
         self.key_count -= 1
         self.memory_bytes -= (
             len(key) + NODE_OVERHEAD + value_bytes(value, self.copy_output)
@@ -290,41 +283,39 @@ class Table:
         """
         if not lo < hi:
             return []
-        removed: List[SANode] = []
+        removed: List[Tuple[str, Value]] = []
         residual = False
         for tree in self._overlapping_trees(lo, hi):
-            nodes = tree.remove_range(lo, hi)
-            if not nodes:
+            pairs = tree.remove_range(lo, hi)
+            if not pairs:
                 continue
             residual = residual or tree is self._residual
-            removed.extend(nodes)
-            self._drop_if_empty(tree, nodes[0].key)
+            removed.extend(pairs)
+            self._drop_if_empty(tree, pairs[0][0])
         if not removed:
             return []
         if residual:  # the residual tree's keys interleave the subtables'
-            removed.sort(key=lambda node: node.key)
+            removed.sort(key=itemgetter(0))
         freed = 0
         ptr = self.copy_output
-        for node in removed:
-            freed += len(node.key) + NODE_OVERHEAD + value_bytes(node.value, ptr)
+        for key, value in removed:
+            freed += len(key) + NODE_OVERHEAD + value_bytes(value, ptr)
         self.key_count -= len(removed)
         self.memory_bytes -= freed
         self.stats.add("removes", len(removed))
-        return [(node.key, node.value) for node in removed]
+        return removed
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def get_node(self, key: str) -> Optional[SANode]:
+    def get(self, key: str, default: Any = None) -> Any:
+        """The stored value for ``key`` — an aggregate's accumulator
+        itself, not a copy — or ``default``."""
         self.stats.add("gets")
         tree = self._tree_for(key, create=False)
         if tree is None:
-            return None
-        return tree.find_node(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        node = self.get_node(key)
-        return node.value if node is not None else default
+            return default
+        return tree.get(key, default)
 
     def _overlapping_trees(self, lo: str, hi: str, stats=None) -> List:
         """The data trees whose spans intersect ``[lo, hi)``, in key
@@ -349,29 +340,27 @@ class Table:
                 trees.append(tree)
         else:
             # Cross-boundary scan: walk subtable ids overlapping [lo, hi).
-            start = self._suborder.floor_node(lo)
-            node = start if start is not None else self._suborder.min_node()
-            while node is not None and node.key < hi:
-                if prefix_upper_bound(node.key) > lo:
+            start = self._suborder.floor_key(lo)
+            for sub_id, tree in self._suborder.items(start, hi):
+                if prefix_upper_bound(sub_id) > lo:
                     if stats is not None:
-                        stats.tree_descent(len(node.value))
-                    trees.append(node.value)
-                node = self._suborder.next_node(node)
+                        stats.tree_descent(len(tree))
+                    trees.append(tree)
         return trees
 
-    def _merged_nodes(self, lo: str, hi: str, stats=None) -> Iterator[SANode]:
+    def _merged_items(
+        self, lo: str, hi: str, stats=None
+    ) -> List[Tuple[str, Value]]:
         trees = self._overlapping_trees(lo, hi, stats)
         if len(trees) == 1:
-            return trees[0].nodes(lo, hi)
-        if trees:
-            return heapq.merge(
-                *(t.nodes(lo, hi) for t in trees), key=lambda n: n.key
-            )
-        return iter(())
+            return trees[0].items(lo, hi)
+        return list(
+            heapq.merge(*(t.items(lo, hi) for t in trees), key=itemgetter(0))
+        )
 
-    def scan_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
-        """Yield stored nodes with ``lo <= key < hi`` in key order,
-        charging scan work counters.
+    def scan(self, lo: str, hi: str) -> List[Tuple[str, Value]]:
+        """Stored ``(key, value)`` pairs with ``lo <= key < hi`` in key
+        order, as a fresh list, charging scan work counters.
 
         The two single-tree cases — no subtables, or a scan entirely
         inside one subtable (§4.1's hash jump) — are inlined with
@@ -380,54 +369,44 @@ class Table:
         replaced was measurable on the read-heavy Twip profile.
         """
         if not lo < hi:
-            return iter(())
+            return []
         counters = self.stats.counters
         counters["scans"] += 1
         tree = self._tree
         if tree is not None:
             counters["tree_descents"] += 1
             counters["tree_descent_cost"] += log2(len(tree) + 2)
-            return tree.nodes(lo, hi)
+            return tree.items(lo, hi)
         if self._residual is None and lo:
             sub_id = self._subtable_id(lo)
             if sub_id is not None and hi <= prefix_upper_bound(sub_id):
                 counters["hash_jumps"] += 1
                 tree = self._subtables.get(sub_id)
                 if tree is None:
-                    return iter(())
+                    return []
                 counters["tree_descents"] += 1
                 counters["tree_descent_cost"] += log2(len(tree) + 2)
-                return tree.nodes(lo, hi)
-        return self._merged_nodes(lo, hi, self.stats)
+                return tree.items(lo, hi)
+        return self._merged_items(lo, hi, self.stats)
 
-    def iter_nodes(self, lo: str, hi: str) -> Iterator[SANode]:
-        """As :meth:`scan_nodes`, but charging nothing — the internal
-        path for memory recounts, which must not inflate the scan
-        counters the cost model bills."""
+    def items(self, lo: str, hi: str) -> List[Tuple[str, Value]]:
+        """As :meth:`scan`, but charging nothing — the internal path
+        for memory recounts, which must not inflate the scan counters
+        the cost model bills."""
         if not lo < hi:
-            return iter(())
-        return self._merged_nodes(lo, hi)
-
-    def scan(self, lo: str, hi: str) -> Iterator[Tuple[str, Value]]:
-        for node in self.scan_nodes(lo, hi):
-            self.stats.add("scanned_items")
-            yield node.key, node.value
+            return []
+        return self._merged_items(lo, hi)
 
     def count_range(self, lo: str, hi: str) -> int:
         """Number of keys in ``[lo, hi)``.  Counting is not scanning:
         no scan counters are charged, and maps that support positional
-        counting (the sorted array) answer without touching nodes."""
+        counting (the sorted array) answer without a scan."""
         if not lo < hi:
             return 0
         return sum(
             tree.count_range(lo, hi)
             for tree in self._overlapping_trees(lo, hi)
         )
-
-    def first_node(self, lo: str, hi: str) -> Optional[SANode]:
-        for node in self.scan_nodes(lo, hi):
-            return node
-        return None
 
     def __len__(self) -> int:
         return self.key_count

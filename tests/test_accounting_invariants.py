@@ -35,9 +35,8 @@ def recount_memory(server: PequodServer) -> int:
     total = 0
     for table in server.store.tables.values():
         total += SUBTABLE_OVERHEAD * table.subtable_count()
-        for node in table.iter_nodes(table.name, table.name + "\U0010ffff"):
-            total += len(node.key) + NODE_OVERHEAD
-            value = node.value
+        for key, value in table.items(table.name, table.name + "\U0010ffff"):
+            total += len(key) + NODE_OVERHEAD
             if not isinstance(value, str):
                 total += value.memory_size()
             elif table.name in copy_outputs:
@@ -139,10 +138,23 @@ class TestMemoryAccountingExact:
             assert table.memory_bytes >= 0
         # Remove absolutely everything; accounting must return to the
         # bookkeeping-only baseline.
-        for key in [n.key for n in srv.store.scan_nodes("", "\U0010ffff")]:
+        for key in [k for k, _ in srv.store.scan_nodes("", "\U0010ffff")]:
             srv.store.remove(key)
         assert srv.store.memory_bytes() == recount_memory(srv)
         assert len(srv.store) == 0
+
+
+def updater_charge(updater) -> int:
+    """An updater's byte charge, recomputed from its fields: a fixed
+    48, the context's names and values, and the four bounds."""
+    return (
+        48
+        + sum(len(n) + len(v) for n, v in zip(updater.names, updater.values))
+        + len(updater.source_lo)
+        + len(updater.source_hi)
+        + len(updater.output_lo)
+        + len(updater.output_hi)
+    )
 
 
 def recount_updater_bytes(server: PequodServer) -> int:
@@ -152,7 +164,8 @@ def recount_updater_bytes(server: PequodServer) -> int:
     for table in server.store.tables.values():
         for entry in table.updaters.entries():
             for updater in entry.payloads:
-                total += updater.memory_size()
+                assert updater.size == updater_charge(updater)
+                total += updater_charge(updater)
     return total
 
 
@@ -165,7 +178,7 @@ class TestUpdaterAccounting:
 
         join = parse_join(TIMELINE_JOIN)
         updater = Updater(
-            join, 1, {"user": "ann"}, "t|ann|", "t|ann}",
+            join, 1, ("user",), ("ann",), "t|ann|", "t|ann}",
             False, "p|bob|", "p|bob}",
         )
         expected = (
@@ -174,7 +187,7 @@ class TestUpdaterAccounting:
             + len("p|bob|") + len("p|bob}")
             + len("t|ann|") + len("t|ann}")
         )
-        assert updater.memory_size() == expected
+        assert updater.size == expected == updater_charge(updater)
 
     def test_engine_updater_bytes_matches_recount(self):
         srv = TestMemoryAccountingExact().run_random_workload(5, subtables=True)
@@ -343,12 +356,12 @@ class TestCounterInvariants:
                         "tree_descent_cost", "hash_jumps"):
             assert after.get(counter, 0) == before.get(counter, 0), counter
 
-    def test_iter_nodes_charges_nothing(self):
+    def test_items_charges_nothing(self):
         store = self.build_store()
         before = store.stats.snapshot()
         tbl = store.tables["p"]
-        assert sum(1 for _ in tbl.iter_nodes("p|", "p}")) == 60
-        assert sum(1 for _ in tbl.iter_nodes("p|u2|", "p|u2}")) == 15
+        assert len(tbl.items("p|", "p}")) == 60
+        assert len(tbl.items("p|u2|", "p|u2}")) == 15
         assert tbl.count_range("p|", "p}") == 60
         assert store.stats.snapshot() == before
 

@@ -49,7 +49,7 @@ class TestPullJoins:
         srv.put("src|y", "2")
 
         def footprint():
-            values = [node.value for node in srv.store.scan_nodes("src|", "src}")]
+            values = [value for _, value in srv.store.scan_nodes("src|", "src}")]
             return (
                 srv.memory_bytes(),
                 srv.stats.get("updaters_installed"),

@@ -314,11 +314,9 @@ class TestRunPrimitives:
 
     @staticmethod
     def _check(table, model, depth):
-        nodes = list(table.iter_nodes("k", "k}"))
-        assert [(n.key, n.value) for n in nodes] == sorted(
-            model.items(), key=lambda pair: pair[0]
-        )
-        assert all(n.value is model[n.key] for n in nodes)
+        pairs = table.items("k", "k}")
+        assert pairs == sorted(model.items(), key=lambda pair: pair[0])
+        assert all(value is model[key] for key, value in pairs)
         assert table.key_count == len(model)
         assert table.subtable_count() == _subtables(model, depth)
         assert table.memory_bytes == _recount(table, model)

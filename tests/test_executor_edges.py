@@ -106,7 +106,8 @@ class TestUpdaterInternals:
         ]
         assert len(p_updaters) == 1
         # poster/time come from the p key; only user needs storing.
-        assert set(p_updaters[0].context) == {"user"}
+        assert p_updaters[0].names == ("user",)
+        assert p_updaters[0].values == ("ann",)
 
     def test_generation_retires_stale_updaters(self):
         """A rebuild releases the old build's updaters: the one copying

@@ -31,9 +31,8 @@ class TestBasicOperations:
         assert not tree
         assert tree.get("a") is None
         assert "a" not in tree
-        assert tree.min_node() is None
-        assert tree.floor_node("a") is None
-        assert list(tree.nodes()) == []
+        assert tree.floor_key("a") is None
+        assert tree.items() == []
 
     def test_single_insert_and_get(self):
         tree = SortedArrayMap()
@@ -45,8 +44,8 @@ class TestBasicOperations:
 
     def test_overwrite_keeps_size(self):
         tree = SortedArrayMap()
-        tree.insert("k", "v1")
-        tree.insert("k", "v2")
+        assert tree.insert("k", "v1") is None
+        assert tree.insert("k", "v2") == "v1"
         assert len(tree) == 1
         assert tree.get("k") == "v2"
 
@@ -56,27 +55,43 @@ class TestBasicOperations:
 
     def test_remove_present(self):
         tree = build([("a", 1), ("b", 2)])
-        assert tree.remove("a") is True
+        assert tree.remove("a") == 1
         assert len(tree) == 1
         assert tree.get("a") is None
         tree.check_invariants()
 
     def test_remove_absent(self):
         tree = build([("a", 1)])
-        assert tree.remove("zz") is False
+        assert tree.remove("zz") is None
+        assert tree.remove("") is None  # below every key
         assert len(tree) == 1
 
     def test_clear(self):
         tree = build([("a", 1), ("b", 2)])
         tree.clear()
         assert len(tree) == 0
-        assert list(tree.nodes()) == []
+        assert tree.items() == []
 
-    def test_insert_returns_node(self):
+    def test_insert_returns_old_value(self):
         tree = SortedArrayMap()
-        node = tree.insert("a", 1)
-        assert node.key == "a"
-        assert node.value == 1
+        assert tree.insert("a", 1) is None
+        assert tree.insert("a", 2) == 1
+        assert tree.get("a") == 2
+
+    def test_get_returns_the_stored_object(self):
+        # An accumulator mutated in place needs no write-back.
+        tree = SortedArrayMap()
+        acc = []
+        tree.insert("a", acc)
+        tree.get("a").append(1)
+        assert tree.get("a") is acc and acc == [1]
+
+    def test_items_is_a_fresh_list(self):
+        tree = build([("a", 1), ("b", 2)])
+        first = tree.items()
+        first.append(("z", 0))
+        assert tree.items() == [("a", 1), ("b", 2)]
+        assert tree.items() is not tree.items()
 
 
 class TestOrderedIteration:
@@ -108,36 +123,34 @@ class TestOrderedIteration:
 
 
 class TestNavigation:
-    """The subtable-index walk: ``floor_node``, else ``min_node``, then
-    ``next_node`` (``Table._overlapping_trees``)."""
+    """The subtable-index walk: ``floor_key``, then ``items`` from it
+    (``Table._overlapping_trees``)."""
 
     @staticmethod
     def tree():
         return build([(f"{i:02d}", i) for i in range(0, 20, 2)])  # 00,02,..18
 
     def test_floor_exact(self):
-        assert self.tree().floor_node("04").key == "04"
+        assert self.tree().floor_key("04") == "04"
 
     def test_floor_between(self):
-        assert self.tree().floor_node("05").key == "04"
+        assert self.tree().floor_key("05") == "04"
 
     def test_floor_before_start(self):
-        assert self.tree().floor_node("//") is None
+        assert self.tree().floor_key("//") is None
 
     def test_min_max(self):
         # The maximum is the floor of a key past the end.
         tree = self.tree()
-        assert tree.min_node().key == "00"
-        assert tree.floor_node("99").key == "18"
+        assert tree.keys()[0] == "00"
+        assert tree.floor_key("99") == "18"
 
-    def test_min_next_walk(self):
+    def test_floor_walk(self):
         tree = self.tree()
-        node = tree.min_node()
-        seen = []
-        while node is not None:
-            seen.append(node.key)
-            node = tree.next_node(node)
-        assert seen == [f"{i:02d}" for i in range(0, 20, 2)]
+        assert tree.keys(tree.floor_key("05"), "11") == ["04", "06", "08", "10"]
+        assert tree.keys(tree.floor_key("//"), None) == [
+            f"{i:02d}" for i in range(0, 20, 2)
+        ]
 
 
 class TestStressInvariants:
@@ -151,8 +164,7 @@ class TestStressInvariants:
                 tree.insert(key, step)
                 model[key] = step
             else:
-                assert tree.remove(key) == (key in model)
-                model.pop(key, None)
+                assert tree.remove(key) == model.pop(key, None)
             if step % 250 == 0:
                 tree.check_invariants()
         tree.check_invariants()
@@ -168,14 +180,14 @@ class TestStressInvariants:
     def test_remove_all_in_order(self):
         tree = build([(f"{i:03d}", i) for i in range(200)])
         for i in range(200):
-            assert tree.remove(f"{i:03d}")
+            assert tree.remove(f"{i:03d}") == i
         assert len(tree) == 0
         tree.check_invariants()
 
     def test_remove_all_reverse_order(self):
         tree = build([(f"{i:03d}", i) for i in range(200)])
         for i in range(199, -1, -1):
-            assert tree.remove(f"{i:03d}")
+            assert tree.remove(f"{i:03d}") == i
         assert len(tree) == 0
 
     def test_tuple_keys(self):
@@ -195,8 +207,8 @@ class TestMapModel:
     ops = st.lists(
         st.tuples(
             st.sampled_from([
-                "insert", "insert_absent", "remove", "remove_node",
-                "remove_range", "nodes", "count_range", "walk", "insert_run",
+                "insert", "get", "remove", "remove_stored",
+                "remove_range", "items", "count_range", "walk", "insert_run",
             ]),
             keys,
             keys,
@@ -218,29 +230,25 @@ class TestMapModel:
         for step, (op, a, b, n) in enumerate(sequence):
             lo, hi = min(a, b), max(a, b)
             if op == "insert":
-                node = tree.insert(a, step)
+                assert tree.insert(a, step) == model.get(a)
                 model[a] = step
-                assert (node.key, node.value) == (a, step)
-            elif op == "insert_absent":
-                node, created = tree.insert_absent(a, step)
-                assert created == (a not in model)
-                model.setdefault(a, step)
-                assert (node.key, node.value) == (a, model[a])
+            elif op == "get":
+                assert tree.get(a, "absent") == model.get(a, "absent")
+                assert (a in tree) == (a in model)
             elif op == "remove":
-                assert tree.remove(a) == (a in model)
-                model.pop(a, None)
-            elif op == "remove_node":
+                assert tree.remove(a) == model.pop(a, None)
+            elif op == "remove_stored":
+                # A key known to be stored, whichever its block.
                 if model:
                     victim = sorted(model)[len(a) % len(model)]
-                    tree.remove_node(tree.find_node(victim))
-                    del model[victim]
+                    assert tree.remove(victim) == model.pop(victim)
             elif op == "remove_range":
                 gone = [k for k in sorted(model) if lo <= k < hi]
-                assert [
-                    (n.key, n.value) for n in tree.remove_range(lo, hi)
-                ] == [(k, model.pop(k)) for k in gone]
-            elif op == "nodes":
-                assert [(n.key, n.value) for n in tree.nodes(lo, hi)] == [
+                assert tree.remove_range(lo, hi) == [
+                    (k, model.pop(k)) for k in gone
+                ]
+            elif op == "items":
+                assert tree.items(lo, hi) == [
                     (k, model[k]) for k in sorted(model) if lo <= k < hi
                 ]
             elif op == "count_range":
@@ -254,29 +262,23 @@ class TestMapModel:
                 if not run:
                     continue
                 values = [(step, j) for j in range(len(run))]
-                before = list(tree.items())
-                nodes = tree.insert_run(run, values)
+                before = tree.items()
+                spliced = tree.insert_run(run, values)
                 if any(run[0] <= k <= run[-1] for k in model):
-                    assert nodes is None  # refused: the map is unchanged
-                    assert list(tree.items()) == before
+                    assert spliced is False  # refused: the map is unchanged
+                    assert tree.items() == before
                 else:
-                    assert [(n.key, n.value) for n in nodes] == list(zip(run, values))
+                    assert spliced is True
                     model.update(zip(run, values))
             else:
-                # Table._overlapping_trees: floor, else min, then next.
-                node = tree.floor_node(lo)
-                if node is None:
-                    node = tree.min_node()
-                seen = []
-                while node is not None and node.key < hi:
-                    seen.append(node.key)
-                    node = tree.next_node(node)
+                # Table._overlapping_trees: items from the floor of lo.
+                start = tree.floor_key(lo)
                 below = [k for k in model if k <= lo]
-                start = max(below) if below else None
-                assert seen == [
+                assert start == (max(below) if below else None)
+                assert [k for k, _ in tree.items(start, hi)] == [
                     k for k in sorted(model)
                     if (start is None or k >= start) and k < hi
                 ]
             tree.check_invariants()
             assert len(tree) == len(model)
-        assert list(tree.items()) == sorted(model.items())
+        assert tree.items() == sorted(model.items())

@@ -730,12 +730,12 @@ def _engine_state(srv):
     tables = {}
     for name, table in sorted(srv.store.tables.items()):
         rows = [
-            (node.key, materialize(node.value))
-            for node in table.iter_nodes(name, name + "\U0010ffff")
+            (key, materialize(value))
+            for key, value in table.items(name, name + "\U0010ffff")
         ]
         updaters = [
             (entry.lo, entry.hi, [
-                (u.join.text, u.source_index, u.lazy, sorted(u.context.items()),
+                (u.join.text, u.source_index, u.lazy, u.names, u.values,
                  u.output_lo, u.output_hi, u.source_lo, u.source_hi,
                  u.build.lo, u.build.hi)
                 for u in entry.payloads

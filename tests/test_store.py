@@ -53,12 +53,6 @@ class TestScan:
         got = store.scan("a|", "c|2")
         assert got == [("a|1", "x"), ("b|1", "y"), ("c|1", "z")]
 
-    def test_scan_iter_matches_scan(self):
-        store = OrderedStore()
-        for i in range(10):
-            store.put(f"p|{i:02d}", str(i))
-        assert list(store.scan_iter("p|", "p}")) == store.scan("p|", "p}")
-
     def test_count(self):
         store = OrderedStore()
         for i in range(10):

@@ -45,13 +45,6 @@ class TestFlatTable:
             tbl.put(f"p|u|{i:03d}", str(i))
         assert tbl.count_range("p|u|005", "p|u|015") == 10
 
-    def test_first_node(self):
-        tbl = Table("p")
-        tbl.put("p|b", "2")
-        tbl.put("p|a", "1")
-        assert tbl.first_node("p|", "p}").key == "p|a"
-        assert tbl.first_node("p|c", "p}") is None
-
 
 class TestMemoryAccounting:
     def test_memory_grows_and_shrinks(self):

@@ -42,8 +42,8 @@ def snapshot(server: PequodServer) -> dict:
     """Every stored key/value pair, materialized."""
     out = {}
     for name in sorted(server.store.tables):
-        for node in server.store.scan_nodes(name, prefix_upper_bound(name)):
-            out[node.key] = materialize(node.value)
+        for key, value in server.store.scan_nodes(name, prefix_upper_bound(name)):
+            out[key] = materialize(value)
     return out
 
 
@@ -137,11 +137,9 @@ class TestStoreApplyBatch:
         batched = OrderedStore()
         batched.apply_batch(ops)
         assert {
-            node.key: materialize(node.value)
-            for node in seq.scan_nodes("p", "z")
+            key: materialize(value) for key, value in seq.scan_nodes("p", "z")
         } == {
-            node.key: materialize(node.value)
-            for node in batched.scan_nodes("p", "z")
+            key: materialize(value) for key, value in batched.scan_nodes("p", "z")
         }
 
     def test_changes_carry_net_transitions(self):

@@ -175,7 +175,7 @@ def _range(lo, hi):
 class TestUpdaterDedupIndex:
     def make_updater(self, join, user="ann"):
         return Updater(
-            join, 1, {"user": user}, f"t|{user}|", f"t|{user}}}",
+            join, 1, ("user",), (user,), f"t|{user}|", f"t|{user}}}",
             False, "p|b|", "p|b}",
         )
 
