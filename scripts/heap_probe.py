@@ -3,8 +3,8 @@
 the cache charges itself.
 
 Builds a Twip server (``TIMELINE_JOIN``, subtables on ``t``/``p``/``s``)
-in which every user follows ``--follows`` others and posts ``--posts``
-tweets, then reads every timeline once.  Two passes over the same load:
+in which every user follows :data:`FOLLOWS` others and posts
+:data:`POSTS` tweets, then reads every timeline once.  Two passes over the same load:
 
 * untraced: the cold read of all timelines, the objects the garbage
   collector tracks afterwards, and how long a full ``gc.collect()``
@@ -15,7 +15,7 @@ tweets, then reads every timeline once.  Two passes over the same load:
   drop in traced heap set against its share of the charge.
 
 Prints one ``name value`` line per figure and exits 1 when the reads
-allocate more than ``--ceiling`` times what they charge.  The tier-1
+allocate more than :data:`CEILING` times what they charge.  The tier-1
 test ``tests/test_heap_ceiling.py`` runs :func:`measure` at a small
 size against the same :data:`CEILING`.
 
@@ -25,7 +25,6 @@ Run from the repo root: ``PYTHONPATH=src python scripts/heap_probe.py``
 
 from __future__ import annotations
 
-import argparse
 import gc
 import random
 import statistics
@@ -39,20 +38,22 @@ from repro.core.server import PequodServer
 
 #: Heap the timeline reads may allocate per byte they charge.
 CEILING = 1.7
+#: The load: users in a full run, followees and posts per user.
+USERS, FOLLOWS, POSTS = 2000, 20, 10
 
 
-def build(users: int, follows: int, posts: int, seed: int) -> PequodServer:
+def build(users: int) -> PequodServer:
     """A loaded, not yet read, Twip server."""
-    rng = random.Random(seed)
+    rng = random.Random(1)
     names = [f"u{i:05d}" for i in range(users)]
     srv = PequodServer(subtable_config={"t": 2, "p": 2, "s": 2})
     srv.add_join(TIMELINE_JOIN)
     for user in names:
-        for poster in rng.sample(names, min(follows, users)):
+        for poster in rng.sample(names, min(FOLLOWS, users)):
             srv.put(f"s|{user}|{poster}", "1")
     for n, poster in enumerate(names):
-        for k in range(posts):
-            srv.put(f"p|{poster}|{format_time(n * posts + k)}", f"tweet {k} by {poster}")
+        for k in range(POSTS):
+            srv.put(f"p|{poster}|{format_time(n * POSTS + k)}", f"tweet {k} by {poster}")
     return srv
 
 
@@ -63,14 +64,11 @@ def read_all(srv: PequodServer, users: int) -> int:
     return rows
 
 
-def measure(
-    users: int = 2000, follows: int = 20, posts: int = 10, seed: int = 1,
-    gc_pass: bool = True,
-) -> Dict[str, float]:
+def measure(users: int = USERS, gc_pass: bool = True) -> Dict[str, float]:
     """The probe's figures for one load (see the module docstring)."""
     out: Dict[str, float] = {}
     if gc_pass:
-        srv = build(users, follows, posts, seed)
+        srv = build(users)
         gc.collect()
         start = time.perf_counter()
         read_all(srv, users)
@@ -86,7 +84,7 @@ def measure(
         del srv
         gc.collect()
 
-    srv = build(users, follows, posts, seed)
+    srv = build(users)
     engine = srv.engine
     gc.collect()
     tracemalloc.start()
@@ -123,21 +121,14 @@ def measure(
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--users", type=int, default=2000)
-    ap.add_argument("--follows", type=int, default=20)
-    ap.add_argument("--posts", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--ceiling", type=float, default=CEILING)
-    args = ap.parse_args(argv)
-    figures = measure(args.users, args.follows, args.posts, args.seed)
+def main() -> int:
+    figures = measure()
     for name, value in figures.items():
         print(f"{name} {value:.4g}" if isinstance(value, float) else f"{name} {value}")
-    if figures["heap_per_charged"] > args.ceiling:
+    if figures["heap_per_charged"] > CEILING:
         print(
             f"FAIL: the reads allocate {figures['heap_per_charged']:.2f}x "
-            f"what they charge (ceiling {args.ceiling})",
+            f"what they charge (ceiling {CEILING})",
             file=sys.stderr,
         )
         return 1

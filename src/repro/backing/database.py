@@ -135,6 +135,6 @@ class BackingDatabase:
         """Up to ``limit`` pairs with ``key >= lo``, in order — the
         chunked scan the CDC pump's fenced backfill walks."""
         self.query_count += 1
-        rows = self._tree.items(lo, None)[:limit]
+        rows = self._tree.items_from(lo, limit)
         self.rows_returned += len(rows)
         return rows

@@ -62,7 +62,6 @@ matching removal escalates to a complete invalidation.
 
 from __future__ import annotations
 
-from itertools import takewhile
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -769,15 +768,8 @@ class JoinEngine:
             return
         self._ensure_source_data(src.pattern.table, lo, hi)
         if join.is_push:
-            # Every bound slot the range's prefix does not fix, in vec
-            # order, as ``ComputeLevel.context_names`` has it: one
-            # context, one identity key, whichever path installs it.
-            slots = [seg.slot for seg in src.pattern.segments if seg.is_slot]
-            fixed = list(takewhile(cs.exact.__contains__, slots))
-            names = tuple(sorted(
-                (n for n in cs.exact if n not in fixed),
-                key=self._plan(join).index.__getitem__,
-            ))
+            # The same context ``ComputeLevel.context_names`` holds.
+            names = self._plan(join).context(idx, cs.exact)
             self._install_updater_for(
                 join, idx, names, tuple([cs.exact[n] for n in names]),
                 out_lo, out_hi, lo, hi, sr,

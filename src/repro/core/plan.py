@@ -25,7 +25,8 @@ Only pending-log application still runs the interpreted walk
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import takewhile
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..store.keys import SEP, SEP_SUCCESSOR, key_successor
 
@@ -62,8 +63,9 @@ class ComputeLevel:
       bound slots the source range's prefix does not fix (context
       compression, §3.2).  That includes the source's own bound slots
       after its first unbound segment: the range does not enforce
-      them, so a fire's :class:`FirePin` checks them.  Every updater
-      the level installs shares ``context_names``.
+      them, so a fire's :class:`FirePin` checks them.  The names come
+      from :meth:`ComputePlan.context`, so every updater the level
+      installs shares one tuple.
     """
 
     __slots__ = (
@@ -178,7 +180,9 @@ class ComputePlan:
     A fire's pinned source key is one more bound level (:meth:`pin`).
     """
 
-    __slots__ = ("join", "index", "out_fmt", "widths", "pins", "_shapes")
+    __slots__ = (
+        "join", "index", "out_fmt", "widths", "pins", "_shapes", "_contexts",
+    )
 
     def __init__(self, join: "CacheJoin") -> None:
         self.join = join
@@ -210,6 +214,8 @@ class ComputePlan:
         self._shapes: Dict[tuple, Tuple[ComputeLevel, ...]] = {}
         #: Compiled fire pins per (source index, context slot names).
         self.pins: Dict[Tuple[int, Tuple[str, ...]], FirePin] = {}
+        #: Updater context names per (source index, bound slot names).
+        self._contexts: Dict[Tuple[int, Tuple[str, ...]], Tuple[str, ...]] = {}
 
     def vector(self, exact: Dict[str, str]) -> List[Optional[str]]:
         """A fresh slot vector holding the range's pinned slots."""
@@ -246,6 +252,35 @@ class ComputePlan:
         if pin is None:
             pin = self.pins[source, context] = FirePin(self, source, context)
         return pin
+
+    def context(self, source: int, bound: Iterable[str]) -> Tuple[str, ...]:
+        """The updater context of source ``source`` when the slots
+        ``bound`` are bound: those the source range's prefix does not
+        fix (context compression, §3.2), in vec order.
+
+        The one place that order is decided.  The compute walk and the
+        pending log's replay both name their updaters' contexts through
+        it, so one updater has one identity key whichever path installs
+        it — two keys would fire it twice.  Cached per shape; equal
+        contexts share one tuple.
+        """
+        key = (source, tuple(bound))
+        names = self._contexts.get(key)
+        if names is None:
+            segments = self.join.sources[source].pattern.segments
+            fixed = set(takewhile(
+                key[1].__contains__, (seg.slot for seg in segments if seg.is_slot)
+            ))
+            names = tuple(sorted(
+                (name for name in key[1] if name not in fixed),
+                key=self.index.__getitem__,
+            ))
+            # A context fixes no prefix slot of its own (the source's
+            # first slot is either fixed, so dropped, or unbound), so
+            # ``names`` is its own entry: the shared tuple.
+            names = self._contexts.setdefault((source, names), names)
+            self._contexts[key] = names
+        return names
 
     def _compile(
         self, pinned: List[str], frontier: Optional[str]
@@ -289,11 +324,8 @@ class ComputePlan:
                 if frontier in fresh and level.closing != ComputeLevel.BOUNDS
                 else -1
             )
-            context = sorted(
-                (index[name], name) for name in bound if name not in in_prefix
-            )
-            level.context_slots = tuple(vi for vi, _ in context)
-            level.context_names = tuple(name for _, name in context)
+            level.context_names = names = self.context(idx, bound)
+            level.context_slots = tuple(index[name] for name in names)
             bound.extend(fresh)
             levels.append(level)
         return tuple(levels)

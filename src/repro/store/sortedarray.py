@@ -40,6 +40,8 @@ write-back).  Values are never None: None means "absent".
   :meth:`~repro.store.table.Table.remove_range`);
 * ``items(lo, hi)`` / ``keys(lo, hi)`` — ``[lo, hi)`` in key order
   (``None`` bounds are open); iteration yields keys;
+* ``items_from(lo, limit)`` — the first ``limit`` pairs at or after
+  ``lo`` (the CDC backfill's chunked walk);
 * ``floor_key(key)`` — the largest stored key ``<= key``: where the
   walk over a table's subtable index starts;
 * ``count_range(lo, hi)`` — size of ``[lo, hi)`` without a scan;
@@ -155,6 +157,22 @@ class SortedArrayMap:
             out_keys.extend(keys)
             out_values.extend(self._value_blocks[b])
             b += 1
+        return list(zip(out_keys, out_values))
+
+    def items_from(self, lo: Any, limit: int) -> List[Tuple[Any, Any]]:
+        """The first ``limit`` pairs with ``key >= lo``, as a fresh
+        list: one chunk of a resumable walk.  Slices no further than
+        ``limit`` rows, however many lie past ``lo``."""
+        maxes = self._maxes
+        b = bisect_left(maxes, lo)
+        i = bisect_left(self._key_blocks[b], lo) if b < len(maxes) else 0
+        out_keys: List[Any] = []
+        out_values: List[Any] = []
+        while b < len(maxes) and len(out_keys) < limit:
+            j = i + limit - len(out_keys)
+            out_keys.extend(self._key_blocks[b][i:j])
+            out_values.extend(self._value_blocks[b][i:j])
+            b, i = b + 1, 0
         return list(zip(out_keys, out_values))
 
     def keys(self, lo: Any = None, hi: Any = None) -> List[Any]:

@@ -28,5 +28,5 @@ def heap_probe():
 
 def test_reads_allocate_at_most_the_ceiling_per_charged_byte(heap_probe):
     figures = heap_probe.measure(users=30, gc_pass=False)
-    assert figures["rows"] == 30 * 20 * 10
+    assert figures["rows"] == 30 * heap_probe.FOLLOWS * heap_probe.POSTS
     assert figures["heap_per_charged"] <= heap_probe.CEILING, figures

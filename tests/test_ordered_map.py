@@ -208,7 +208,8 @@ class TestMapModel:
         st.tuples(
             st.sampled_from([
                 "insert", "get", "remove", "remove_stored",
-                "remove_range", "items", "count_range", "walk", "insert_run",
+                "remove_range", "items", "items_from", "count_range", "walk",
+                "insert_run",
             ]),
             keys,
             keys,
@@ -251,6 +252,12 @@ class TestMapModel:
                 assert tree.items(lo, hi) == [
                     (k, model[k]) for k in sorted(model) if lo <= k < hi
                 ]
+            elif op == "items_from":
+                # The CDC backfill's chunk: n pairs from lo, n of 0..7
+                # over two-key blocks spans several of them.
+                assert tree.items_from(lo, n) == [
+                    (k, model[k]) for k in sorted(model) if k >= lo
+                ][:n]
             elif op == "count_range":
                 assert tree.count_range(lo, hi) == sum(
                     1 for k in model if lo <= k < hi
